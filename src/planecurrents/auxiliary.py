@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .cover import TWO_FIFTHS
 from .currents import DivisorCurrent
 from .errors import (
     BadAlphaPrime,
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .projective import Line, Point, line_through, on_common_curve
 
-TWO_FIFTHS = Fraction(2, 5)
 ONE_HALF = Fraction(1, 2)
 
 

@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from . import gallery, serialize
@@ -59,10 +58,6 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON ({exc})", path) from None
 
 
-def _parse_cli_rational(text: str, name: str) -> Fraction:
-    return serialize.parse_rational(text, name)
-
-
 def _write_report(path: Optional[str], document: dict) -> None:
     text = serialize.dumps(document)
     if path:
@@ -89,10 +84,9 @@ def cmd_verify_examples(args) -> int:
 
 
 def cmd_check(args) -> int:
-    started = time.perf_counter()
     payload = _load_json(args.path)
     current, file_alpha = serialize.parse_instance(payload)
-    alpha = _parse_cli_rational(args.alpha, "--alpha") if args.alpha else file_alpha
+    alpha = serialize.parse_rational(args.alpha, "--alpha") if args.alpha else file_alpha
     if alpha is None:
         print("check: no alpha given (use --alpha or an instance-file alpha)", file=sys.stderr)
         return EXIT_ERROR
@@ -107,7 +101,6 @@ def cmd_check(args) -> int:
     except (InvalidInstance, AlphaOutOfRange) as exc:
         document["status"] = "precondition-failed"
         document["reason"] = str(exc)
-        document["timing_micros"] = int((time.perf_counter() - started) * 1e6)
         _write_report(args.out, document)
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -125,7 +118,6 @@ def cmd_check(args) -> int:
         verdict, instance.heavy_points
     )
     document["status"] = "covered" if isinstance(verdict, Covered) else "counterexample"
-    document["timing_micros"] = int((time.perf_counter() - started) * 1e6)
     _write_report(args.out, document)
     if isinstance(verdict, Covered):
         omitted = "none" if verdict.omitted is None else str(verdict.omitted)
@@ -136,7 +128,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_lelong(args) -> int:
-    started = time.perf_counter()
     payload = _load_json(args.path)
     current, _ = serialize.parse_instance(payload)
     coords = args.point.split(",")
@@ -148,7 +139,6 @@ def cmd_lelong(args) -> int:
         "command": "lelong",
         "point": serialize.point_to_json(point),
         "lelong": serialize.format_rational(value),
-        "timing_micros": int((time.perf_counter() - started) * 1e6),
     }
     _write_report(args.out, document)
     if args.out:
@@ -157,15 +147,13 @@ def cmd_lelong(args) -> int:
 
 
 def cmd_levelset(args) -> int:
-    started = time.perf_counter()
     payload = _load_json(args.path)
     current, _ = serialize.parse_instance(payload)
-    threshold = _parse_cli_rational(args.threshold, "--threshold")
+    threshold = serialize.parse_rational(args.threshold, "--threshold")
     level = current.level_set(threshold, strict=args.strict)
     document = {
         "command": "levelset",
         "level_set": serialize.level_set_to_json(level),
-        "timing_micros": int((time.perf_counter() - started) * 1e6),
     }
     _write_report(args.out, document)
     if args.out:
@@ -177,7 +165,6 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_mj(args) -> int:
-    started = time.perf_counter()
     payload = _load_json(args.path)
     points = serialize.parse_points_file(payload)
     value = max_on_curve(points, args.degree)
@@ -186,7 +173,6 @@ def cmd_mj(args) -> int:
         "degree": args.degree,
         "points": len(points),
         "max_on_curve": value,
-        "timing_micros": int((time.perf_counter() - started) * 1e6),
     }
     _write_report(args.out, document)
     if args.out:
@@ -195,11 +181,8 @@ def cmd_mj(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.trials < 1:
-        print("search: --trials must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     alphas = tuple(
-        _parse_cli_rational(a, "--alpha") for a in (args.alpha or ["1/2"])
+        serialize.parse_rational(a, "--alpha") for a in (args.alpha or ["1/2"])
     )
     spec = GenSpec(
         n_lines=args.lines,
@@ -209,16 +192,17 @@ def cmd_search(args) -> int:
         alphas=alphas,
         seed=args.seed,
     )
+    started = time.perf_counter()
     try:
-        report = run_suite(spec, args.trials, workers=args.workers)
+        report = run_suite(spec, args.trials)
     except InvalidSpec as exc:
         print(f"search: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    seconds = time.perf_counter() - started
     _write_report(args.out, report.to_json_dict())
     print(
         f"tried {report.tried}, valid {report.valid}, covered {report.covered}, "
-        f"counterexamples {len(report.counterexamples)} "
-        f"({report.wall_seconds:.2f}s)",
+        f"counterexamples {len(report.counterexamples)} ({seconds:.2f}s)",
         file=sys.stderr,
     )
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
@@ -268,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", action="append", help="repeatable; default 1/2")
     p.add_argument("--coeff-bound", type=int, default=5)
     p.add_argument("--weight-scheme", choices=("uniform", "random"), default="random")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
     return parser

@@ -21,16 +21,14 @@ strategy that concentrates density on purpose:
 Instances that fail the four-heavy-points precondition, exceed the bit-size
 cap, need irrational intersection points, or degenerate during
 construction are emitted with a skip tag and counted; checking only runs
-on valid instances. Reports aggregate order-independently, so evaluating
-instances concurrently cannot change the result, and serialized reports
-exclude wall-clock timing to stay byte-identical across reruns.
+on valid instances. `run_suite` and `exhaustive_sweep` aggregate through
+one order-independent tally, and serialized reports hold no wall-clock
+timing, so they stay byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -38,6 +36,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .cover import (
+    TWO_FIFTHS,
     Covered,
     CoverInstance,
     UncoverableCurve,
@@ -62,8 +61,6 @@ from .serialize import (
     level_set_to_json,
     verdict_to_json,
 )
-
-TWO_FIFTHS = Fraction(2, 5)
 
 TAG_OK = "ok"
 TAG_PRECONDITION = "skipped-precondition"
@@ -123,7 +120,6 @@ class GeneratedInstance:
     strategy: str
     current: Optional[DivisorCurrent] = None
     instance: Optional[CoverInstance] = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -140,14 +136,11 @@ class RunReport:
     omitted_histogram: dict
     counterexamples: tuple
     max_bit_size: int
-    wall_seconds: float
     profile_counts: dict = field(default_factory=dict)
     m2_min: Optional[int] = None
     m2_max: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        # wall_seconds deliberately excluded: serialized reports must be
-        # byte-identical for identical (spec, trials)
         return {
             "spec": self.spec_summary,
             "trials": self.trials,
@@ -224,10 +217,7 @@ def _lines_pencils(rng, spec: GenSpec) -> Optional[list[Line]]:
         pair_order = [(a, b), (b, c), (c, d), (d, a), (a, c), (b, d)]
         lines: list[Line] = []
         for p, q in pair_order[: spec.n_lines]:
-            try:
-                cand = line_through(p, q)
-            except Exception:
-                break
+            cand = line_through(p, q)
             if cand in lines:
                 break
             lines.append(cand)
@@ -310,8 +300,7 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
     if strategy == "conic-pencil":
         built = _conic_pencil(rng, spec)
         if built is None:
-            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy,
-                                     note="no rational conic pencil found")
+            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
         lines, conics = built
         curves = lines + conics
         if spec.weight_scheme == "uniform":
@@ -328,8 +317,7 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
     elif strategy == "heavy-line":
         lines = _distinct_lines(rng, spec.coefficient_bound, spec.n_lines)
         if lines is None:
-            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy,
-                                     note="could not draw distinct lines")
+            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
         curves = lines
         weights = _heavy_line_weights(rng, spec, alpha, curves)
     else:
@@ -339,28 +327,21 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
             else _distinct_lines(rng, spec.coefficient_bound, spec.n_lines)
         )
         if lines is None:
-            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy,
-                                     note="could not draw distinct lines")
+            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
         curves = lines
         weights = _weights(rng, spec, curves)
 
     current = DivisorCurrent(list(zip(weights, curves)))
     if len(current.components) != len(curves):
-        return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy,
-                                 note="duplicate curves collapsed")
+        return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
     if _current_bit_size(current) > spec.bit_cap:
         return GeneratedInstance(index, TAG_OVERFLOW, alpha, strategy, current=current)
     try:
-        current.support_intersections()
         heavy = find_heavy_points(current, alpha)
-    except IrrationalIntersection as exc:
-        return GeneratedInstance(index, TAG_INVALID, alpha, strategy,
-                                 current=current, note=str(exc))
+    except IrrationalIntersection:
+        return GeneratedInstance(index, TAG_INVALID, alpha, strategy, current=current)
     if len(heavy) < 4:
-        return GeneratedInstance(
-            index, TAG_PRECONDITION, alpha, strategy, current=current,
-            note=f"{len(heavy)} heavy points",
-        )
+        return GeneratedInstance(index, TAG_PRECONDITION, alpha, strategy, current=current)
     instance = CoverInstance(current, alpha, heavy)
     return GeneratedInstance(index, TAG_OK, alpha, strategy,
                              current=current, instance=instance)
@@ -376,32 +357,65 @@ def generate(spec: GenSpec) -> Iterator[GeneratedInstance]:
         index += 1
 
 
-def _evaluate(item: GeneratedInstance) -> dict:
-    instance = item.instance
-    level = instance.level()
-    verdict = conic_cover_check(level)
-    bits = _current_bit_size(instance.current)
-    result = {
-        "index": item.index,
-        "covered": isinstance(verdict, Covered),
-        "omitted": None,
-        "bits": bits,
-        "counterexample": None,
-    }
-    if isinstance(verdict, Covered):
-        result["omitted"] = 0 if verdict.omitted is None else 1
-    else:
-        result["counterexample"] = {
-            "index": item.index,
-            "instance": current_to_payload(instance.current, instance.alpha),
-            "level_set": level_set_to_json(level),
-            "verdict": verdict_to_json(verdict),
-            "verified": verify_verdict(level, verdict),
-        }
-    return result
+@dataclass
+class _Tally:
+    """Aggregate of a batch run; the counts do not depend on the order in
+    which instances arrive."""
+
+    tried: int = 0
+    valid: int = 0
+    skipped: dict = field(default_factory=dict)
+    covered: int = 0
+    not_coverable: int = 0
+    omitted_histogram: dict = field(default_factory=dict)
+    counterexamples: list = field(default_factory=list)
+    max_bit_size: int = 0
+
+    def count(self, tag: str) -> None:
+        """One more instance tried, valid or skipped under `tag`."""
+        self.tried += 1
+        if tag == TAG_OK:
+            self.valid += 1
+        else:
+            self.skipped[tag] = self.skipped.get(tag, 0) + 1
+
+    def record(self, current, alpha, level, verdict, valid: bool, **head) -> None:
+        """Tally the verdict on one checked instance. A NotCoverable verdict
+        on a valid instance keeps a standalone, re-verified counterexample
+        payload led by the `head` fields."""
+        self.max_bit_size = max(self.max_bit_size, _current_bit_size(current))
+        if isinstance(verdict, Covered):
+            self.covered += 1
+            omitted = 0 if verdict.omitted is None else 1
+            self.omitted_histogram[omitted] = self.omitted_histogram.get(omitted, 0) + 1
+            return
+        self.not_coverable += 1
+        if valid:
+            self.counterexamples.append({
+                **head,
+                "instance": current_to_payload(current, alpha),
+                "level_set": level_set_to_json(level),
+                "verdict": verdict_to_json(verdict),
+                "verified": verify_verdict(level, verdict),
+            })
+
+    def report(self, spec_summary: dict, trials: int, **extra) -> RunReport:
+        return RunReport(
+            spec_summary=spec_summary,
+            trials=trials,
+            tried=self.tried,
+            valid=self.valid,
+            skipped=self.skipped,
+            covered=self.covered,
+            not_coverable=self.not_coverable,
+            omitted_histogram=self.omitted_histogram,
+            counterexamples=tuple(self.counterexamples),
+            max_bit_size=self.max_bit_size,
+            **extra,
+        )
 
 
-def run_suite(spec: GenSpec, trials: int, workers: int = 1) -> RunReport:
+def run_suite(spec: GenSpec, trials: int) -> RunReport:
     """Generate `trials` instances and check every valid one.
 
     The expected outcome is zero counterexamples; any counterexample
@@ -410,42 +424,15 @@ def run_suite(spec: GenSpec, trials: int, workers: int = 1) -> RunReport:
     spec.validate()
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
-    start = time.perf_counter()
-    items = list(islice(generate(spec), trials))
-    valid = [item for item in items if item.tag == TAG_OK]
-    if workers > 1 and valid:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate, valid))
-    else:
-        results = [_evaluate(item) for item in valid]
-    results.sort(key=lambda r: r["index"])
-
-    skipped: dict[str, int] = {}
-    for item in items:
-        if item.tag != TAG_OK:
-            skipped[item.tag] = skipped.get(item.tag, 0) + 1
-    covered = sum(1 for r in results if r["covered"])
-    omitted_hist: dict[int, int] = {}
-    for r in results:
-        if r["covered"]:
-            omitted_hist[r["omitted"]] = omitted_hist.get(r["omitted"], 0) + 1
-    counterexamples = tuple(
-        r["counterexample"] for r in results if r["counterexample"] is not None
-    )
-    max_bits = max((r["bits"] for r in results), default=0)
-    return RunReport(
-        spec_summary=spec.summary(),
-        trials=trials,
-        tried=len(items),
-        valid=len(valid),
-        skipped=skipped,
-        covered=covered,
-        not_coverable=len(results) - covered,
-        omitted_histogram=omitted_hist,
-        counterexamples=counterexamples,
-        max_bit_size=max_bits,
-        wall_seconds=time.perf_counter() - start,
-    )
+    tally = _Tally()
+    for item in islice(generate(spec), trials):
+        tally.count(item.tag)
+        if item.tag == TAG_OK:
+            instance = item.instance
+            level = instance.level()
+            tally.record(instance.current, instance.alpha, level,
+                         conic_cover_check(level), valid=True, index=item.index)
+    return tally.report(spec.summary(), trials)
 
 
 FRAME_LINES = (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))
@@ -502,7 +489,6 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
     """Evaluate every configuration in the grid; records verdict profiles
     and the extreme max-points-on-a-conic statistics."""
     grid.validate()
-    start = time.perf_counter()
     pool = list(grid.extra_pool) if grid.extra_pool is not None else _line_pool(grid.coefficient_bound)
     k = grid.n_lines - 4
     n_combos = comb(len(pool), k) if len(pool) >= k else 0
@@ -513,58 +499,37 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
     if total > grid.max_instances:
         raise GridTooLarge(f"{total} instances exceed the cap {grid.max_instances}")
 
-    tried = valid = covered = not_coverable = 0
-    skipped: dict[str, int] = {}
-    omitted_hist: dict[int, int] = {}
+    tally = _Tally()
     profile_counts: dict[str, int] = {}
-    counterexamples = []
-    max_bits = 0
     m2_min = m2_max = None
 
     for combo in combinations(pool, k):
         lines = list(FRAME_LINES) + list(combo)
         for weights in weight_vectors:
             for alpha in grid.alphas:
-                tried += 1
                 current = DivisorCurrent(list(zip(weights, lines)))
                 if len(current.components) != len(lines):
-                    skipped[TAG_DEGENERATE] = skipped.get(TAG_DEGENERATE, 0) + 1
+                    tally.count(TAG_DEGENERATE)
                     continue
-                max_bits = max(max_bits, _current_bit_size(current))
-                heavy = find_heavy_points(current, alpha)
-                precondition_ok = len(heavy) >= 4
+                valid = len(find_heavy_points(current, alpha)) >= 4
+                tally.count(TAG_OK if valid else TAG_PRECONDITION)
                 level = current.level_set(beta_of(alpha), strict=True)
                 verdict = conic_cover_check(level)
+                tally.record(current, alpha, level, verdict, valid=valid)
                 if level.is_finite() and level.isolated_points:
                     m2 = max_on_curve(level.isolated_points, 2)
                     m2_min = m2 if m2_min is None else min(m2_min, m2)
                     m2_max = m2 if m2_max is None else max(m2_max, m2)
-                if precondition_ok:
-                    valid += 1
-                else:
-                    skipped[TAG_PRECONDITION] = skipped.get(TAG_PRECONDITION, 0) + 1
                 if isinstance(verdict, Covered):
-                    covered += 1
-                    omitted = 0 if verdict.omitted is None else 1
-                    omitted_hist[omitted] = omitted_hist.get(omitted, 0) + 1
-                    profile = f"{'valid' if precondition_ok else 'precondition-failed'}/covered/omit-{omitted}"
+                    outcome = f"covered/omit-{0 if verdict.omitted is None else 1}"
                 else:
-                    not_coverable += 1
                     kind = "curve" if isinstance(verdict.obstruction, UncoverableCurve) else "points"
-                    profile = f"{'valid' if precondition_ok else 'precondition-failed'}/not-coverable/{kind}"
-                    if precondition_ok:
-                        counterexamples.append(
-                            {
-                                "instance": current_to_payload(current, alpha),
-                                "level_set": level_set_to_json(level),
-                                "verdict": verdict_to_json(verdict),
-                                "verified": verify_verdict(level, verdict),
-                            }
-                        )
+                    outcome = f"not-coverable/{kind}"
+                profile = f"{'valid' if valid else 'precondition-failed'}/{outcome}"
                 profile_counts[profile] = profile_counts.get(profile, 0) + 1
 
-    return RunReport(
-        spec_summary={
+    return tally.report(
+        {
             "kind": "sweep",
             "n_lines": grid.n_lines,
             "coefficient_bound": grid.coefficient_bound,
@@ -574,16 +539,7 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
                 [format_rational(w) for w in vec] for vec in weight_vectors
             ],
         },
-        trials=total,
-        tried=tried,
-        valid=valid,
-        skipped=skipped,
-        covered=covered,
-        not_coverable=not_coverable,
-        omitted_histogram=omitted_hist,
-        counterexamples=tuple(counterexamples),
-        max_bit_size=max_bits,
-        wall_seconds=time.perf_counter() - start,
+        total,
         profile_counts=profile_counts,
         m2_min=m2_min,
         m2_max=m2_max,

@@ -43,7 +43,17 @@ def test_check_covered(instance_files, tmp_path, capsys):
     assert report["verdict"]["kind"] == "covered"
     assert report["verdict"]["omitted"] is not None
     assert len(report["heavy_points"]) == 6
-    assert isinstance(report["timing_micros"], int)
+
+
+@pytest.mark.parametrize(
+    "name, alpha, code",
+    [("four-lines", "1/2", 0), ("three-lines", "2/3", 2)],
+)
+def test_check_reports_byte_identical(instance_files, tmp_path, name, alpha, code):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for path in (first, second):
+        assert main(["check", instance_files[name], "--alpha", alpha, "--out", str(path)]) == code
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_check_precondition_failure(instance_files, tmp_path):
@@ -217,7 +227,8 @@ def test_console_entry_point():
         capture_output=True,
         text=True,
     )
-    assert proc.returncode in (1, 2)  # missing subcommand is a usage error
+    assert proc.returncode == 1  # missing subcommand is a usage error
+    assert "usage:" in proc.stderr
 
 
 def test_module_invocation_verify(capsys):

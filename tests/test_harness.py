@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from planecurrents.cover import NotCoverable, conic_cover_check
+from planecurrents.cover import NotCoverable, conic_cover_check, find_heavy_points
 from planecurrents.errors import GridTooLarge, InvalidSpec
 from planecurrents.gallery import build
 from planecurrents.harness import (
@@ -16,7 +16,7 @@ from planecurrents.harness import (
     run_suite,
 )
 from planecurrents.projective import Line, ProjectiveMap
-from planecurrents.serialize import parse_instance
+from planecurrents.serialize import level_set_to_json, parse_instance
 from planecurrents import linalg
 
 
@@ -78,14 +78,13 @@ def test_uniform_four_lines_match_quadrilateral_shape():
     assert generic > 10
 
 
-def test_run_suite_deterministic_and_parallel_equivalent():
+def test_run_suite_deterministic():
     spec = GenSpec(n_lines=5, weight_scheme="random", seed=11)
-    sequential = run_suite(spec, 60)
+    first = run_suite(spec, 60)
     again = run_suite(spec, 60)
-    parallel = run_suite(spec, 60, workers=3)
-    assert sequential.to_json_dict() == again.to_json_dict() == parallel.to_json_dict()
-    assert json.dumps(sequential.to_json_dict(), sort_keys=True) == json.dumps(
-        parallel.to_json_dict(), sort_keys=True
+    assert first.to_json_dict() == again.to_json_dict()
+    assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(
+        again.to_json_dict(), sort_keys=True
     )
 
 
@@ -113,55 +112,28 @@ def test_conic_pencil_instances_validate():
 
 
 def test_counterexample_payloads_reverify(monkeypatch):
-    # force a fake counterexample by shrinking beta: with threshold beta/4
-    # far more points pass, so some valid instances stop being coverable
+    # force real counterexamples by shrinking beta: with threshold 1/40 far
+    # more points pass, so some valid instances stop being coverable
+    import planecurrents.cover as C
     import planecurrents.harness as H
 
+    monkeypatch.setattr(C, "beta_of", lambda a: Fraction(1, 40))
     monkeypatch.setattr(H, "beta_of", lambda a: Fraction(1, 40))
-
-    class _Shrunk:
-        def __init__(self, inst):
-            self.inst = inst
-
-        def level(self):
-            return self.inst.current.level_set(Fraction(1, 40), strict=True)
-
-    real_evaluate = H._evaluate
-
-    def fake_evaluate(item):
-        level = item.instance.current.level_set(Fraction(1, 40), strict=True)
-        verdict = conic_cover_check(level)
-        from planecurrents.serialize import (
-            current_to_payload,
-            level_set_to_json,
-            verdict_to_json,
-        )
-
-        result = {
-            "index": item.index,
-            "covered": not isinstance(verdict, NotCoverable),
-            "omitted": 0,
-            "bits": 1,
-            "counterexample": None,
-        }
-        if isinstance(verdict, NotCoverable):
-            result["counterexample"] = {
-                "index": item.index,
-                "instance": current_to_payload(item.instance.current, item.instance.alpha),
-                "level_set": level_set_to_json(level),
-                "verdict": verdict_to_json(verdict),
-                "verified": True,
-            }
-        return result
-
-    monkeypatch.setattr(H, "_evaluate", fake_evaluate)
-    spec = GenSpec(n_lines=6, weight_scheme="random", seed=17)
-    report = H.run_suite(spec, 80)
-    assert report.counterexamples, "shrunken threshold should produce counterexamples"
-    for payload in report.counterexamples:
+    suite = run_suite(GenSpec(n_lines=6, weight_scheme="random", seed=17), 80)
+    sweep = exhaustive_sweep(SweepGrid(n_lines=6, coefficient_bound=1))
+    assert suite.counterexamples, "shrunken threshold should produce counterexamples"
+    assert sweep.counterexamples, "shrunken threshold should produce counterexamples"
+    for payload in suite.counterexamples + sweep.counterexamples:
+        assert payload["verified"] is True
         current, alpha = parse_instance(payload["instance"])
+        assert len(find_heavy_points(current, alpha)) >= 4
         level = current.level_set(Fraction(1, 40), strict=True)
+        assert payload["level_set"] == level_set_to_json(level)
         assert isinstance(conic_cover_check(level), NotCoverable)
+    indices = [payload["index"] for payload in suite.counterexamples]
+    assert indices == sorted(set(indices))
+    for payload in suite.counterexamples:
+        assert set(payload) - {"index"} == set(sweep.counterexamples[0])
 
 
 def test_sweep_four_lines_all_covered():
