@@ -54,7 +54,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read file ({exc})", path) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the int-digits limit on huge integers
         raise ParseError(f"invalid JSON ({exc})", path) from None
 
 

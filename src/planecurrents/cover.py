@@ -325,22 +325,19 @@ def check_cover_instance(instance: CoverInstance) -> Verdict:
 def _conic_point_search(conic: Conic, count: int, height: int = 10) -> tuple[Point, ...]:
     """Up to `count` rational points on an irreducible conic: bounded
     search for one point, then chords through it give the rest."""
-    base = None
-    candidates = [Point(1, 0, 0), Point(0, 1, 0)]
-    candidates += [Point(1, a, 0) for a in range(-height, height + 1)]
-    candidates += [
-        Point(x, y, 1)
-        for x in range(-height, height + 1)
-        for y in range(-height, height + 1)
-    ]
-    for p in candidates:
-        if conic_value(conic, p) == 0:
-            base = p
-            break
+    span = range(-height, height + 1)
+
+    def candidates():
+        yield Point(1, 0, 0)
+        yield Point(0, 1, 0)
+        yield from (Point(1, a, 0) for a in span)
+        yield from (Point(x, y, 1) for x in span for y in span)
+
+    base = next((p for p in candidates() if conic_value(conic, p) == 0), None)
     if base is None:
         return ()
     found = [base]
-    for d in candidates:
+    for d in candidates():
         if len(found) >= count:
             break
         if d == base:

@@ -11,6 +11,18 @@ points. Off the support the density is zero and on a single smooth
 component it equals that component's weight, so every isolated member is a
 pairwise intersection point of the support; that argument makes the
 structural representation complete.
+
+Lines and irreducible conics are smooth, so mult_p(C_i) is 1 on C_i and 0
+off it, and the density at a point is the sum of the weights of the
+components through it. Every component through a pairwise intersection
+point p meets each other component through p at p, so one pass over all
+component pairs yields, for each such p, the complete set of components
+through it. A current keeps that incidence map once built: it is
+immutable, so level sets at any threshold (the heavy points at alpha and
+the strict level set at beta) read the same map, and the map lives and
+dies with its current. A build that raises IrrationalIntersection caches
+nothing, so every later call raises again. `lelong_number` stays the
+direct per-point formula, valid at any point.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ class DivisorCurrent:
     Lelong number) is well defined.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_incidence")
 
     def __init__(self, components: Iterable[tuple[Fraction | int, Curve]] = ()):
         merged: dict[Curve, Fraction] = {}
@@ -63,6 +75,7 @@ class DivisorCurrent:
         items = [(w, c) for c, w in merged.items() if w != 0]
         items.sort(key=lambda wc: curve_sort_key(wc[1]))
         object.__setattr__(self, "components", tuple(items))
+        object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorCurrent is immutable")
@@ -125,6 +138,20 @@ class DivisorCurrent:
             return NotImplemented
         return DivisorCurrent(list(self.components) + list(other.components))
 
+    def _incidence_map(self) -> dict[Point, dict[int, Fraction]]:
+        """Pairwise intersection point -> {component index: weight} of the
+        components through it, from one pass over the component pairs."""
+        if self._incidence is None:
+            through: dict[Point, dict[int, Fraction]] = {}
+            pairs = combinations(enumerate(self.components), 2)
+            for (i, (w1, c1)), (j, (w2, c2)) in pairs:
+                for p in intersect_curves(c1, c2):
+                    weights = through.setdefault(p, {})
+                    weights[i] = w1
+                    weights[j] = w2
+            object.__setattr__(self, "_incidence", through)
+        return self._incidence
+
     def support_intersections(self) -> tuple[Point, ...]:
         """All pairwise intersection points of the component curves.
 
@@ -132,10 +159,7 @@ class DivisorCurrent:
         without rational coordinates (any pair of conic components, or a
         line/conic pair with non-square discriminant).
         """
-        points: set[Point] = set()
-        for (_, c1), (_, c2) in combinations(self.components, 2):
-            points.update(intersect_curves(c1, c2))
-        return tuple(sorted(points))
+        return tuple(sorted(self._incidence_map()))
 
     def level_set(self, threshold: Fraction | int, strict: bool = False) -> "LevelSet":
         """Structural upper level set at the threshold (>= by default,
@@ -147,8 +171,8 @@ class DivisorCurrent:
         curves = tuple(c for w, c in self.components if passes(w))
         isolated = sorted(
             p
-            for p in self.support_intersections()
-            if passes(self.lelong_number(p)) and not any(incident(p, c) for c in curves)
+            for p, weights in self._incidence_map().items()
+            if passes(sum(weights.values())) and not any(map(passes, weights.values()))
         )
         return LevelSet(t, strict, curves, tuple(isolated))
 

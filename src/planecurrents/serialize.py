@@ -42,6 +42,11 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would also take an exponent, whose expansion cost grows
+        # without bound ("1e2000000" takes about a second); the grammar is
+        # "p/q" or an integer
+        if "e" in value or "E" in value:
+            raise ParseError(f"invalid rational {value!r} (no exponents)", path)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from planecurrents.projective import (
     Line,
@@ -100,6 +101,83 @@ def coverable_oracle(points) -> bool:
     """True iff some conic contains all but at most one of the points."""
     pts = sorted(set(points))
     return m2_oracle(pts) >= len(pts) - 1
+
+
+def _form(curve, coords) -> Fraction:
+    """The curve's defining form at homogeneous coordinates, evaluated
+    from its coefficients (three for a line, six for a conic)."""
+    x, y, z = coords
+    if len(curve.coeffs) == 3:
+        monomials = (x, y, z)
+    else:
+        monomials = (x * x, x * y, x * z, y * y, y * z, z * z)
+    return sum((k * m for k, m in zip(curve.coeffs, monomials)), Fraction(0))
+
+
+def _rational_sqrt(f: Fraction):
+    n, d = f.numerator, f.denominator
+    if n < 0 or isqrt(n) ** 2 != n or isqrt(d) ** 2 != d:
+        return None
+    return Fraction(isqrt(n), isqrt(d))
+
+
+def _line_meets(line, curve) -> list[Point]:
+    """Rational common points of a line and another curve.
+
+    Solve the line for a coordinate with a nonzero coefficient, so the
+    line is {u*e1 + v*e2}; the curve's form restricted to it is a binary
+    form in (u, v) whose rational roots give the points.
+    """
+    k = next(i for i, c in enumerate(line.coeffs) if c != 0)
+    i, j = (m for m in range(3) if m != k)
+    e1, e2 = [Fraction(0)] * 3, [Fraction(0)] * 3
+    e1[i], e1[k] = Fraction(1), -line.coeffs[i] / line.coeffs[k]
+    e2[j], e2[k] = Fraction(1), -line.coeffs[j] / line.coeffs[k]
+    at = lambda u, v: [u * a + v * b for a, b in zip(e1, e2)]  # noqa: E731
+    a, c = _form(curve, e1), _form(curve, e2)
+    if len(curve.coeffs) == 3:
+        roots = [(c, -a)]
+    else:
+        b = _form(curve, at(1, 1)) - a - c
+        if a == 0:
+            roots = [(1, 0), (c, -b)]
+        else:
+            root = _rational_sqrt(b * b - 4 * a * c)
+            if root is None:
+                raise ValueError("the line meets the conic in irrational points")
+            roots = [((-b + root) / (2 * a), 1), ((-b - root) / (2 * a), 1)]
+    return [Point(*at(u, v)) for u, v in roots]
+
+
+def level_set_oracle(current, threshold, strict):
+    """(passing component curves, isolated points) of a current's upper
+    level set, from direct evaluation of every component's form.
+
+    Candidates are all pairwise intersection points (an isolated point has
+    density above every single component's weight, so it lies on two
+    components); the density at a candidate is the sum of the weights of
+    the components whose form vanishes there, since lines and irreducible
+    conics are smooth. Raises ValueError where a pair of components has no
+    rational intersection representation.
+    """
+    t = Fraction(threshold)
+    passes = (lambda v: v > t) if strict else (lambda v: v >= t)
+    comps = current.components
+    curves = tuple(c for w, c in comps if passes(w))
+    candidates = set()
+    for (_, c1), (_, c2) in combinations(comps, 2):
+        if len(c2.coeffs) == 3:
+            c1, c2 = c2, c1
+        if len(c1.coeffs) != 3:
+            raise ValueError("two conic components")
+        candidates.update(_line_meets(c1, c2))
+    isolated = sorted(
+        p
+        for p in candidates
+        if passes(sum((w for w, c in comps if _form(c, p.coords) == 0), Fraction(0)))
+        and all(_form(c, p.coords) != 0 for c in curves)
+    )
+    return curves, tuple(isolated)
 
 
 def random_point(rng: random.Random, bound: int = 6) -> Point:

@@ -103,6 +103,25 @@ def test_parse_error_positions(tmp_path, capsys):
     assert main(["lelong", str(path), "--point", "1,0,0"]) == 1
 
 
+def test_oversized_json_integer_is_a_parse_error(tmp_path):
+    # json.loads raises a plain ValueError past the int-digits limit
+    path = tmp_path / "huge.json"
+    path.write_text('{"lines": [["1", "0", "0"]], "weights": [1%s]}' % ("0" * 5000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planecurrents.cli", "levelset", str(path), "--threshold", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_exponent_rational_is_a_parse_error(instance_files, capsys):
+    assert main(["check", instance_files["four-lines"], "--alpha", "5e-1"]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_lelong_command(instance_files, capsys):
     code = main(["lelong", instance_files["seven-lines"], "--point", "1,0,1"])
     assert code == 0

@@ -19,13 +19,18 @@ from planecurrents.projective import (
     Line,
     Point,
     conic_from_lines,
+    conic_gradient,
+    incident,
+    line_through,
     meet,
     sample_line_points,
 )
 
 from oracles import (
+    level_set_oracle,
     random_lines,
     random_point,
+    random_points,
     random_projective_map,
     random_unit_current,
 )
@@ -208,3 +213,115 @@ def test_level_set_validation():
     ok = LevelSet(Fraction(1, 2), False, (), (Point(1, 2, 3), Point(1, 0, 0)))
     assert ok.isolated_points == tuple(sorted((Point(1, 2, 3), Point(1, 0, 0))))
     assert ok.is_finite()
+
+
+def _unit_weights(rng, curves) -> DivisorCurrent:
+    raws = [Fraction(rng.randint(1, 12)) for _ in curves]
+    total = sum(r * c.degree for r, c in zip(raws, curves))
+    return DivisorCurrent([(r / total, c) for r, c in zip(raws, curves)])
+
+
+def _concurrent_current(rng) -> DivisorCurrent:
+    """Three or four lines through one point plus a few random lines."""
+    centre = random_point(rng)
+    spokes = dict.fromkeys(line_through(centre, q) for q in random_points(rng, 5) if q != centre)
+    lines = list(spokes)[: rng.randint(3, 4)] + random_lines(rng, rng.randint(1, 3))
+    return _unit_weights(rng, list(dict.fromkeys(lines)))
+
+
+def _conic_chord_current(rng) -> DivisorCurrent:
+    """A projective image of x*z = y^2 with chords through its rational
+    points, two of them through the first point, plus the tangent there."""
+    pmap = random_projective_map(rng)
+    ts = rng.sample(range(-4, 5), 5)
+    pts = [pmap.point(Point(t * t, t, 1)) for t in ts]
+    conic = pmap.conic(SMOOTH_CONIC)
+    pairs = [(0, 1), (0, 2)] + [rng.sample(range(5), 2) for _ in range(rng.randint(1, 3))]
+    chords = dict.fromkeys(line_through(pts[i], pts[j]) for i, j in pairs)
+    tangent = Line(*conic_gradient(conic, pts[0]))
+    return _unit_weights(rng, [conic, tangent, *chords])
+
+
+def _thresholds(rng, current):
+    """Weights and sums of two or three weights, where a density can sit
+    exactly at the threshold, plus one random value."""
+    ws = [w for w, _ in current.components]
+    sums = [a + b for a in ws for b in ws] + [a + b + c for a, b, c in zip(ws, ws[1:], ws[2:])]
+    return rng.sample(ws + sums, 4) + [Fraction(rng.randint(1, 9), rng.randint(10, 30))]
+
+
+def _assert_matches_oracle(current, threshold, strict):
+    level = current.level_set(threshold, strict=strict)
+    curves, isolated = level_set_oracle(current, threshold, strict)
+    assert set(level.component_curves) == set(curves)
+    assert level.isolated_points == isolated
+
+
+@pytest.mark.parametrize(
+    "make", [random_unit_current, _concurrent_current, _conic_chord_current]
+)
+def test_level_set_matches_oracle(make):
+    rng = random.Random(37)
+    for _ in range(25):
+        current = make(rng)
+        for threshold in _thresholds(rng, current):
+            for strict in (False, True):
+                _assert_matches_oracle(current, threshold, strict)
+
+
+@pytest.mark.parametrize("make, through", [(_concurrent_current, 3), (_conic_chord_current, 4)])
+def test_oracle_currents_have_rich_points(make, through):
+    # three or more lines in one point; conic, tangent and two chords in one point
+    rng = random.Random(37)
+    for _ in range(5):
+        current = make(rng)
+        richest = max(
+            sum(incident(p, c) for c in current.curves) for p in current.support_intersections()
+        )
+        assert richest >= through
+
+
+def test_incidence_cache_is_invisible():
+    rng = random.Random(43)
+    current = _conic_chord_current(rng)
+    twin = DivisorCurrent(current.components)
+    before = (repr(current), hash(current))
+    threshold = Fraction(1, 4)
+    level = current.level_set(threshold, strict=True)
+    assert current == twin and hash(current) == hash(twin)
+    assert (repr(current), hash(current)) == before
+    assert current.level_set(threshold, strict=True) == level
+    assert twin.level_set(threshold, strict=True) == level
+
+    # derived currents have new components and build their own map
+    conic = next(c for c in current.curves if isinstance(c, Conic))
+    chord = next(c for c in current.curves if isinstance(c, Line))
+    # tangents at the conic's marked points meet it rationally
+    on_conic = [p for p in current.support_intersections() if incident(p, conic)]
+    extra = DivisorCurrent([(Fraction(1, 5), Line(*conic_gradient(conic, p))) for p in on_conic])
+    derived = [
+        current.subtract(chord, current.generic_lelong(chord)),
+        current.subtract(conic, current.generic_lelong(conic) / 2),
+        current.scaled(Fraction(3, 2)),
+        current.transformed(random_projective_map(rng)),
+        current + extra,
+    ]
+    for other in derived:
+        for t in (Fraction(1, 4), Fraction(1, 3)):
+            _assert_matches_oracle(other, t, strict=True)
+    assert current.level_set(threshold, strict=True) == level
+
+
+def test_irrational_intersection_raises_every_time():
+    two_conics = DivisorCurrent(
+        [(Fraction(1, 4), SMOOTH_CONIC), (Fraction(1, 4), Conic(1, 0, 0, 1, 0, -1))]
+    )
+    secant_free = DivisorCurrent(
+        [(Fraction(1, 3), SMOOTH_CONIC), (Fraction(1, 3), Line(1, 0, -2))]
+    )
+    for current in (two_conics, secant_free):
+        for _ in range(2):
+            with pytest.raises(IrrationalIntersection):
+                current.level_set(Fraction(1, 6))
+            with pytest.raises(IrrationalIntersection):
+                current.support_intersections()

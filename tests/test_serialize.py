@@ -32,6 +32,17 @@ def test_rational_errors_carry_position():
         serialize.parse_rational(True)
 
 
+def test_rational_rejects_exponents():
+    # Fraction accepts exponents, whose expansion cost grows without bound
+    for text in ("1e3", "2E-1", " 1e2 ", "1.5e1", "3/1e1"):
+        with pytest.raises(ParseError) as err:
+            serialize.parse_rational(text, "weights[0]")
+        assert "weights[0]" in str(err.value)
+    payload = {"lines": [["1", "0", "0"]], "weights": ["1e0"]}
+    with pytest.raises(ParseError):
+        serialize.parse_instance(payload)
+
+
 def test_point_line_conic_round_trip():
     p = Point(2, -4, 6)
     assert serialize.parse_point(serialize.point_to_json(p)) == p
