@@ -109,9 +109,9 @@ def cmd_check(args) -> int:
     document["heavy_points"] = [
         {
             "point": serialize.point_to_json(p),
-            "lelong": serialize.format_rational(current.lelong_number(p)),
+            "lelong": serialize.format_rational(nu),
         }
-        for p in instance.heavy_points
+        for p, nu in zip(instance.heavy_points, instance.densities)
     ]
     document["level_set"] = serialize.level_set_to_json(level)
     document["verdict"] = serialize.verdict_to_json(verdict)

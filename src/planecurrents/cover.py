@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import linalg
 from .currents import DivisorCurrent, LevelSet
 from .errors import AlphaOutOfRange, InvalidInstance
 from .projective import (
@@ -35,15 +34,14 @@ from .projective import (
     Line,
     Point,
     conic_from_lines,
+    conic_space,
     conic_value,
     incident,
     intersect_line_conic,
     line_in_conic,
     line_through,
-    max_on_curve,
     on_common_curve,
     sample_line_points,
-    veronese_row,
 )
 
 TWO_FIFTHS = Fraction(2, 5)
@@ -174,13 +172,6 @@ def _spanning_line(points) -> Line:
     return Line(0, 0, 1)
 
 
-def _conic_through(points) -> Conic:
-    """First basis vector of the space of conics through the points (the
-    caller guarantees the space is nonzero)."""
-    basis = linalg.nullspace([veronese_row(p) for p in points], 6)
-    return Conic(*basis[0])
-
-
 def _witness(forced, points, budget: int) -> Union[Line, Conic]:
     if budget == 1:
         return forced[0] if forced else _spanning_line(points)
@@ -190,24 +181,19 @@ def _witness(forced, points, budget: int) -> Union[Line, Conic]:
         return conic_from_lines(forced[0], forced[1])
     if len(forced) == 1:
         return conic_from_lines(forced[0], _spanning_line(points))
-    return _conic_through(points)
+    # the caller found the points on a conic, so the space is nonzero
+    return conic_space(points)[0]
 
 
-def _search(forced, points, budget: int) -> Optional[Covered]:
+def _omission(forced, points, budget: int):
+    """First (omitted, rest), omitting nothing and then each point in turn,
+    whose rest fits the degree left; None when none does (an obstruction)."""
     degree_left = budget - sum(c.degree for c in forced)
     for omitted in (None, *points):
         rest = tuple(p for p in points if p != omitted)
         if _fits(rest, degree_left):
-            return Covered(_witness(forced, rest, budget), omitted)
+            return omitted, rest
     return None
-
-
-def _is_obstruction(forced, points, budget: int) -> bool:
-    degree_left = budget - sum(c.degree for c in forced)
-    return all(
-        not _fits(tuple(p for p in points if p != omitted), degree_left)
-        for omitted in (None, *points)
-    )
 
 
 def _minimal_obstruction(forced, points, budget: int) -> tuple[Point, ...]:
@@ -217,7 +203,7 @@ def _minimal_obstruction(forced, points, budget: int) -> tuple[Point, ...]:
         if len(keep) <= 2:
             break
         trial = [q for q in keep if q != p]
-        if len(trial) >= 2 and _is_obstruction(forced, tuple(trial), budget):
+        if len(trial) >= 2 and _omission(forced, tuple(trial), budget) is None:
             keep = trial
     return tuple(keep)
 
@@ -228,10 +214,11 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
     if overflow is not None:
         return NotCoverable(UncoverableCurve(overflow))
     points = level.isolated_points
-    found = _search(curves, points, budget)
-    if found is not None:
-        return found
-    return NotCoverable(UncoveredPoints(_minimal_obstruction(curves, points, budget)))
+    found = _omission(curves, points, budget)
+    if found is None:
+        return NotCoverable(UncoveredPoints(_minimal_obstruction(curves, points, budget)))
+    omitted, rest = found
+    return Covered(_witness(curves, rest, budget), omitted)
 
 
 def line_cover_check(level: LevelSet) -> Verdict:
@@ -272,15 +259,16 @@ def verify_verdict(level: LevelSet, verdict: Verdict, budget: int = 2) -> bool:
     return (
         len(obs.points) >= 2
         and all(p in level.isolated_points for p in obs.points)
-        and _is_obstruction(level.component_curves, obs.points, budget)
+        and _omission(level.component_curves, obs.points, budget) is None
     )
 
 
 class CoverInstance:
     """A unit-mass divisor current together with a density threshold
-    alpha > 2/5 and at least four certified points of density >= alpha."""
+    alpha > 2/5 and at least four certified points of density >= alpha;
+    `densities` holds their Lelong numbers, in the order of `heavy_points`."""
 
-    __slots__ = ("current", "alpha", "heavy_points")
+    __slots__ = ("current", "alpha", "heavy_points", "densities")
 
     def __init__(self, current: DivisorCurrent, alpha, heavy_points):
         a = Fraction(alpha)
@@ -293,13 +281,16 @@ class CoverInstance:
             raise InvalidInstance(
                 f"needs at least four points of density >= {a}, got {len(pts)}"
             )
+        densities = []
         for p in pts:
             nu = current.lelong_number(p)
             if nu < a:
                 raise InvalidInstance(f"point {p} has density {nu} < {a}")
+            densities.append(nu)
         object.__setattr__(self, "current", current)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "heavy_points", pts)
+        object.__setattr__(self, "densities", tuple(densities))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoverInstance is immutable")
@@ -322,10 +313,17 @@ def check_cover_instance(instance: CoverInstance) -> Verdict:
     return conic_cover_check(instance.level())
 
 
-def _conic_point_search(conic: Conic, count: int, height: int = 10) -> tuple[Point, ...]:
+# Largest coordinate tried for a first point on a heavy conic; a conic
+# with no rational point that low reads as fewer than four heavy points
+_SEARCH_HEIGHT = 10
+# points sampled on each heavy component curve: the four needed, plus two
+_CURVE_SAMPLES = 6
+
+
+def _conic_point_search(conic: Conic, count: int) -> tuple[Point, ...]:
     """Up to `count` rational points on an irreducible conic: bounded
     search for one point, then chords through it give the rest."""
-    span = range(-height, height + 1)
+    span = range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
 
     def candidates():
         yield Point(1, 0, 0)
@@ -350,9 +348,7 @@ def _conic_point_search(conic: Conic, count: int, height: int = 10) -> tuple[Poi
     return tuple(found[:count])
 
 
-def find_heavy_points(
-    current: DivisorCurrent, alpha, minimum: int = 4
-) -> tuple[Point, ...]:
+def find_heavy_points(current: DivisorCurrent, alpha) -> tuple[Point, ...]:
     """Points with Lelong number >= alpha: all isolated members of the
     level set at alpha, plus sampled points on full component curves."""
     a = Fraction(alpha)
@@ -360,9 +356,9 @@ def find_heavy_points(
     points = set(level.isolated_points)
     for curve in level.component_curves:
         if isinstance(curve, Line):
-            points.update(sample_line_points(curve, minimum + 2))
+            points.update(sample_line_points(curve, _CURVE_SAMPLES))
         else:
-            points.update(_conic_point_search(curve, minimum + 2))
+            points.update(_conic_point_search(curve, _CURVE_SAMPLES))
     return tuple(sorted(points))
 
 
@@ -377,11 +373,10 @@ def evaluate_cover(current: DivisorCurrent, alpha) -> tuple[CoverInstance, Level
 
 def no_conic_all_but_one(level: LevelSet) -> bool:
     """True iff no conic contains all but at most one point of a finite
-    level set, certified by the maximum-points-on-a-conic count."""
+    level set."""
     if level.component_curves:
         raise ValueError("level set has component curves; it is not finite")
-    points = level.isolated_points
-    return max_on_curve(points, 2) < len(points) - 1
+    return not isinstance(conic_cover_check(level), Covered)
 
 
 def witness_contains_points(verdict: Verdict, points) -> Optional[bool]:

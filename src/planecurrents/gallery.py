@@ -35,7 +35,6 @@ from .cover import (
     conic_cover_check,
     evaluate_cover,
     find_heavy_points,
-    no_conic_all_but_one,
     verify_verdict,
 )
 from .currents import DivisorCurrent
@@ -306,10 +305,6 @@ def build(name: str) -> Arrangement:
     return _BUILDERS[name]()
 
 
-def build_all() -> tuple[Arrangement, ...]:
-    return tuple(build(name) for name in NAMES)
-
-
 def _common_facts(arr: Arrangement) -> list[Fact]:
     facts = [
         Fact("mass", arr.current.mass == 1, f"mass = {arr.current.mass}"),
@@ -395,7 +390,7 @@ def _facts_six_lines(arr: Arrangement) -> list[Fact]:
         Fact(
             "wide-not-coverable",
             isinstance(wide_verdict, NotCoverable)
-            and no_conic_all_but_one(wide)
+            and m2 < len(wide.isolated_points) - 1
             and verify_verdict(wide, wide_verdict),
             repr(wide_verdict),
         )

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Rank uses fraction-free (Bareiss-style) elimination on integer-scaled rows,
-which keeps intermediate entries as matrix minors instead of letting
-numerators and denominators grow multiplicatively. Nullspace extraction
-uses plain Gauss-Jordan over `Fraction`, which is simpler and only runs on
-tiny matrices (at most six columns here).
+One elimination serves every question: a fraction-free (Bareiss 1968)
+row echelon form of the integer-scaled rows. By the Sylvester identity
+each intermediate entry is a minor of the input, so entries grow with the
+matrix, not multiplicatively with each step. The rank is the number of
+pivots, and the nullspace basis comes from back-substitution on the
+echelon rows; only that last step divides, and it returns `Fraction`s.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
     return scaled
 
 
-def rank(rows: Sequence[Row]) -> int:
-    """Exact rank of a rational matrix (rows of equal length)."""
+def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form: the nonzero integer rows, each with
+    its pivot in the matching entry of the ascending pivot column list."""
     m = _integer_rows(rows)
+    pivots: list[int] = []
     if not m:
-        return 0
+        return m, pivots
     ncols = len(m[0])
     r = 0
     prev = 1
@@ -48,45 +51,30 @@ def rank(rows: Sequence[Row]) -> int:
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def rref(rows: Sequence[Row], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Reduced row echelon form; returns (pivot columns, reduced rows)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return pivots, m[:r]
+    return m[:r], pivots
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Exact rank of a rational matrix (rows of equal length)."""
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace, one vector per free column (ascending)."""
-    pivots, reduced = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right nullspace, one vector per free column (ascending):
+    the vector is 1 at its free column and 0 at the other free columns, so
+    the basis is the one the reduced row echelon form gives."""
+    echelon, pivots = _echelon(rows)
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
+        for row, c in reversed(list(zip(echelon, pivots))):
+            # Fraction(...), not /: past the last column the sum is an int 0
+            vec[c] = Fraction(-sum(row[j] * vec[j] for j in range(c + 1, ncols)), row[c])
         basis.append(tuple(vec))
     return basis
 

@@ -225,38 +225,42 @@ def multiplicity(p: Point, curve: Curve) -> int:
     return 1 if any(g != 0 for g in conic_gradient(curve, p)) else 2
 
 
-def veronese_row(p: Point) -> tuple[Fraction, ...]:
-    x, y, z = p.coords
-    return (x * x, x * y, x * z, y * y, y * z, z * z)
+def _incidence_rows(points: Iterable[Point], degree: int) -> tuple[list, int]:
+    """(rows, column count) of the distinct points in canonical order:
+    coordinates for degree 1, Veronese rows (the monomials in the fixed
+    order) for degree 2. A curve of that degree through some of the points
+    is a kernel vector of their rows, so they lie on one iff the rank is
+    below the column count."""
+    coords = [p.coords for p in sorted(set(points))]
+    if degree == 1:
+        return coords, 3
+    if degree == 2:
+        return [(x * x, x * y, x * z, y * y, y * z, z * z) for x, y, z in coords], 6
+    raise UnsupportedDegree(f"degree {degree} not supported (only 1 and 2)")
 
 
 def conic_space(points: Iterable[Point]) -> tuple[Conic, ...]:
     """Basis of the space of quadratic forms vanishing on all given points."""
-    rows = [veronese_row(p) for p in sorted(set(points))]
-    return tuple(Conic(*vec) for vec in linalg.nullspace(rows, 6))
+    return tuple(Conic(*vec) for vec in linalg.nullspace(*_incidence_rows(points, 2)))
 
 
 def on_common_curve(points: Iterable[Point], degree: int) -> bool:
     """True iff some nonzero curve of the given degree passes through all
     the points (degree 1: collinear; degree 2: on a conic, possibly
     degenerate)."""
-    pts = sorted(set(points))
-    if degree == 1:
-        return linalg.rank([p.coords for p in pts]) <= 2
-    if degree == 2:
-        return linalg.rank([veronese_row(p) for p in pts]) <= 5
-    raise UnsupportedDegree(f"degree {degree} not supported (only 1 and 2)")
+    rows, ncols = _incidence_rows(points, degree)
+    return linalg.rank(rows) < ncols
 
 
 def max_on_curve(points: Iterable[Point], degree: int) -> int:
     """Largest number of the given points lying on a single curve of the
-    given degree, by descending subset enumeration with rank tests."""
-    if degree not in (1, 2):
-        raise UnsupportedDegree(f"degree {degree} not supported (only 1 and 2)")
-    pts = sorted(set(points))
-    floor = min(len(pts), 2 if degree == 1 else 5)
-    for size in range(len(pts), floor, -1):
-        if any(on_common_curve(sub, degree) for sub in combinations(pts, size)):
+    given degree, by descending subset enumeration with rank tests on
+    subsets of one set of rows."""
+    rows, ncols = _incidence_rows(points, degree)
+    # any ncols - 1 points lie on a common curve
+    floor = min(len(rows), ncols - 1)
+    for size in range(len(rows), floor, -1):
+        if any(linalg.rank(sub) < ncols for sub in combinations(rows, size)):
             return size
     return floor
 

@@ -3,8 +3,8 @@
 The oracles never share code paths with the rank-test implementations they
 check: curve counts come from explicit candidate enumeration (spanned
 lines, line pairs, conics through five-point subsets) plus direct
-incidence counting, and the reference rank is plain Gaussian elimination
-over Fraction.
+evaluation of each candidate's form, and the reference rank and nullspace
+are plain Gaussian and Gauss-Jordan elimination over Fraction.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from itertools import combinations
 from math import isqrt
 
 from planecurrents.projective import (
+    Conic,
     Line,
     Point,
     ProjectiveMap,
-    conic_space,
-    incident,
     line_through,
 )
 from planecurrents.currents import DivisorCurrent
@@ -47,6 +46,38 @@ def reference_rank(rows) -> int:
     return rank
 
 
+def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
+    """Right nullspace basis from the reduced row echelon form by
+    Gauss-Jordan elimination over Fraction: one vector per free column
+    (ascending), 1 there and 0 at the other free columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -m[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
 def spanned_lines(points) -> list[Line]:
     out = []
     for p, q in combinations(points, 2):
@@ -61,7 +92,7 @@ def m1_oracle(points) -> int:
     pts = sorted(set(points))
     best = min(len(pts), 2)
     for line in spanned_lines(pts):
-        best = max(best, sum(1 for p in pts if incident(p, line)))
+        best = max(best, sum(1 for p in pts if _form(line, p.coords) == 0))
     return best
 
 
@@ -72,9 +103,10 @@ def _candidate_conics(pts) -> list:
         for b in lines[i:]:
             candidates.append(("pair", a, b))
     for sub in combinations(pts, 5):
-        space = conic_space(sub)
+        rows = [_veronese(p.coords) for p in sub]
+        space = reference_nullspace(rows, 6)
         if len(space) == 1:
-            candidates.append(("conic", space[0], None))
+            candidates.append(("conic", Conic(*space[0]), None))
     return candidates
 
 
@@ -90,9 +122,9 @@ def m2_oracle(points) -> int:
     best = min(len(pts), 5)
     for kind, a, b in _candidate_conics(pts):
         if kind == "pair":
-            count = sum(1 for p in pts if incident(p, a) or incident(p, b))
+            count = sum(1 for p in pts if _form(a, p.coords) == 0 or _form(b, p.coords) == 0)
         else:
-            count = sum(1 for p in pts if incident(p, a))
+            count = sum(1 for p in pts if _form(a, p.coords) == 0)
         best = max(best, count)
     return best
 
@@ -103,15 +135,21 @@ def coverable_oracle(points) -> bool:
     return m2_oracle(pts) >= len(pts) - 1
 
 
+def _veronese(coords) -> tuple:
+    """The degree-2 monomials at homogeneous coordinates, in the fixed
+    order (x^2, xy, xz, y^2, yz, z^2)."""
+    x, y, z = coords
+    return (x * x, x * y, x * z, y * y, y * z, z * z)
+
+
 def _form(curve, coords) -> Fraction:
     """The curve's defining form at homogeneous coordinates, evaluated
     from its coefficients (three for a line, six for a conic)."""
-    x, y, z = coords
     if len(curve.coeffs) == 3:
-        monomials = (x, y, z)
-    else:
-        monomials = (x * x, x * y, x * z, y * y, y * z, z * z)
-    return sum((k * m for k, m in zip(curve.coeffs, monomials)), Fraction(0))
+        a, b, c = curve.coeffs
+        x, y, z = coords
+        return a * x + b * y + c * z
+    return sum(k * m for k, m in zip(curve.coeffs, _veronese(coords)) if k)
 
 
 def _rational_sqrt(f: Fraction):

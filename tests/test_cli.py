@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planecurrents import serialize
+from planecurrents import cli, serialize
 from planecurrents.cli import main
 from planecurrents.gallery import build
 
@@ -118,7 +118,23 @@ def test_oversized_json_integer_is_a_parse_error(tmp_path):
 
 
 def test_exponent_rational_is_a_parse_error(instance_files, capsys):
-    assert main(["check", instance_files["four-lines"], "--alpha", "5e-1"]) == 1
+    for alpha in ("5e-1", "0.5"):
+        assert main(["check", instance_files["four-lines"], "--alpha", alpha]) == 1
+        assert "parse error" in capsys.readouterr().err
+
+
+def test_mj_rejects_too_many_points_before_searching(tmp_path, capsys, monkeypatch):
+    # generic points (no three collinear, no six on a conic), on which a
+    # search would run through every subset size
+    raw = [[str(k), str(k**3), "1"] for k in range(serialize.MAX_POINTS + 1)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": raw}))
+
+    def no_search(points, degree):
+        raise AssertionError("the subset search started")
+
+    monkeypatch.setattr(cli, "max_on_curve", no_search)
+    assert main(["mj", str(path), "--degree", "2"]) == 1
     assert "parse error" in capsys.readouterr().err
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from planecurrents import linalg
 from planecurrents.errors import SingularMatrix
 
-from oracles import reference_rank
+from oracles import reference_nullspace, reference_rank
 
 fractions_st = st.builds(
     Fraction,
@@ -53,6 +53,27 @@ def test_nullspace_vectors_annihilate_rows():
         for vec in basis:
             for row in rows:
                 assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+def test_nullspace_is_the_reference_basis_exactly():
+    # the cover witness is basis[0], so the basis itself is pinned, with
+    # every entry a Fraction (0.0 == Fraction(0), hence the type check)
+    rng = random.Random(17)
+    cases = [([[0, 0, 1]], 3), ([[1, 2, 0], [0, 0, 5]], 3), ([[0]], 1), ([[3]], 1), ([], 4)]
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 5)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows < 7 and rng.random() < 0.3:
+            # a pivot in the last column, found last
+            rows.append([0] * (ncols - 1) + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
+        basis = linalg.nullspace(rows, ncols)
+        assert basis == reference_nullspace(rows, ncols)
+        assert all(type(x) is Fraction for vec in basis for x in vec)
 
 
 def test_inverse_and_determinant():

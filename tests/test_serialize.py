@@ -121,11 +121,32 @@ def test_level_set_and_verdict_json():
     assert len(doc["obstruction"]["points"]) == 2
 
 
+def test_rational_grammar_is_ascii_integers_and_fractions():
+    for text, value in ((" 1/2 ", Fraction(1, 2)), ("+3", 3), ("-0", 0), ("\t7\n", 7), ("0/5", 0)):
+        assert serialize.parse_rational(text) == value
+    rejected = (
+        "0.5", ".5", "1.", "1_000", "1/2_0", "\u0661/\u0662", "\uff11", "\u00a01",
+        "1 /2", "1/ 2", "", " ", "/2", "1/", "+-1", "1/-2", "0x10", "1/2/3", "inf", "nan",
+    )
+    for text in rejected:
+        with pytest.raises(ParseError) as err:
+            serialize.parse_rational(text, "weights[1]")
+        assert "weights[1]" in str(err.value)
+
+
 def test_points_file():
     pts = serialize.parse_points_file({"points": [["1", "0", "0"], ["0", "1", "0"]]})
     assert pts == (Point(1, 0, 0), Point(0, 1, 0))
     with pytest.raises(ParseError):
         serialize.parse_points_file({"points": "nope"})
+
+
+def test_points_file_length_cap():
+    raw = [[str(k), str(k * k), "1"] for k in range(serialize.MAX_POINTS + 1)]
+    assert len(serialize.parse_points_file({"points": raw[:-1]})) == serialize.MAX_POINTS
+    with pytest.raises(ParseError) as err:
+        serialize.parse_points_file({"points": raw})
+    assert "points" in str(err.value)
 
 
 def test_atomic_write(tmp_path):
