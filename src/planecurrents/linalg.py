@@ -1,5 +1,10 @@
 """Exact linear algebra over the rationals.
 
+Every exact fit runs on integers. `integer_rows` is the one scaling step:
+it multiplies each rational row by the lcm of its denominators, which
+leaves the rank and the row space unchanged. Callers that test many
+subsets of one set of rows scale them once and pass integer rows.
+
 One elimination serves every question: a fraction-free (Bareiss 1968)
 row echelon form of the integer-scaled rows. By the Sylvester identity
 each intermediate entry is a minor of the input, so entries grow with the
@@ -12,28 +17,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import SingularMatrix
 
 Row = Sequence[Fraction | int]
 
 
-def _integer_rows(rows: Sequence[Row]) -> list[list[int]]:
+def integer_rows(rows: Iterable[Row]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: integer rows with the
+    same rank and row space."""
     scaled = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        denom = 1
-        for f in fracs:
-            denom = lcm(denom, f.denominator)
-        scaled.append([int(f * denom) for f in fracs])
+        denom = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (denom // x.denominator) for x in row])
     return scaled
 
 
 def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form: the nonzero integer rows, each with
     its pivot in the matching entry of the ascending pivot column list."""
-    m = _integer_rows(rows)
+    m = integer_rows(rows)
     pivots: list[int] = []
     if not m:
         return m, pivots

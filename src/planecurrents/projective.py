@@ -15,6 +15,7 @@ Everything is immutable after construction and all arithmetic is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -226,12 +227,13 @@ def multiplicity(p: Point, curve: Curve) -> int:
 
 
 def _incidence_rows(points: Iterable[Point], degree: int) -> tuple[list, int]:
-    """(rows, column count) of the distinct points in canonical order:
-    coordinates for degree 1, Veronese rows (the monomials in the fixed
-    order) for degree 2. A curve of that degree through some of the points
-    is a kernel vector of their rows, so they lie on one iff the rank is
-    below the column count."""
-    coords = [p.coords for p in sorted(set(points))]
+    """(integer rows, column count) of the distinct points in canonical
+    order: coordinates for degree 1, Veronese rows (the monomials in the
+    fixed order) for degree 2. A curve of that degree through some of the
+    points is a kernel vector of their rows, so they lie on one iff the rank
+    is below the column count. Each point is scaled to integer coordinates
+    once, so every rank test on these rows runs on integers."""
+    coords = linalg.integer_rows(p.coords for p in sorted(set(points)))
     if degree == 1:
         return coords, 3
     if degree == 2:
@@ -254,9 +256,17 @@ def on_common_curve(points: Iterable[Point], degree: int) -> bool:
 
 def max_on_curve(points: Iterable[Point], degree: int) -> int:
     """Largest number of the given points lying on a single curve of the
-    given degree, by descending subset enumeration with rank tests on
-    subsets of one set of rows."""
+    given degree.
+
+    Degree 1 counts pairs, O(n^2): from each point, the later points on
+    each line through it; the best line holds its first point plus its
+    count. Degree 2 is a descending subset enumeration with rank tests on
+    subsets of one set of integer rows."""
     rows, ncols = _incidence_rows(points, degree)
+    if degree == 1:
+        # distinct rows, so every cross product is a line's coefficients
+        counts = (Counter(Line(*_cross(r, s)) for s in rows[i + 1 :]) for i, r in enumerate(rows))
+        return max((1 + c for lines in counts for c in lines.values()), default=len(rows))
     # any ncols - 1 points lie on a common curve
     floor = min(len(rows), ncols - 1)
     for size in range(len(rows), floor, -1):

@@ -38,9 +38,11 @@ from .projective import Conic, Curve, Line, Point
 # non-ASCII digits, and what it takes differs between Python versions.
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
 
-# Longest "points" list a points file may hold. max_on_curve is an
-# exponential subset search: on a 2-vCPU Xeon, 12 generic points (at most
-# five on a conic) take 0.6 s at degree 2 and 13 points take 1.7 s.
+# Longest "points" list a points file may hold. max_on_curve counts point
+# pairs at degree 1, O(n^2), but is an exponential subset search at degree
+# 2: on a 2-vCPU Xeon, 12, 13 and 15 generic points (at most five on a
+# conic) take 0.13 s, 0.31 s and 1.6 s at degree 2, and 0.002 s at most at
+# degree 1.
 MAX_POINTS = 12
 
 

@@ -1,10 +1,12 @@
 """Independent brute-force oracles and random-object generators for tests.
 
-The oracles never share code paths with the rank-test implementations they
-check: curve counts come from explicit candidate enumeration (spanned
-lines, line pairs, conics through five-point subsets) plus direct
-evaluation of each candidate's form, and the reference rank and nullspace
-are plain Gaussian and Gauss-Jordan elimination over Fraction.
+The oracles never share code paths with the implementations they check:
+curve counts come from explicit candidate enumeration (spanned lines, line
+pairs, conics through five-point subsets) plus direct evaluation of each
+candidate's form, lines through two points are the oracle's own cross
+product, and the reference rank and nullspace are plain Gaussian and
+Gauss-Jordan elimination over Fraction. From `planecurrents.projective`
+only the classes are imported.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from planecurrents.projective import (
-    Conic,
-    Line,
-    Point,
-    ProjectiveMap,
-    line_through,
-)
+from planecurrents.projective import Conic, Line, Point, ProjectiveMap
 from planecurrents.currents import DivisorCurrent
 
 
@@ -78,10 +74,17 @@ def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def _join(p, q) -> Line:
+    """The line through two distinct points: the cross product of their
+    coordinates, which the line form `_form` annihilates at both."""
+    (a, b, c), (d, e, f) = p.coords, q.coords
+    return Line(b * f - c * e, c * d - a * f, a * e - b * d)
+
+
 def spanned_lines(points) -> list[Line]:
     out = []
     for p, q in combinations(points, 2):
-        line = line_through(p, q)
+        line = _join(p, q)
         if line not in out:
             out.append(line)
     return out
@@ -96,6 +99,13 @@ def m1_oracle(points) -> int:
     return best
 
 
+def reference_conic_space(points) -> tuple[Conic, ...]:
+    """The conics of `reference_nullspace` on the unscaled Fraction
+    Veronese rows of the distinct points in canonical order."""
+    rows = [_veronese(p.coords) for p in sorted(set(points))]
+    return tuple(Conic(*vec) for vec in reference_nullspace(rows, 6))
+
+
 def _candidate_conics(pts) -> list:
     candidates = []
     lines = spanned_lines(pts)
@@ -103,10 +113,9 @@ def _candidate_conics(pts) -> list:
         for b in lines[i:]:
             candidates.append(("pair", a, b))
     for sub in combinations(pts, 5):
-        rows = [_veronese(p.coords) for p in sub]
-        space = reference_nullspace(rows, 6)
+        space = reference_conic_space(sub)
         if len(space) == 1:
-            candidates.append(("conic", Conic(*space[0]), None))
+            candidates.append(("conic", space[0], None))
     return candidates
 
 
@@ -271,11 +280,52 @@ def random_structured_points(rng, count) -> list[Point]:
     return pts[:count]
 
 
+def random_wide_points(rng, count, kind) -> list[Point]:
+    """A list of `count` points of one kind, for sizes up to the points-file
+    cap: "collinear" (four or more on one line, the rest random),
+    "concurrent" (on three lines through one centre, which is in the list
+    half the time) or "rescaled" (a structured set in which some points
+    are listed again, written under another scaling, so fewer are
+    distinct)."""
+    if kind == "collinear":
+        base, tip = random_points(rng, 2)
+        pts = []
+        for t in rng.sample(range(-6, 7), rng.randint(4, count)):
+            pts.append(Point(*(a + t * b for a, b in zip(base.coords, tip.coords))))
+    elif kind == "concurrent":
+        centre = random_point(rng)
+        tips: list[Point] = []
+        while len(tips) < 3:
+            tip = random_point(rng)
+            if tip != centre and all(_form(_join(centre, t), tip.coords) != 0 for t in tips):
+                tips.append(tip)
+        pts = [centre] if rng.random() < 0.5 else []
+        steps = iter(rng.sample(range(1, 8), 7) * 2)
+        while len(pts) < count:
+            t = next(steps)
+            tip = tips[len(pts) % 3]
+            cand = Point(*(a + t * b for a, b in zip(centre.coords, tip.coords)))
+            if cand not in pts:
+                pts.append(cand)
+    elif kind == "rescaled":
+        pts = random_structured_points(rng, count - rng.randint(1, 3))
+        for p, k in zip(rng.sample(pts, count - len(pts)), (2, -3, 7)):
+            pts.insert(rng.randrange(len(pts) + 1), Point(*(k * x for x in p.coords)))
+        return pts
+    else:
+        raise ValueError(kind)
+    while len(pts) < count:
+        p = random_point(rng)
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
 def random_line(rng, bound: int = 6) -> Line:
     while True:
         p, q = random_point(rng, bound), random_point(rng, bound)
         if p != q:
-            return line_through(p, q)
+            return _join(p, q)
 
 
 def random_lines(rng, count, bound: int = 6) -> list[Line]:

@@ -1,9 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planecurrents import cli, serialize
 from planecurrents.cli import main
@@ -275,3 +280,96 @@ def test_module_invocation_verify(capsys):
     )
     assert proc.returncode == 0
     assert "all facts pass" in proc.stdout
+
+
+# Raw JSON for the fuzz documents: HUGE stands for a JSON integer past the
+# 4300-digit limit, which json.dumps itself cannot write.
+HUGE = "<huge integer>"
+_bad_values = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.just(HUGE),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.sampled_from(["1e5", "5E-1", "0.5", ".5", "1_000", "", " ", "x", "1/0", "1/2/3", "٣"]),
+    st.just("9" * 4400),
+)
+_small = st.sampled_from([1, -1, 2, -2, 0, 3])
+_rationals = st.one_of(
+    _small,
+    _small.map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(-(10**30), 10**30).map(str),
+)
+
+
+def _mostly(good, bad):
+    """`good` nine times in ten, else `bad`, so that some documents are
+    valid and reach the search or the verdict."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+def _vectors(size):
+    """Coefficient lists of one size, or now and then one with a bad entry,
+    the zero vector, a list of another size or no list at all."""
+    entry = _mostly(_rationals, _bad_values)
+    return _mostly(
+        st.lists(_rationals, min_size=size, max_size=size),
+        st.one_of(
+            st.lists(entry, min_size=size, max_size=size),
+            st.just(["0"] * size),
+            st.lists(entry, max_size=size + 2),
+            _bad_values,
+        ),
+    )
+
+
+@st.composite
+def _points_documents(draw):
+    n = draw(st.integers(0, serialize.MAX_POINTS + 1))
+    points = draw(st.lists(_vectors(3), min_size=n, max_size=n))
+    return draw(_mostly(st.just({"points": points}), st.one_of(_bad_values, st.just({}))))
+
+
+@st.composite
+def _instance_documents(draw):
+    n_lines = draw(st.integers(0, 6))
+    n_conics = draw(st.integers(0, min(2, 6 - n_lines)))
+    mass = n_lines + 2 * n_conics  # a weight of 1/mass each gives mass 1
+    doc = {
+        "lines": draw(st.lists(_vectors(3), min_size=n_lines, max_size=n_lines)),
+        "conics": draw(st.lists(_vectors(6), min_size=n_conics, max_size=n_conics)),
+        "weights": draw(
+            _mostly(
+                st.just([f"1/{mass}"] * (n_lines + n_conics)),
+                st.one_of(st.lists(_mostly(_rationals, _bad_values), max_size=7), _bad_values),
+            )
+        ),
+        "alpha": draw(_mostly(st.sampled_from(["9/20", "1/2", "3/5", "2/5", "1"]), _bad_values)),
+    }
+    for key in draw(_mostly(st.just(()), st.sets(st.sampled_from(sorted(doc)), max_size=2))):
+        del doc[key]
+    return draw(_mostly(st.just(doc), _bad_values))
+
+
+def _fuzz_run(document, argv):
+    text = json.dumps(document).replace(json.dumps(HUGE), "7" * 4400)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "doc.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        return main([argv[0], path, *argv[1:], "--out", os.path.join(root, "report.json")])
+
+
+# The slowest example measured was a valid 12-point mj document at degree
+# 2, 0.15 s on a 2-vCPU Xeon; the deadline leaves more than ten times that.
+@settings(deadline=timedelta(seconds=2), max_examples=150)
+@given(document=_points_documents(), degree=st.sampled_from(["1", "2"]))
+def test_fuzz_mj_exit_codes(document, degree):
+    assert _fuzz_run(document, ["mj", "--degree", degree]) in (0, 1, 2, 3)
+
+
+@settings(deadline=timedelta(seconds=2), max_examples=150)
+@given(document=_instance_documents())
+def test_fuzz_check_exit_codes(document):
+    assert _fuzz_run(document, ["check"]) in (0, 1, 2, 3)

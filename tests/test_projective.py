@@ -30,6 +30,7 @@ from planecurrents.projective import (
     sample_line_points,
     two_points_on_line,
 )
+from planecurrents.serialize import MAX_POINTS
 
 from oracles import (
     m1_oracle,
@@ -38,6 +39,8 @@ from oracles import (
     random_points,
     random_projective_map,
     random_structured_points,
+    random_wide_points,
+    reference_conic_space,
 )
 
 
@@ -158,6 +161,41 @@ def test_max_on_curve_matches_oracles():
         pts = random_structured_points(rng, rng.randint(1, 8))
         assert max_on_curve(pts, 1) == m1_oracle(pts)
         assert max_on_curve(pts, 2) == m2_oracle(pts)
+
+
+def test_max_on_curve_matches_oracles_up_to_the_cap():
+    # m2_oracle takes up to 0.6 s at 10 points, so degree 2 sees fewer sets
+    rng = random.Random(41)
+    for kind in ("collinear", "concurrent", "rescaled"):
+        for _ in range(15):
+            pts = random_wide_points(rng, rng.randint(9, MAX_POINTS), kind)
+            assert max_on_curve(pts, 1) == m1_oracle(pts)
+        for size in (9, 10):
+            pts = random_wide_points(rng, size, kind)
+            assert max_on_curve(pts, 1) == m1_oracle(pts)
+            assert max_on_curve(pts, 2) == m2_oracle(pts)
+    for size in (9, 10, 11, 12):
+        pts = random_structured_points(rng, size)
+        assert max_on_curve(pts, 1) == m1_oracle(pts)
+        if size <= 10:
+            assert max_on_curve(pts, 2) == m2_oracle(pts)
+    assert max_on_curve([Point(1, 2, 3), Point(2, 4, 6), Point(0, 0, 1)], 1) == 2
+
+
+def test_conic_space_is_the_reference_basis_of_unscaled_rows():
+    # the Covered witness is conic_space(...)[0]; points like (7 : 3 : 11)
+    # have canonical coordinates (1, 3/7, 11/7) with large denominators
+    rng = random.Random(43)
+    for _ in range(60):
+        if rng.random() < 0.5:
+            pts = random_points(rng, rng.randint(1, 5), bound=40)
+        else:
+            pmap = random_projective_map(rng)
+            ts = rng.sample(range(-9, 10), rng.randint(5, 8))
+            pts = [pmap.point(Point(t * t, t, 1)) for t in ts]
+        expected = reference_conic_space(pts)
+        assert conic_space(pts) == expected
+        assert conic_space([Point(*(7 * x for x in p.coords)) for p in reversed(pts)]) == expected
 
 
 def test_two_points_and_samples_lie_on_line():
