@@ -33,11 +33,10 @@ from .projective import (
     Curve,
     Line,
     Point,
+    _integer_form,
     conic_from_lines,
     conic_space,
-    conic_value,
     incident,
-    intersect_line_conic,
     line_in_conic,
     line_through,
     on_common_curve,
@@ -313,8 +312,10 @@ def check_cover_instance(instance: CoverInstance) -> Verdict:
     return conic_cover_check(instance.level())
 
 
-# Largest coordinate tried for a first point on a heavy conic; a conic
-# with no rational point that low reads as fewer than four heavy points
+# A first point on a heavy conic is looked for only among (1:0:0), (0:1:0),
+# (1:t:0) and (x:y:1) with integers |t|, |x|, |y| <= _SEARCH_HEIGHT. A conic
+# whose rational points all lie elsewhere, such as (5:0:2) or (3:-4:0),
+# reads as fewer than four heavy points.
 _SEARCH_HEIGHT = 10
 # points sampled on each heavy component curve: the four needed, plus two
 _CURVE_SAMPLES = 6
@@ -323,28 +324,31 @@ _CURVE_SAMPLES = 6
 def _conic_point_search(conic: Conic, count: int) -> tuple[Point, ...]:
     """Up to `count` rational points on an irreducible conic: bounded
     search for one point, then chords through it give the rest."""
+    q = _integer_form(conic)
     span = range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
 
     def candidates():
-        yield Point(1, 0, 0)
-        yield Point(0, 1, 0)
-        yield from (Point(1, a, 0) for a in span)
-        yield from (Point(x, y, 1) for x in span for y in span)
+        yield (1, 0, 0)
+        yield (0, 1, 0)
+        yield from ((1, a, 0) for a in span)
+        yield from ((x, y, 1) for x in span for y in span)
 
-    base = next((p for p in candidates() if conic_value(conic, p) == 0), None)
+    base = next((b for b in candidates() if q(b) == 0), None)
     if base is None:
         return ()
-    found = [base]
+    found = [Point(*base)]
     for d in candidates():
         if len(found) >= count:
             break
         if d == base:
             continue
-        # a chord through a rational point of the conic meets it again
-        # in a rational point, so this never raises
-        for q in intersect_line_conic(line_through(base, d), conic):
-            if q not in found:
-                found.append(q)
+        # q(b) = 0, so q(s*b + t*d) = t*(s*grad q(b).d + t*q(d)): the chord
+        # meets the conic again at (s, t) = (q(d), -grad q(b).d)
+        qd = q(d)
+        g = q([x + y for x, y in zip(base, d)]) - qd
+        p = Point(*(qd * x - g * y for x, y in zip(base, d)))
+        if p not in found:
+            found.append(p)
     return tuple(found[:count])
 
 

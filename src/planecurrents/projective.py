@@ -302,15 +302,17 @@ def sample_line_points(line: Line, count: int) -> tuple[Point, ...]:
     return tuple(out[:count])
 
 
-def _sqrt_fraction(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+def _integer_form(conic: Conic):
+    """The conic's form q on integer triples, with its coefficients scaled
+    once to integers (the same zero set). Its polar grad q(u).v is
+    q(u + v) - q(u) - q(v), so q(s*u + t*v) = s^2*q(u) + s*t*grad q(u).v + t^2*q(v)."""
+    a00, a01, a02, a11, a12, a22 = linalg.integer_rows((conic.coeffs,))[0]
+
+    def q(v):
+        x, y, z = v
+        return x * (a00 * x + a01 * y + a02 * z) + y * (a11 * y + a12 * z) + a22 * z * z
+
+    return q
 
 
 def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
@@ -319,29 +321,25 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
     Raises IrrationalIntersection when the intersection exists only over a
     quadratic extension (or as a complex-conjugate pair).
     """
-    u, v = two_points_on_line(line)
-    # q(u + t*v) = q(u) + t * grad q(u).v + t^2 * q(v); v itself is t = inf
-    a = conic_value(conic, v)
-    b = _dot(conic_gradient(conic, u), v.coords)
-    c = conic_value(conic, u)
-    points = []
+    q = _integer_form(conic)
+    u, v = linalg.integer_rows(p.coords for p in two_points_on_line(line))
+    # q(u + t*v) = c + b*t + a*t^2; v itself is t = inf, and a root t = r/s
+    # is the point s*u + r*v
+    a, c = q(v), q(u)
+    b = q([x + y for x, y in zip(u, v)]) - a - c
     if a == 0:
-        points.append(v)
-        if b != 0:
-            t = -c / b
-            points.append(Point(*(x + t * y for x, y in zip(u.coords, v.coords))))
-        elif c == 0:
+        if b == c == 0:
             raise ValueError("line is contained in the conic")
+        roots = [(0, 1), (b, -c)]  # (b, -c) is v again when b = 0
     else:
         disc = b * b - 4 * a * c
-        root = _sqrt_fraction(disc)
-        if root is None:
+        root = isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
             raise IrrationalIntersection(
                 f"{line!r} meets {conic!r} in points with irrational coordinates"
             )
-        for t in {(-b + root) / (2 * a), (-b - root) / (2 * a)}:
-            points.append(Point(*(x + t * y for x, y in zip(u.coords, v.coords))))
-    return tuple(sorted(set(points)))
+        roots = [(2 * a, -b + root), (2 * a, -b - root)]
+    return tuple(sorted({Point(*(s * x + r * y for x, y in zip(u, v))) for s, r in roots}))
 
 
 def intersect_curves(c1: Curve, c2: Curve) -> tuple[Point, ...]:

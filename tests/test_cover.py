@@ -9,6 +9,7 @@ from planecurrents.cover import (
     NotCoverable,
     UncoverableCurve,
     UncoveredPoints,
+    _conic_point_search,
     beta_of,
     check_cover_instance,
     conic_cover_check,
@@ -26,14 +27,17 @@ from planecurrents.projective import (
     Line,
     Point,
     incident,
+    is_irreducible,
     max_on_curve,
 )
 
 from oracles import (
+    _form,
     coverable_oracle,
     random_projective_map,
     random_structured_points,
     random_unit_current,
+    reference_conic_points,
 )
 
 HALF = Fraction(1, 2)
@@ -262,6 +266,63 @@ def test_find_heavy_points_on_conic_component():
     heavy = find_heavy_points(t, Fraction(9, 20))
     assert len(heavy) >= 4
     assert all(incident(p, SMOOTH_CONIC) for p in heavy)
+
+
+def _search_matches_oracle(conic):
+    assert is_irreducible(conic)
+    found = _conic_point_search(conic, 6)
+    assert found == reference_conic_points(conic, 6)
+    assert len(set(found)) == len(found)
+    assert all(_form(conic, p.coords) == 0 for p in found)
+    return found
+
+
+def test_conic_point_search_matches_oracle():
+    rng = random.Random(67)
+    searched = []
+    while len(searched) < 60:
+        ints = [rng.randint(-6, 6) for _ in range(6)]
+        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)]
+        for coeffs in (ints, fracs):
+            if any(coeffs) and is_irreducible(Conic(*coeffs)):
+                searched.append(_search_matches_oracle(Conic(*coeffs)))
+    for _ in range(40):
+        searched.append(_search_matches_oracle(random_projective_map(rng).conic(SMOOTH_CONIC)))
+    # both kinds occur: conics with and without a point on the grid
+    assert any(searched) and not all(searched)
+
+
+def test_conic_point_search_base_points_at_infinity():
+    # x*z = y^2 through (1:0:0), where the tangent z = 0 holds every (1:t:0):
+    # those chords give nothing new, and (x:y:1) gives (y^2:y:1)
+    assert _search_matches_oracle(SMOOTH_CONIC) == (
+        Point(1, 0, 0),
+        Point(100, -10, 1),
+        Point(81, -9, 1),
+        Point(64, -8, 1),
+        Point(49, -7, 1),
+        Point(36, -6, 1),
+    )
+    # x*y + y^2 = z^2 through (1:0:0); x^2 + x*y = z^2 through (0:1:0);
+    # -15x^2 + 2xy + y^2 + xz + z^2 = 0 meets z = 0 at (1:-5:0) and (1:3:0)
+    for conic, base in (
+        (Conic(0, 1, 0, 1, 0, -1), Point(1, 0, 0)),
+        (Conic(1, 1, 0, 0, 0, -1), Point(0, 1, 0)),
+        (Conic(-15, 2, 1, 1, 0, 1), Point(1, -5, 0)),
+    ):
+        found = _search_matches_oracle(conic)
+        assert found[0] == base and len(found) == 6
+
+
+def test_conic_point_search_without_a_grid_point():
+    # x^2 + y^2 = 3z^2 has no rational point at all
+    assert _search_matches_oracle(Conic(1, 0, 0, 1, 0, -3)) == ()
+    # this one goes through (5:0:2) and (3:-4:0), neither of them on the grid
+    conic = Conic(
+        1, Fraction(-65, 4), Fraction(-11, 4), Fraction(-51, 4), Fraction(269, 16), Fraction(5, 8)
+    )
+    assert incident(Point(5, 0, 2), conic) and incident(Point(3, -4, 0), conic)
+    assert _search_matches_oracle(conic) == ()
 
 
 def test_no_conic_all_but_one():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from planecurrents.projective import (
     Point,
     ProjectiveMap,
     conic_from_lines,
+    conic_gradient,
     conic_rank,
     conic_space,
     incident,
@@ -33,6 +35,8 @@ from planecurrents.projective import (
 from planecurrents.serialize import MAX_POINTS
 
 from oracles import (
+    _form,
+    _line_meets,
     m1_oracle,
     m2_oracle,
     random_point,
@@ -223,6 +227,67 @@ def test_intersect_line_conic_rational_cases():
     assert intersect_line_conic(tangent, conic) == (Point(0, 0, 1),)
     with pytest.raises(IrrationalIntersection):
         intersect_line_conic(Line(1, 0, -2), conic)  # x = 2z forces y^2 = 2z^2
+
+
+def _meets_match_oracle(line, conic) -> str:
+    """Compare with the oracle; name the case: which quadratic coefficient
+    is zero, or how many points there are."""
+    u, v = two_points_on_line(line)
+    try:
+        expected = tuple(sorted(set(_line_meets(line, conic))))
+    except ValueError:
+        with pytest.raises(IrrationalIntersection):
+            intersect_line_conic(line, conic)
+        return "irrational"
+    assert intersect_line_conic(line, conic) == expected
+    if _form(conic, v.coords) == 0:
+        return "q(v) = 0, tangent" if len(expected) == 1 else "q(v) = 0, secant"
+    return "tangent" if len(expected) == 1 else "secant"
+
+
+def test_intersect_line_conic_matches_oracle():
+    rng = random.Random(71)
+    seen = []
+    for trial in range(300):
+        scale = 1 if trial % 2 else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        if trial % 3 == 0:
+            coeffs = [scale * rng.randint(-6, 6) for _ in range(6)]
+            if not any(coeffs) or not is_irreducible(Conic(*coeffs)):
+                continue
+            conic = Conic(*coeffs)
+            line = Line(*(scale * rng.randint(-6, 6) for _ in range(2)), rng.randint(1, 6))
+            seen.append(_meets_match_oracle(line, conic))
+            continue
+        # a conic through a point with y = 0, which two_points_on_line
+        # gives as v for most lines through it
+        p = Point(rng.choice([1, scale]), 0, rng.randint(-6, 6))
+        pts = [p, *random_points(rng, 4)]
+        space = conic_space(pts)
+        if len(space) != 1 or not is_irreducible(space[0]):
+            continue
+        conic = space[0]
+        lines = [
+            line_through(pts[1], pts[2]),
+            line_through(p, pts[rng.randint(1, 4)]),
+            line_through(pts[1], random_point(rng)),
+            Line(*conic_gradient(conic, p)),
+            Line(*conic_gradient(conic, pts[1])),
+            Line(rng.randint(-6, 6), rng.randint(-6, 6), scale),
+        ]
+        seen += [_meets_match_oracle(line, conic) for line in lines]
+    kinds = set(seen)
+    assert kinds == {
+        "irrational", "secant", "tangent", "q(v) = 0, secant", "q(v) = 0, tangent"
+    }, kinds
+
+
+def test_intersect_line_conic_line_in_a_line_pair():
+    rng = random.Random(73)
+    for _ in range(40):
+        l1, l2 = (line_through(*random_points(rng, 2)) for _ in range(2))
+        for line in (l1, l2):
+            with pytest.raises(ValueError):
+                intersect_line_conic(line, conic_from_lines(l1, l2))
 
 
 def test_intersect_curves_dispatch():
