@@ -11,14 +11,25 @@ witness having that curve as a component. Hence:
 
 * if the component degrees sum past the budget, the verdict is
   NotCoverable with one of those curves as the obstruction;
-* otherwise the remaining degree budget is spent on the isolated points by
-  exact rank tests on the coordinate (degree 1) or Veronese (degree 2)
-  incidence matrix, trying "omit nothing" first and then each omission
-  candidate in canonical point order.
+* otherwise the degree left, e, is spent on the isolated points. Their
+  coordinate (e = 1) or Veronese (e = 2) incidence rows are built once
+  per check; a curve of degree e holds a set of points iff its rows have
+  rank below the column count k (3 or 6). Rank below k means nothing is
+  omitted. At rank k, the rest after omitting point p fits iff row p is
+  a coloop of the row matroid (removing it drops the rank), and a coloop
+  lies in every basis. So one elimination of the transposed rows gives
+  the greedy basis (its pivot columns), and only those points are
+  rank-tested, in canonical order; the first coloop is the omission.
+  That is the point the plain scan, "omit nothing" and then each point
+  in canonical order, would pick, so the witness and the omission are
+  the same as that scan's. With no degree left, only a lone point can be
+  omitted.
 
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
 such that every single-point omission still fails the rank test).
+`verify_verdict` re-checks an obstruction by that definition, one rank
+test per omission, not by the coloop shortcut.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import linalg
 from .currents import DivisorCurrent, LevelSet
 from .errors import AlphaOutOfRange, InvalidInstance
 from .projective import (
@@ -33,6 +45,7 @@ from .projective import (
     Curve,
     Line,
     Point,
+    _incidence_rows,
     _integer_form,
     conic_from_lines,
     conic_space,
@@ -184,27 +197,38 @@ def _witness(forced, points, budget: int) -> Union[Line, Conic]:
     return conic_space(points)[0]
 
 
-def _omission(forced, points, budget: int):
-    """First (omitted, rest), omitting nothing and then each point in turn,
-    whose rest fits the degree left; None when none does (an obstruction)."""
-    degree_left = budget - sum(c.degree for c in forced)
-    for omitted in (None, *points):
-        rest = tuple(p for p in points if p != omitted)
-        if _fits(rest, degree_left):
-            return omitted, rest
-    return None
+def _omission(rows, ncols: int, keep) -> tuple[bool, Optional[int]]:
+    """(fits, omitted) for the rows at the ascending indices `keep`: whether
+    a curve holds all of them but at most one, and the first omission that
+    lets it, None for omitting nothing. `ncols` 0 stands for degree 0,
+    where no curve holds a point."""
+    if ncols == 0:
+        if len(keep) >= 2:
+            return False, None
+        return True, (keep[0] if keep else None)
+    sub = [rows[i] for i in keep]
+    # pivot columns of the transposed rows: the greedy basis of the rows
+    basis = linalg.pivots(list(zip(*sub)))
+    if len(basis) < ncols:
+        return True, None
+    # only a basis row can be a coloop, the first one is the omission
+    for b in basis:
+        if linalg.rank(sub[:b] + sub[b + 1 :]) < ncols:
+            return True, keep[b]
+    return False, None
 
 
-def _minimal_obstruction(forced, points, budget: int) -> tuple[Point, ...]:
-    """Inclusion-minimal obstruction subset, pruned in canonical order."""
-    keep = list(points)
-    for p in list(points):
+def _minimal_obstruction(rows, ncols: int, count: int) -> list[int]:
+    """Indices of an inclusion-minimal obstruction among the first `count`
+    rows, pruned in canonical order."""
+    keep = list(range(count))
+    for i in range(count):
         if len(keep) <= 2:
             break
-        trial = [q for q in keep if q != p]
-        if len(trial) >= 2 and _omission(forced, tuple(trial), budget) is None:
+        trial = [j for j in keep if j != i]
+        if not _omission(rows, ncols, trial)[0]:
             keep = trial
-    return tuple(keep)
+    return keep
 
 
 def _cover_check(level: LevelSet, budget: int) -> Verdict:
@@ -213,11 +237,14 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
     if overflow is not None:
         return NotCoverable(UncoverableCurve(overflow))
     points = level.isolated_points
-    found = _omission(curves, points, budget)
-    if found is None:
-        return NotCoverable(UncoveredPoints(_minimal_obstruction(curves, points, budget)))
-    omitted, rest = found
-    return Covered(_witness(curves, rest, budget), omitted)
+    degree_left = budget - level.total_component_degree
+    rows, ncols = _incidence_rows(points, degree_left) if degree_left else ((), 0)
+    fits, omitted = _omission(rows, ncols, range(len(points)))
+    if not fits:
+        keep = _minimal_obstruction(rows, ncols, len(points))
+        return NotCoverable(UncoveredPoints(points[i] for i in keep))
+    rest = tuple(p for i, p in enumerate(points) if i != omitted)
+    return Covered(_witness(curves, rest, budget), None if omitted is None else points[omitted])
 
 
 def line_cover_check(level: LevelSet) -> Verdict:
@@ -253,12 +280,14 @@ def verify_verdict(level: LevelSet, verdict: Verdict, budget: int = 2) -> bool:
     obs = verdict.obstruction
     if isinstance(obs, UncoverableCurve):
         return obs.curve in level.component_curves and level.total_component_degree > budget
-    if level.total_component_degree > budget:
+    degree_left = budget - level.total_component_degree
+    if degree_left < 0:
         return False
+    rests = (tuple(q for q in obs.points if q != p) for p in (None, *obs.points))
     return (
         len(obs.points) >= 2
         and all(p in level.isolated_points for p in obs.points)
-        and _omission(level.component_curves, obs.points, budget) is None
+        and not any(_fits(rest, degree_left) for rest in rests)
     )
 
 

@@ -8,9 +8,10 @@ subsets of one set of rows scale them once and pass integer rows.
 One elimination serves every question: a fraction-free (Bareiss 1968)
 row echelon form of the integer-scaled rows. By the Sylvester identity
 each intermediate entry is a minor of the input, so entries grow with the
-matrix, not multiplicatively with each step. The rank is the number of
-pivots, and the nullspace basis comes from back-substitution on the
-echelon rows; only that last step divides, and it returns `Fraction`s.
+matrix, not multiplicatively with each step. `pivots` lists the pivot
+columns, the rank is their number, and the nullspace basis comes from
+back-substitution on the echelon rows; only that last step divides, and
+it returns `Fraction`s.
 """
 
 from __future__ import annotations
@@ -62,9 +63,16 @@ def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     return m[:r], pivots
 
 
+def pivots(rows: Sequence[Row]) -> list[int]:
+    """Pivot columns of the echelon form, ascending. Column c is a pivot
+    iff it is not in the span of the columns before it, so the pivots are
+    the greedy basis of the columns taken in order."""
+    return _echelon(rows)[1]
+
+
 def rank(rows: Sequence[Row]) -> int:
     """Exact rank of a rational matrix (rows of equal length)."""
-    return len(_echelon(rows)[1])
+    return len(pivots(rows))
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:

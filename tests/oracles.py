@@ -161,6 +161,28 @@ def _form(curve, coords) -> Fraction:
     return sum(k * m for k, m in zip(curve.coeffs, _veronese(coords)) if k)
 
 
+def omission_oracle(forced, points, budget):
+    """(omitted, rest) for the first of omitting nothing, then each point in
+    canonical order, whose rest lies on one curve of the degree the forced
+    curves leave of the budget; None when no single omission does. A rest
+    fits when `reference_rank` of its coordinate (degree 1) or Veronese
+    (degree 2) rows is below the column count; with no degree left only an
+    empty rest fits."""
+    pts = sorted(set(points))
+    degree_left = budget - sum(1 if len(c.coeffs) == 3 else 2 for c in forced)
+    for omitted in (None, *pts):
+        rest = tuple(p for p in pts if p != omitted)
+        if degree_left == 1:
+            fits = reference_rank([p.coords for p in rest]) < 3
+        elif degree_left == 2:
+            fits = reference_rank([_veronese(p.coords) for p in rest]) < 6
+        else:
+            fits = not rest
+        if fits:
+            return omitted, rest
+    return None
+
+
 def _rational_sqrt(f: Fraction):
     n, d = f.numerator, f.denominator
     if n < 0 or isqrt(n) ** 2 != n or isqrt(d) ** 2 != d:

@@ -22,6 +22,7 @@ from planecurrents.cover import (
 )
 from planecurrents.currents import DivisorCurrent, LevelSet
 from planecurrents.errors import AlphaOutOfRange, InvalidInstance
+from planecurrents.serialize import MAX_POINTS
 from planecurrents.projective import (
     Conic,
     Line,
@@ -33,11 +34,17 @@ from planecurrents.projective import (
 
 from oracles import (
     _form,
+    _join,
+    _veronese,
     coverable_oracle,
+    omission_oracle,
     random_projective_map,
     random_structured_points,
     random_unit_current,
+    random_wide_points,
     reference_conic_points,
+    reference_conic_space,
+    reference_rank,
 )
 
 HALF = Fraction(1, 2)
@@ -108,6 +115,188 @@ def test_line_cover_obstruction_is_minimal_square():
     assert isinstance(verdict.obstruction, UncoveredPoints)
     assert len(verdict.obstruction.points) == 4
     assert verify_verdict(level, verdict, budget=1)
+
+
+def _line_pair(a, b) -> Conic:
+    """The product of two line forms as a conic."""
+    (a0, a1, a2), (b0, b1, b2) = a.coeffs, b.coeffs
+    return Conic(
+        a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0, a1 * b1, a1 * b2 + a2 * b1, a2 * b2
+    )
+
+
+def _expected_witness(forced, rest, budget):
+    """The canonical witness for the oracle's rest: the forced curves, then
+    the line through the first two points of the rest (or through its one
+    point and the first of (1:0:0), (0:1:0) off it), or the first conic of
+    the reference conic space."""
+    if len(rest) >= 2:
+        line = _join(rest[0], rest[1])
+    elif rest:
+        line = _join(rest[0], next(e for e in (Point(1, 0, 0), Point(0, 1, 0)) if e != rest[0]))
+    else:
+        line = Line(0, 0, 1)
+    if budget == 1:
+        return forced[0] if forced else line
+    if len(forced) == 2:
+        return _line_pair(*forced)
+    if forced:
+        return forced[0] if isinstance(forced[0], Conic) else _line_pair(forced[0], line)
+    return reference_conic_space(rest)[0]
+
+
+def _matches_omission_oracle(forced, points, budget):
+    """The cover verdict agrees with `omission_oracle`: the same omission
+    and the canonical witness of its rest, or an obstruction when it has
+    none. Returns the verdict."""
+    level = LevelSet(HALF, True, forced, points)
+    verdict = (line_cover_check if budget == 1 else conic_cover_check)(level)
+    assert verify_verdict(level, verdict, budget)
+    expected = omission_oracle(level.component_curves, points, budget)
+    if expected is None:
+        assert isinstance(verdict, NotCoverable)
+        assert isinstance(verdict.obstruction, UncoveredPoints)
+    else:
+        omitted, rest = expected
+        assert isinstance(verdict, Covered)
+        assert verdict.omitted == omitted
+        assert verdict.witness == _expected_witness(level.component_curves, rest, budget)
+    return verdict
+
+
+def test_omission_every_point_a_coloop():
+    # six points on no conic: each five of them lie on one, so every point
+    # is a coloop and the first is omitted
+    six = [Point(*c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, -1, 5))]
+    assert reference_rank([_veronese(p.coords) for p in six]) == 6
+    verdict = _matches_omission_oracle((), six, 2)
+    assert verdict.omitted == min(six)
+    # three points off one line, at degree 1
+    three = [Point(2, 1, 1), Point(0, 1, 3), Point(1, -1, 1)]
+    assert reference_rank([p.coords for p in three]) == 3
+    verdict = _matches_omission_oracle((), three, 1)
+    assert verdict.omitted == min(three)
+
+
+def test_omission_single_coloop_not_first():
+    on_conic = [Point(t * t, t, 1) for t in (-3, -1, 1, 2, 3, 4)]
+    stray = Point(1, 5, 1)
+    pts = on_conic + [stray]
+    assert sorted(pts).index(stray) > 0
+    assert _matches_omission_oracle((), pts, 2).omitted == stray
+    # the same at degree 1: four collinear points and one off their line
+    on_line = [Point(1, t, 1) for t in (-2, 0, 3, 7)]
+    stray = Point(1, 1, 2)
+    assert sorted(on_line + [stray]).index(stray) > 0
+    assert _matches_omission_oracle((), on_line + [stray], 1).omitted == stray
+
+
+def test_omission_no_coloop():
+    on_conic = [Point(t * t, t, 1) for t in (-3, -1, 1, 2, 3, 4)]
+    strays = [Point(1, 5, 1), Point(2, 1, 7)]
+    verdict = _matches_omission_oracle((), on_conic + strays, 2)
+    # both strays and five of the six conic points, the first one pruned
+    assert verdict == NotCoverable(UncoveredPoints(sorted(on_conic + strays)[1:]))
+    _assert_minimal((), verdict, 2)
+
+
+def test_omission_at_the_point_cap():
+    # nine points on y = 0 and three off it, not on one line: the three are
+    # the coloops, the first of them is omitted
+    on_line = [Point(t, 0, 1) for t in range(-4, 5)]
+    off = [Point(3, 1, 1), Point(1, 2, 1), Point(-2, 5, 1)]
+    assert len(on_line + off) == MAX_POINTS
+    verdict = _matches_omission_oracle((), on_line + off, 2)
+    assert verdict.omitted == min(off)
+    # eleven on a conic and one off it: one coloop; two off it: none
+    conic = [Point(t * t, t, 1) for t in range(-5, 6)]
+    assert _matches_omission_oracle((), conic + [Point(1, 5, 1)], 2).omitted == Point(1, 5, 1)
+    two_off = conic[1:] + [Point(1, 5, 1), Point(2, 1, 7)]
+    assert isinstance(_matches_omission_oracle((), two_off, 2), NotCoverable)
+    rng = random.Random(71)
+    for _ in range(20):
+        pts = random_structured_points(rng, MAX_POINTS)
+        for budget in (1, 2):
+            _matches_omission_oracle((), pts, budget)
+    for kind in ("collinear", "concurrent", "rescaled"):
+        for _ in range(10):
+            pts = set(random_wide_points(rng, MAX_POINTS, kind))
+            for budget in (1, 2):
+                _matches_omission_oracle((), pts, budget)
+
+
+def test_omission_with_a_forced_line():
+    forced = (Line(0, 0, 1),)
+    collinear = [Point(t, 1, 1) for t in (-1, 0, 2, 5)]
+    assert _matches_omission_oracle(forced, collinear, 2).omitted is None
+    stray = Point(1, 3, 1)
+    assert _matches_omission_oracle(forced, collinear + [stray], 2).omitted == stray
+    three = [Point(1, 0, 1), Point(0, 1, 1), Point(1, 1, 1)]
+    assert _matches_omission_oracle(forced, three, 2).omitted == min(three)
+    assert isinstance(_matches_omission_oracle(forced, three + [Point(2, 3, 1)], 2), NotCoverable)
+    rng = random.Random(73)
+    for _ in range(40):
+        pts = [p for p in random_structured_points(rng, rng.randint(0, 10)) if p.coords[2] != 0]
+        _matches_omission_oracle(forced, pts, 2)
+
+
+def test_omission_with_no_degree_left():
+    stray = [Point(1, 1, 0), Point(1, 2, 0), Point(1, 3, 0)]
+    two_lines = (Line(1, 0, 0), Line(0, 1, 0))
+    stray_off_lines = [Point(1, 1, 1), Point(1, 2, 1), Point(2, 3, 1)]
+    for forced, budget, pts in (
+        ((SMOOTH_CONIC,), 2, stray),
+        (two_lines, 2, stray_off_lines),
+        ((Line(0, 0, 1),), 1, stray_off_lines),
+    ):
+        for k in range(len(pts) + 1):
+            verdict = _matches_omission_oracle(forced, pts[:k], budget)
+            assert isinstance(verdict, Covered) == (k <= 1)
+            if k == 1:
+                assert verdict.omitted == pts[0]
+
+
+def _assert_minimal(forced, verdict, budget):
+    obs = verdict.obstruction.points
+    assert omission_oracle(forced, obs, budget) is None
+    if len(obs) > 2:
+        for p in obs:
+            assert omission_oracle(forced, [q for q in obs if q != p], budget) is not None
+
+
+def test_obstructions_are_minimal():
+    rng = random.Random(79)
+    sets = [random_structured_points(rng, rng.randint(2, MAX_POINTS)) for _ in range(60)]
+    for kind in ("collinear", "concurrent", "rescaled"):
+        sets += [set(random_wide_points(rng, rng.randint(9, MAX_POINTS), kind)) for _ in range(15)]
+    seen = 0
+    for pts in sets:
+        level = finite_level(pts)
+        for budget, check in ((1, line_cover_check), (2, conic_cover_check)):
+            verdict = check(level)
+            if isinstance(verdict, NotCoverable):
+                _assert_minimal((), verdict, budget)
+                seen += len(verdict.obstruction.points) > 2
+    assert seen >= 10
+
+
+def test_verify_verdict_rechecks_point_obstructions():
+    conic = [Point(t * t, t, 1) for t in (-3, -1, 1, 2, 3)]
+    strays = [Point(1, 5, 1), Point(2, 1, 7)]
+    level = finite_level(conic + strays)
+    # every single omission leaves six points on no conic
+    assert verify_verdict(level, NotCoverable(UncoveredPoints(conic + strays)))
+    # false certificates: omitting the one stray fits, and so does any five
+    assert not verify_verdict(level, NotCoverable(UncoveredPoints(conic + strays[:1])))
+    assert not verify_verdict(level, NotCoverable(UncoveredPoints(conic[:4] + strays)))
+    assert not verify_verdict(level, NotCoverable(UncoveredPoints(strays[:1])))
+    # no degree left: any two points are an obstruction, one is not
+    forced = LevelSet(HALF, True, (SMOOTH_CONIC,), tuple(strays))
+    assert verify_verdict(forced, NotCoverable(UncoveredPoints(strays)))
+    assert not verify_verdict(forced, NotCoverable(UncoveredPoints(strays[:1])))
+    # degree 1: four points with no three collinear, but not three points
+    assert verify_verdict(level, NotCoverable(UncoveredPoints(conic[:3] + strays[1:])), budget=1)
+    assert not verify_verdict(level, NotCoverable(UncoveredPoints(conic[:3])), budget=1)
 
 
 def test_conic_cover_forced_line_plus_points():

@@ -43,6 +43,40 @@ def test_rank_handles_rank_deficient_shapes():
     assert linalg.rank([[0, 0, 0]]) == 0
 
 
+def _greedy_pivots(rows, ncols):
+    """Columns, in order, that raise the reference rank of the columns
+    kept before them."""
+    kept = []
+    for c in range(ncols):
+        if reference_rank([[row[j] for j in kept + [c]] for row in rows]) > len(kept):
+            kept.append(c)
+    return kept
+
+
+def test_pivots_are_the_greedy_column_basis():
+    rng = random.Random(23)
+    cases = [([], 3), ([[0, 0, 0]], 3), ([[0, 0, 7]], 3), ([[1, 2], [2, 4]], 2)]
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [
+            [Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 5)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        extra = rng.randrange(4)
+        if extra == 1:
+            rows.insert(rng.randrange(nrows + 1), [Fraction(0)] * ncols)
+        elif extra == 2:
+            rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
+        elif extra == 3:
+            # a pivot in the last column, found last
+            rows.append([0] * (ncols - 1) + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
+        pivots = linalg.pivots(rows)
+        assert pivots == _greedy_pivots(rows, ncols)
+        assert linalg.rank(rows) == len(pivots)
+
+
 def test_nullspace_vectors_annihilate_rows():
     rng = random.Random(5)
     for _ in range(100):
