@@ -15,6 +15,7 @@ Exit codes (stable contract): 0 success, 1 usage/parse/internal error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -258,10 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one serves every in-process call
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -45,8 +45,8 @@ from .projective import (
     Curve,
     Line,
     Point,
+    _form,
     _incidence_rows,
-    _integer_form,
     conic_from_lines,
     conic_space,
     incident,
@@ -353,7 +353,7 @@ _CURVE_SAMPLES = 6
 def _conic_point_search(conic: Conic, count: int) -> tuple[Point, ...]:
     """Up to `count` rational points on an irreducible conic: bounded
     search for one point, then chords through it give the rest."""
-    q = _integer_form(conic)
+    c = conic.ints
     span = range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
 
     def candidates():
@@ -362,10 +362,10 @@ def _conic_point_search(conic: Conic, count: int) -> tuple[Point, ...]:
         yield from ((1, a, 0) for a in span)
         yield from ((x, y, 1) for x in span for y in span)
 
-    base = next((b for b in candidates() if q(b) == 0), None)
+    base = next((b for b in candidates() if _form(c, b) == 0), None)
     if base is None:
         return ()
-    found = [Point(*base)]
+    found = [Point._of(base)]
     for d in candidates():
         if len(found) >= count:
             break
@@ -373,9 +373,9 @@ def _conic_point_search(conic: Conic, count: int) -> tuple[Point, ...]:
             continue
         # q(b) = 0, so q(s*b + t*d) = t*(s*grad q(b).d + t*q(d)): the chord
         # meets the conic again at (s, t) = (q(d), -grad q(b).d)
-        qd = q(d)
-        g = q([x + y for x, y in zip(base, d)]) - qd
-        p = Point(*(qd * x - g * y for x, y in zip(base, d)))
+        qd = _form(c, d)
+        g = _form(c, [x + y for x, y in zip(base, d)]) - qd
+        p = Point._of(tuple(qd * x - g * y for x, y in zip(base, d)))
         if p not in found:
             found.append(p)
     return tuple(found[:count])

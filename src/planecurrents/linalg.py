@@ -2,8 +2,9 @@
 
 Every exact fit runs on integers. `integer_rows` is the one scaling step:
 it multiplies each rational row by the lcm of its denominators, which
-leaves the rank and the row space unchanged. Callers that test many
-subsets of one set of rows scale them once and pass integer rows.
+leaves the rank and the row space unchanged, and only copies an integer
+row. Points, lines and conics are integer tuples (`projective`), so the
+rows of every fit in the package arrive as integers.
 
 One elimination serves every question: a fraction-free (Bareiss 1968)
 row echelon form of the integer-scaled rows. By the Sylvester identity
@@ -26,12 +27,16 @@ Row = Sequence[Fraction | int]
 
 
 def integer_rows(rows: Iterable[Row]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: integer rows with the
-    same rank and row space."""
+    """Integer rows with the same rank and row space, as new lists: an
+    integer row is copied, any other is multiplied by the lcm of its
+    denominators."""
     scaled = []
     for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (denom // x.denominator) for x in row])
+        if all(type(x) is int for x in row):
+            scaled.append(list(row))
+        else:
+            denom = lcm(*(x.denominator for x in row))
+            scaled.append([x.numerator * (denom // x.denominator) for x in row])
     return scaled
 
 

@@ -1,14 +1,23 @@
 """Exact projective-plane primitives over the rationals.
 
-Points and lines are homogeneous triples of `fractions.Fraction` stored in
-canonical form (first nonzero entry scaled to 1), so equality, hashing and
-ordering are structural. Conics are six-coefficient quadratic forms
+Points, lines and conics are each stored as one primitive integer tuple,
+`ints`: entries with gcd 1 and the first nonzero entry positive, the one
+integer representative of the projective class. Equality and hashing read
+that tuple, and joins, meets, incidence and form evaluation are integer
+arithmetic. Conics are six-coefficient quadratic forms
 
     a00*x^2 + a01*x*y + a02*x*z + a11*y^2 + a12*y*z + a22*z^2
 
-canonicalized the same way; the monomial order (x^2, xy, xz, y^2, yz, z^2)
-is fixed everywhere, including serialized output and the point-incidence
-("Veronese") matrices used for curve fitting.
+in the monomial order (x^2, xy, xz, y^2, yz, z^2), fixed everywhere,
+including serialized output and the point-incidence ("Veronese") matrices
+used for curve fitting.
+
+The rational form, the class scaled so that its first nonzero entry is 1,
+is the contract at the edges: `Point.coords`, `Line.coeffs` and
+`Conic.coeffs` compute it as `Fraction`s for serialization and `repr`, and
+the canonical order `<` is the lexicographic order of those forms,
+compared on the integer tuples by cross-multiplying with the two positive
+leading entries.
 
 Everything is immutable after construction and all arithmetic is exact.
 """
@@ -18,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence, Union
 
 from . import linalg
@@ -30,18 +39,109 @@ from .errors import (
     UnsupportedDegree,
 )
 
-Triple = tuple[Fraction, Fraction, Fraction]
+Triple = tuple[int, int, int]
 
 
-def _canonical(values: Sequence) -> tuple[Fraction, ...]:
-    fracs = tuple(Fraction(v) for v in values)
-    lead = next((f for f in fracs if f != 0), None)
-    if lead is None:
-        raise ValueError("homogeneous coordinates must not all be zero")
-    return tuple(f / lead for f in fracs)
+def _lead(v: Sequence[int]) -> int:
+    for x in v:
+        if x:
+            return x
+    raise ValueError("homogeneous coordinates must not all be zero")
 
 
-def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> Triple:
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The integer tuple divided by its gcd, signed so its lead is positive."""
+    g = gcd(*v) if _lead(v) > 0 else -gcd(*v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
+
+
+def _integers(values: Sequence) -> Sequence[int]:
+    """Integers with the same ratios as the rationals given."""
+    if all(type(v) is int for v in values):
+        return values
+    return linalg.integer_rows([[Fraction(v) for v in values]])[0]
+
+
+class _Homogeneous:
+    """A projective class of nonzero tuples, held as its primitive integer
+    tuple `ints`; the constructor takes integers or rationals."""
+
+    __slots__ = ("ints",)
+    _size = 0
+
+    def __init__(self, *values):
+        if len(values) != self._size:
+            raise TypeError(f"{type(self).__name__} takes {self._size} entries, got {len(values)}")
+        object.__setattr__(self, "ints", _primitive(_integers(values)))
+
+    @classmethod
+    def _of(cls, ints: Sequence[int]):
+        """From a nonzero integer tuple of the right size, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ints", _primitive(ints))
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ints == other.ints
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.ints, other.ints
+        la, lb = _lead(a), _lead(b)
+        for x, y in zip(a, b):
+            # x/la against y/lb, both leads positive
+            if x * lb != y * la:
+                return x * lb < y * la
+        return False
+
+    def __hash__(self):
+        return hash(self.ints)
+
+    def _rational(self) -> tuple[Fraction, ...]:
+        lead = _lead(self.ints)
+        return tuple(Fraction(x, lead) for x in self.ints)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(str, self._rational()))})"
+
+
+class Point(_Homogeneous):
+    """Point of the projective plane with rational homogeneous coordinates."""
+
+    __slots__ = ()
+    _size = 3
+    coords = property(_Homogeneous._rational, doc="rational form, first nonzero entry 1")
+
+    def __str__(self):
+        return "(%s : %s : %s)" % self.coords
+
+
+class Line(_Homogeneous):
+    """Line a*x + b*y + c*z = 0 with rational coefficients."""
+
+    __slots__ = ()
+    _size = 3
+    degree = 1
+    coeffs = property(_Homogeneous._rational, doc="rational form, first nonzero entry 1")
+
+
+class Conic(_Homogeneous):
+    """Quadratic form up to scale; rank 3 is irreducible, rank 2 a line
+    pair, rank 1 a double line."""
+
+    __slots__ = ()
+    _size = 6
+    degree = 2
+    coeffs = property(_Homogeneous._rational, doc="rational form, first nonzero entry 1")
+
+
+def _cross(a: Sequence[int], b: Sequence[int]) -> Triple:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -49,93 +149,17 @@ def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> Triple:
     )
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-class Point:
-    """Point of the projective plane with rational homogeneous coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, x, y, z):
-        object.__setattr__(self, "coords", _canonical((x, y, z)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __lt__(self, other):
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.coords < other.coords
-
-    def __hash__(self):
-        return hash(("Point", self.coords))
-
-    def __repr__(self):
-        return "Point(%s, %s, %s)" % self.coords
-
-    def __str__(self):
-        return "(%s : %s : %s)" % self.coords
-
-
-class Line:
-    """Line a*x + b*y + c*z = 0 with rational coefficients."""
-
-    __slots__ = ("coeffs",)
-    degree = 1
-
-    def __init__(self, a, b, c):
-        object.__setattr__(self, "coeffs", _canonical((a, b, c)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Line):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __lt__(self, other):
-        if not isinstance(other, Line):
-            return NotImplemented
-        return self.coeffs < other.coeffs
-
-    def __hash__(self):
-        return hash(("Line", self.coeffs))
-
-    def __repr__(self):
-        return "Line(%s, %s, %s)" % self.coeffs
-
-
-class Conic:
-    """Quadratic form up to scale; rank 3 is irreducible, rank 2 a line
-    pair, rank 1 a double line."""
-
-    __slots__ = ("coeffs",)
-    degree = 2
-
-    def __init__(self, a00, a01, a02, a11, a12, a22):
-        object.__setattr__(self, "coeffs", _canonical((a00, a01, a02, a11, a12, a22)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Conic is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Conic):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("Conic", self.coeffs))
-
-    def __repr__(self):
-        return "Conic(%s, %s, %s, %s, %s, %s)" % self.coeffs
+def _form(c: Sequence[int], v: Sequence[int]) -> int:
+    """The quadratic form with coefficients c at v. Its polar grad q(u).v
+    is q(u + v) - q(u) - q(v), so
+    q(s*u + t*v) = s^2*q(u) + s*t*grad q(u).v + t^2*q(v)."""
+    a00, a01, a02, a11, a12, a22 = c
+    x, y, z = v
+    return x * (a00 * x + a01 * y + a02 * z) + y * (a11 * y + a12 * z) + a22 * z * z
 
 
 Curve = Union[Line, Conic]
@@ -143,32 +167,34 @@ Curve = Union[Line, Conic]
 
 def curve_sort_key(curve: Curve):
     """Deterministic ordering: lines before conics, then by coefficients."""
-    return (curve.degree, curve.coeffs)
+    return (curve.degree, curve)
 
 
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
     if p == q:
         raise EqualPoints(f"no unique line through {p} twice")
-    return Line(*_cross(p.coords, q.coords))
+    return Line._of(_cross(p.ints, q.ints))
 
 
 def meet(l1: Line, l2: Line) -> Point:
     """The unique common point of two distinct lines."""
     if l1 == l2:
         raise EqualLines(f"lines coincide: {l1}")
-    return Point(*_cross(l1.coeffs, l2.coeffs))
+    return Point._of(_cross(l1.ints, l2.ints))
 
 
-def conic_value(conic: Conic, p: Point) -> Fraction:
-    a00, a01, a02, a11, a12, a22 = conic.coeffs
-    x, y, z = p.coords
-    return a00 * x * x + a01 * x * y + a02 * x * z + a11 * y * y + a12 * y * z + a22 * z * z
+def conic_value(conic: Conic, p: Point) -> int:
+    """The form at the point, on the integer tuples: zero exactly on the
+    conic (its value depends on the scaling)."""
+    return _form(conic.ints, p.ints)
 
 
 def conic_gradient(conic: Conic, p: Point) -> Triple:
-    a00, a01, a02, a11, a12, a22 = conic.coeffs
-    x, y, z = p.coords
+    """Gradient of the form at the point, on the integer tuples (defined
+    up to scale, as the tangent line is)."""
+    a00, a01, a02, a11, a12, a22 = conic.ints
+    x, y, z = p.ints
     return (
         2 * a00 * x + a01 * y + a02 * z,
         a01 * x + 2 * a11 * y + a12 * z,
@@ -176,19 +202,14 @@ def conic_gradient(conic: Conic, p: Point) -> Triple:
     )
 
 
-def conic_matrix(conic: Conic) -> linalg.Mat3:
-    """Symmetric matrix of the form (entries may have denominator 2)."""
-    a00, a01, a02, a11, a12, a22 = (Fraction(c) for c in conic.coeffs)
-    h = Fraction(1, 2)
-    return (
-        (a00, a01 * h, a02 * h),
-        (a01 * h, a11, a12 * h),
-        (a02 * h, a12 * h, a22),
-    )
+def _double_matrix(conic: Conic) -> tuple[Triple, Triple, Triple]:
+    """The symmetric integer matrix of twice the form."""
+    a00, a01, a02, a11, a12, a22 = conic.ints
+    return ((2 * a00, a01, a02), (a01, 2 * a11, a12), (a02, a12, 2 * a22))
 
 
 def conic_rank(conic: Conic) -> int:
-    return linalg.rank(conic_matrix(conic))
+    return linalg.rank(_double_matrix(conic))
 
 
 def is_irreducible(conic: Conic) -> bool:
@@ -197,33 +218,33 @@ def is_irreducible(conic: Conic) -> bool:
 
 def conic_from_lines(l1: Line, l2: Line) -> Conic:
     """Product form of two lines (a line pair, or a double line if equal)."""
-    a1, b1, c1 = l1.coeffs
-    a2, b2, c2 = l2.coeffs
-    return Conic(
+    a1, b1, c1 = l1.ints
+    a2, b2, c2 = l2.ints
+    return Conic._of((
         a1 * a2,
         a1 * b2 + b1 * a2,
         a1 * c2 + c1 * a2,
         b1 * b2,
         b1 * c2 + c1 * b2,
         c1 * c2,
-    )
+    ))
 
 
 def incident(p: Point, curve: Curve) -> bool:
     """True iff the defining form of the curve vanishes at the point."""
     if isinstance(curve, Line):
-        return _dot(curve.coeffs, p.coords) == 0
-    return conic_value(curve, p) == 0
+        return _dot(curve.ints, p.ints) == 0
+    return _form(curve.ints, p.ints) == 0
 
 
 def multiplicity(p: Point, curve: Curve) -> int:
     """Multiplicity of the curve at a point: 0 off the curve, 1 at a smooth
     point, 2 at the singular point of a rank <= 2 quadratic form."""
     if isinstance(curve, Line):
-        return 1 if _dot(curve.coeffs, p.coords) == 0 else 0
-    if conic_value(curve, p) != 0:
+        return 1 if _dot(curve.ints, p.ints) == 0 else 0
+    if _form(curve.ints, p.ints) != 0:
         return 0
-    return 1 if any(g != 0 for g in conic_gradient(curve, p)) else 2
+    return 1 if any(conic_gradient(curve, p)) else 2
 
 
 def _incidence_rows(points: Iterable[Point], degree: int) -> tuple[list, int]:
@@ -231,9 +252,8 @@ def _incidence_rows(points: Iterable[Point], degree: int) -> tuple[list, int]:
     order: coordinates for degree 1, Veronese rows (the monomials in the
     fixed order) for degree 2. A curve of that degree through some of the
     points is a kernel vector of their rows, so they lie on one iff the rank
-    is below the column count. Each point is scaled to integer coordinates
-    once, so every rank test on these rows runs on integers."""
-    coords = linalg.integer_rows(p.coords for p in sorted(set(points)))
+    is below the column count."""
+    coords = [p.ints for p in sorted(set(points))]
     if degree == 1:
         return coords, 3
     if degree == 2:
@@ -264,8 +284,8 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     subsets of one set of integer rows."""
     rows, ncols = _incidence_rows(points, degree)
     if degree == 1:
-        # distinct rows, so every cross product is a line's coefficients
-        counts = (Counter(Line(*_cross(r, s)) for s in rows[i + 1 :]) for i, r in enumerate(rows))
+        # distinct rows, so every cross product is nonzero: a line's coefficients
+        counts = (Counter(_primitive(_cross(r, s)) for s in rows[i + 1 :]) for i, r in enumerate(rows))
         return max((1 + c for lines in counts for c in lines.values()), default=len(rows))
     # any ncols - 1 points lie on a common curve
     floor = min(len(rows), ncols - 1)
@@ -279,9 +299,9 @@ def two_points_on_line(line: Line) -> tuple[Point, Point]:
     """Two distinct canonical points spanning the line."""
     found = []
     for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        c = _cross(line.coeffs, tuple(Fraction(v) for v in e))
-        if any(x != 0 for x in c):
-            p = Point(*c)
+        c = _cross(line.ints, e)
+        if any(c):
+            p = Point._of(c)
             if p not in found:
                 found.append(p)
         if len(found) == 2:
@@ -290,29 +310,21 @@ def two_points_on_line(line: Line) -> tuple[Point, Point]:
 
 
 def sample_line_points(line: Line, count: int) -> tuple[Point, ...]:
-    """Deterministic distinct rational points on a line."""
+    """Deterministic distinct rational points on a line: the two of
+    `two_points_on_line`, u and v, then u + t*v for t = 1, 2, ... on their
+    rational forms (the sum is not scale-invariant)."""
     u, v = two_points_on_line(line)
+    a, b = u.ints, v.ints
+    # u + t*v = a/la + t*b/lb, times la*lb
+    la, lb = _lead(a), _lead(b)
     out = [u, v]
     t = 1
     while len(out) < count:
-        cand = Point(*(a + t * b for a, b in zip(u.coords, v.coords)))
+        cand = Point._of(tuple(lb * x + t * la * y for x, y in zip(a, b)))
         if cand not in out:
             out.append(cand)
         t += 1
     return tuple(out[:count])
-
-
-def _integer_form(conic: Conic):
-    """The conic's form q on integer triples, with its coefficients scaled
-    once to integers (the same zero set). Its polar grad q(u).v is
-    q(u + v) - q(u) - q(v), so q(s*u + t*v) = s^2*q(u) + s*t*grad q(u).v + t^2*q(v)."""
-    a00, a01, a02, a11, a12, a22 = linalg.integer_rows((conic.coeffs,))[0]
-
-    def q(v):
-        x, y, z = v
-        return x * (a00 * x + a01 * y + a02 * z) + y * (a11 * y + a12 * z) + a22 * z * z
-
-    return q
 
 
 def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
@@ -321,12 +333,12 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
     Raises IrrationalIntersection when the intersection exists only over a
     quadratic extension (or as a complex-conjugate pair).
     """
-    q = _integer_form(conic)
-    u, v = linalg.integer_rows(p.coords for p in two_points_on_line(line))
+    q = conic.ints
+    u, v = (p.ints for p in two_points_on_line(line))
     # q(u + t*v) = c + b*t + a*t^2; v itself is t = inf, and a root t = r/s
     # is the point s*u + r*v
-    a, c = q(v), q(u)
-    b = q([x + y for x, y in zip(u, v)]) - a - c
+    a, c = _form(q, v), _form(q, u)
+    b = _form(q, [x + y for x, y in zip(u, v)]) - a - c
     if a == 0:
         if b == c == 0:
             raise ValueError("line is contained in the conic")
@@ -339,7 +351,7 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
                 f"{line!r} meets {conic!r} in points with irrational coordinates"
             )
         roots = [(2 * a, -b + root), (2 * a, -b - root)]
-    return tuple(sorted({Point(*(s * x + r * y for x, y in zip(u, v))) for s, r in roots}))
+    return tuple(sorted({Point._of(tuple(s * x + r * y for x, y in zip(u, v))) for s, r in roots}))
 
 
 def intersect_curves(c1: Curve, c2: Curve) -> tuple[Point, ...]:
@@ -363,7 +375,7 @@ def line_in_conic(line: Line, conic: Conic) -> bool:
     return (
         conic_value(conic, u) == 0
         and conic_value(conic, v) == 0
-        and _dot(conic_gradient(conic, u), v.coords) == 0
+        and _dot(conic_gradient(conic, u), v.ints) == 0
     )
 
 
@@ -387,14 +399,15 @@ class ProjectiveMap:
         raise AttributeError("ProjectiveMap is immutable")
 
     def point(self, p: Point) -> Point:
-        return Point(*linalg.matvec3(self.rows, p.coords))
+        return Point(*linalg.matvec3(self.rows, p.ints))
 
     def line(self, line: Line) -> Line:
-        return Line(*linalg.matvec3(linalg.transpose3(self._inv), line.coeffs))
+        return Line(*linalg.matvec3(linalg.transpose3(self._inv), line.ints))
 
     def conic(self, conic: Conic) -> Conic:
+        # congruence of twice the form gives twice the image form
         inv = self._inv
-        m = linalg.matmul3(linalg.matmul3(linalg.transpose3(inv), conic_matrix(conic)), inv)
+        m = linalg.matmul3(linalg.matmul3(linalg.transpose3(inv), _double_matrix(conic)), inv)
         return Conic(m[0][0], 2 * m[0][1], 2 * m[0][2], m[1][1], 2 * m[1][2], m[2][2])
 
     def curve(self, curve: Curve) -> Curve:

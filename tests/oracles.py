@@ -20,6 +20,32 @@ from planecurrents.projective import Conic, Line, Point, ProjectiveMap
 from planecurrents.currents import DivisorCurrent
 
 
+def rational_form(values) -> tuple[Fraction, ...]:
+    """The canonical form of a nonzero homogeneous tuple: its entries as
+    Fractions divided by the first nonzero one. Equal forms are equal
+    projective classes, and the lexicographic order of the forms is the
+    canonical order."""
+    fracs = [Fraction(v) for v in values]
+    lead = next(f for f in fracs if f != 0)
+    return tuple(f / lead for f in fracs)
+
+
+def random_homogeneous(rng: random.Random, size: int) -> list:
+    """A nonzero tuple of small integers and Fractions, often with leading
+    zeros and negative leads, so that many draws are the same class."""
+    while True:
+        zeros = rng.choice([0, 0, 1, 2, size - 1])
+        values = [0] * zeros + [rng.randint(-3, 3) for _ in range(size - zeros)]
+        if any(values):
+            break
+    if rng.random() < 0.3:
+        values = [Fraction(v, rng.randint(1, 4)) for v in values]
+    if rng.random() < 0.5:
+        k = rng.choice([-6, -2, -1, 2, 3, Fraction(-5, 2), Fraction(7, 3)])
+        values = [k * v for v in values]
+    return values
+
+
 def reference_rank(rows) -> int:
     """Plain fraction Gaussian elimination, no fraction-free tricks."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -261,6 +261,23 @@ def test_unknown_flag_exits_one():
     assert main(["check", "--bogus"]) == 1
 
 
+def test_repeated_main_calls_share_no_parsed_state(tmp_path, capsys):
+    # main reuses one parser: appended --alpha values must not carry over
+    argv = ["search", "--lines", "5", "--alpha", "9/20", "--alpha", "1/2", "--trials", "1"]
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"search-{k}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["spec"]["alphas"] == ["9/20", "1/2"]
+    capsys.readouterr()
+    assert main(["search", "--bogus", "--trials", "1"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert main([*argv, "--out", str(tmp_path / "again.json")]) == 0
+    assert (tmp_path / "again.json").read_text() == reports[0]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "planecurrents.cli"],

@@ -39,13 +39,40 @@ from oracles import (
     _line_meets,
     m1_oracle,
     m2_oracle,
+    random_homogeneous,
     random_point,
     random_points,
     random_projective_map,
     random_structured_points,
     random_wide_points,
+    rational_form,
     reference_conic_space,
 )
+
+
+@pytest.mark.parametrize("cls, size", [(Point, 3), (Line, 3), (Conic, 6)])
+def test_order_equality_and_hash_match_the_rational_oracle(cls, size):
+    # objects hold integer tuples; their order, equality and serialized
+    # form must be those of the rational forms
+    rng = random.Random(size * 1000 + len(cls.__name__))
+    raws = [random_homogeneous(rng, size) for _ in range(300)]
+    objs = [cls(*raw) for raw in raws]
+    forms = [rational_form(raw) for raw in raws]
+    for obj, form in zip(objs, forms):
+        got = obj.coords if cls is Point else obj.coeffs
+        assert got == form
+        assert all(type(x) is Fraction for x in got)
+    order = sorted(range(len(objs)), key=objs.__getitem__)
+    assert [forms[i] for i in order] == sorted(forms)
+    equal_pairs = 0
+    for i in range(len(objs)):
+        for j in range(len(objs)):
+            assert (objs[i] == objs[j]) == (forms[i] == forms[j])
+            assert (objs[i] < objs[j]) == (forms[i] < forms[j])
+            if forms[i] == forms[j]:
+                assert hash(objs[i]) == hash(objs[j])
+                equal_pairs += i != j
+    assert equal_pairs > 0
 
 
 def test_canonical_form_is_idempotent_and_unique():

@@ -3,9 +3,11 @@
 Reports are part of the behaviour contract: the same input and seed must
 give byte-identical `search`, `check` and `levelset` output across
 refactors and speed-ups. The digests below were recorded from the code
-before the incidence-map level sets went in; a mismatch means a report
-changed. Regenerate a table only for a deliberate, documented format
-change, by printing `_digest(...)` for each entry.
+before the incidence-map level sets went in, and those of the two
+heavy-line documents from the code before points were stored as integer
+triples; a mismatch means a report changed. Regenerate a table only for a
+deliberate, documented format change, by printing `_digest(...)` for each
+entry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ CONIC_SPECS = {
     "conics-2": ("--lines", "3", "--conics", "2", "--trials", "10", "--seed", "4"),
 }
 
-DOCUMENTS = (*gallery.NAMES, "conic-heavy", "conic-light", "conic-tangent")
+# a heavy line puts sampled points u + t*v of the line among the heavy
+# points; the two points spanning x - z = 0 have leading entries 1 and 1,
+# those spanning 2x + 3y + 6z = 0 have 2 and 3 as integer triples, where
+# the sum u + t*v depends on the scaling
+HEAVY_LINES = {"heavy-line": (1, 0, -1), "heavy-line-2-3-6": (2, 3, 6)}
+DOCUMENTS = (*gallery.NAMES, "conic-heavy", "conic-light", "conic-tangent", *HEAVY_LINES)
 
 SEARCH_DIGESTS: dict[int, str] = {
     0: "d2bc5446a97c9ab6e926d47bc15ef87cd3dd0d20e7204722c82d3cd3e7b224bb",
@@ -71,6 +78,8 @@ CHECK_DIGESTS: dict[str, str] = {
     "conic-heavy": "fa7de854fd01589e56cf73d0e396390bef6b89a140989ebb7c42449eaeb558b0",
     "conic-light": "6ffa10320d971b3a95258784dcb7cedd45a22915cab1e3fec76bcadd59d51989",
     "conic-tangent": "de317bf6cc083694026e196aca671c237bc6fec930a41dcba8aed2c414a2c4c7",
+    "heavy-line": "191203c0646b785733c9127f270e3e148aa0a186f851811fd8a148ddfb78ccad",
+    "heavy-line-2-3-6": "12aa896bdfd20bc21a6ade12cab2f7646aa80e3e4679aa6f0bd476ac3f7733d3",
 }
 
 LEVELSET_DIGESTS: dict[str, str] = {
@@ -88,6 +97,10 @@ LEVELSET_DIGESTS: dict[str, str] = {
     "conic-light@beta": "575607dd07b6815aaaaac5156bf98f7f82b789cbce6931aa33b1c84abfa616ff",
     "conic-tangent@alpha": "8703df3aeee79fdacab8d193064903d14ff0901c5a254237ed5917adcf39eb00",
     "conic-tangent@beta": "575607dd07b6815aaaaac5156bf98f7f82b789cbce6931aa33b1c84abfa616ff",
+    "heavy-line@alpha": "d77179509b1c8af90ad988522b6778ef638128c08168cc25ebc4aefaf5d5ae21",
+    "heavy-line@beta": "b74ac191d878b2e8eb901f4ba86b952a0983db62128694ffec5468132cedc076",
+    "heavy-line-2-3-6@alpha": "eb4329517eba1e6781872732466dbe331df720e9dc369850d305056e25c427ca",
+    "heavy-line-2-3-6@beta": "939490e1727c7037ebc79844af5a2a01b1f1bdfa841d172482cfa0761cd7f969",
 }
 
 
@@ -119,6 +132,14 @@ def _conic_chord_current(conic_weight: Fraction, tangent: bool) -> DivisorCurren
     return DivisorCurrent([(conic_weight, conic)] + [(r * share, l) for r, l in zip(raws, lines)])
 
 
+def _heavy_line_current(heavy: Line) -> DivisorCurrent:
+    """The heavy line at weight 1/2 and five lines sharing the other half."""
+    others = [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 1), Line(1, -2, 3), Line(3, 1, -4)]
+    raws = [Fraction(k) for k in (3, 1, 4, 1, 5)]
+    share = Fraction(1, 2) / sum(raws)
+    return DivisorCurrent([(Fraction(1, 2), heavy)] + [(r * share, l) for r, l in zip(raws, others)])
+
+
 def _check_documents() -> dict[str, dict]:
     docs = {
         name: serialize.current_to_payload(arr.current, arr.alpha)
@@ -130,6 +151,8 @@ def _check_documents() -> dict[str, dict]:
         docs[name] = serialize.current_to_payload(
             _conic_chord_current(weight, tangent), Fraction(9, 20)
         )
+    for name, coeffs in HEAVY_LINES.items():
+        docs[name] = serialize.current_to_payload(_heavy_line_current(Line(*coeffs)), Fraction(1, 2))
     return docs
 
 
