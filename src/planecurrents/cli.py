@@ -23,13 +23,7 @@ from typing import Optional
 
 from . import gallery, serialize
 from .cover import Covered, evaluate_cover, witness_contains_points
-from .errors import (
-    AlphaOutOfRange,
-    InvalidInstance,
-    InvalidSpec,
-    ParseError,
-    PlaneCurrentsError,
-)
+from .errors import InvalidInstance, InvalidSpec, ParseError, PlaneCurrentsError
 from .harness import GenSpec, run_suite
 from .projective import max_on_curve
 
@@ -100,7 +94,7 @@ def cmd_check(args) -> int:
     }
     try:
         instance, level, verdict = evaluate_cover(current, alpha)
-    except (InvalidInstance, AlphaOutOfRange) as exc:
+    except InvalidInstance as exc:
         document["status"] = "precondition-failed"
         document["reason"] = str(exc)
         _write_report(args.out, document)

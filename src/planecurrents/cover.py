@@ -327,19 +327,6 @@ class CoverInstance:
     def beta(self) -> Fraction:
         return beta_of(self.alpha)
 
-    def level(self) -> LevelSet:
-        return self.current.level_set(self.beta, strict=True)
-
-
-def check_cover_instance(instance: CoverInstance) -> Verdict:
-    """Run the conic-cover decision on the strict level set at beta.
-
-    For valid instances the expected verdict is Covered; a NotCoverable
-    verdict is a counterexample report to be triaged as an implementation
-    bug by the harness.
-    """
-    return conic_cover_check(instance.level())
-
 
 # A first point on a heavy conic is looked for only among (1:0:0), (0:1:0),
 # (1:t:0) and (x:y:1) with integers |t|, |x|, |y| <= _SEARCH_HEIGHT. A conic
@@ -396,20 +383,17 @@ def find_heavy_points(current: DivisorCurrent, alpha) -> tuple[Point, ...]:
 
 
 def evaluate_cover(current: DivisorCurrent, alpha) -> tuple[CoverInstance, LevelSet, Verdict]:
-    """Full pipeline: locate heavy points, validate the instance, build the
-    strict level set at beta and decide the conic cover."""
-    heavy = find_heavy_points(current, alpha)
-    instance = CoverInstance(current, alpha, heavy)
-    level = instance.level()
+    """Decide an instance: locate heavy points, validate the instance, build
+    the strict level set at beta and decide the conic cover.
+
+    For a valid instance the expected verdict is Covered; NotCoverable is a
+    counterexample report. At alpha <= 2/5 no heavy point is looked for, and
+    CoverInstance rejects the instance (mass first, then alpha)."""
+    a = Fraction(alpha)
+    heavy = find_heavy_points(current, a) if a > TWO_FIFTHS else ()
+    instance = CoverInstance(current, a, heavy)
+    level = current.level_set(instance.beta, strict=True)
     return instance, level, conic_cover_check(level)
-
-
-def no_conic_all_but_one(level: LevelSet) -> bool:
-    """True iff no conic contains all but at most one point of a finite
-    level set."""
-    if level.component_curves:
-        raise ValueError("level set has component curves; it is not finite")
-    return not isinstance(conic_cover_check(level), Covered)
 
 
 def witness_contains_points(verdict: Verdict, points) -> Optional[bool]:

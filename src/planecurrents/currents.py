@@ -17,11 +17,14 @@ off it, and the density at a point is the sum of the weights of the
 components through it. Every component through a pairwise intersection
 point p meets each other component through p at p, so one pass over all
 component pairs yields, for each such p, the complete set of components
-through it. A current keeps that incidence map once built: it is
-immutable, so level sets at any threshold (the heavy points at alpha and
-the strict level set at beta) read the same map, and the map lives and
-dies with its current. A build that raises IrrationalIntersection caches
-nothing, so every later call raises again. `lelong_number` stays the
+through it. A current keeps one (density, heaviest weight) pair per such
+point once built: it is immutable, so level sets at any threshold (the
+heavy points at alpha and the strict level set at beta) read the same
+map, and the map lives and dies with its current. A point is isolated
+when its density passes the threshold and its heaviest component does
+not (no component through it does, since passing is monotone). A build
+that raises IrrationalIntersection caches nothing, so every later call
+raises again. `lelong_number` stays the
 direct per-point formula, valid at any point.
 """
 
@@ -138,8 +141,8 @@ class DivisorCurrent:
             return NotImplemented
         return DivisorCurrent(list(self.components) + list(other.components))
 
-    def _incidence_map(self) -> dict[Point, dict[int, Fraction]]:
-        """Pairwise intersection point -> {component index: weight} of the
+    def _incidence_map(self) -> dict[Point, tuple[Fraction, Fraction]]:
+        """Pairwise intersection point -> (density, heaviest weight) of the
         components through it, from one pass over the component pairs."""
         if self._incidence is None:
             through: dict[Point, dict[int, Fraction]] = {}
@@ -149,7 +152,8 @@ class DivisorCurrent:
                     weights = through.setdefault(p, {})
                     weights[i] = w1
                     weights[j] = w2
-            object.__setattr__(self, "_incidence", through)
+            summary = {p: (sum(ws.values()), max(ws.values())) for p, ws in through.items()}
+            object.__setattr__(self, "_incidence", summary)
         return self._incidence
 
     def support_intersections(self) -> tuple[Point, ...]:
@@ -169,11 +173,8 @@ class DivisorCurrent:
             raise NonpositiveThreshold(f"threshold {t} must be positive")
         passes = (lambda v: v > t) if strict else (lambda v: v >= t)
         curves = tuple(c for w, c in self.components if passes(w))
-        isolated = sorted(
-            p
-            for p, weights in self._incidence_map().items()
-            if passes(sum(weights.values())) and not any(map(passes, weights.values()))
-        )
+        incidence = self._incidence_map().items()
+        isolated = sorted(p for p, (nu, top) in incidence if passes(nu) and not passes(top))
         return LevelSet(t, strict, curves, tuple(isolated))
 
     def transformed(self, pmap: ProjectiveMap) -> "DivisorCurrent":

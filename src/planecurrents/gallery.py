@@ -38,7 +38,7 @@ from .cover import (
     verify_verdict,
 )
 from .currents import DivisorCurrent
-from .errors import DegenerateSeed, InvalidInstance
+from .errors import DegenerateSeed, EqualLines, EqualPoints, InvalidInstance
 from .projective import (
     Line,
     Point,
@@ -125,63 +125,50 @@ def _build_four_lines() -> Arrangement:
     )
 
 
-_SIX_LINE_SEEDS = (
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)),
-    ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 4)),
-)
+# the triangle q1 q2 q3 and the apex q4
+_SIX_LINE_SEED = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
 def _build_six_lines() -> Arrangement:
-    last_problem = "no seeds"
-    for seed in _SIX_LINE_SEEDS:
-        q1, q2, q3, q4 = (Point(*c) for c in seed)
-        try:
-            lines = {
-                "L1": line_through(q2, q3),
-                "L2": line_through(q1, q3),
-                "L3": line_through(q1, q2),
-                "L4": line_through(q4, q1),
-                "L5": line_through(q4, q2),
-                "L6": line_through(q4, q3),
-            }
-        except Exception:
-            last_problem = f"seed {seed} is degenerate"
-            continue
-        points = {
-            "q1": q1,
-            "q2": q2,
-            "q3": q3,
-            "q4": q4,
-            "p1": meet(lines["L4"], lines["L1"]),
-            "p2": meet(lines["L5"], lines["L2"]),
-            "p3": meet(lines["L6"], lines["L3"]),
+    q1, q2, q3, q4 = (Point(*c) for c in _SIX_LINE_SEED)
+    try:
+        lines = {
+            "L1": line_through(q2, q3),
+            "L2": line_through(q1, q3),
+            "L3": line_through(q1, q2),
+            "L4": line_through(q4, q1),
+            "L5": line_through(q4, q2),
+            "L6": line_through(q4, q3),
         }
-        incidences = {
-            "L1": frozenset({"q2", "q3", "p1"}),
-            "L2": frozenset({"q1", "q3", "p2"}),
-            "L3": frozenset({"q1", "q2", "p3"}),
-            "L4": frozenset({"q4", "q1", "p1"}),
-            "L5": frozenset({"q4", "q2", "p2"}),
-            "L6": frozenset({"q4", "q3", "p3"}),
-        }
-        nu = {f"q{i}": Fraction(1, 2) for i in range(1, 5)}
-        nu.update({f"p{i}": Fraction(1, 3) for i in range(1, 4)})
-        arr = Arrangement(
-            name="six-lines",
-            current=DivisorCurrent([(Fraction(1, 6), l) for l in lines.values()]),
-            alpha=Fraction(1, 2),
-            points=points,
-            lines=lines,
-            expected_nu=nu,
-            incidences=incidences,
-        )
-        problems = _audit_errors(arr)
-        off_apex = [points["p1"], points["p2"], points["p3"], points["q4"]]
-        if not problems and max_on_curve(off_apex, 1) == 2:
-            return arr
-        last_problem = "; ".join(problems) or "apex and feet are not in general position"
-    raise DegenerateSeed(last_problem)
+        p1 = meet(lines["L4"], lines["L1"])
+        p2 = meet(lines["L5"], lines["L2"])
+        p3 = meet(lines["L6"], lines["L3"])
+    except (EqualPoints, EqualLines) as exc:
+        raise DegenerateSeed(f"seed {_SIX_LINE_SEED} is degenerate ({exc})") from None
+    points = {"q1": q1, "q2": q2, "q3": q3, "q4": q4, "p1": p1, "p2": p2, "p3": p3}
+    incidences = {
+        "L1": frozenset({"q2", "q3", "p1"}),
+        "L2": frozenset({"q1", "q3", "p2"}),
+        "L3": frozenset({"q1", "q2", "p3"}),
+        "L4": frozenset({"q4", "q1", "p1"}),
+        "L5": frozenset({"q4", "q2", "p2"}),
+        "L6": frozenset({"q4", "q3", "p3"}),
+    }
+    nu = {f"q{i}": Fraction(1, 2) for i in range(1, 5)}
+    nu.update({f"p{i}": Fraction(1, 3) for i in range(1, 4)})
+    arr = Arrangement(
+        name="six-lines",
+        current=DivisorCurrent([(Fraction(1, 6), l) for l in lines.values()]),
+        alpha=Fraction(1, 2),
+        points=points,
+        lines=lines,
+        expected_nu=nu,
+        incidences=incidences,
+    )
+    problems = _audit_errors(arr)
+    if problems or max_on_curve([p1, p2, p3, q4], 1) != 2:
+        raise DegenerateSeed("; ".join(problems) or "apex and feet are not in general position")
+    return arr
 
 
 def _build_three_lines() -> Arrangement:
@@ -207,11 +194,8 @@ def _build_three_lines() -> Arrangement:
     )
 
 
-_SEVEN_LINE_SEEDS = (
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 1)),
-    ((1, 0, 0), (0, 1, 0), (1, 1, 1), (3, 1, 2)),
-)
+# the points p2, p3, p4, p5 the construction starts from
+_SEVEN_LINE_SEED = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 _SEVEN_LINE_WEIGHTS = {
     "L1": Fraction(46, 180),
@@ -237,58 +221,52 @@ _SEVEN_LINE_NU = {
 
 
 def _build_seven_lines() -> Arrangement:
-    last_problem = "no seeds"
-    for seed in _SEVEN_LINE_SEEDS:
-        p2, p3, p4, p5 = (Point(*c) for c in seed)
-        try:
-            l1 = line_through(p2, p4)
-            l2 = line_through(p3, p5)
-            l3 = line_through(p2, p5)
-            l4 = line_through(p3, p4)
-            big2 = line_through(p2, p3)
-            big3 = line_through(p4, p5)
-            q2 = meet(l1, l2)
-            p1 = meet(l3, l4)
-            p6 = meet(big2, big3)
-            big1 = line_through(q2, p1)
-            q1 = meet(big1, big2)
-            q3 = meet(big1, big3)
-        except Exception:
-            last_problem = f"seed {seed} is degenerate"
-            continue
-        points = {
-            "q1": q1, "q2": q2, "q3": q3,
-            "p1": p1, "p2": p2, "p3": p3, "p4": p4, "p5": p5, "p6": p6,
-        }
-        lines = {
-            "L1": big1, "L2": big2, "L3": big3,
-            "l1": l1, "l2": l2, "l3": l3, "l4": l4,
-        }
-        incidences = {
-            "L1": frozenset({"q1", "q2", "q3", "p1"}),
-            "L2": frozenset({"q1", "p2", "p3", "p6"}),
-            "L3": frozenset({"q3", "p4", "p5", "p6"}),
-            "l1": frozenset({"q2", "p2", "p4"}),
-            "l2": frozenset({"q2", "p3", "p5"}),
-            "l3": frozenset({"p1", "p2", "p5"}),
-            "l4": frozenset({"p1", "p3", "p4"}),
-        }
-        arr = Arrangement(
-            name="seven-lines",
-            current=DivisorCurrent(
-                [(_SEVEN_LINE_WEIGHTS[label], lines[label]) for label in lines]
-            ),
-            alpha=Fraction(9, 20),
-            points=points,
-            lines=lines,
-            expected_nu=dict(_SEVEN_LINE_NU),
-            incidences=incidences,
-        )
-        problems = _audit_errors(arr)
-        if not problems:
-            return arr
-        last_problem = "; ".join(problems)
-    raise DegenerateSeed(last_problem)
+    p2, p3, p4, p5 = (Point(*c) for c in _SEVEN_LINE_SEED)
+    try:
+        l1 = line_through(p2, p4)
+        l2 = line_through(p3, p5)
+        l3 = line_through(p2, p5)
+        l4 = line_through(p3, p4)
+        big2 = line_through(p2, p3)
+        big3 = line_through(p4, p5)
+        q2 = meet(l1, l2)
+        p1 = meet(l3, l4)
+        p6 = meet(big2, big3)
+        big1 = line_through(q2, p1)
+        q1 = meet(big1, big2)
+        q3 = meet(big1, big3)
+    except (EqualPoints, EqualLines) as exc:
+        raise DegenerateSeed(f"seed {_SEVEN_LINE_SEED} is degenerate ({exc})") from None
+    points = {
+        "q1": q1, "q2": q2, "q3": q3,
+        "p1": p1, "p2": p2, "p3": p3, "p4": p4, "p5": p5, "p6": p6,
+    }
+    lines = {
+        "L1": big1, "L2": big2, "L3": big3,
+        "l1": l1, "l2": l2, "l3": l3, "l4": l4,
+    }
+    incidences = {
+        "L1": frozenset({"q1", "q2", "q3", "p1"}),
+        "L2": frozenset({"q1", "p2", "p3", "p6"}),
+        "L3": frozenset({"q3", "p4", "p5", "p6"}),
+        "l1": frozenset({"q2", "p2", "p4"}),
+        "l2": frozenset({"q2", "p3", "p5"}),
+        "l3": frozenset({"p1", "p2", "p5"}),
+        "l4": frozenset({"p1", "p3", "p4"}),
+    }
+    arr = Arrangement(
+        name="seven-lines",
+        current=DivisorCurrent([(_SEVEN_LINE_WEIGHTS[label], lines[label]) for label in lines]),
+        alpha=Fraction(9, 20),
+        points=points,
+        lines=lines,
+        expected_nu=dict(_SEVEN_LINE_NU),
+        incidences=incidences,
+    )
+    problems = _audit_errors(arr)
+    if problems:
+        raise DegenerateSeed("; ".join(problems))
+    return arr
 
 
 _BUILDERS = {
@@ -322,7 +300,7 @@ def _common_facts(arr: Arrangement) -> list[Fact]:
 
 def _facts_four_lines(arr: Arrangement) -> list[Fact]:
     facts = []
-    level = arr.current.level_set(Fraction(1, 3), strict=True)
+    _, level, verdict = evaluate_cover(arr.current, arr.alpha)
     vertices = tuple(sorted(arr.points.values()))
     facts.append(
         Fact(
@@ -331,7 +309,6 @@ def _facts_four_lines(arr: Arrangement) -> list[Fact]:
             f"{len(level.component_curves)} curves, {len(level.isolated_points)} points",
         )
     )
-    _, _, verdict = evaluate_cover(arr.current, arr.alpha)
     omits_one = isinstance(verdict, Covered) and verdict.omitted is not None
     facts.append(
         Fact(
@@ -355,8 +332,7 @@ def _facts_four_lines(arr: Arrangement) -> list[Fact]:
 
 def _facts_six_lines(arr: Arrangement) -> list[Fact]:
     facts = []
-    beta = Fraction(1, 3)
-    strict = arr.current.level_set(beta, strict=True)
+    instance, strict, verdict = evaluate_cover(arr.current, arr.alpha)
     apex_points = tuple(sorted(arr.points[f"q{i}"] for i in range(1, 5)))
     facts.append(
         Fact(
@@ -365,7 +341,6 @@ def _facts_six_lines(arr: Arrangement) -> list[Fact]:
             f"{len(strict.isolated_points)} points",
         )
     )
-    _, _, verdict = evaluate_cover(arr.current, arr.alpha)
     facts.append(
         Fact(
             "strict-covered-omitting-none",
@@ -375,7 +350,7 @@ def _facts_six_lines(arr: Arrangement) -> list[Fact]:
             repr(verdict),
         )
     )
-    wide = arr.current.level_set(beta, strict=False)
+    wide = arr.current.level_set(instance.beta, strict=False)
     facts.append(
         Fact(
             "wide-level-has-seven-points",

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Optional
 
 from .cover import (
@@ -50,6 +50,7 @@ from .errors import GridTooLarge, InvalidSpec, IrrationalIntersection
 from .projective import (
     Line,
     Point,
+    _lead,
     conic_space,
     is_irreducible,
     line_through,
@@ -68,6 +69,10 @@ TAG_INVALID = "skipped-invalid"
 TAG_OVERFLOW = "skipped-overflow"
 TAG_DEGENERATE = "skipped-degenerate"
 
+# raw random weights are drawn from 1..DENOMINATOR_BOUND (heavy conics from
+# DENOMINATOR_BOUND..2 * DENOMINATOR_BOUND) before scaling to the mass
+DENOMINATOR_BOUND = 16
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -77,7 +82,6 @@ class GenSpec:
     n_conics: int = 0
     coefficient_bound: int = 5
     weight_scheme: str = "uniform"  # "uniform" | "random"
-    denominator_bound: int = 16
     alphas: tuple[Fraction, ...] = (Fraction(1, 2),)
     seed: int = 0
     bit_cap: int = 4096
@@ -91,8 +95,6 @@ class GenSpec:
             raise InvalidSpec("coefficient_bound must be at least 1 (no nondegenerate lines otherwise)")
         if self.weight_scheme not in ("uniform", "random"):
             raise InvalidSpec(f"unknown weight scheme {self.weight_scheme!r}")
-        if self.denominator_bound < 1:
-            raise InvalidSpec("denominator_bound must be at least 1")
         if not self.alphas:
             raise InvalidSpec("at least one alpha is required")
         for a in self.alphas:
@@ -105,7 +107,7 @@ class GenSpec:
             "n_conics": self.n_conics,
             "coefficient_bound": self.coefficient_bound,
             "weight_scheme": self.weight_scheme,
-            "denominator_bound": self.denominator_bound,
+            "denominator_bound": DENOMINATOR_BOUND,
             "alphas": [format_rational(a) for a in self.alphas],
             "seed": self.seed,
             "bit_cap": self.bit_cap,
@@ -165,9 +167,15 @@ def _bit_size(value: Fraction) -> int:
 
 
 def _current_bit_size(current: DivisorCurrent) -> int:
+    """Largest bit size of a weight or of a coefficient x/lead (lead the
+    first nonzero entry) in lowest terms."""
     worst = 0
     for w, c in current.components:
-        worst = max(worst, _bit_size(w), *(_bit_size(x) for x in c.coeffs))
+        lead = _lead(c.ints)
+        for x in c.ints:
+            g = gcd(x, lead)
+            worst = max(worst, abs(x // g).bit_length(), (lead // g).bit_length())
+        worst = max(worst, _bit_size(w))
     return worst
 
 
@@ -196,14 +204,11 @@ def _distinct_lines(rng, bound, count, start=(), attempts=60) -> Optional[list[L
     return lines[:count] if len(lines) >= count else None
 
 
-def _weights(rng, spec: GenSpec, curves) -> list[Fraction]:
-    """Exact unit-mass weights for the given curves."""
-    if spec.weight_scheme == "uniform":
-        total = sum(c.degree for c in curves)
-        return [Fraction(1, total)] * len(curves)
-    raws = [Fraction(rng.randint(1, spec.denominator_bound)) for _ in curves]
-    denom = sum(r * c.degree for r, c in zip(raws, curves))
-    return [r / denom for r in raws]
+def _scaled(raws, curves, mass=1) -> list[Fraction]:
+    """Weights proportional to the integers `raws` that give the curves
+    total mass `mass` (an int or a Fraction)."""
+    denom = sum(r * c.degree for r, c in zip(raws, curves)) * mass.denominator
+    return [Fraction(r * mass.numerator, denom) for r in raws]
 
 
 def _lines_pencils(rng, spec: GenSpec) -> Optional[list[Line]]:
@@ -233,20 +238,10 @@ def _lines_pencils(rng, spec: GenSpec) -> Optional[list[Line]]:
     return None
 
 
-def _heavy_line_weights(rng, spec: GenSpec, alpha: Fraction, curves) -> list[Fraction]:
-    """First curve is a line whose weight is drawn at or above alpha."""
-    margin = Fraction(rng.randint(0, 4), 20)
-    first = min(alpha + margin * (1 - alpha), Fraction(9, 10))
-    rest = curves[1:]
-    raws = [Fraction(rng.randint(1, spec.denominator_bound)) for _ in rest]
-    denom = sum(r * c.degree for r, c in zip(raws, rest))
-    remaining = 1 - first
-    return [first] + [r * remaining / denom for r in raws]
-
-
-def _conic_pencil(rng, spec: GenSpec) -> Optional[tuple[list, list]]:
+def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
     """A rank-3 conic through five base points plus chords through base
-    pairs; all pairwise intersections stay rational by construction.
+    pairs, chords listed first; all pairwise intersections stay rational by
+    construction.
 
     Chords follow the 5-cycle of base points first so that base points sit
     on two chords each and accumulate density."""
@@ -282,7 +277,7 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[tuple[list, list]]:
                 conics.append(extra[0])
         if len(conics) != spec.n_conics:
             continue
-        return lines, conics
+        return lines + conics
     return None
 
 
@@ -295,44 +290,36 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
         strategies = ["conic-pencil"]
     strategy = rng.choice(strategies)
 
-    curves: list = []
-    weights: list[Fraction] = []
-    if strategy == "conic-pencil":
-        built = _conic_pencil(rng, spec)
-        if built is None:
-            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
-        lines, conics = built
-        curves = lines + conics
+    def raws(count, low=1, high=DENOMINATOR_BOUND):
         if spec.weight_scheme == "uniform":
-            weights = _weights(rng, spec, curves)
-        else:
+            return [1] * count
+        return [rng.randint(low, high) for _ in range(count)]
+
+    if strategy == "conic-pencil":
+        curves = _conic_pencil(rng, spec)
+        if curves is not None:
             # boost the conic weight so base points reach heavy density
-            raws = [Fraction(rng.randint(1, spec.denominator_bound)) for _ in lines]
-            raws += [
-                Fraction(rng.randint(spec.denominator_bound, 2 * spec.denominator_bound))
-                for _ in conics
-            ]
-            denom = sum(r * c.degree for r, c in zip(raws, curves))
-            weights = [r / denom for r in raws]
+            line_raws = raws(spec.n_lines)
+            boosted = raws(spec.n_conics, DENOMINATOR_BOUND, 2 * DENOMINATOR_BOUND)
+            weights = _scaled(line_raws + boosted, curves)
     elif strategy == "heavy-line":
-        lines = _distinct_lines(rng, spec.coefficient_bound, spec.n_lines)
-        if lines is None:
-            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
-        curves = lines
-        weights = _heavy_line_weights(rng, spec, alpha, curves)
+        # the first line's weight is drawn at or above alpha
+        curves = _distinct_lines(rng, spec.coefficient_bound, spec.n_lines)
+        if curves is not None:
+            margin = Fraction(rng.randint(0, 4), 20)
+            first = min(alpha + margin * (1 - alpha), Fraction(9, 10))
+            weights = [first] + _scaled(raws(len(curves) - 1), curves[1:], 1 - first)
     else:
-        lines = (
+        curves = (
             _lines_pencils(rng, spec)
             if strategy == "pencils"
             else _distinct_lines(rng, spec.coefficient_bound, spec.n_lines)
         )
-        if lines is None:
-            return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
-        curves = lines
-        weights = _weights(rng, spec, curves)
+        if curves is not None:
+            weights = _scaled(raws(len(curves)), curves)
 
-    current = DivisorCurrent(list(zip(weights, curves)))
-    if len(current.components) != len(curves):
+    current = None if curves is None else DivisorCurrent(list(zip(weights, curves)))
+    if current is None or len(current.components) != len(curves):
         return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
     if _current_bit_size(current) > spec.bit_cap:
         return GeneratedInstance(index, TAG_OVERFLOW, alpha, strategy, current=current)
@@ -429,7 +416,7 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
         tally.count(item.tag)
         if item.tag == TAG_OK:
             instance = item.instance
-            level = instance.level()
+            level = instance.current.level_set(instance.beta, strict=True)
             tally.record(instance.current, instance.alpha, level,
                          conic_cover_check(level), valid=True, index=item.index)
     return tally.report(spec.summary(), trials)

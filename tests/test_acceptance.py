@@ -15,10 +15,9 @@ from planecurrents.cover import (
     CoverInstance,
     NotCoverable,
     UncoverableCurve,
-    check_cover_instance,
     conic_cover_check,
+    evaluate_cover,
     find_heavy_points,
-    no_conic_all_but_one,
     verify_verdict,
 )
 from planecurrents.auxiliary import (
@@ -99,23 +98,19 @@ def test_criterion_2_six_line_threshold_sharpness():
         strict = arr.current.level_set(beta, strict=True)
         expected = tuple(sorted(arr.points[f"q{i}"] for i in range(1, 5)))
         assert strict.component_curves == () and strict.isolated_points == expected
-        verdict = check_cover_instance(
-            CoverInstance(arr.current, arr.alpha, find_heavy_points(arr.current, arr.alpha))
-        )
+        _, _, verdict = evaluate_cover(arr.current, arr.alpha)
         assert isinstance(verdict, Covered) and verdict.omitted is None
 
         wide = arr.current.level_set(beta, strict=False)
         assert len(wide.isolated_points) == 7
         assert max_on_curve(wide.isolated_points, 2) == 5
-        assert no_conic_all_but_one(wide)
         assert isinstance(conic_cover_check(wide), NotCoverable)
 
 
 def test_criterion_3_four_line_single_omission():
     with _budget("3 four-line single omission", 1.0):
         arr = build("four-lines")
-        heavy = find_heavy_points(arr.current, arr.alpha)
-        verdict = check_cover_instance(CoverInstance(arr.current, arr.alpha, heavy))
+        _, _, verdict = evaluate_cover(arr.current, arr.alpha)
         assert isinstance(verdict, Covered) and verdict.omitted is not None
         assert verify_verdict(arr.current.level_set(Fraction(1, 3), True), verdict)
         # no conic covers all six: every five-point conic omits the sixth
@@ -163,7 +158,8 @@ def test_criterion_6_randomized_covered_suite():
             for item in islice(generate(spec), 1200):
                 if item.tag != "ok":
                     continue
-                verdict = check_cover_instance(item.instance)
+                level = item.current.level_set(item.instance.beta, strict=True)
+                verdict = conic_cover_check(level)
                 assert isinstance(verdict, Covered), (
                     f"counterexample at n={n_lines}, index={item.index}: {verdict!r}"
                 )

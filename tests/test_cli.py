@@ -87,6 +87,37 @@ def test_check_alpha_out_of_range(instance_files):
     assert main(["check", instance_files["four-lines"], "--alpha", "1/3"]) == 2
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1/2"])
+def test_check_nonpositive_alpha_is_a_failed_precondition(instance_files, tmp_path, capsys, alpha):
+    report_path = tmp_path / "report.json"
+    code = main(["check", instance_files["four-lines"], f"--alpha={alpha}", "--out", str(report_path)])
+    assert code == 2
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "precondition-failed"
+    assert report["reason"] == f"alpha must exceed 2/5, got {alpha}"
+    assert capsys.readouterr().err == f"precondition failed: alpha must exceed 2/5, got {alpha}\n"
+
+
+def test_check_nonpositive_file_alpha_is_a_failed_precondition(tmp_path):
+    arr = build("four-lines")
+    path = tmp_path / "zero.json"
+    path.write_text(serialize.dumps(serialize.current_to_payload(arr.current, Fraction(0))))
+    report_path = tmp_path / "report.json"
+    assert main(["check", str(path), "--out", str(report_path)]) == 2
+    assert json.loads(report_path.read_text())["reason"] == "alpha must exceed 2/5, got 0"
+
+
+def test_check_mass_reason_comes_before_alpha(tmp_path):
+    arr = build("four-lines")
+    path = tmp_path / "half.json"
+    path.write_text(serialize.dumps(serialize.current_to_payload(arr.current.scaled(Fraction(1, 2)))))
+    report_path = tmp_path / "report.json"
+    assert main(["check", str(path), "--alpha", "1/5", "--out", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "precondition-failed"
+    assert report["reason"] == "current mass is 1/2, expected exactly 1"
+
+
 def test_check_tampered_mass(tmp_path):
     arr = build("four-lines")
     payload = serialize.current_to_payload(arr.current, arr.alpha)
@@ -195,7 +226,7 @@ def test_check_counterexample_exit_code(instance_files, tmp_path, monkeypatch):
         from planecurrents.cover import CoverInstance, find_heavy_points
 
         inst = CoverInstance(current, alpha, find_heavy_points(current, alpha))
-        return inst, inst.level(), fake
+        return inst, current.level_set(inst.beta, strict=True), fake
 
     monkeypatch.setattr(cli_mod, "evaluate_cover", fake_evaluate)
     report_path = tmp_path / "cex.json"

@@ -11,12 +11,10 @@ from planecurrents.cover import (
     UncoveredPoints,
     _conic_point_search,
     beta_of,
-    check_cover_instance,
     conic_cover_check,
     evaluate_cover,
     find_heavy_points,
     line_cover_check,
-    no_conic_all_but_one,
     verify_verdict,
     witness_contains_points,
 )
@@ -426,9 +424,22 @@ def test_check_cover_instance_on_quadrilateral():
     )
     instance, level, verdict = evaluate_cover(quad, HALF)
     assert isinstance(verdict, Covered) and verdict.omitted is not None
-    assert check_cover_instance(instance) == verdict
+    assert level == quad.level_set(instance.beta, strict=True)
+    assert conic_cover_check(level) == verdict
     assert verify_verdict(level, verdict)
     assert witness_contains_points(verdict, instance.heavy_points) in (True, False)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(1, 5), 0, Fraction(-1, 2)])
+def test_evaluate_cover_rejects_alpha_at_most_two_fifths(alpha):
+    quad = DivisorCurrent(
+        [(Fraction(1, 4), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))]
+    )
+    with pytest.raises(InvalidInstance, match=f"alpha must exceed 2/5, got {alpha}$"):
+        evaluate_cover(quad, alpha)
+    # the mass is checked first
+    with pytest.raises(InvalidInstance, match="current mass is 1/2"):
+        evaluate_cover(quad.scaled(HALF), alpha)
 
 
 def test_find_heavy_points_on_full_line():
@@ -512,18 +523,6 @@ def test_conic_point_search_without_a_grid_point():
     )
     assert incident(Point(5, 0, 2), conic) and incident(Point(3, -4, 0), conic)
     assert _search_matches_oracle(conic) == ()
-
-
-def test_no_conic_all_but_one():
-    rng = random.Random(61)
-    for _ in range(30):
-        pts = random_structured_points(rng, rng.randint(2, 9))
-        level = finite_level(pts)
-        assert no_conic_all_but_one(level) == (max_on_curve(pts, 2) < len(pts) - 1)
-    with pytest.raises(ValueError):
-        no_conic_all_but_one(LevelSet(HALF, True, (Line(1, 0, 0),), ()))
-    # six points: all but one always fit on a conic
-    assert not no_conic_all_but_one(finite_level(random_structured_points(rng, 6)))
 
 
 def test_witness_contains_points_reporting():

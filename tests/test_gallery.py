@@ -80,17 +80,22 @@ def test_audit_rejects_mislabeled_incidence():
     assert not audit.ok and "unexpected" in audit.detail
 
 
-def test_degenerate_seed_detection():
-    # collapse the six-line construction by a seed with apex on a side
+@pytest.mark.parametrize(
+    "seed, reason",
+    [
+        # apex on a side: the lines are built, and the audit rejects them
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)), "not pairwise distinct"),
+        # apex on a vertex: no line runs through a point twice
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)), "is degenerate"),
+    ],
+    ids=["apex-on-side", "repeated-point"],
+)
+def test_degenerate_seed_detection(monkeypatch, seed, reason):
     import planecurrents.gallery as g
 
-    original = g._SIX_LINE_SEEDS
-    g._SIX_LINE_SEEDS = (((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)),)
-    try:
-        with pytest.raises(DegenerateSeed):
-            g._build_six_lines()
-    finally:
-        g._SIX_LINE_SEEDS = original
+    monkeypatch.setattr(g, "_SIX_LINE_SEED", seed)
+    with pytest.raises(DegenerateSeed, match=reason):
+        g._build_six_lines()
 
 
 def test_facts_stable_under_projective_transform():

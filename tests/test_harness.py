@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -11,13 +12,17 @@ from planecurrents.harness import (
     FRAME_LINES,
     GenSpec,
     SweepGrid,
+    _current_bit_size,
     exhaustive_sweep,
     generate,
     run_suite,
 )
-from planecurrents.projective import Line, ProjectiveMap
+from planecurrents.currents import DivisorCurrent
+from planecurrents.projective import Conic, Line, ProjectiveMap, is_irreducible
 from planecurrents.serialize import level_set_to_json, parse_instance
 from planecurrents import linalg
+
+from oracles import rational_form
 
 
 def test_spec_validation():
@@ -31,6 +36,37 @@ def test_spec_validation():
         GenSpec(alphas=(Fraction(2, 5),)).validate()
     with pytest.raises(InvalidSpec):
         run_suite(GenSpec(), 0)
+
+
+def test_current_bit_size_matches_the_rational_forms():
+    rng = random.Random(73)
+
+    def bits(f):
+        return max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+
+    def coefficients(size):
+        # zero entries, leading zeros, negative and non-unit leads
+        while True:
+            values = [rng.choice([0, 0, rng.randint(-40, 40)]) for _ in range(size)]
+            if any(values):
+                return [Fraction(v, rng.randint(1, 6)) if rng.random() < 0.2 else v for v in values]
+
+    for trial in range(300):
+        # 2x + 3y + 6z: the lead 2 divides 6 but not 3
+        drawn = [[2, 3, 6]] if trial == 0 else []
+        drawn += [coefficients(rng.choice([3, 3, 6])) for _ in range(rng.randint(1, 4))]
+        curves = {}
+        for values in drawn:
+            curve = Line(*values) if len(values) == 3 else Conic(*values)
+            if isinstance(curve, Line) or is_irreducible(curve):
+                curves[curve] = values
+        if not curves:
+            continue
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in curves]
+        expected = max(
+            bits(x) for w, values in zip(weights, curves.values()) for x in (w, *rational_form(values))
+        )
+        assert _current_bit_size(DivisorCurrent(zip(weights, curves))) == expected
 
 
 def test_generation_is_deterministic():
@@ -61,7 +97,7 @@ def test_triangle_spec_single_trial_skips_precondition():
 
 
 def test_uniform_four_lines_match_quadrilateral_shape():
-    from planecurrents.cover import Covered, check_cover_instance
+    from planecurrents.cover import Covered
 
     spec = GenSpec(n_lines=4, weight_scheme="uniform", alphas=(Fraction(1, 2),), seed=5)
     generic = 0
@@ -72,7 +108,7 @@ def test_uniform_four_lines_match_quadrilateral_shape():
         if len(item.current.support_intersections()) != 6:
             continue
         generic += 1
-        verdict = check_cover_instance(item.instance)
+        verdict = conic_cover_check(item.current.level_set(item.instance.beta, strict=True))
         # same shape as the canonical quadrilateral: covered, one omission
         assert isinstance(verdict, Covered) and verdict.omitted is not None
     assert generic > 10
