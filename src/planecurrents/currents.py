@@ -17,21 +17,32 @@ off it, and the density at a point is the sum of the weights of the
 components through it. Every component through a pairwise intersection
 point p meets each other component through p at p, so one pass over all
 component pairs yields, for each such p, the complete set of components
-through it. A current keeps one (density, heaviest weight) pair per such
-point once built: it is immutable, so level sets at any threshold (the
-heavy points at alpha and the strict level set at beta) read the same
-map, and the map lives and dies with its current. A point is isolated
-when its density passes the threshold and its heaviest component does
-not (no component through it does, since passing is monotone). A build
-that raises IrrationalIntersection caches nothing, so every later call
-raises again. `lelong_number` stays the
-direct per-point formula, valid at any point.
+through it.
+
+Densities are sums of weights, so a current keeps its weights once more
+as integers over one common denominator: `den` is the lcm of the weight
+denominators and `nums[i]` is `components[i]`'s weight times `den`. Sums
+of weights are then sums of ints, and a density n/den passes a threshold
+p/q (q > 0) when n*q > p*den (or >=), so neither a sum nor a threshold
+test builds a Fraction; `mass` and `lelong_number` build one for their
+result.
+
+A current keeps one (density numerator, heaviest numerator) pair per
+pairwise intersection point once built: it is immutable, so level sets at
+any threshold (the heavy points at alpha and the strict level set at beta)
+read the same map, and the map lives and dies with its current. A point is
+isolated when its density passes the threshold and its heaviest component
+does not (no component through it does, since passing is monotone). A
+build that raises IrrationalIntersection caches nothing, so every later
+call raises again. `lelong_number` stays the direct per-point formula,
+valid at any point and for currents whose map cannot be built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -59,10 +70,12 @@ class DivisorCurrent:
 
     Duplicate curves are merged by summing weights and zero-weight
     components are dropped, so the weight of a component curve (its generic
-    Lelong number) is well defined.
+    Lelong number) is well defined. `den` is the lcm of the weight
+    denominators (1 when there is no component) and `nums` holds each
+    component's weight times `den`, in component order.
     """
 
-    __slots__ = ("components", "_incidence")
+    __slots__ = ("components", "den", "nums", "_incidence")
 
     def __init__(self, components: Iterable[tuple[Fraction | int, Curve]] = ()):
         merged: dict[Curve, Fraction] = {}
@@ -74,10 +87,16 @@ class DivisorCurrent:
                 raise ReducibleConic(
                     "reducible conic component; list a line pair as two lines"
                 )
-            merged[curve] = merged.get(curve, Fraction(0)) + w
+            if curve in merged:
+                w += merged[curve]
+            merged[curve] = w
         items = [(w, c) for c, w in merged.items() if w != 0]
         items.sort(key=lambda wc: curve_sort_key(wc[1]))
+        den = lcm(*(w.denominator for w, _ in items))
+        nums = tuple(w.numerator * (den // w.denominator) for w, _ in items)
         object.__setattr__(self, "components", tuple(items))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, name, value):
@@ -97,15 +116,16 @@ class DivisorCurrent:
 
     @property
     def mass(self) -> Fraction:
-        return sum((w * c.degree for w, c in self.components), Fraction(0))
+        return Fraction(sum(n * c.degree for n, c in zip(self.nums, self.curves)), self.den)
 
     @property
     def curves(self) -> tuple[Curve, ...]:
         return tuple(c for _, c in self.components)
 
     def lelong_number(self, p: Point) -> Fraction:
-        return sum(
-            (w * multiplicity(p, c) for w, c in self.components), Fraction(0)
+        return Fraction(
+            sum(n * multiplicity(p, c) for n, (_, c) in zip(self.nums, self.components)),
+            self.den,
         )
 
     def generic_lelong(self, curve: Curve) -> Fraction:
@@ -141,18 +161,19 @@ class DivisorCurrent:
             return NotImplemented
         return DivisorCurrent(list(self.components) + list(other.components))
 
-    def _incidence_map(self) -> dict[Point, tuple[Fraction, Fraction]]:
+    def _incidence_map(self) -> dict[Point, tuple[int, int]]:
         """Pairwise intersection point -> (density, heaviest weight) of the
-        components through it, from one pass over the component pairs."""
+        components through it as numerators over `den`, from one pass over
+        the component pairs."""
         if self._incidence is None:
-            through: dict[Point, dict[int, Fraction]] = {}
-            pairs = combinations(enumerate(self.components), 2)
-            for (i, (w1, c1)), (j, (w2, c2)) in pairs:
+            through: dict[Point, dict[int, int]] = {}
+            pairs = combinations(enumerate(zip(self.nums, self.curves)), 2)
+            for (i, (n1, c1)), (j, (n2, c2)) in pairs:
                 for p in intersect_curves(c1, c2):
-                    weights = through.setdefault(p, {})
-                    weights[i] = w1
-                    weights[j] = w2
-            summary = {p: (sum(ws.values()), max(ws.values())) for p, ws in through.items()}
+                    nums = through.setdefault(p, {})
+                    nums[i] = n1
+                    nums[j] = n2
+            summary = {p: (sum(ns.values()), max(ns.values())) for p, ns in through.items()}
             object.__setattr__(self, "_incidence", summary)
         return self._incidence
 
@@ -171,8 +192,10 @@ class DivisorCurrent:
         t = Fraction(threshold)
         if t <= 0:
             raise NonpositiveThreshold(f"threshold {t} must be positive")
-        passes = (lambda v: v > t) if strict else (lambda v: v >= t)
-        curves = tuple(c for w, c in self.components if passes(w))
+        # n/den passes p/q when n*q > p*den (or >=), with q and den positive
+        q, bound = t.denominator, t.numerator * self.den
+        passes = (lambda n: n * q > bound) if strict else (lambda n: n * q >= bound)
+        curves = tuple(c for n, c in zip(self.nums, self.curves) if passes(n))
         incidence = self._incidence_map().items()
         isolated = sorted(p for p, (nu, top) in incidence if passes(nu) and not passes(top))
         return LevelSet(t, strict, curves, tuple(isolated))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
 from math import comb, gcd
 from typing import Iterator, Optional
@@ -122,6 +123,7 @@ class GeneratedInstance:
     strategy: str
     current: Optional[DivisorCurrent] = None
     instance: Optional[CoverInstance] = None
+    bit_size: Optional[int] = None  # _current_bit_size(current), when built
 
 
 @dataclass(frozen=True)
@@ -321,17 +323,18 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
     current = None if curves is None else DivisorCurrent(list(zip(weights, curves)))
     if current is None or len(current.components) != len(curves):
         return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
-    if _current_bit_size(current) > spec.bit_cap:
-        return GeneratedInstance(index, TAG_OVERFLOW, alpha, strategy, current=current)
+    bit_size = _current_bit_size(current)
+    built = partial(GeneratedInstance, index, alpha=alpha, strategy=strategy,
+                    current=current, bit_size=bit_size)
+    if bit_size > spec.bit_cap:
+        return built(TAG_OVERFLOW)
     try:
         heavy = find_heavy_points(current, alpha)
     except IrrationalIntersection:
-        return GeneratedInstance(index, TAG_INVALID, alpha, strategy, current=current)
+        return built(TAG_INVALID)
     if len(heavy) < 4:
-        return GeneratedInstance(index, TAG_PRECONDITION, alpha, strategy, current=current)
-    instance = CoverInstance(current, alpha, heavy)
-    return GeneratedInstance(index, TAG_OK, alpha, strategy,
-                             current=current, instance=instance)
+        return built(TAG_PRECONDITION)
+    return built(TAG_OK, instance=CoverInstance(current, alpha, heavy))
 
 
 def generate(spec: GenSpec) -> Iterator[GeneratedInstance]:
@@ -366,11 +369,12 @@ class _Tally:
         else:
             self.skipped[tag] = self.skipped.get(tag, 0) + 1
 
-    def record(self, current, alpha, level, verdict, valid: bool, **head) -> None:
-        """Tally the verdict on one checked instance. A NotCoverable verdict
-        on a valid instance keeps a standalone, re-verified counterexample
-        payload led by the `head` fields."""
-        self.max_bit_size = max(self.max_bit_size, _current_bit_size(current))
+    def record(self, current, alpha, level, verdict, valid: bool, bit_size: int, **head) -> None:
+        """Tally the verdict on one checked instance, whose current has
+        `_current_bit_size` `bit_size`. A NotCoverable verdict on a valid
+        instance keeps a standalone, re-verified counterexample payload led
+        by the `head` fields."""
+        self.max_bit_size = max(self.max_bit_size, bit_size)
         if isinstance(verdict, Covered):
             self.covered += 1
             omitted = 0 if verdict.omitted is None else 1
@@ -417,8 +421,8 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
         if item.tag == TAG_OK:
             instance = item.instance
             level = instance.current.level_set(instance.beta, strict=True)
-            tally.record(instance.current, instance.alpha, level,
-                         conic_cover_check(level), valid=True, index=item.index)
+            tally.record(instance.current, instance.alpha, level, conic_cover_check(level),
+                         valid=True, bit_size=item.bit_size, index=item.index)
     return tally.report(spec.summary(), trials)
 
 
@@ -493,16 +497,18 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
     for combo in combinations(pool, k):
         lines = list(FRAME_LINES) + list(combo)
         for weights in weight_vectors:
-            for alpha in grid.alphas:
-                current = DivisorCurrent(list(zip(weights, lines)))
-                if len(current.components) != len(lines):
+            current = DivisorCurrent(list(zip(weights, lines)))
+            if len(current.components) != len(lines):
+                for _ in grid.alphas:
                     tally.count(TAG_DEGENERATE)
-                    continue
+                continue
+            bit_size = _current_bit_size(current)
+            for alpha in grid.alphas:
                 valid = len(find_heavy_points(current, alpha)) >= 4
                 tally.count(TAG_OK if valid else TAG_PRECONDITION)
                 level = current.level_set(beta_of(alpha), strict=True)
                 verdict = conic_cover_check(level)
-                tally.record(current, alpha, level, verdict, valid=valid)
+                tally.record(current, alpha, level, verdict, valid=valid, bit_size=bit_size)
                 if level.is_finite() and level.isolated_points:
                     m2 = max_on_curve(level.isolated_points, 2)
                     m2_min = m2 if m2_min is None else min(m2_min, m2)

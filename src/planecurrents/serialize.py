@@ -36,7 +36,8 @@ from .projective import Conic, Curve, Line, Point
 # would also take exponents (whose expansion cost grows without bound:
 # "1e2000000" takes about a second), decimals, digit grouping and
 # non-ASCII digits, and what it takes differs between Python versions.
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
+# The groups are the signed numerator and the denominator, if any.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
 # Longest "points" list a points file may hold. max_on_curve counts point
 # pairs at degree 1, O(n^2), but is an exponential subset search at degree
@@ -57,10 +58,12 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
+        match = _RATIONAL.fullmatch(value)
+        if not match:
             raise ParseError(f"invalid rational {value!r} (expected an integer or p/q)", path)
+        num, den = match.groups()
         try:
-            return Fraction(value.strip())
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"invalid rational {value!r} ({exc})", path) from None
     raise ParseError(f"expected a rational string or integer, got {type(value).__name__}", path)

@@ -266,6 +266,23 @@ def reference_conic_points(conic, count) -> tuple[Point, ...]:
     return tuple(found[:count])
 
 
+def mass_oracle(current) -> Fraction:
+    """Sum of the Fraction weights times the degrees (three coefficients
+    for a line, six for a conic)."""
+    return sum(
+        (w * (1 if len(c.coeffs) == 3 else 2) for w, c in current.components), Fraction(0)
+    )
+
+
+def lelong_oracle(current, point) -> Fraction:
+    """Sum of the Fraction weights of the components whose form vanishes
+    at the point: lines and irreducible conics are smooth, so each has
+    multiplicity 1 there."""
+    return sum(
+        (w for w, c in current.components if _form(c, point.coords) == 0), Fraction(0)
+    )
+
+
 def level_set_oracle(current, threshold, strict):
     """(passing component curves, isolated points) of a current's upper
     level set, from direct evaluation of every component's form.
@@ -273,9 +290,9 @@ def level_set_oracle(current, threshold, strict):
     Candidates are all pairwise intersection points (an isolated point has
     density above every single component's weight, so it lies on two
     components); the density at a candidate is the sum of the weights of
-    the components whose form vanishes there, since lines and irreducible
-    conics are smooth. Raises ValueError where a pair of components has no
-    rational intersection representation.
+    the components whose form vanishes there (`lelong_oracle`). Raises
+    ValueError where a pair of components has no rational intersection
+    representation.
     """
     t = Fraction(threshold)
     passes = (lambda v: v > t) if strict else (lambda v: v >= t)
@@ -291,7 +308,7 @@ def level_set_oracle(current, threshold, strict):
     isolated = sorted(
         p
         for p in candidates
-        if passes(sum((w for w, c in comps if _form(c, p.coords) == 0), Fraction(0)))
+        if passes(lelong_oracle(current, p))
         and all(_form(c, p.coords) != 0 for c in curves)
     )
     return curves, tuple(isolated)

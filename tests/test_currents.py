@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,9 @@ from planecurrents.projective import (
 )
 
 from oracles import (
+    lelong_oracle,
     level_set_oracle,
+    mass_oracle,
     random_lines,
     random_point,
     random_points,
@@ -281,15 +284,95 @@ def test_oracle_currents_have_rich_points(make, through):
         assert richest >= through
 
 
+def _assert_integer_weights(current):
+    """`den` is the lcm of the weight denominators, `nums` the weights over
+    it, and mass and densities agree with the Fraction oracle."""
+    weights = [w for w, _ in current.components]
+    assert current.den == lcm(*(w.denominator for w in weights))
+    assert [Fraction(n, current.den) for n in current.nums] == weights
+    assert current.mass == mass_oracle(current)
+    for p in current.support_intersections():
+        assert current.lelong_number(p) == lelong_oracle(current, p)
+
+
+MERSENNE_61 = 2**61 - 1  # prime, so coprime to 3, 5 and 7
+
+
+def _coprime_current(rng) -> DivisorCurrent:
+    """Random lines weighted over the pairwise coprime denominators 3, 5, 7
+    and 2^61 - 1 (and 1, as ints or Fractions); some lines are listed twice,
+    once rescaled, so that their weights merge."""
+    components = []
+    for line in random_lines(rng, rng.randint(3, 6)):
+        for _ in range(rng.choice([1, 1, 2])):
+            den = rng.choice([1, 3, 5, 7, MERSENNE_61])
+            num = rng.randint(1, 2 * den)
+            weight = num if den == 1 and rng.random() < 0.5 else Fraction(num, den)
+            k = rng.choice([1, -2, 3])
+            components.append((weight, Line(*(k * x for x in line.ints))))
+    rng.shuffle(components)
+    return DivisorCurrent(components)
+
+
+def test_integer_weights_fixed_currents():
+    empty = DivisorCurrent()
+    assert (empty.den, empty.nums, empty.mass) == (1, (), 0)
+    assert empty.lelong_number(Point(1, 2, 3)) == 0
+    for strict in (False, True):
+        assert empty.level_set(Fraction(1, 3), strict) == LevelSet(Fraction(1, 3), strict)
+
+    x, y, z = QUAD_LINES[:3]
+    merged = DivisorCurrent(
+        [(Fraction(1, 3), x), (Fraction(1, 5), Line(2, 0, 0)), (1, y), (Fraction(2, 7), z)]
+    )
+    assert merged.components == ((Fraction(2, 7), z), (Fraction(1), y), (Fraction(8, 15), x))
+    assert (merged.den, merged.nums) == (105, (30, 105, 56))
+    assert merged.lelong_number(Point(0, 0, 1)) == Fraction(23, 15)
+    assert merged.mass == Fraction(191, 105)
+    _assert_integer_weights(merged)
+
+    tiny = DivisorCurrent([(Fraction(1, MERSENNE_61), x), (Fraction(2, 3), y), (2, z)])
+    assert tiny.den == 3 * MERSENNE_61
+    _assert_integer_weights(tiny)
+    # the strict level set at the density of (0:0:1) leaves it out, >= keeps it
+    nu = Fraction(1, MERSENNE_61) + Fraction(2, 3)
+    assert tiny.level_set(nu, strict=True).isolated_points == ()
+    assert tiny.level_set(nu).isolated_points == (Point(0, 0, 1),)
+    assert tiny.level_set(nu - Fraction(1, 13 * tiny.den), strict=True).isolated_points == (
+        Point(0, 0, 1),
+    )
+
+
+def test_integer_weights_match_the_fraction_oracle():
+    rng = random.Random(47)
+    for _ in range(20):
+        current = _coprime_current(rng)
+        _assert_integer_weights(current)
+        for p in random_points(rng, 3):
+            assert current.lelong_number(p) == lelong_oracle(current, p)
+        densities = {lelong_oracle(current, p) for p in current.support_intersections()}
+        exact = sorted(densities | {w for w, _ in current.components})
+        # just below and above a density: denominators that do not divide den
+        near = [t + s * Fraction(1, 13 * current.den) for t in exact for s in (-1, 1)]
+        assert all(current.den % t.denominator for t in near)
+        for threshold in rng.sample(exact, min(6, len(exact))) + rng.sample(near, 4):
+            for strict in (False, True):
+                _assert_matches_oracle(current, threshold, strict)
+
+
 def test_incidence_cache_is_invisible():
     rng = random.Random(43)
     current = _conic_chord_current(rng)
     twin = DivisorCurrent(current.components)
-    before = (repr(current), hash(current))
+    before = (repr(current), hash(current), current.den, current.nums)
     threshold = Fraction(1, 4)
     level = current.level_set(threshold, strict=True)
     assert current == twin and hash(current) == hash(twin)
-    assert (repr(current), hash(current)) == before
+    assert (repr(current), hash(current), current.den, current.nums) == before
+    assert (twin.den, twin.nums) == (current.den, current.nums)
+    for name in ("den", "nums", "_incidence"):
+        with pytest.raises(AttributeError):
+            setattr(current, name, None)
     assert current.level_set(threshold, strict=True) == level
     assert twin.level_set(threshold, strict=True) == level
 
@@ -307,9 +390,11 @@ def test_incidence_cache_is_invisible():
         current + extra,
     ]
     for other in derived:
+        _assert_integer_weights(other)
         for t in (Fraction(1, 4), Fraction(1, 3)):
             _assert_matches_oracle(other, t, strict=True)
     assert current.level_set(threshold, strict=True) == level
+    assert (repr(current), hash(current), current.den, current.nums) == before
 
 
 def test_irrational_intersection_raises_every_time():

@@ -32,6 +32,28 @@ def test_rational_errors_carry_position():
         serialize.parse_rational(True)
 
 
+def test_rational_error_messages_are_pinned():
+    # the messages of the Fraction(str) parser this one replaced
+    cases = (
+        ("1/0", "weights[2]: invalid rational '1/0' (Fraction(1, 0))"),
+        (" -7/000 ", "weights[2]: invalid rational ' -7/000 ' (Fraction(-7, 0))"),
+        ("0/0", "weights[2]: invalid rational '0/0' (Fraction(0, 0))"),
+    )
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            serialize.parse_rational(text, "weights[2]")
+        assert str(err.value) == message
+    # past the interpreter's integer string limit (4300 digits by default)
+    digits = "1" * 4301
+    with pytest.raises(ValueError) as limit:
+        int(digits)
+    assert "4301 digits" in str(limit.value)
+    for text in (digits, f"-{digits}/3", f"1/{digits}"):
+        with pytest.raises(ParseError) as err:
+            serialize.parse_rational(text, "weights[0]")
+        assert str(err.value) == f"weights[0]: invalid rational {text!r} ({limit.value})"
+
+
 def test_rational_rejects_exponents():
     # Fraction accepts exponents, whose expansion cost grows without bound
     for text in ("1e3", "2E-1", " 1e2 ", "1.5e1", "3/1e1"):
