@@ -14,10 +14,10 @@ used for curve fitting.
 
 The rational form, the class scaled so that its first nonzero entry is 1,
 is the contract at the edges: `Point.coords`, `Line.coeffs` and
-`Conic.coeffs` compute it as `Fraction`s for serialization and `repr`, and
-the canonical order `<` is the lexicographic order of those forms,
-compared on the integer tuples by cross-multiplying with the two positive
-leading entries.
+`Conic.coeffs` compute it as `Fraction`s for `repr`, serialization writes
+it from the integer tuple, and the canonical order `<` is the
+lexicographic order of those forms, compared on the integer tuples by
+cross-multiplying with the two positive leading entries.
 
 Everything is immutable after construction and all arithmetic is exact.
 """
@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
 from .errors import (
@@ -253,7 +253,10 @@ def _incidence_rows(points: Iterable[Point], degree: int) -> tuple[list, int]:
     fixed order) for degree 2. A curve of that degree through some of the
     points is a kernel vector of their rows, so they lie on one iff the rank
     is below the column count."""
-    coords = [p.ints for p in sorted(set(points))]
+    return _rows_of([p.ints for p in sorted(set(points))], degree)
+
+
+def _rows_of(coords: list[Triple], degree: int) -> tuple[list, int]:
     if degree == 1:
         return coords, 3
     if degree == 2:
@@ -274,25 +277,48 @@ def on_common_curve(points: Iterable[Point], degree: int) -> bool:
     return linalg.rank(rows) < ncols
 
 
+def _sixes_on_a_conic(coords: Sequence[Triple]) -> Iterator[tuple[int, ...]]:
+    """Each ascending six of indices a < ... < f whose points lie on a
+    conic: those with [abc][ade][bdf][cef] = [abd][ace][bcf][def], where
+    [ijk] is the determinant of the points i, j, k. The two sides differ
+    by the determinant of the six Veronese rows (Richter-Gebert,
+    Perspectives on Projective Geometry, 2011)."""
+    indices = range(len(coords))
+    br = {(i, j, k): _dot(_cross(coords[i], coords[j]), coords[k]) for i, j, k in combinations(indices, 3)}
+    for six in combinations(indices, 6):
+        a, b, c, d, e, f = six
+        left = br[a, b, c] * br[a, d, e] * br[b, d, f] * br[c, e, f]
+        if left == br[a, b, d] * br[a, c, e] * br[b, c, f] * br[d, e, f]:
+            yield six
+
+
 def max_on_curve(points: Iterable[Point], degree: int) -> int:
     """Largest number of the given points lying on a single curve of the
     given degree.
 
     Degree 1 counts pairs, O(n^2): from each point, the later points on
     each line through it; the best line holds its first point plus its
-    count. Degree 2 is a descending subset enumeration with rank tests on
-    subsets of one set of integer rows."""
-    rows, ncols = _incidence_rows(points, degree)
+    count.
+
+    Degree 2 is one rank test, then one bracket test per six points,
+    O(n^6) integer products. If all the points lie on a conic the answer
+    is n. Otherwise a largest set on one conic is the closure of five
+    independent points (distinct, no four collinear): the five and every
+    point that makes six on a conic with them."""
+    coords = [p.ints for p in sorted(set(points))]
+    rows, ncols = _rows_of(coords, degree)
     if degree == 1:
         # distinct rows, so every cross product is nonzero: a line's coefficients
         counts = (Counter(_primitive(_cross(r, s)) for s in rows[i + 1 :]) for i, r in enumerate(rows))
         return max((1 + c for lines in counts for c in lines.values()), default=len(rows))
-    # any ncols - 1 points lie on a common curve
-    floor = min(len(rows), ncols - 1)
-    for size in range(len(rows), floor, -1):
-        if any(linalg.rank(sub) < ncols for sub in combinations(rows, size)):
-            return size
-    return floor
+    n = len(rows)
+    if n < ncols or linalg.rank(rows) < ncols:
+        return n
+    closures = Counter(five for six in _sixes_on_a_conic(coords) for five in combinations(six, 5))
+    # five points with four on a line make six on a conic with each of the
+    # other n - 5; five independent ones only with the points of their one
+    # conic, which misses a point since no conic holds all n
+    return 5 + max((m for m in closures.values() if m < n - 5), default=0)
 
 
 def two_points_on_line(line: Line) -> tuple[Point, Point]:

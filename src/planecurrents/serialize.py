@@ -24,12 +24,13 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from math import gcd
 from typing import Any, Optional
 
 from .currents import DivisorCurrent, LevelSet
 from .cover import Covered, UncoverableCurve, Verdict
 from .errors import ParseError, PlaneCurrentsError
-from .projective import Conic, Curve, Line, Point
+from .projective import Conic, Curve, Line, Point, _lead
 
 
 # The rational grammar: an integer or "p/q" in ASCII digits. Fraction alone
@@ -40,9 +41,9 @@ from .projective import Conic, Curve, Line, Point
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
 # Longest "points" list a points file may hold. max_on_curve counts point
-# pairs at degree 1, O(n^2), but is an exponential subset search at degree
-# 2: on a 2-vCPU Xeon, 12, 13 and 15 generic points (at most five on a
-# conic) take 0.13 s, 0.31 s and 1.6 s at degree 2, and 0.002 s at most at
+# pairs at degree 1, O(n^2), and tests each six points at degree 2, O(n^6):
+# on a 2-vCPU Xeon, 12, 13 and 15 generic points (at most five on a conic)
+# take 0.002 s, 0.003 s and 0.009 s at degree 2, and 0.0004 s at most at
 # degree 1.
 MAX_POINTS = 12
 
@@ -78,8 +79,20 @@ def _parse_tuple(value: Any, size: int, path: str) -> tuple[Fraction, ...]:
     return coeffs
 
 
+def _rational_form(ints: tuple[int, ...]) -> list[str]:
+    """The entries of a primitive integer tuple over its lead, in lowest
+    terms: the lead is positive, so x/lead is (x//g)/(lead//g) with g the
+    gcd of the two."""
+    lead = _lead(ints)
+    out = []
+    for x in ints:
+        g = gcd(x, lead)
+        out.append(str(x // g) if g == lead else f"{x // g}/{lead // g}")
+    return out
+
+
 def point_to_json(p: Point) -> list[str]:
-    return [format_rational(c) for c in p.coords]
+    return _rational_form(p.ints)
 
 
 def parse_point(value: Any, path: str = "point") -> Point:
@@ -87,7 +100,7 @@ def parse_point(value: Any, path: str = "point") -> Point:
 
 
 def line_to_json(line: Line) -> list[str]:
-    return [format_rational(c) for c in line.coeffs]
+    return _rational_form(line.ints)
 
 
 def parse_line(value: Any, path: str = "line") -> Line:
@@ -95,7 +108,7 @@ def parse_line(value: Any, path: str = "line") -> Line:
 
 
 def conic_to_json(conic: Conic) -> list[str]:
-    return [format_rational(c) for c in conic.coeffs]
+    return _rational_form(conic.ints)
 
 
 def parse_conic(value: Any, path: str = "conic") -> Conic:

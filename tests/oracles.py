@@ -4,9 +4,10 @@ The oracles never share code paths with the implementations they check:
 curve counts come from explicit candidate enumeration (spanned lines, line
 pairs, conics through five-point subsets) plus direct evaluation of each
 candidate's form, lines through two points are the oracle's own cross
-product, and the reference rank and nullspace are plain Gaussian and
-Gauss-Jordan elimination over Fraction. From `planecurrents.projective`
-only the classes are imported.
+product, the reference rank and nullspace are plain Gaussian and
+Gauss-Jordan elimination over Fraction, and the reference determinant is
+a Laplace expansion. From `planecurrents.projective` only the classes are
+imported.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 from planecurrents.projective import Conic, Line, Point, ProjectiveMap
 from planecurrents.currents import DivisorCurrent
@@ -66,6 +67,23 @@ def reference_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def reference_det(rows) -> int:
+    """Determinant of a square matrix by Laplace expansion along its first
+    row, the minors of the lower rows memoized on their column sets."""
+    n = len(rows)
+    minors = {(): 1}
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        minors = {
+            cols: sum(
+                (-1 if i % 2 else 1) * row[c] * minors[cols[:i] + cols[i + 1 :]]
+                for i, c in enumerate(cols)
+            )
+            for cols in combinations(range(n), n - r)
+        }
+    return minors[tuple(range(n))]
 
 
 def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
@@ -162,6 +180,35 @@ def m2_oracle(points) -> int:
             count = sum(1 for p in pts if _form(a, p.coords) == 0)
         best = max(best, count)
     return best
+
+
+def m2_minor_oracle(points) -> int:
+    """Maximum points on one conic, by a descending subset search. A set
+    lies on a conic iff its Veronese rows have rank below 6 (all the
+    points: `reference_rank`), that is iff every 6x6 minor is zero (a
+    subset: each six of its points has a zero `reference_det` on the
+    integer coordinates)."""
+    pts = sorted(set(points))
+    rows = [_veronese(integer_coords(p)) for p in pts]
+    if reference_rank(rows) < 6:
+        return len(rows)
+    on = {}
+    for size in range(len(rows) - 1, 5, -1):
+        for sub in combinations(range(len(rows)), size):
+            for six in combinations(sub, 6):
+                if six not in on:
+                    on[six] = reference_det([rows[i] for i in six]) == 0
+                if not on[six]:
+                    break
+            else:
+                return size
+    return 5
+
+
+def integer_coords(p) -> list[int]:
+    """The rational form of a point times the lcm of its denominators."""
+    k = lcm(*(c.denominator for c in p.coords))
+    return [int(c * k) for c in p.coords]
 
 
 def coverable_oracle(points) -> bool:

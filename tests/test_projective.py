@@ -11,6 +11,7 @@ from planecurrents.errors import (
     UnsupportedDegree,
 )
 from planecurrents.projective import (
+    _sixes_on_a_conic,
     Conic,
     Line,
     Point,
@@ -37,7 +38,9 @@ from planecurrents.serialize import MAX_POINTS
 from oracles import (
     _form,
     _line_meets,
+    _veronese,
     m1_oracle,
+    m2_minor_oracle,
     m2_oracle,
     random_homogeneous,
     random_point,
@@ -47,6 +50,8 @@ from oracles import (
     random_wide_points,
     rational_form,
     reference_conic_space,
+    reference_det,
+    reference_rank,
 )
 
 
@@ -211,6 +216,74 @@ def test_max_on_curve_matches_oracles_up_to_the_cap():
         if size <= 10:
             assert max_on_curve(pts, 2) == m2_oracle(pts)
     assert max_on_curve([Point(1, 2, 3), Point(2, 4, 6), Point(0, 0, 1)], 1) == 2
+    # degree 2 at the cap, where m2_oracle is too slow
+    rng = random.Random(47)
+    for kind in ("collinear", "concurrent", "rescaled", "structured"):
+        for size in (11, 12) * 3:
+            if kind == "structured":
+                pts = random_structured_points(rng, size)
+            else:
+                pts = random_wide_points(rng, size, kind)
+            assert max_on_curve(pts, 2) == m2_minor_oracle(pts)
+
+
+def test_max_on_curve_reads_its_points_once():
+    rng = random.Random(53)
+    for _ in range(20):
+        pts = random_structured_points(rng, rng.randint(6, 10))
+        for degree in (1, 2):
+            assert max_on_curve(iter(pts), degree) == max_on_curve(pts, degree)
+
+
+def _six_point_tuples(rng):
+    """(kind, six integer triples): random, with three or four collinear,
+    with points at infinity, on a conic, and on a line pair; small
+    coordinates and coordinates up to about 10^6."""
+
+    def rand(bound):
+        while True:
+            p = [rng.randint(-bound, bound) for _ in range(3)]
+            if any(p):
+                return p
+
+    def on_line(p, q):
+        s, t = rng.randint(-2, 2), rng.randint(1, 2)
+        return [s * x + t * y for x, y in zip(p, q)]
+
+    for bound in (3, 10**6):
+        small = min(bound, 1000)
+        yield "random", [rand(bound) for _ in range(6)]
+        p, q = rand(bound // 3 or 1), rand(bound // 3 or 1)
+        yield "three collinear", [p, q, on_line(p, q)] + [rand(bound) for _ in range(3)]
+        yield "four collinear", [p, q, on_line(p, q), on_line(p, q), rand(bound), rand(bound)]
+        infinite = [rand(bound)[:2] + [0] for _ in range(rng.randint(1, 3))]
+        yield "at infinity", infinite + [rand(bound) for _ in range(6 - len(infinite))]
+        yield "conic", [
+            [s * s, s * t, t * t]
+            for s, t in ((rng.randint(-small, small), rng.randint(-small, small)) for _ in range(6))
+            if s or t
+        ]
+        a, b, c, d = (rand(bound // 3 or 1) for _ in range(4))
+        yield "line pair", [on_line(a, b) for _ in range(3)] + [on_line(c, d) for _ in range(3)]
+
+
+def test_bracket_test_matches_the_veronese_rank():
+    rng = random.Random(59)
+    seen = {True: 0, False: 0}
+    pmap = random_projective_map(rng)
+    for _ in range(60):
+        for kind, six in _six_point_tuples(rng):
+            if len(six) != 6 or not all(any(p) for p in six):
+                continue
+            if kind == "conic" and rng.random() < 0.5:
+                six = [list(pmap.point(Point(*p)).ints) for p in six]
+            rng.shuffle(six)
+            rows = [_veronese(p) for p in six]
+            expected = reference_rank(rows) < 6
+            assert (reference_det(rows) == 0) == expected
+            assert (list(_sixes_on_a_conic(six)) == [tuple(range(6))]) == expected, (kind, six)
+            seen[expected] += 1
+    assert min(seen.values()) > 100
 
 
 def test_conic_space_is_the_reference_basis_of_unscaled_rows():

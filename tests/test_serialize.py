@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from planecurrents.currents import LevelSet
 from planecurrents.errors import ParseError
 from planecurrents.gallery import build
 from planecurrents.projective import Conic, Line, Point
+
+from oracles import random_homogeneous, rational_form
 
 
 def test_rational_round_trip():
@@ -63,6 +66,21 @@ def test_rational_rejects_exponents():
     payload = {"lines": [["1", "0", "0"]], "weights": ["1e0"]}
     with pytest.raises(ParseError):
         serialize.parse_instance(payload)
+
+
+def test_point_line_conic_json_is_the_rational_form_in_lowest_terms():
+    rng = random.Random(61)
+    kinds = ((Point, 3, serialize.point_to_json), (Line, 3, serialize.line_to_json),
+             (Conic, 6, serialize.conic_to_json))
+    for cls, size, to_json in kinds:
+        for _ in range(300):
+            if rng.random() < 0.7:
+                raw = random_homogeneous(rng, size)
+            else:
+                raw = [rng.choice([0, 1]) * rng.randint(-10**12, 10**12) for _ in range(size)]
+                if not any(raw):
+                    raw[-1] = 2**61 - 1
+            assert to_json(cls(*raw)) == [str(f) for f in rational_form(raw)]
 
 
 def test_point_line_conic_round_trip():
