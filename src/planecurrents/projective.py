@@ -59,7 +59,7 @@ def _integers(values: Sequence) -> Sequence[int]:
     """Integers with the same ratios as the rationals given."""
     if all(type(v) is int for v in values):
         return values
-    return linalg.integer_rows([[Fraction(v) for v in values]])[0]
+    return linalg.scaled_row([Fraction(v) for v in values])
 
 
 class _Homogeneous:

@@ -4,10 +4,11 @@ The oracles never share code paths with the implementations they check:
 curve counts come from explicit candidate enumeration (spanned lines, line
 pairs, conics through five-point subsets) plus direct evaluation of each
 candidate's form, lines through two points are the oracle's own cross
-product, the reference rank and nullspace are plain Gaussian and
-Gauss-Jordan elimination over Fraction, and the reference determinant is
-a Laplace expansion. From `planecurrents.projective` only the classes are
-imported.
+product, the reference rank, reduced row echelon form and nullspace are
+plain Gaussian and Gauss-Jordan elimination over Fraction, the reference
+determinant is a Laplace expansion, and a minimal obstruction is pruned
+one point at a time with the reference-rank omission test. From
+`planecurrents.projective` only the classes are imported.
 """
 
 from __future__ import annotations
@@ -86,11 +87,12 @@ def reference_det(rows) -> int:
     return minors[tuple(range(n))]
 
 
-def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
-    """Right nullspace basis from the reduced row echelon form by
-    Gauss-Jordan elimination over Fraction: one vector per free column
-    (ascending), 1 there and 0 at the other free columns."""
+def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form by Gauss-Jordan elimination over
+    Fraction, each pivot scaled to 1: its nonzero rows and their pivot
+    columns."""
     m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -108,6 +110,13 @@ def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
         r += 1
         if r == len(m):
             break
+    return m[:r], pivots
+
+
+def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
+    """Right nullspace basis from `reference_rref`: one vector per free
+    column (ascending), 1 there and 0 at the other free columns."""
+    m, pivots = reference_rref(rows)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
@@ -254,6 +263,19 @@ def omission_oracle(forced, points, budget):
         if fits:
             return omitted, rest
     return None
+
+
+def minimal_obstruction_oracle(forced, points, budget) -> list[Point]:
+    """The obstruction that pruning in canonical order leaves: starting
+    from all the (distinct) points, each point in turn is dropped if
+    `omission_oracle` still finds no single omission for the rest. At
+    degree 0 that leaves the last two points."""
+    keep = sorted(set(points))
+    for p in list(keep):
+        trial = [q for q in keep if q != p]
+        if omission_oracle(forced, trial, budget) is None:
+            keep = trial
+    return keep
 
 
 def _rational_sqrt(f: Fraction):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,9 @@ from oracles import (
     _join,
     _veronese,
     coverable_oracle,
+    minimal_obstruction_oracle,
     omission_oracle,
+    random_points,
     random_projective_map,
     random_structured_points,
     random_unit_current,
@@ -276,6 +279,41 @@ def test_obstructions_are_minimal():
                 _assert_minimal((), verdict, budget)
                 seen += len(verdict.obstruction.points) > 2
     assert seen >= 10
+
+
+def test_obstructions_are_the_canonical_pruning():
+    # not just some minimal obstruction: the one pruning in canonical order
+    # leaves, which at degree 0 is the last two points
+    strays = [Point(1, 1, 0), Point(1, 2, 0), Point(1, 3, 0)]
+    no_rational_point = Conic(1, 0, 0, 1, 0, -3)  # x^2 + y^2 = 3z^2
+    level = LevelSet(HALF, True, (no_rational_point,), strays)
+    assert minimal_obstruction_oracle((no_rational_point,), strays, 2) == strays[1:]
+    assert conic_cover_check(level) == NotCoverable(UncoveredPoints(strays[1:]))
+    rng = random.Random(83)
+    draws = [
+        lambda n: random_points(rng, n),
+        lambda n: random_structured_points(rng, n),
+        *(lambda n, kind=kind: random_wide_points(rng, n, kind) for kind in ("collinear", "concurrent", "rescaled")),
+    ]
+    forced_sets = (
+        ((), (1, 2)),
+        ((Line(0, 0, 1),), (1, 2)),
+        ((SMOOTH_CONIC,), (2,)),
+        ((Line(1, 0, 0), Line(0, 1, 0)), (2,)),
+    )
+    seen = Counter()
+    for forced, budgets in forced_sets:
+        for draw in draws:
+            for n in (6, 8, 10, MAX_POINTS, rng.randint(6, MAX_POINTS)):
+                pts = [p for p in set(draw(n)) if not any(incident(p, c) for c in forced)]
+                level = LevelSet(HALF, True, forced, pts)
+                for budget in budgets:
+                    verdict = (line_cover_check if budget == 1 else conic_cover_check)(level)
+                    if omission_oracle(forced, pts, budget) is None:
+                        expected = minimal_obstruction_oracle(forced, pts, budget)
+                        assert verdict == NotCoverable(UncoveredPoints(expected))
+                        seen[budget - sum(c.degree for c in forced)] += 1
+    assert min(seen[0], seen[1], seen[2]) >= 10, seen
 
 
 def test_verify_verdict_rechecks_point_obstructions():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from planecurrents import linalg
 from planecurrents.errors import SingularMatrix
 
-from oracles import reference_nullspace, reference_rank
+from math import gcd
+
+from oracles import reference_nullspace, reference_rank, reference_rref
 
 fractions_st = st.builds(
     Fraction,
@@ -75,6 +77,34 @@ def test_pivots_are_the_greedy_column_basis():
         pivots = linalg.pivots(rows)
         assert pivots == _greedy_pivots(rows, ncols)
         assert linalg.rank(rows) == len(pivots)
+
+
+def test_reduced_echelon_is_the_scaled_rref():
+    rng = random.Random(29)
+    cases = [[], [[0, 0, 0]], [[0, 5, 10]], [[1, 2], [2, 4]], [[0, 0], [0, 3], [4, 0]]]
+    cases.append([[Fraction(1, 2), 3, 0], [1, Fraction(-2, 3), 5]])  # mixed rows are scaled first
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 12)
+        bound = rng.choice((3, 9, 10**6))
+        rows = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(ncols)] for _ in range(nrows)]
+        shape = rng.randrange(4)
+        if shape == 1:
+            rows.insert(rng.randrange(nrows + 1), [0] * ncols)
+        elif shape == 2:
+            rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
+        elif shape == 3:
+            # rank deficient: every row a combination of two
+            a, b = rows[0], rows[-1]
+            mults = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in rows]
+            rows = [[s * x + t * y for x, y in zip(a, b)] for s, t in mults]
+        cases.append(rows)
+    for rows in cases:
+        echelon, pivots = linalg.reduced_echelon(rows)
+        expected, expected_pivots = reference_rref(rows)
+        assert pivots == expected_pivots == linalg.pivots(rows)
+        assert all(type(x) is int for row in echelon for x in row)
+        assert all(gcd(*row) == 1 for row in echelon)
+        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(echelon, pivots)] == expected
 
 
 def test_nullspace_vectors_annihilate_rows():
