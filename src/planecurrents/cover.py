@@ -321,10 +321,20 @@ def verify_verdict(level: LevelSet, verdict: Verdict, budget: int = 2) -> bool:
     )
 
 
+def _hypothesis_holds(current: DivisorCurrent, alpha: Fraction, heavy_points) -> bool:
+    """The hypothesis of the cover theorem at alpha: a component of weight
+    >= alpha, whose every point has density >= alpha, or at least four
+    points of density >= alpha among `heavy_points`, which are distinct
+    (their densities are not checked here)."""
+    return len(heavy_points) >= 4 or any(w >= alpha for w, _ in current.components)
+
+
 class CoverInstance:
     """A unit-mass divisor current together with a density threshold
-    alpha > 2/5 and at least four certified points of density >= alpha;
-    `densities` holds their Lelong numbers, in the order of `heavy_points`."""
+    alpha > 2/5 that meets the hypothesis: a component curve of weight
+    >= alpha, or at least four certified points of density >= alpha.
+    `heavy_points` are the certified points (any number when a component
+    is heavy) and `densities` their Lelong numbers, in the same order."""
 
     __slots__ = ("current", "alpha", "heavy_points", "densities")
 
@@ -335,7 +345,7 @@ class CoverInstance:
         if a <= TWO_FIFTHS:
             raise InvalidInstance(f"alpha must exceed 2/5, got {a}")
         pts = tuple(sorted(set(heavy_points)))
-        if len(pts) < 4:
+        if not _hypothesis_holds(current, a, pts):
             raise InvalidInstance(
                 f"needs at least four points of density >= {a}, got {len(pts)}"
             )
@@ -361,7 +371,7 @@ class CoverInstance:
 # A first point on a heavy conic is looked for only among (1:0:0), (0:1:0),
 # (1:t:0) and (x:y:1) with integers |t|, |x|, |y| <= _SEARCH_HEIGHT. A conic
 # whose rational points all lie elsewhere, such as (5:0:2) or (3:-4:0),
-# reads as fewer than four heavy points.
+# gives no heavy point; its weight alone makes the instance valid.
 _SEARCH_HEIGHT = 10
 # points sampled on each heavy component curve: the four needed, plus two
 _CURVE_SAMPLES = 6

@@ -28,14 +28,19 @@ test builds a Fraction; `mass` and `lelong_number` build one for their
 result.
 
 A current keeps one (density numerator, heaviest numerator) pair per
-pairwise intersection point once built: it is immutable, so level sets at
-any threshold (the heavy points at alpha and the strict level set at beta)
-read the same map, and the map lives and dies with its current. A point is
-isolated when its density passes the threshold and its heaviest component
-does not (no component through it does, since passing is monotone). A
-build that raises IrrationalIntersection caches nothing, so every later
-call raises again. `lelong_number` stays the direct per-point formula,
-valid at any point and for currents whose map cannot be built.
+pairwise intersection point once built, keyed on the point's primitive
+integer tuple (`Point.ints`): two lines meet at the primitive form of
+their cross product, so the map of an all-line current holds no Point,
+and its keys hash and compare as plain tuples. A Point is built only for
+a point that a level set or `support_intersections` returns. The current
+is immutable, so level sets at any threshold (the heavy points at alpha
+and the strict level set at beta) read the same map, and the map lives
+and dies with its current. A point is isolated when its density passes
+the threshold and its heaviest component does not (no component through
+it does, since passing is monotone). A build that raises
+IrrationalIntersection caches nothing, so every later call raises again.
+`lelong_number` stays the direct per-point formula, valid at any point
+and for currents whose map cannot be built.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ from .projective import (
     Curve,
     Point,
     ProjectiveMap,
+    Triple,
+    _cross,
+    _primitive,
     curve_sort_key,
     incident,
     intersect_curves,
@@ -80,8 +88,8 @@ class DivisorCurrent:
     def __init__(self, components: Iterable[tuple[Fraction | int, Curve]] = ()):
         merged: dict[Curve, Fraction] = {}
         for weight, curve in components:
-            w = Fraction(weight)
-            if w < 0:
+            w = weight if type(weight) is Fraction else Fraction(weight)
+            if w.numerator < 0:
                 raise NegativeWeight(f"component weight {w} is negative")
             if isinstance(curve, Conic) and not is_irreducible(curve):
                 raise ReducibleConic(
@@ -161,19 +169,26 @@ class DivisorCurrent:
             return NotImplemented
         return DivisorCurrent(list(self.components) + list(other.components))
 
-    def _incidence_map(self) -> dict[Point, tuple[int, int]]:
-        """Pairwise intersection point -> (density, heaviest weight) of the
-        components through it as numerators over `den`, from one pass over
-        the component pairs."""
+    def _incidence_map(self) -> dict[Triple, tuple[int, int]]:
+        """Pairwise intersection point, as its primitive integer tuple ->
+        (density, heaviest weight) of the components through it as
+        numerators over `den`, from one pass over the component pairs. Two
+        lines meet at their cross product, with no Point built; other
+        pairs go through `intersect_curves`."""
         if self._incidence is None:
-            through: dict[Point, dict[int, int]] = {}
+            through: dict[Triple, dict[int, int]] = {}
             pairs = combinations(enumerate(zip(self.nums, self.curves)), 2)
             for (i, (n1, c1)), (j, (n2, c2)) in pairs:
-                for p in intersect_curves(c1, c2):
-                    nums = through.setdefault(p, {})
+                if c1.degree == 1 == c2.degree:
+                    # distinct lines, so the cross product is nonzero
+                    meets = (_primitive(_cross(c1.ints, c2.ints)),)
+                else:
+                    meets = [p.ints for p in intersect_curves(c1, c2)]
+                for key in meets:
+                    nums = through.setdefault(key, {})
                     nums[i] = n1
                     nums[j] = n2
-            summary = {p: (sum(ns.values()), max(ns.values())) for p, ns in through.items()}
+            summary = {k: (sum(ns.values()), max(ns.values())) for k, ns in through.items()}
             object.__setattr__(self, "_incidence", summary)
         return self._incidence
 
@@ -184,7 +199,7 @@ class DivisorCurrent:
         without rational coordinates (any pair of conic components, or a
         line/conic pair with non-square discriminant).
         """
-        return tuple(sorted(self._incidence_map()))
+        return tuple(sorted(map(Point._of, self._incidence_map())))
 
     def level_set(self, threshold: Fraction | int, strict: bool = False) -> "LevelSet":
         """Structural upper level set at the threshold (>= by default,
@@ -197,7 +212,7 @@ class DivisorCurrent:
         passes = (lambda n: n * q > bound) if strict else (lambda n: n * q >= bound)
         curves = tuple(c for n, c in zip(self.nums, self.curves) if passes(n))
         incidence = self._incidence_map().items()
-        isolated = sorted(p for p, (nu, top) in incidence if passes(nu) and not passes(top))
+        isolated = sorted(Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top))
         return LevelSet(t, strict, curves, tuple(isolated))
 
     def transformed(self, pmap: ProjectiveMap) -> "DivisorCurrent":

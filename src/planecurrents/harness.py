@@ -1,10 +1,11 @@
 """Seeded instance generation and batch verification.
 
 The generator emits a deterministic stream of weighted line (and optional
-conic) arrangements of exact unit mass. Valid cover instances need at
-least four points of density >= alpha with alpha > 2/5, and random
-arrangements almost never have them, so each draw picks a construction
-strategy that concentrates density on purpose:
+conic) arrangements of exact unit mass. Valid cover instances need, with
+alpha > 2/5, a component of weight >= alpha or at least four points of
+density >= alpha (`cover._hypothesis_holds`, the rule `CoverInstance`
+applies), and random arrangements almost never have them, so each draw
+picks a construction strategy that concentrates density on purpose:
 
 * "pencils":    lines routed through four anchor points (cycle plus
                 diagonals), so anchors accumulate density; validity then
@@ -18,7 +19,7 @@ strategy that concentrates density on purpose:
                 through five base points plus chords through base-point
                 pairs, so all pairwise intersections stay rational.
 
-Instances that fail the four-heavy-points precondition, exceed the bit-size
+Instances that fail that precondition, exceed the bit-size
 cap, need irrational intersection points, or degenerate during
 construction are emitted with a skip tag and counted; checking only runs
 on valid instances. `run_suite` and `exhaustive_sweep` aggregate through
@@ -41,6 +42,7 @@ from .cover import (
     Covered,
     CoverInstance,
     UncoverableCurve,
+    _hypothesis_holds,
     beta_of,
     conic_cover_check,
     find_heavy_points,
@@ -182,10 +184,13 @@ def _current_bit_size(current: DivisorCurrent) -> int:
 
 
 def _random_point(rng: random.Random, bound: int) -> Point:
+    # choice over the range draws what randint(-bound, bound) draws, with
+    # one _randbelow(2 * bound + 1) per entry, in fewer calls
+    span = range(-bound, bound + 1)
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(3)]
+        coords = (rng.choice(span), rng.choice(span), rng.choice(span))
         if any(coords):
-            return Point(*coords)
+            return Point._of(coords)
 
 
 def _random_line(rng: random.Random, bound: int) -> Line:
@@ -332,7 +337,7 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
         heavy = find_heavy_points(current, alpha)
     except IrrationalIntersection:
         return built(TAG_INVALID)
-    if len(heavy) < 4:
+    if not _hypothesis_holds(current, alpha, heavy):
         return built(TAG_PRECONDITION)
     return built(TAG_OK, instance=CoverInstance(current, alpha, heavy))
 
@@ -504,7 +509,7 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
                 continue
             bit_size = _current_bit_size(current)
             for alpha in grid.alphas:
-                valid = len(find_heavy_points(current, alpha)) >= 4
+                valid = _hypothesis_holds(current, alpha, find_heavy_points(current, alpha))
                 tally.count(TAG_OK if valid else TAG_PRECONDITION)
                 level = current.level_set(beta_of(alpha), strict=True)
                 verdict = conic_cover_check(level)

@@ -23,7 +23,8 @@ Two eliminations, both fraction-free:
   matching row of the reduced row echelon form, so its zero pattern is
   exactly that form's. Its pivot columns are the same greedy basis as
   `pivots`. `nullspace` reads its basis off these rows, dividing only
-  there, into `Fraction`s. `cover` keeps one such echelon of a point set
+  there, into `Fraction`s; `projective.conic_space` reads the same basis
+  as integers, scaled by the lcm of the pivots. `cover` keeps one such echelon of a point set
   up to date by further `pivot_on` steps to read coloops.
 """
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
@@ -52,7 +52,7 @@ def _lead(v: Sequence[int]) -> int:
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """The integer tuple divided by its gcd, signed so its lead is positive."""
     g = gcd(*v) if _lead(v) > 0 else -gcd(*v)
-    return tuple(v) if g == 1 else tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def _integers(values: Sequence) -> Sequence[int]:
@@ -265,8 +265,21 @@ def _rows_of(coords: list[Triple], degree: int) -> tuple[list, int]:
 
 
 def conic_space(points: Iterable[Point]) -> tuple[Conic, ...]:
-    """Basis of the space of quadratic forms vanishing on all given points."""
-    return tuple(Conic(*vec) for vec in linalg.nullspace(*_incidence_rows(points, 2)))
+    """Basis of the space of quadratic forms vanishing on all given points:
+    the basis of `linalg.nullspace` on their Veronese rows, each vector
+    scaled to integers by the lcm of the pivots of the reduced echelon.
+    Neither the order of the rows nor repeated rows change that echelon."""
+    rows, ncols = _rows_of([p.ints for p in points], 2)
+    echelon, pivots = linalg.reduced_echelon(rows)
+    scale = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        coeffs = [0] * ncols
+        coeffs[f] = scale
+        for row, c in zip(echelon, pivots):
+            coeffs[c] = -row[f] * (scale // row[c])
+        basis.append(Conic._of(coeffs))
+    return tuple(basis)
 
 
 def on_common_curve(points: Iterable[Point], degree: int) -> bool:

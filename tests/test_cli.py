@@ -269,6 +269,24 @@ def test_check_instance_with_conic_component(tmp_path):
     assert report["verdict"]["witness"]["kind"] == "conic"
 
 
+def test_check_heavy_conic_without_rational_points(tmp_path, capsys):
+    # x^2 + y^2 = 3z^2 has no rational point, but its weight reaches alpha,
+    # so every point on it is heavy and the instance is valid
+    path = tmp_path / "no-point.json"
+    path.write_text(json.dumps({
+        "lines": [], "conics": [["1", "0", "0", "1", "0", "-3"]], "weights": ["1/2"], "alpha": "9/20",
+    }))
+    report_path = tmp_path / "no-point-report.json"
+    assert main(["check", str(path), "--out", str(report_path)]) == 0
+    assert capsys.readouterr().out == "covered (omitted: none)\n"
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "covered"
+    assert report["heavy_points"] == []
+    conic = {"kind": "conic", "coefficients": ["1", "0", "0", "1", "0", "-3"]}
+    assert report["level_set"]["component_curves"] == [conic]
+    assert report["verdict"] == {"kind": "covered", "witness": conic, "omitted": None}
+
+
 def test_search_deterministic_reports(tmp_path):
     args = [
         "search", "--lines", "5", "--trials", "60", "--seed", "7",

@@ -456,6 +456,68 @@ def test_cover_instance_validation():
         CoverInstance(quad.scaled(Fraction(1, 2)), HALF, heavy)  # mass != 1
 
 
+NO_POINT_CONIC = Conic(1, 0, 0, 1, 0, -3)  # x^2 + y^2 = 3z^2: no rational point
+
+
+def test_heavy_conic_without_rational_points_is_covered():
+    current = DivisorCurrent([(HALF, NO_POINT_CONIC)])
+    alpha = Fraction(9, 20)
+    assert _conic_point_search(NO_POINT_CONIC, 6) == ()
+    assert find_heavy_points(current, alpha) == ()
+    instance, level, verdict = evaluate_cover(current, alpha)
+    assert instance.heavy_points == () and instance.densities == ()
+    assert level.component_curves == (NO_POINT_CONIC,) and level.isolated_points == ()
+    assert verdict == Covered(NO_POINT_CONIC)
+    assert verify_verdict(level, verdict)
+
+
+def test_component_weight_equal_to_alpha_is_heavy():
+    current = DivisorCurrent([(HALF, NO_POINT_CONIC)])
+    instance, level, verdict = evaluate_cover(current, HALF)
+    assert verdict == Covered(NO_POINT_CONIC) and verify_verdict(level, verdict)
+    # just above the weight, no component is heavy and no point is either
+    with pytest.raises(InvalidInstance, match="got 0$"):
+        evaluate_cover(current, Fraction(11, 20))
+    # the same with a line of weight exactly alpha and no listed point
+    lines = DivisorCurrent(
+        [(HALF, Line(0, 0, 1)), (Fraction(1, 4), Line(1, 0, 0)), (Fraction(1, 4), Line(0, 1, 0))]
+    )
+    assert CoverInstance(lines, HALF, ()).heavy_points == ()
+
+
+def test_heavy_line_with_three_heavy_points():
+    # z = 0 has weight alpha; (0:0:1) is an isolated heavy point off it
+    current = DivisorCurrent(
+        [(HALF, Line(0, 0, 1)), (Fraction(1, 4), Line(1, 0, 0)), (Fraction(1, 4), Line(0, 1, 0))]
+    )
+    three = (Point(0, 0, 1), Point(1, 0, 0), Point(0, 1, 0))
+    assert current.level_set(HALF).isolated_points == (Point(0, 0, 1),)
+    instance = CoverInstance(current, HALF, three)
+    assert instance.heavy_points == tuple(sorted(three))
+    assert instance.densities == (HALF, Fraction(3, 4), Fraction(3, 4))
+    _, level, verdict = evaluate_cover(current, HALF)
+    assert isinstance(verdict, Covered) and verify_verdict(level, verdict)
+    # below alpha the line is no longer heavy, and three points are too few
+    lighter = DivisorCurrent(
+        [(Fraction(2, 5), Line(0, 0, 1)), (Fraction(3, 10), Line(1, 0, 0)), (Fraction(3, 10), Line(0, 1, 0))]
+    )
+    assert all(lighter.lelong_number(p) >= HALF for p in three)
+    with pytest.raises(InvalidInstance, match="got 3$"):
+        CoverInstance(lighter, HALF, three)
+    # a light listed point is still rejected when a component is heavy
+    with pytest.raises(InvalidInstance, match="has density"):
+        CoverInstance(current, HALF, three + (Point(1, 1, 1),))
+
+
+def test_conic_witness_is_the_reference_kernel_vector():
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        pts = random_points(rng, n, bound=rng.choice([3, 40])) if n else []
+        verdict = conic_cover_check(finite_level(pts))
+        assert verdict == Covered(reference_conic_space(pts)[0])
+
+
 def test_check_cover_instance_on_quadrilateral():
     quad = DivisorCurrent(
         [(Fraction(1, 4), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -16,6 +17,7 @@ from planecurrents.errors import (
     WeightExceeded,
 )
 from planecurrents.projective import (
+    _cross,
     Conic,
     Line,
     Point,
@@ -358,6 +360,24 @@ def test_integer_weights_match_the_fraction_oracle():
         for threshold in rng.sample(exact, min(6, len(exact))) + rng.sample(near, 4):
             for strict in (False, True):
                 _assert_matches_oracle(current, threshold, strict)
+
+
+def test_concurrent_lines_share_one_map_entry():
+    # three lines through (1:1:1) whose pairwise cross products are
+    # (1, 1, 1), (2, 2, 2) and (-1, -1, -1): one key, one point
+    concurrent = [Line(1, -1, 0), Line(0, 1, -1), Line(1, 1, -2)]
+    raw = {_cross(a.ints, b.ints) for a, b in combinations(concurrent, 2)}
+    assert raw == {(1, 1, 1), (2, 2, 2), (-1, -1, -1)}
+    weights = [Fraction(1, 4), Fraction(1, 6), Fraction(1, 3)]
+    current = DivisorCurrent(list(zip(weights, concurrent)) + [(Fraction(1, 4), Line(0, 0, 1))])
+    centre = Point(1, 1, 1)
+    assert current._incidence_map()[centre.ints] == (9, 4)  # 3/4 and 1/3 over den 12
+    points = current.support_intersections()
+    assert points.count(centre) == 1 and len(points) == 4
+    assert points == tuple(sorted(points))
+    assert current.lelong_number(centre) == sum(weights)
+    assert current.level_set(sum(weights)).isolated_points == (centre,)
+    assert current.level_set(sum(weights), strict=True).isolated_points == ()
 
 
 def test_incidence_cache_is_invisible():

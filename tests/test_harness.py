@@ -5,20 +5,22 @@ from itertools import islice
 
 import pytest
 
-from planecurrents.cover import NotCoverable, conic_cover_check, find_heavy_points
-from planecurrents.errors import GridTooLarge, InvalidSpec
+from planecurrents.cover import CoverInstance, NotCoverable, conic_cover_check, find_heavy_points
+from planecurrents.errors import GridTooLarge, InvalidInstance, InvalidSpec
 from planecurrents.gallery import build
 from planecurrents.harness import (
     FRAME_LINES,
     GenSpec,
     SweepGrid,
     _current_bit_size,
+    _random_line,
+    _random_point,
     exhaustive_sweep,
     generate,
     run_suite,
 )
 from planecurrents.currents import DivisorCurrent
-from planecurrents.projective import Conic, Line, ProjectiveMap, is_irreducible
+from planecurrents.projective import Conic, Line, Point, ProjectiveMap, is_irreducible, line_through
 from planecurrents.serialize import level_set_to_json, parse_instance
 from planecurrents import linalg
 
@@ -145,6 +147,53 @@ def test_conic_pencil_instances_validate():
             assert any(c.degree == 2 for c in item.current.curves)
             item.current.support_intersections()  # must stay rational
     assert seen_ok > 0
+
+
+def _randint_point(rng, bound):
+    while True:
+        coords = [rng.randint(-bound, bound) for _ in range(3)]
+        if any(coords):
+            return Point(*coords)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+@pytest.mark.parametrize("bound", [1, 5])
+def test_random_draws_keep_the_randint_stream(seed, bound):
+    # `search` reports are pinned per --seed, so the generator's draws must
+    # stay the randint(-bound, bound) stream on every Python version
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(40):
+        assert _random_point(rng, bound) == _randint_point(reference, bound)
+        while True:
+            p, q = _randint_point(reference, bound), _randint_point(reference, bound)
+            if p != q:
+                break
+        assert _random_line(rng, bound) == line_through(p, q)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("n_conics, scheme", [(0, "uniform"), (0, "random"), (1, "random")])
+def test_generated_validity_is_the_cover_instance_rule(n_conics, scheme):
+    spec = GenSpec(
+        n_lines=4 + n_conics,
+        n_conics=n_conics,
+        weight_scheme=scheme,
+        alphas=(Fraction(9, 20), Fraction(1, 2)),
+        seed=29,
+    )
+    tags = {}
+    for item in islice(generate(spec), 80):
+        tags[item.tag] = tags.get(item.tag, 0) + 1
+        if item.tag not in ("ok", "skipped-precondition"):
+            continue
+        heavy = find_heavy_points(item.current, item.alpha)
+        try:
+            CoverInstance(item.current, item.alpha, heavy)
+        except InvalidInstance:
+            assert item.tag == "skipped-precondition"
+        else:
+            assert item.tag == "ok"
+    assert tags.get("ok", 0) > 0
 
 
 def test_counterexample_payloads_reverify(monkeypatch):

@@ -11,6 +11,7 @@ from planecurrents.errors import (
     UnsupportedDegree,
 )
 from planecurrents.projective import (
+    _primitive,
     _sixes_on_a_conic,
     Conic,
     Line,
@@ -89,6 +90,30 @@ def test_canonical_form_is_idempotent_and_unique():
     assert Conic(2, 0, 0, -2, 0, 0) == Conic(1, 0, 0, -1, 0, 0)
     with pytest.raises(ValueError):
         Point(0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ((-2, 4, -6), (1, -2, 3)),  # negative lead and gcd 2
+        ((0, 0, -5), (0, 0, 1)),  # leading zeros and a negative lead
+        ((0, 6, -9, 3, 0, 12), (0, 2, -3, 1, 0, 4)),  # leading zero, gcd 3, six entries
+        ((0, -14, 21), (0, 2, -3)),  # leading zero, negative lead, gcd 7
+        ((3, -7, 5), (3, -7, 5)),  # already primitive
+        ((-1, 0, 0), (1, 0, 0)),
+    ],
+)
+def test_primitive(raw, expected):
+    for v in (raw, list(raw), expected):
+        got = _primitive(v)
+        assert got == expected and type(got) is tuple
+    assert rational_form(expected) == rational_form(raw)
+
+
+def test_primitive_rejects_all_zero():
+    for zero in ((0, 0, 0), [0] * 6):
+        with pytest.raises(ValueError, match="^homogeneous coordinates must not all be zero$"):
+            _primitive(zero)
 
 
 def test_incidence_basics():
@@ -300,6 +325,7 @@ def test_conic_space_is_the_reference_basis_of_unscaled_rows():
         expected = reference_conic_space(pts)
         assert conic_space(pts) == expected
         assert conic_space([Point(*(7 * x for x in p.coords)) for p in reversed(pts)]) == expected
+        assert conic_space(pts + pts[:2]) == expected
 
 
 def test_two_points_and_samples_lie_on_line():
