@@ -101,6 +101,13 @@ def cmd_check(args) -> int:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     document["beta"] = serialize.format_rational(instance.beta)
+    heavy_curves = [
+        {"curve": serialize.curve_to_json(c), "weight": serialize.format_rational(w)}
+        for w, c in current.components
+        if w >= alpha
+    ]
+    if heavy_curves:
+        document["heavy_curves"] = heavy_curves
     document["heavy_points"] = [
         {
             "point": serialize.point_to_json(p),

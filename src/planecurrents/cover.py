@@ -58,14 +58,12 @@ from .projective import (
     Curve,
     Line,
     Point,
-    _form,
     _rows_of,
     conic_from_lines,
     conic_space,
     incident,
     line_in_conic,
     line_through,
-    sample_line_points,
 )
 
 TWO_FIFTHS = Fraction(2, 5)
@@ -368,58 +366,12 @@ class CoverInstance:
         return beta_of(self.alpha)
 
 
-# A first point on a heavy conic is looked for only among (1:0:0), (0:1:0),
-# (1:t:0) and (x:y:1) with integers |t|, |x|, |y| <= _SEARCH_HEIGHT. A conic
-# whose rational points all lie elsewhere, such as (5:0:2) or (3:-4:0),
-# gives no heavy point; its weight alone makes the instance valid.
-_SEARCH_HEIGHT = 10
-# points sampled on each heavy component curve: the four needed, plus two
-_CURVE_SAMPLES = 6
-
-
-def _conic_point_search(conic: Conic, count: int) -> tuple[Point, ...]:
-    """Up to `count` rational points on an irreducible conic: bounded
-    search for one point, then chords through it give the rest."""
-    c = conic.ints
-    span = range(-_SEARCH_HEIGHT, _SEARCH_HEIGHT + 1)
-
-    def candidates():
-        yield (1, 0, 0)
-        yield (0, 1, 0)
-        yield from ((1, a, 0) for a in span)
-        yield from ((x, y, 1) for x in span for y in span)
-
-    base = next((b for b in candidates() if _form(c, b) == 0), None)
-    if base is None:
-        return ()
-    found = [Point._of(base)]
-    for d in candidates():
-        if len(found) >= count:
-            break
-        if d == base:
-            continue
-        # q(b) = 0, so q(s*b + t*d) = t*(s*grad q(b).d + t*q(d)): the chord
-        # meets the conic again at (s, t) = (q(d), -grad q(b).d)
-        qd = _form(c, d)
-        g = _form(c, [x + y for x, y in zip(base, d)]) - qd
-        p = Point._of(tuple(qd * x - g * y for x, y in zip(base, d)))
-        if p not in found:
-            found.append(p)
-    return tuple(found[:count])
-
-
 def find_heavy_points(current: DivisorCurrent, alpha) -> tuple[Point, ...]:
-    """Points with Lelong number >= alpha: all isolated members of the
-    level set at alpha, plus sampled points on full component curves."""
-    a = Fraction(alpha)
-    level = current.level_set(a, strict=False)
-    points = set(level.isolated_points)
-    for curve in level.component_curves:
-        if isinstance(curve, Line):
-            points.update(sample_line_points(curve, _CURVE_SAMPLES))
-        else:
-            points.update(_conic_point_search(curve, _CURVE_SAMPLES))
-    return tuple(sorted(points))
+    """The isolated points of the level set {nu >= alpha}, in canonical
+    order. A component curve of weight >= alpha is not sampled: its weight
+    alone meets the hypothesis (see `_hypothesis_holds`), and `check`
+    reports it as a curve."""
+    return current.level_set(Fraction(alpha), strict=False).isolated_points
 
 
 def evaluate_cover(current: DivisorCurrent, alpha) -> tuple[CoverInstance, LevelSet, Verdict]:

@@ -10,8 +10,8 @@ picks a construction strategy that concentrates density on purpose:
 * "pencils":    lines routed through four anchor points (cycle plus
                 diagonals), so anchors accumulate density; validity then
                 depends on the drawn weights.
-* "heavy-line": one line drawn with weight >= alpha; any four of its
-                points are heavy, so validity is certain.
+* "heavy-line": one line drawn with weight >= alpha, whose weight alone
+                meets the hypothesis, so validity is certain.
 * "scatter":    unstructured lines through random point pairs; almost
                 always tagged skipped-precondition, kept as a negative
                 control.

@@ -348,24 +348,6 @@ def two_points_on_line(line: Line) -> tuple[Point, Point]:
     return found[0], found[1]
 
 
-def sample_line_points(line: Line, count: int) -> tuple[Point, ...]:
-    """Deterministic distinct rational points on a line: the two of
-    `two_points_on_line`, u and v, then u + t*v for t = 1, 2, ... on their
-    rational forms (the sum is not scale-invariant)."""
-    u, v = two_points_on_line(line)
-    a, b = u.ints, v.ints
-    # u + t*v = a/la + t*b/lb, times la*lb
-    la, lb = _lead(a), _lead(b)
-    out = [u, v]
-    t = 1
-    while len(out) < count:
-        cand = Point._of(tuple(lb * x + t * la * y for x, y in zip(a, b)))
-        if cand not in out:
-            out.append(cand)
-        t += 1
-    return tuple(out[:count])
-
-
 def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
     """Rational intersection points of a line with a conic.
 

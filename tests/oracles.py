@@ -313,28 +313,6 @@ def _line_meets(line, curve) -> list[Point]:
     return [Point(*at(u, v)) for u, v in roots]
 
 
-def reference_conic_points(conic, count) -> tuple[Point, ...]:
-    """Up to `count` points of a conic in the order the heavy-conic search
-    gives them: the first of (1:0:0), (0:1:0), (1:t:0) and (x:y:1), with
-    integers |t|, |x|, |y| <= 10 in ascending order, where the form
-    vanishes; then, for each later candidate in the same order, the new
-    point where the line from that first point to it meets the conic."""
-    span = range(-10, 11)
-    candidates = [Point(1, 0, 0), Point(0, 1, 0)]
-    candidates += [Point(1, t, 0) for t in span]
-    candidates += [Point(x, y, 1) for x in span for y in span]
-    base = next((p for p in candidates if _form(conic, p.coords) == 0), None)
-    if base is None:
-        return ()
-    found = [base]
-    for d in candidates:
-        if len(found) >= count:
-            break
-        if d != base:
-            found += [p for p in _line_meets(_join(base, d), conic) if p not in found]
-    return tuple(found[:count])
-
-
 def mass_oracle(current) -> Fraction:
     """Sum of the Fraction weights times the degrees (three coefficients
     for a line, six for a conic)."""

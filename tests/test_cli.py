@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from planecurrents import cli, serialize
 from planecurrents.cli import main
 from planecurrents.gallery import build
+from planecurrents.projective import Conic, Line, line_in_conic
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,8 @@ def test_check_covered(instance_files, tmp_path, capsys):
     assert report["verdict"]["kind"] == "covered"
     assert report["verdict"]["omitted"] is not None
     assert len(report["heavy_points"]) == 6
+    # no component reaches alpha, so the key is not written
+    assert "heavy_curves" not in report
 
 
 @pytest.mark.parametrize(
@@ -266,7 +269,10 @@ def test_check_instance_with_conic_component(tmp_path):
     assert main(["check", str(path), "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["status"] == "covered"
-    assert report["verdict"]["witness"]["kind"] == "conic"
+    conic = {"kind": "conic", "coefficients": ["0", "0", "1", "-1", "0", "0"]}
+    assert report["heavy_curves"] == [{"curve": conic, "weight": "9/20"}]
+    assert report["heavy_points"] == []
+    assert report["verdict"]["witness"] == conic
 
 
 def test_check_heavy_conic_without_rational_points(tmp_path, capsys):
@@ -283,8 +289,56 @@ def test_check_heavy_conic_without_rational_points(tmp_path, capsys):
     assert report["status"] == "covered"
     assert report["heavy_points"] == []
     conic = {"kind": "conic", "coefficients": ["1", "0", "0", "1", "0", "-3"]}
+    assert report["heavy_curves"] == [{"curve": conic, "weight": "1/2"}]
     assert report["level_set"]["component_curves"] == [conic]
     assert report["verdict"] == {"kind": "covered", "witness": conic, "omitted": None}
+
+
+def _parse_curve(document):
+    parse = serialize.parse_line if document["kind"] == "line" else serialize.parse_conic
+    return parse(document["coefficients"])
+
+
+def _is_component(curve, witness):
+    if isinstance(curve, Line) and isinstance(witness, Conic):
+        return line_in_conic(curve, witness)
+    return curve == witness
+
+
+@pytest.mark.parametrize(
+    "payload, heavy_curves, heavy_points",
+    [
+        # z = 0 at weight exactly alpha; (0:0:1), where x = 0 and y = 0
+        # meet, is an isolated heavy point off it
+        (
+            {"lines": [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+             "weights": ["1/2", "1/4", "1/4"], "alpha": "1/2"},
+            [({"kind": "line", "coefficients": ["0", "0", "1"]}, "1/2")],
+            [(["0", "0", "1"], "1/2")],
+        ),
+        # two lines of weight 1/2, listed in component order
+        (
+            {"lines": [["2", "3", "6"], ["1", "0", "-1"]], "weights": ["1/2", "1/2"],
+             "alpha": "1/2"},
+            [({"kind": "line", "coefficients": ["1", "0", "-1"]}, "1/2"),
+             ({"kind": "line", "coefficients": ["1", "3/2", "3"]}, "1/2")],
+            [],
+        ),
+    ],
+)
+def test_check_reports_heavy_curves(tmp_path, payload, heavy_curves, heavy_points):
+    path, report_path = tmp_path / "heavy.json", tmp_path / "heavy-report.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", str(path), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["heavy_curves"] == [{"curve": c, "weight": w} for c, w in heavy_curves]
+    assert report["heavy_points"] == [{"point": p, "lelong": nu} for p, nu in heavy_points]
+    # a heavy curve has weight >= alpha > beta, so every witness holds it
+    assert report["verdict"]["kind"] == "covered"
+    witness = _parse_curve(report["verdict"]["witness"])
+    for entry in report["heavy_curves"]:
+        curve = _parse_curve(entry["curve"])
+        assert _is_component(curve, witness)
 
 
 def test_search_deterministic_reports(tmp_path):

@@ -10,7 +10,7 @@ from planecurrents.cover import (
     NotCoverable,
     UncoverableCurve,
     UncoveredPoints,
-    _conic_point_search,
+    _hypothesis_holds,
     beta_of,
     conic_cover_check,
     evaluate_cover,
@@ -27,15 +27,14 @@ from planecurrents.projective import (
     Line,
     Point,
     incident,
-    is_irreducible,
     max_on_curve,
 )
 
 from oracles import (
-    _form,
     _join,
     _veronese,
     coverable_oracle,
+    level_set_oracle,
     minimal_obstruction_oracle,
     omission_oracle,
     random_points,
@@ -43,7 +42,6 @@ from oracles import (
     random_structured_points,
     random_unit_current,
     random_wide_points,
-    reference_conic_points,
     reference_conic_space,
     reference_rank,
 )
@@ -462,7 +460,6 @@ NO_POINT_CONIC = Conic(1, 0, 0, 1, 0, -3)  # x^2 + y^2 = 3z^2: no rational point
 def test_heavy_conic_without_rational_points_is_covered():
     current = DivisorCurrent([(HALF, NO_POINT_CONIC)])
     alpha = Fraction(9, 20)
-    assert _conic_point_search(NO_POINT_CONIC, 6) == ()
     assert find_heavy_points(current, alpha) == ()
     instance, level, verdict = evaluate_cover(current, alpha)
     assert instance.heavy_points == () and instance.densities == ()
@@ -550,9 +547,15 @@ def test_find_heavy_points_on_full_line():
             (Fraction(1, 5), Line(0, 1, 0)),
         ]
     )
-    heavy = find_heavy_points(heavy_line, Fraction(11, 20))
-    assert len(heavy) >= 4
-    assert all(heavy_line.lelong_number(p) >= Fraction(11, 20) for p in heavy)
+    alpha = Fraction(11, 20)
+    level = heavy_line.level_set(alpha, strict=False)
+    assert level.component_curves == (Line(0, 0, 1),)
+    # (1:0:0) and (0:1:0), of density 4/5, lie on the heavy line and are
+    # not listed; (0:0:1), off it, has density 2/5
+    heavy = find_heavy_points(heavy_line, alpha)
+    assert heavy == level.isolated_points == ()
+    instance = CoverInstance(heavy_line, alpha, heavy)
+    assert instance.heavy_points == () and instance.densities == ()
 
 
 def test_find_heavy_points_on_conic_component():
@@ -563,66 +566,32 @@ def test_find_heavy_points_on_conic_component():
             (Fraction(1, 20), Line(0, 0, 1)),
         ]
     )
-    heavy = find_heavy_points(t, Fraction(9, 20))
-    assert len(heavy) >= 4
-    assert all(incident(p, SMOOTH_CONIC) for p in heavy)
+    alpha = Fraction(9, 20)
+    level = t.level_set(alpha, strict=False)
+    assert level.component_curves == (SMOOTH_CONIC,)
+    heavy = find_heavy_points(t, alpha)
+    assert heavy == level.isolated_points == ()
+    assert CoverInstance(t, alpha, heavy).heavy_points == ()
 
 
-def _search_matches_oracle(conic):
-    assert is_irreducible(conic)
-    found = _conic_point_search(conic, 6)
-    assert found == reference_conic_points(conic, 6)
-    assert len(set(found)) == len(found)
-    assert all(_form(conic, p.coords) == 0 for p in found)
-    return found
+ORACLE_ALPHAS = (Fraction(9, 20), HALF, Fraction(3, 5))
 
 
-def test_conic_point_search_matches_oracle():
-    rng = random.Random(67)
-    searched = []
-    while len(searched) < 60:
-        ints = [rng.randint(-6, 6) for _ in range(6)]
-        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)]
-        for coeffs in (ints, fracs):
-            if any(coeffs) and is_irreducible(Conic(*coeffs)):
-                searched.append(_search_matches_oracle(Conic(*coeffs)))
-    for _ in range(40):
-        searched.append(_search_matches_oracle(random_projective_map(rng).conic(SMOOTH_CONIC)))
-    # both kinds occur: conics with and without a point on the grid
-    assert any(searched) and not all(searched)
-
-
-def test_conic_point_search_base_points_at_infinity():
-    # x*z = y^2 through (1:0:0), where the tangent z = 0 holds every (1:t:0):
-    # those chords give nothing new, and (x:y:1) gives (y^2:y:1)
-    assert _search_matches_oracle(SMOOTH_CONIC) == (
-        Point(1, 0, 0),
-        Point(100, -10, 1),
-        Point(81, -9, 1),
-        Point(64, -8, 1),
-        Point(49, -7, 1),
-        Point(36, -6, 1),
-    )
-    # x*y + y^2 = z^2 through (1:0:0); x^2 + x*y = z^2 through (0:1:0);
-    # -15x^2 + 2xy + y^2 + xz + z^2 = 0 meets z = 0 at (1:-5:0) and (1:3:0)
-    for conic, base in (
-        (Conic(0, 1, 0, 1, 0, -1), Point(1, 0, 0)),
-        (Conic(1, 1, 0, 0, 0, -1), Point(0, 1, 0)),
-        (Conic(-15, 2, 1, 1, 0, 1), Point(1, -5, 0)),
-    ):
-        found = _search_matches_oracle(conic)
-        assert found[0] == base and len(found) == 6
-
-
-def test_conic_point_search_without_a_grid_point():
-    # x^2 + y^2 = 3z^2 has no rational point at all
-    assert _search_matches_oracle(Conic(1, 0, 0, 1, 0, -3)) == ()
-    # this one goes through (5:0:2) and (3:-4:0), neither of them on the grid
-    conic = Conic(
-        1, Fraction(-65, 4), Fraction(-11, 4), Fraction(-51, 4), Fraction(269, 16), Fraction(5, 8)
-    )
-    assert incident(Point(5, 0, 2), conic) and incident(Point(3, -4, 0), conic)
-    assert _search_matches_oracle(conic) == ()
+def test_find_heavy_points_matches_the_level_set_oracle():
+    rng = random.Random(73)
+    outcomes = Counter()
+    for i in range(200):
+        current = random_unit_current(rng)
+        alpha = ORACLE_ALPHAS[i % 3]
+        heavy = find_heavy_points(current, alpha)
+        _, isolated = level_set_oracle(current, alpha, strict=False)
+        assert heavy == isolated
+        heavy_curve = any(w >= alpha for w, _ in current.components)
+        holds = heavy_curve or len(isolated) >= 4
+        assert _hypothesis_holds(current, alpha, heavy) == holds
+        outcomes[heavy_curve, len(isolated) >= 4] += 1
+    # heavy curves, four or more points, and neither all occur
+    assert outcomes[True, False] and outcomes[False, True] and outcomes[False, False]
 
 
 def test_witness_contains_points_reporting():

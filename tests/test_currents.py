@@ -26,7 +26,7 @@ from planecurrents.projective import (
     incident,
     line_through,
     meet,
-    sample_line_points,
+    two_points_on_line,
 )
 
 from oracles import (
@@ -186,7 +186,8 @@ def test_level_set_monotonicity():
         t = random_unit_current(rng)
         probes = list(t.support_intersections())
         for line in t.curves:
-            probes.extend(sample_line_points(line, 3))
+            u, v = (p.ints for p in two_points_on_line(line))
+            probes.extend(Point(*(a + k * b for a, b in zip(u, v))) for k in (1, 2, 3))
         t1 = Fraction(rng.randint(1, 5), rng.randint(6, 20))
         t2 = t1 + Fraction(1, rng.randint(4, 9))
         strict_level = t.level_set(t1, strict=True)

@@ -85,7 +85,10 @@ def test_generated_instances_are_valid_unit_mass():
             assert item.current.mass == 1
         if item.tag == "ok":
             inst = item.instance
-            assert len(inst.heavy_points) >= 4
+            assert (
+                any(w >= inst.alpha for w, _ in inst.current.components)
+                or len(inst.heavy_points) >= 4
+            )
             assert all(
                 inst.current.lelong_number(p) >= inst.alpha for p in inst.heavy_points
             )
@@ -211,7 +214,9 @@ def test_counterexample_payloads_reverify(monkeypatch):
     for payload in suite.counterexamples + sweep.counterexamples:
         assert payload["verified"] is True
         current, alpha = parse_instance(payload["instance"])
-        assert len(find_heavy_points(current, alpha)) >= 4
+        heavy = find_heavy_points(current, alpha)
+        assert any(w >= alpha for w, _ in current.components) or len(heavy) >= 4
+        assert all(current.lelong_number(p) >= alpha for p in heavy)
         level = current.level_set(Fraction(1, 40), strict=True)
         assert payload["level_set"] == level_set_to_json(level)
         assert isinstance(conic_cover_check(level), NotCoverable)

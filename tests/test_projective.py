@@ -31,7 +31,6 @@ from planecurrents.projective import (
     meet,
     multiplicity,
     on_common_curve,
-    sample_line_points,
     two_points_on_line,
 )
 from planecurrents.serialize import MAX_POINTS
@@ -334,9 +333,6 @@ def test_two_points_and_samples_lie_on_line():
         line = line_through(*random_points(rng, 2))
         u, v = two_points_on_line(line)
         assert u != v and incident(u, line) and incident(v, line)
-        samples = sample_line_points(line, 6)
-        assert len(set(samples)) == 6
-        assert all(incident(p, line) for p in samples)
 
 
 def test_intersect_line_conic_rational_cases():

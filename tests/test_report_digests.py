@@ -3,9 +3,10 @@
 Reports are part of the behaviour contract: the same input and seed must
 give byte-identical `search`, `check` and `levelset` output across
 refactors and speed-ups. The digests below were recorded from the code
-before the incidence-map level sets went in, and those of the two
-heavy-line documents from the code before points were stored as integer
-triples; a mismatch means a report changed. Regenerate a table only for a
+before the incidence-map level sets went in, and the `check` digests of
+the three documents with a heavy component (`conic-heavy` and the two
+heavy lines) from the code that first reported heavy curves as curves; a
+mismatch means a report changed. Regenerate a table only for a
 deliberate, documented format change, by printing `_digest(...)` for each
 entry.
 """
@@ -35,10 +36,10 @@ CONIC_SPECS = {
     "conics-2": ("--lines", "3", "--conics", "2", "--trials", "10", "--seed", "4"),
 }
 
-# a heavy line puts sampled points u + t*v of the line among the heavy
-# points; the two points spanning x - z = 0 have leading entries 1 and 1,
-# those spanning 2x + 3y + 6z = 0 have 2 and 3 as integer triples, where
-# the sum u + t*v depends on the scaling
+# a heavy line is reported as a curve under `heavy_curves`, with its weight,
+# and none of its points under `heavy_points`; these documents pin that key
+# for a line with integer coefficients 1, 0, -1 and one, 2x + 3y + 6z = 0,
+# whose rational form (1, 3/2, 3) is not an integer triple
 HEAVY_LINES = {"heavy-line": (1, 0, -1), "heavy-line-2-3-6": (2, 3, 6)}
 DOCUMENTS = (*gallery.NAMES, "conic-heavy", "conic-light", "conic-tangent", *HEAVY_LINES)
 
@@ -75,11 +76,11 @@ CHECK_DIGESTS: dict[str, str] = {
     "six-lines": "7842016f642855e3733536f9fed826598f49c0a139c5e89856a8189b8d3b1ba7",
     "three-lines": "1838ad04908bd287831f269b649f8be7c5328cba55c05405306e7acd60461548",
     "seven-lines": "da7d58b067da0c43c6f54c25353dc8d70bafb4858c9756e13bbcb1adba6795b7",
-    "conic-heavy": "fa7de854fd01589e56cf73d0e396390bef6b89a140989ebb7c42449eaeb558b0",
+    "conic-heavy": "0f63e833f6220fb54fcfd9376bdbdf6b00d7fc4dc6e193926058bd717f364ac2",
     "conic-light": "6ffa10320d971b3a95258784dcb7cedd45a22915cab1e3fec76bcadd59d51989",
     "conic-tangent": "de317bf6cc083694026e196aca671c237bc6fec930a41dcba8aed2c414a2c4c7",
-    "heavy-line": "191203c0646b785733c9127f270e3e148aa0a186f851811fd8a148ddfb78ccad",
-    "heavy-line-2-3-6": "12aa896bdfd20bc21a6ade12cab2f7646aa80e3e4679aa6f0bd476ac3f7733d3",
+    "heavy-line": "995b3ea9eef2f096c644e9a953c66d216682f3f629ca494e52db0e1daae49ed3",
+    "heavy-line-2-3-6": "29375d5a56d51b09e4162b6a9a2df6e39363a90a98d68a226cc269ffd042af1c",
 }
 
 LEVELSET_DIGESTS: dict[str, str] = {
