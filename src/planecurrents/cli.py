@@ -22,7 +22,7 @@ import time
 from typing import Optional
 
 from . import gallery, serialize
-from .cover import Covered, evaluate_cover, witness_contains_points
+from .cover import Covered, evaluate_cover, verify_verdict
 from .errors import InvalidInstance, InvalidSpec, ParseError, PlaneCurrentsError
 from .harness import GenSpec, run_suite
 from .projective import max_on_curve
@@ -117,9 +117,7 @@ def cmd_check(args) -> int:
     ]
     document["level_set"] = serialize.level_set_to_json(level)
     document["verdict"] = serialize.verdict_to_json(verdict)
-    document["witness_contains_heavy_points"] = witness_contains_points(
-        verdict, instance.heavy_points
-    )
+    document["verified"] = verify_verdict(level, verdict)
     document["status"] = "covered" if isinstance(verdict, Covered) else "counterexample"
     _write_report(args.out, document)
     if isinstance(verdict, Covered):

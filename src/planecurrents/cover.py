@@ -345,7 +345,7 @@ class CoverInstance:
         pts = tuple(sorted(set(heavy_points)))
         if not _hypothesis_holds(current, a, pts):
             raise InvalidInstance(
-                f"needs at least four points of density >= {a}, got {len(pts)}"
+                f"needs a component of weight >= {a} or four points of density >= {a}, got {len(pts)}"
             )
         densities = []
         for p in pts:
@@ -387,10 +387,3 @@ def evaluate_cover(current: DivisorCurrent, alpha) -> tuple[CoverInstance, Level
     level = current.level_set(instance.beta, strict=True)
     return instance, level, conic_cover_check(level)
 
-
-def witness_contains_points(verdict: Verdict, points) -> Optional[bool]:
-    """Whether a Covered witness passes through all the given points
-    (recorded for reporting; nothing is asserted about it)."""
-    if not isinstance(verdict, Covered):
-        return None
-    return all(incident(p, verdict.witness) for p in points)

@@ -19,10 +19,9 @@ picks a construction strategy that concentrates density on purpose:
                 through five base points plus chords through base-point
                 pairs, so all pairwise intersections stay rational.
 
-Instances that fail that precondition, exceed the bit-size
-cap, need irrational intersection points, or degenerate during
-construction are emitted with a skip tag and counted; checking only runs
-on valid instances. `run_suite` and `exhaustive_sweep` aggregate through
+Instances that fail that precondition, need irrational intersection
+points, or degenerate during construction are emitted with a skip tag
+and counted; checking only runs on valid instances. `run_suite` and `exhaustive_sweep` aggregate through
 one order-independent tally, and serialized reports hold no wall-clock
 timing, so they stay byte-identical across reruns.
 """
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
-from math import comb, gcd
+from math import comb
 from typing import Iterator, Optional
 
 from .cover import (
@@ -53,7 +52,6 @@ from .errors import GridTooLarge, InvalidSpec, IrrationalIntersection
 from .projective import (
     Line,
     Point,
-    _lead,
     conic_space,
     is_irreducible,
     line_through,
@@ -69,12 +67,15 @@ from .serialize import (
 TAG_OK = "ok"
 TAG_PRECONDITION = "skipped-precondition"
 TAG_INVALID = "skipped-invalid"
-TAG_OVERFLOW = "skipped-overflow"
 TAG_DEGENERATE = "skipped-degenerate"
 
 # raw random weights are drawn from 1..DENOMINATOR_BOUND (heavy conics from
 # DENOMINATOR_BOUND..2 * DENOMINATOR_BOUND) before scaling to the mass
 DENOMINATOR_BOUND = 16
+
+# largest coefficient_bound: line coefficients, cross products of drawn
+# points, stay near 64 bits, and len() of the draw range fits an ssize_t
+MAX_COEFFICIENT_BOUND = 2**31
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ class GenSpec:
     weight_scheme: str = "uniform"  # "uniform" | "random"
     alphas: tuple[Fraction, ...] = (Fraction(1, 2),)
     seed: int = 0
-    bit_cap: int = 4096
 
     def validate(self) -> None:
         if self.n_lines < 3:
@@ -96,6 +96,8 @@ class GenSpec:
             raise InvalidSpec("n_conics must be nonnegative")
         if self.coefficient_bound < 1:
             raise InvalidSpec("coefficient_bound must be at least 1 (no nondegenerate lines otherwise)")
+        if self.coefficient_bound > MAX_COEFFICIENT_BOUND:
+            raise InvalidSpec(f"coefficient_bound must be at most 2**31 = {MAX_COEFFICIENT_BOUND}")
         if self.weight_scheme not in ("uniform", "random"):
             raise InvalidSpec(f"unknown weight scheme {self.weight_scheme!r}")
         if not self.alphas:
@@ -113,7 +115,6 @@ class GenSpec:
             "denominator_bound": DENOMINATOR_BOUND,
             "alphas": [format_rational(a) for a in self.alphas],
             "seed": self.seed,
-            "bit_cap": self.bit_cap,
         }
 
 
@@ -125,12 +126,12 @@ class GeneratedInstance:
     strategy: str
     current: Optional[DivisorCurrent] = None
     instance: Optional[CoverInstance] = None
-    bit_size: Optional[int] = None  # _current_bit_size(current), when built
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated result of a batch run; deterministic given (spec, trials)."""
+    """Aggregated result of a batch run; deterministic given (spec, trials).
+    `profile_counts`, `m2_min` and `m2_max` are sweep-only and not serialized."""
 
     spec_summary: dict
     trials: int
@@ -141,7 +142,6 @@ class RunReport:
     not_coverable: int
     omitted_histogram: dict
     counterexamples: tuple
-    max_bit_size: int
     profile_counts: dict = field(default_factory=dict)
     m2_min: Optional[int] = None
     m2_max: Optional[int] = None
@@ -159,28 +159,7 @@ class RunReport:
                 str(k): v for k, v in sorted(self.omitted_histogram.items())
             },
             "counterexamples": list(self.counterexamples),
-            "max_bit_size": self.max_bit_size,
-            "profile_counts": dict(sorted(self.profile_counts.items())),
-            "m2_min": self.m2_min,
-            "m2_max": self.m2_max,
         }
-
-
-def _bit_size(value: Fraction) -> int:
-    return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
-
-
-def _current_bit_size(current: DivisorCurrent) -> int:
-    """Largest bit size of a weight or of a coefficient x/lead (lead the
-    first nonzero entry) in lowest terms."""
-    worst = 0
-    for w, c in current.components:
-        lead = _lead(c.ints)
-        for x in c.ints:
-            g = gcd(x, lead)
-            worst = max(worst, abs(x // g).bit_length(), (lead // g).bit_length())
-        worst = max(worst, _bit_size(w))
-    return worst
 
 
 def _random_point(rng: random.Random, bound: int) -> Point:
@@ -328,11 +307,7 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
     current = None if curves is None else DivisorCurrent(list(zip(weights, curves)))
     if current is None or len(current.components) != len(curves):
         return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
-    bit_size = _current_bit_size(current)
-    built = partial(GeneratedInstance, index, alpha=alpha, strategy=strategy,
-                    current=current, bit_size=bit_size)
-    if bit_size > spec.bit_cap:
-        return built(TAG_OVERFLOW)
+    built = partial(GeneratedInstance, index, alpha=alpha, strategy=strategy, current=current)
     try:
         heavy = find_heavy_points(current, alpha)
     except IrrationalIntersection:
@@ -364,7 +339,6 @@ class _Tally:
     not_coverable: int = 0
     omitted_histogram: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
-    max_bit_size: int = 0
 
     def count(self, tag: str) -> None:
         """One more instance tried, valid or skipped under `tag`."""
@@ -374,12 +348,10 @@ class _Tally:
         else:
             self.skipped[tag] = self.skipped.get(tag, 0) + 1
 
-    def record(self, current, alpha, level, verdict, valid: bool, bit_size: int, **head) -> None:
-        """Tally the verdict on one checked instance, whose current has
-        `_current_bit_size` `bit_size`. A NotCoverable verdict on a valid
-        instance keeps a standalone, re-verified counterexample payload led
-        by the `head` fields."""
-        self.max_bit_size = max(self.max_bit_size, bit_size)
+    def record(self, current, alpha, level, verdict, valid: bool, **head) -> None:
+        """Tally the verdict on one checked instance. A NotCoverable verdict
+        on a valid instance keeps a standalone, re-verified counterexample
+        payload led by the `head` fields."""
         if isinstance(verdict, Covered):
             self.covered += 1
             omitted = 0 if verdict.omitted is None else 1
@@ -406,7 +378,6 @@ class _Tally:
             not_coverable=self.not_coverable,
             omitted_histogram=self.omitted_histogram,
             counterexamples=tuple(self.counterexamples),
-            max_bit_size=self.max_bit_size,
             **extra,
         )
 
@@ -427,7 +398,7 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
             instance = item.instance
             level = instance.current.level_set(instance.beta, strict=True)
             tally.record(instance.current, instance.alpha, level, conic_cover_check(level),
-                         valid=True, bit_size=item.bit_size, index=item.index)
+                         valid=True, index=item.index)
     return tally.report(spec.summary(), trials)
 
 
@@ -507,13 +478,12 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
                 for _ in grid.alphas:
                     tally.count(TAG_DEGENERATE)
                 continue
-            bit_size = _current_bit_size(current)
             for alpha in grid.alphas:
                 valid = _hypothesis_holds(current, alpha, find_heavy_points(current, alpha))
                 tally.count(TAG_OK if valid else TAG_PRECONDITION)
                 level = current.level_set(beta_of(alpha), strict=True)
                 verdict = conic_cover_check(level)
-                tally.record(current, alpha, level, verdict, valid=valid, bit_size=bit_size)
+                tally.record(current, alpha, level, verdict, valid=valid)
                 if level.is_finite() and level.isolated_points:
                     m2 = max_on_curve(level.isolated_points, 2)
                     m2_min = m2 if m2_min is None else min(m2_min, m2)

@@ -83,7 +83,32 @@ def test_check_six_lines_covered_omitting_none(instance_files, tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["verdict"]["omitted"] is None
-    assert report["witness_contains_heavy_points"] is True
+    assert report["verified"] is True
+
+
+def test_check_records_a_failed_recheck(instance_files, tmp_path, monkeypatch):
+    # a wrong witness reads "verified": false, so the field is the re-check
+    # of the verdict, not a constant
+    import planecurrents.cover as cover_mod
+
+    # x^2 + y^2 = 3z^2 has no rational point, so it misses every heavy point
+    wrong = Conic(1, 0, 0, 1, 0, -3)
+    monkeypatch.setattr(cover_mod, "conic_cover_check", lambda level: cover_mod.Covered(wrong))
+    report_path = tmp_path / "wrong.json"
+    code = main(["check", instance_files["six-lines"], "--alpha", "1/2", "--out", str(report_path)])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "covered"
+    assert report["verdict"]["witness"] == {"kind": "conic", "coefficients": ["1", "0", "0", "1", "0", "-3"]}
+    assert report["verified"] is False
+
+
+def test_check_precondition_reason_names_both_halves(instance_files, tmp_path, capsys):
+    report_path = tmp_path / "three.json"
+    assert main(["check", instance_files["three-lines"], "--out", str(report_path)]) == 2
+    reason = "needs a component of weight >= 2/3 or four points of density >= 2/3, got 3"
+    assert json.loads(report_path.read_text())["reason"] == reason
+    assert capsys.readouterr().err == f"precondition failed: {reason}\n"
 
 
 def test_check_alpha_out_of_range(instance_files):
@@ -353,6 +378,33 @@ def test_search_deterministic_reports(tmp_path):
     report = json.loads(out1.read_text())
     assert report["counterexamples"] == []
     assert report["valid"] > 0
+
+
+@pytest.mark.parametrize("bound, code", [(2**62, 1), (2**31 + 1, 1), (2**31, 0)])
+def test_search_coeff_bound_is_capped(tmp_path, bound, code):
+    # 2**62 and above once ended in an OverflowError from the draw range
+    proc = subprocess.run(
+        [sys.executable, "-m", "planecurrents.cli", "search", "--lines", "5", "--trials", "3",
+         "--coeff-bound", str(bound), "--out", str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr == "search: coefficient_bound must be at most 2**31 = 2147483648\n"
+
+
+def test_search_checks_every_draw_of_a_huge_alpha(tmp_path):
+    # a 4,000-digit alpha near 1/2 gives weights of over 13,000 bits; every
+    # draw is still decided or skipped for a reason other than its size
+    alpha = f"{5 * 10**3999 + 1}/{10**4000 - 1}"
+    out = tmp_path / "report.json"
+    assert main(["search", "--lines", "7", "--trials", "20", "--alpha", alpha, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "skipped-overflow" not in report["skipped"]
+    assert sum(report["skipped"].values()) + report["valid"] == report["trials"] == 20
+    assert report["valid"] > 0 and report["covered"] == report["valid"]
 
 
 def test_search_usage_errors(capsys):

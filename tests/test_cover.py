@@ -17,7 +17,6 @@ from planecurrents.cover import (
     find_heavy_points,
     line_cover_check,
     verify_verdict,
-    witness_contains_points,
 )
 from planecurrents.currents import DivisorCurrent, LevelSet
 from planecurrents.errors import AlphaOutOfRange, InvalidInstance
@@ -524,7 +523,6 @@ def test_check_cover_instance_on_quadrilateral():
     assert level == quad.level_set(instance.beta, strict=True)
     assert conic_cover_check(level) == verdict
     assert verify_verdict(level, verdict)
-    assert witness_contains_points(verdict, instance.heavy_points) in (True, False)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(2, 5), Fraction(1, 5), 0, Fraction(-1, 2)])
@@ -592,13 +590,3 @@ def test_find_heavy_points_matches_the_level_set_oracle():
         outcomes[heavy_curve, len(isolated) >= 4] += 1
     # heavy curves, four or more points, and neither all occur
     assert outcomes[True, False] and outcomes[False, True] and outcomes[False, False]
-
-
-def test_witness_contains_points_reporting():
-    level = finite_level([Point(1, 0, 0), Point(0, 1, 0)])
-    verdict = conic_cover_check(level)
-    assert witness_contains_points(verdict, level.isolated_points) is True
-    not_cov = conic_cover_check(
-        LevelSet(HALF, True, (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1)), ())
-    )
-    assert witness_contains_points(not_cov, level.isolated_points) is None

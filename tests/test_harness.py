@@ -10,21 +10,18 @@ from planecurrents.errors import GridTooLarge, InvalidInstance, InvalidSpec
 from planecurrents.gallery import build
 from planecurrents.harness import (
     FRAME_LINES,
+    MAX_COEFFICIENT_BOUND,
     GenSpec,
     SweepGrid,
-    _current_bit_size,
     _random_line,
     _random_point,
     exhaustive_sweep,
     generate,
     run_suite,
 )
-from planecurrents.currents import DivisorCurrent
-from planecurrents.projective import Conic, Line, Point, ProjectiveMap, is_irreducible, line_through
+from planecurrents.projective import Line, Point, ProjectiveMap, line_through
 from planecurrents.serialize import level_set_to_json, parse_instance
 from planecurrents import linalg
-
-from oracles import rational_form
 
 
 def test_spec_validation():
@@ -32,43 +29,15 @@ def test_spec_validation():
         GenSpec(n_lines=2).validate()
     with pytest.raises(InvalidSpec):
         GenSpec(coefficient_bound=0).validate()
+    with pytest.raises(InvalidSpec, match=f"at most 2\\*\\*31 = {MAX_COEFFICIENT_BOUND}$"):
+        GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND + 1).validate()
+    GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND).validate()
     with pytest.raises(InvalidSpec):
         GenSpec(weight_scheme="exotic").validate()
     with pytest.raises(InvalidSpec):
         GenSpec(alphas=(Fraction(2, 5),)).validate()
     with pytest.raises(InvalidSpec):
         run_suite(GenSpec(), 0)
-
-
-def test_current_bit_size_matches_the_rational_forms():
-    rng = random.Random(73)
-
-    def bits(f):
-        return max(abs(f.numerator).bit_length(), f.denominator.bit_length())
-
-    def coefficients(size):
-        # zero entries, leading zeros, negative and non-unit leads
-        while True:
-            values = [rng.choice([0, 0, rng.randint(-40, 40)]) for _ in range(size)]
-            if any(values):
-                return [Fraction(v, rng.randint(1, 6)) if rng.random() < 0.2 else v for v in values]
-
-    for trial in range(300):
-        # 2x + 3y + 6z: the lead 2 divides 6 but not 3
-        drawn = [[2, 3, 6]] if trial == 0 else []
-        drawn += [coefficients(rng.choice([3, 3, 6])) for _ in range(rng.randint(1, 4))]
-        curves = {}
-        for values in drawn:
-            curve = Line(*values) if len(values) == 3 else Conic(*values)
-            if isinstance(curve, Line) or is_irreducible(curve):
-                curves[curve] = values
-        if not curves:
-            continue
-        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in curves]
-        expected = max(
-            bits(x) for w, values in zip(weights, curves.values()) for x in (w, *rational_form(values))
-        )
-        assert _current_bit_size(DivisorCurrent(zip(weights, curves))) == expected
 
 
 def test_generation_is_deterministic():
@@ -127,12 +96,6 @@ def test_run_suite_deterministic():
     assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(
         again.to_json_dict(), sort_keys=True
     )
-
-
-def test_bit_cap_tags_overflow():
-    spec = GenSpec(n_lines=5, weight_scheme="random", seed=2, bit_cap=1)
-    tags = {g.tag for g in islice(generate(spec), 10)}
-    assert tags <= {"skipped-overflow", "skipped-degenerate"}
 
 
 def test_conic_pencil_instances_validate():

@@ -2,13 +2,17 @@
 
 Reports are part of the behaviour contract: the same input and seed must
 give byte-identical `search`, `check` and `levelset` output across
-refactors and speed-ups. The digests below were recorded from the code
-before the incidence-map level sets went in, and the `check` digests of
-the three documents with a heavy component (`conic-heavy` and the two
-heavy lines) from the code that first reported heavy curves as curves; a
-mismatch means a report changed. Regenerate a table only for a
-deliberate, documented format change, by printing `_digest(...)` for each
-entry.
+refactors and speed-ups. The `levelset` digests were recorded from the
+code before the incidence-map level sets went in. The `search` and
+`check` digests pin the report format without the bit-size cap: `search`
+reports carry no `bit_cap` in their spec and no `max_bit_size`,
+`profile_counts`, `m2_min` or `m2_max`; `check` reports carry
+`"verified"`, the `verify_verdict` re-check of the verdict, in place of
+`witness_contains_heavy_points`, and a failed precondition names both
+halves of the rule (a component of weight >= alpha, or four points of
+density >= alpha). A mismatch means a report changed. Regenerate a table
+only for a deliberate, documented format change, by printing
+`_digest(...)` for each entry.
 """
 
 from __future__ import annotations
@@ -44,43 +48,43 @@ HEAVY_LINES = {"heavy-line": (1, 0, -1), "heavy-line-2-3-6": (2, 3, 6)}
 DOCUMENTS = (*gallery.NAMES, "conic-heavy", "conic-light", "conic-tangent", *HEAVY_LINES)
 
 SEARCH_DIGESTS: dict[int, str] = {
-    0: "d2bc5446a97c9ab6e926d47bc15ef87cd3dd0d20e7204722c82d3cd3e7b224bb",
-    205: "3b2f4c307a295ad7ea1a80d57e39e43ec14ea801253373cb15e3a294f7db1cf9",
-    410: "19d96efece916b2a8fe5b5d04035814bb793da97d735539ef66c837db3bac8d0",
-    615: "3b3aed7394d9b199440b10706d9eca9cc4cf32eea87136becc20431981e2d926",
-    820: "53f132be22ec25ed5f0d16c6505a14ba0d51898dc951d7107205aceabc30febb",
-    1025: "d42ebf49238f8d6a068d126db2059d79de0aec3123a15c66279636d252a65fc2",
-    1230: "a2b3c7115af9eedabcd0f6e230acea132e92e27c19f4e1d7ade9951deaee620c",
-    1435: "a6d84ceadc7d376c270e2095c1de67060950f1489167744b00ae6e9ecfb71bd4",
-    1640: "5c417d4d8584a6a4e3456ee8c3ed0d643f1a42c6abcd9b32135d12aee77afd18",
-    1845: "451c472f7aa1271647de748648c6e054b41d3522fea4907907055196336534fb",
-    2050: "4455be7b6891ab818ed9c04bf56d5c5414f22f3f1b15dbd66ca48550eab16d36",
-    2255: "38131250b6d46a5d07eb37ac584ae9f28a7c43f0410fb644d4b2334503cd21f4",
-    2460: "74d927df1fb1f8865a9240de1b6de5758ed660224bae7a350a928f8f773a93b1",
-    2665: "7ed6d16bbe7ab00124d0854c66b47caeb7c9a8be5db53eb7c8ca7120eb91664a",
-    2870: "70173c4659a757a43a0aa9a8fa06f81a7b544ab4784ec2035fb28d3bcb59e3ae",
-    3075: "f7f2b21c9d936dcfaec901988008f148c63e6230526fadd0b8e688a30ee10843",
-    3280: "28af91ce367c857fb7fffc8f90d1904b255c0b6149a9649aeb17ad22bd9da8ec",
-    3485: "3648c3c3284fde2a40acfd374ef932db8149493c4d004e11de0eda894b0be839",
-    3690: "586a39fdcb6f73b1401a610185ae733bdd9ff18e23e3b931760af1c8fb173385",
-    3895: "ccb7ac8677bdbfaeabb7fb90360e18d89b21a50a25d9b81a395957ee12dbe66f",
+    0: "ec53760c1130e42967f006b79c14503ca2e845db811a541f8b585374f203e786",
+    205: "516bc5f8177de3858c90a56bb722ee76ff0cf92702ecffd73210bf63abac97b9",
+    410: "8537c0c4592c7cea11940422d1a9b68b336655dac4865bf664dd46c48e7784f2",
+    615: "026a7d6e1f8377639894a9c741b3e6c9c7c24b2ce717ddc31ec9d027d2d1feee",
+    820: "dde95f7cf0775e277e539a0b60ada38af8a495b7cec9768dc9f431a4c0af2b17",
+    1025: "aab759e02e44e817e5b8354cfb2719aab3a5c67683d0be06137f04c3ef7d9215",
+    1230: "241d3544711034f2de2c8449d4eea6daf3f3db0e66b3c1fd044c6c5b19789187",
+    1435: "14e5b175ffbde66b647a2500274cd3bba46c5a72b73fa1b7fa5688f0f66c0a7b",
+    1640: "0c2d81401f1e62eb8c3cff3cf4dbc5902c106491029a5f3d806ddd178753c5c0",
+    1845: "1b5216cff840b3c68eff24b502b5dd0043e93c6720d9b39e32ee8aec65db15ae",
+    2050: "f78b004811d97bad85f9e5a89c8335818ee1a9c2082ab5c257f39c5eb9d55048",
+    2255: "95104a524729ea3e55fc0fe3ce12d383ef7e1d2abbef6466bd38ac5458e3a203",
+    2460: "817609323598139c52ac01197cb138020a76aa54b3f4c1b3ac76d59e6e9f8c8b",
+    2665: "731d828197e4cd919578d1b9b73ac288afc9a5ad8ca065d30222e40d10bbddb2",
+    2870: "2d262cc70e7dfb6e74af759396d2aa36f02bdc019c26646653d00d146c401653",
+    3075: "0f80539d04d741a422978feaba4cafcb63f1f96fbc02a6fb77c20f7be6e20e03",
+    3280: "755a44f21d142b284ca6af9701a1fc42a2c8b547d4665cb60ec1f60879b6275c",
+    3485: "5ee21c138e34dfb4965a9077b99c93789ad08bca38d4f11cbf452c39b41859dd",
+    3690: "792d08f1876c5fd047489ff95840ebf06c588bdeac0ccb293379cdd57367d271",
+    3895: "b4776914b8856086f37ffd61aa628bb82f22623990b71d90ad266b5c13179416",
 }
 
 CONIC_SEARCH_DIGESTS: dict[str, str] = {
-    "conics-1": "e0f2b38c288b5d93033c4862005dbf5ad5621f6a03ccadeb9254ff45730a0c97",
-    "conics-2": "c29769785b41d97c6ca6a03a172a0f36d87e13899628a5bb9f6c2fabf2fe667e",
+    "conics-1": "c204be6379962c8e02de763378c7f952f5d8ca28978e6cfeea5a17885393f450",
+    "conics-2": "eeb3bb4907d0a0bbbb804ac77f44340197c54a39d472155cda19264e2af9b8b2",
 }
 
 CHECK_DIGESTS: dict[str, str] = {
-    "four-lines": "c1bd3e73542e19a9ea3fd43188aa6cf6feb61077d68b41e84115a52c96f928cc",
-    "six-lines": "7842016f642855e3733536f9fed826598f49c0a139c5e89856a8189b8d3b1ba7",
-    "three-lines": "1838ad04908bd287831f269b649f8be7c5328cba55c05405306e7acd60461548",
-    "seven-lines": "da7d58b067da0c43c6f54c25353dc8d70bafb4858c9756e13bbcb1adba6795b7",
-    "conic-heavy": "0f63e833f6220fb54fcfd9376bdbdf6b00d7fc4dc6e193926058bd717f364ac2",
-    "conic-light": "6ffa10320d971b3a95258784dcb7cedd45a22915cab1e3fec76bcadd59d51989",
-    "conic-tangent": "de317bf6cc083694026e196aca671c237bc6fec930a41dcba8aed2c414a2c4c7",
-    "heavy-line": "995b3ea9eef2f096c644e9a953c66d216682f3f629ca494e52db0e1daae49ed3",
-    "heavy-line-2-3-6": "29375d5a56d51b09e4162b6a9a2df6e39363a90a98d68a226cc269ffd042af1c",
+    "four-lines": "51421bf42383c63607f88f98e7065b1751da833190fc3f77d7909add2ad12fdd",
+    "six-lines": "bc9e6f9486759152b2a0e8fa1d2c8e7d072aa66949042eee585c53a22c0957b1",
+    "three-lines": "f7fcfe9a9b24bc9deab7a228194c811c30f05f9128e2957061acd20a3c766da1",
+    "seven-lines": "f386ae06dc086f9e4bab7fd59e3aec18d004d742f347d9f854589a01368efc60",
+    "conic-heavy": "dd2657b77262e24270e36f2bae4bdee9a9f7a6ca0fe0296cd0720a4139a11788",
+    "conic-light": "f91408c456b6ef6aa3b8264a55778f393734567c07bcf809e6305deef5c600c8",
+    "conic-tangent": "0a46fb75db268dfd3e67d47ca829189b5f909db3011eeb0b8684c513db0b4fa8",
+    "heavy-line": "3688d7b12f6ea946387051f016dd94978579aeea863b7f8bb3cdf83800cb5928",
+    "heavy-line-2-3-6": "943c8f88e82de3de5c13ff6b0ddecd24155687b4a694ad93fd7a22ff017b518e",
 }
 
 LEVELSET_DIGESTS: dict[str, str] = {
