@@ -61,7 +61,6 @@ from .projective import (
     Conic,
     Curve,
     Point,
-    ProjectiveMap,
     Triple,
     _cross,
     _primitive,
@@ -215,9 +214,6 @@ class DivisorCurrent:
         isolated = sorted(Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top))
         return LevelSet(t, strict, curves, tuple(isolated))
 
-    def transformed(self, pmap: ProjectiveMap) -> "DivisorCurrent":
-        return DivisorCurrent([(w, pmap.curve(c)) for w, c in self.components])
-
 
 class LevelSet:
     """Upper level set of Lelong numbers: component curves passing the
@@ -275,11 +271,3 @@ class LevelSet:
 
     def is_finite(self) -> bool:
         return not self.component_curves
-
-    def transformed(self, pmap: ProjectiveMap) -> "LevelSet":
-        return LevelSet(
-            self.threshold,
-            self.strict,
-            tuple(pmap.curve(c) for c in self.component_curves),
-            tuple(pmap.point(p) for p in self.isolated_points),
-        )

@@ -13,10 +13,6 @@ class EqualLines(PlaneCurrentsError):
     """Two lines that were required to be distinct coincide."""
 
 
-class SingularMatrix(PlaneCurrentsError):
-    """A projective transformation matrix has determinant zero."""
-
-
 class UnsupportedDegree(PlaneCurrentsError):
     """Curve degree outside the supported range {1, 2}."""
 

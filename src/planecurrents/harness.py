@@ -92,8 +92,9 @@ class GenSpec:
     def validate(self) -> None:
         if self.n_lines < 3:
             raise InvalidSpec("n_lines must be at least 3")
-        if self.n_conics < 0:
-            raise InvalidSpec("n_conics must be nonnegative")
+        if self.n_conics not in (0, 1):
+            # two conic components raise IrrationalIntersection: never valid
+            raise InvalidSpec(f"n_conics must be 0 or 1, got {self.n_conics}")
         if self.coefficient_bound < 1:
             raise InvalidSpec("coefficient_bound must be at least 1 (no nondegenerate lines otherwise)")
         if self.coefficient_bound > MAX_COEFFICIENT_BOUND:
@@ -253,17 +254,7 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
                 lines.append(cand)
         if len(lines) < spec.n_lines:
             continue
-        conics = [conic]
-        # extra conics beyond the first almost surely make intersections
-        # irrational; they are drawn anyway and validated downstream
-        for _ in range(spec.n_conics - 1):
-            extra_base = [_random_point(rng, spec.coefficient_bound) for _ in range(5)]
-            extra = conic_space(extra_base)
-            if len(extra) == 1 and is_irreducible(extra[0]) and extra[0] not in conics:
-                conics.append(extra[0])
-        if len(conics) != spec.n_conics:
-            continue
-        return lines + conics
+        return lines + [conic]
     return None
 
 

@@ -35,8 +35,6 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrix
-
 Row = Sequence[Fraction | int]
 
 
@@ -152,45 +150,3 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
         basis.append(tuple(vec))
     return basis
 
-
-Mat3 = tuple[tuple[Fraction, ...], ...]
-
-
-def as_mat3(rows) -> Mat3:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if len(m) != 3 or any(len(r) != 3 for r in m):
-        raise ValueError("expected a 3x3 matrix")
-    return m
-
-
-def det3(m: Mat3) -> Fraction:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def inv3(m: Mat3) -> Mat3:
-    d = det3(m)
-    if d == 0:
-        raise SingularMatrix("matrix is not invertible")
-    (a, b, c), (e, f, g), (h, i, j) = m
-    cof = (
-        (f * j - g * i, c * i - b * j, b * g - c * f),
-        (g * h - e * j, a * j - c * h, c * e - a * g),
-        (e * i - f * h, b * h - a * i, a * f - b * e),
-    )
-    return tuple(tuple(x / d for x in row) for row in cof)
-
-
-def matmul3(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def matvec3(m: Mat3, v: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    return tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
-def transpose3(m: Mat3) -> Mat3:
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))

@@ -35,7 +35,6 @@ from .errors import (
     EqualLines,
     EqualPoints,
     IrrationalIntersection,
-    SingularMatrix,
     UnsupportedDegree,
 )
 
@@ -184,12 +183,6 @@ def meet(l1: Line, l2: Line) -> Point:
     return Point._of(_cross(l1.ints, l2.ints))
 
 
-def conic_value(conic: Conic, p: Point) -> int:
-    """The form at the point, on the integer tuples: zero exactly on the
-    conic (its value depends on the scaling)."""
-    return _form(conic.ints, p.ints)
-
-
 def conic_gradient(conic: Conic, p: Point) -> Triple:
     """Gradient of the form at the point, on the integer tuples (defined
     up to scale, as the tangent line is)."""
@@ -202,14 +195,10 @@ def conic_gradient(conic: Conic, p: Point) -> Triple:
     )
 
 
-def _double_matrix(conic: Conic) -> tuple[Triple, Triple, Triple]:
-    """The symmetric integer matrix of twice the form."""
-    a00, a01, a02, a11, a12, a22 = conic.ints
-    return ((2 * a00, a01, a02), (a01, 2 * a11, a12), (a02, a12, 2 * a22))
-
-
 def conic_rank(conic: Conic) -> int:
-    return linalg.rank(_double_matrix(conic))
+    """Rank of the symmetric integer matrix of twice the form."""
+    a00, a01, a02, a11, a12, a22 = conic.ints
+    return linalg.rank(((2 * a00, a01, a02), (a01, 2 * a11, a12), (a02, a12, 2 * a22)))
 
 
 def is_irreducible(conic: Conic) -> bool:
@@ -394,42 +383,8 @@ def line_in_conic(line: Line, conic: Conic) -> bool:
     """True iff the line divides the quadratic form."""
     u, v = two_points_on_line(line)
     return (
-        conic_value(conic, u) == 0
-        and conic_value(conic, v) == 0
+        _form(conic.ints, u.ints) == 0
+        and _form(conic.ints, v.ints) == 0
         and _dot(conic_gradient(conic, u), v.ints) == 0
     )
 
-
-class ProjectiveMap:
-    """Invertible projective transformation given by a rational 3x3 matrix.
-
-    Points map by the matrix, lines by the inverse transpose, quadratic
-    forms by congruence with the inverse, so incidence is preserved.
-    """
-
-    __slots__ = ("rows", "_inv")
-
-    def __init__(self, rows):
-        m = linalg.as_mat3(rows)
-        if linalg.det3(m) == 0:
-            raise SingularMatrix("projective map requires a nonsingular matrix")
-        object.__setattr__(self, "rows", m)
-        object.__setattr__(self, "_inv", linalg.inv3(m))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectiveMap is immutable")
-
-    def point(self, p: Point) -> Point:
-        return Point(*linalg.matvec3(self.rows, p.ints))
-
-    def line(self, line: Line) -> Line:
-        return Line(*linalg.matvec3(linalg.transpose3(self._inv), line.ints))
-
-    def conic(self, conic: Conic) -> Conic:
-        # congruence of twice the form gives twice the image form
-        inv = self._inv
-        m = linalg.matmul3(linalg.matmul3(linalg.transpose3(inv), _double_matrix(conic)), inv)
-        return Conic(m[0][0], 2 * m[0][1], 2 * m[0][2], m[1][1], 2 * m[1][2], m[2][2])
-
-    def curve(self, curve: Curve) -> Curve:
-        return self.line(curve) if isinstance(curve, Line) else self.conic(curve)

@@ -6,9 +6,11 @@ pairs, conics through five-point subsets) plus direct evaluation of each
 candidate's form, lines through two points are the oracle's own cross
 product, the reference rank, reduced row echelon form and nullspace are
 plain Gaussian and Gauss-Jordan elimination over Fraction, the reference
-determinant is a Laplace expansion, and a minimal obstruction is pruned
-one point at a time with the reference-rank omission test. From
-`planecurrents.projective` only the classes are imported.
+determinant is a Laplace expansion, a minimal obstruction is pruned one
+point at a time with the reference-rank omission test, and `OracleMap`
+moves points, lines and conics by an integer matrix and its adjugate, on
+the integer tuples. From `planecurrents` only the classes `Point`, `Line`,
+`Conic`, `DivisorCurrent` and `LevelSet` are imported.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
-from planecurrents.projective import Conic, Line, Point, ProjectiveMap
-from planecurrents.currents import DivisorCurrent
+from planecurrents.projective import Conic, Line, Point
+from planecurrents.currents import DivisorCurrent, LevelSet
 
 
 def rational_form(values) -> tuple[Fraction, ...]:
@@ -127,11 +129,15 @@ def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def _cross(u, v) -> tuple:
+    (a, b, c), (d, e, f) = u, v
+    return (b * f - c * e, c * d - a * f, a * e - b * d)
+
+
 def _join(p, q) -> Line:
     """The line through two distinct points: the cross product of their
     coordinates, which the line form `_form` annihilates at both."""
-    (a, b, c), (d, e, f) = p.coords, q.coords
-    return Line(b * f - c * e, c * d - a * f, a * e - b * d)
+    return Line(*_cross(p.coords, q.coords))
 
 
 def spanned_lines(points) -> list[Line]:
@@ -479,10 +485,58 @@ def random_unit_current(rng, n_lines=None) -> DivisorCurrent:
     return DivisorCurrent([(r / total, line) for r, line in zip(raws, lines)])
 
 
-def random_projective_map(rng, bound: int = 4) -> ProjectiveMap:
+def adjugate(m) -> list[tuple]:
+    """adj(M) of a 3x3 matrix: its rows are the cross products of the
+    columns of M taken cyclically, so adj(M) M = det(M) I."""
+    c0, c1, c2 = zip(*m)
+    return [_cross(c1, c2), _cross(c2, c0), _cross(c0, c1)]
+
+
+def matvec(m, v) -> list:
+    return [sum(a * x for a, x in zip(row, v)) for row in m]
+
+
+class OracleMap:
+    """The projective map of an invertible integer 3x3 matrix M. Points
+    map by M, lines by adj(M)^T and quadratic forms by congruence with
+    adj(M): the adjugate is det(M) times the inverse, so these are the
+    images up to scale, found on the integer tuples with no inverse."""
+
+    def __init__(self, rows):
+        if reference_det(rows) == 0:
+            raise ValueError("the matrix is singular")
+        self.rows, self.adj_t = rows, list(zip(*adjugate(rows)))
+
+    def point(self, p: Point) -> Point:
+        return Point(*matvec(self.rows, p.ints))
+
+    def line(self, line: Line) -> Line:
+        return Line(*matvec(self.adj_t, line.ints))
+
+    def conic(self, conic: Conic) -> Conic:
+        # adj^T Q adj, with Q the matrix of twice the form, is the matrix
+        # of twice the image form
+        a00, a01, a02, a11, a12, a22 = conic.ints
+        q = ((2 * a00, a01, a02), (a01, 2 * a11, a12), (a02, a12, 2 * a22))
+        cols = self.adj_t
+        m = [[sum(u[k] * q[k][l] * v[l] for k in range(3) for l in range(3)) for v in cols] for u in cols]
+        return Conic(m[0][0], 2 * m[0][1], 2 * m[0][2], m[1][1], 2 * m[1][2], m[2][2])
+
+    def curve(self, curve):
+        return self.line(curve) if isinstance(curve, Line) else self.conic(curve)
+
+    def current(self, current: DivisorCurrent) -> DivisorCurrent:
+        return DivisorCurrent([(w, self.curve(c)) for w, c in current.components])
+
+    def level_set(self, level: LevelSet) -> LevelSet:
+        curves, points = map(self.curve, level.component_curves), map(self.point, level.isolated_points)
+        return LevelSet(level.threshold, level.strict, curves, points)
+
+
+def random_projective_map(rng, bound: int = 4) -> OracleMap:
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
         try:
-            return ProjectiveMap(rows)
-        except Exception:
+            return OracleMap(rows)
+        except ValueError:
             continue

@@ -191,7 +191,7 @@ def test_criterion_8_invariance_suites():
         for _ in range(100):
             t = random_unit_current(rng)
             pmap = random_projective_map(rng)
-            moved = t.transformed(pmap)
+            moved = pmap.current(t)
             p = random_point(rng)
             assert moved.lelong_number(pmap.point(p)) == t.lelong_number(p)
             pts = random_structured_points(rng, rng.randint(2, 7))
@@ -200,7 +200,7 @@ def test_criterion_8_invariance_suites():
             assert max_on_curve(moved_pts, 2) == max_on_curve(pts, 2)
             level = t.level_set(Fraction(1, 4), strict=True)
             verdict = conic_cover_check(level)
-            moved_verdict = conic_cover_check(level.transformed(pmap))
+            moved_verdict = conic_cover_check(pmap.level_set(level))
             assert isinstance(moved_verdict, type(verdict))
 
         rng = random.Random(8002)

@@ -395,6 +395,42 @@ def test_search_coeff_bound_is_capped(tmp_path, bound, code):
         assert proc.stderr == "search: coefficient_bound must be at most 2**31 = 2147483648\n"
 
 
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "planecurrents.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+
+
+@pytest.mark.parametrize("conics", ["2", "100000000"])
+def test_search_rejects_two_or_more_conics(tmp_path, conics):
+    # two conics never made a valid draw, and a huge count hung drawing them
+    proc = _run_cli("search", "--conics", conics, "--trials", "1", "--out", str(tmp_path / "report.json"))
+    assert (proc.returncode, proc.stderr) == (1, f"search: n_conics must be 0 or 1, got {conics}\n")
+
+
+@pytest.mark.parametrize(
+    "count, first, error",
+    [
+        (serialize.MAX_CURVES, "1" + "0" * 63, None),
+        (serialize.MAX_CURVES + 1, "0", "$: 101 lines and conics, at most 100 are allowed"),
+        (3, "1" + "0" * 64, "lines[0][0]: 65 characters, at most 64 are allowed"),
+    ],
+    ids=["at-both-caps", "curves-over", "coefficient-over"],
+)
+def test_check_caps_instance_documents(tmp_path, count, first, error):
+    # `count` lines k*x = y, the first with k = first and weight alpha = 1/2
+    lines = [[first, "-1", "0"]] + [[str(k), "-1", "0"] for k in range(1, count)]
+    weights = ["1/2"] + [f"1/{2 * (count - 1)}"] * (count - 1)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"lines": lines, "weights": weights, "alpha": "1/2"}))
+    proc = _run_cli("check", str(path), "--out", str(tmp_path / "report.json"))
+    if error:
+        assert (proc.returncode, proc.stderr) == (1, f"parse error: {error}\n")
+    else:
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["verified"] is True
+
+
 def test_search_checks_every_draw_of_a_huge_alpha(tmp_path):
     # a 4,000-digit alpha near 1/2 gives weights of over 13,000 bits; every
     # draw is still decided or skipped for a reason other than its size

@@ -406,15 +406,13 @@ def test_verdict_projective_invariance():
         level = t.level_set(Fraction(1, 4), strict=True)
         verdict = conic_cover_check(level)
         pmap = random_projective_map(rng)
-        moved_level = level.transformed(pmap)
+        moved_level = pmap.level_set(level)
         moved_verdict = conic_cover_check(moved_level)
         assert isinstance(moved_verdict, type(verdict))
         if isinstance(verdict, Covered):
             # a transformed witness of the original is a witness of the image
             transformed = Covered(
-                pmap.conic(verdict.witness)
-                if isinstance(verdict.witness, Conic)
-                else pmap.line(verdict.witness),
+                pmap.curve(verdict.witness),
                 None if verdict.omitted is None else pmap.point(verdict.omitted),
             )
             assert verify_verdict(moved_level, transformed)

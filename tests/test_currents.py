@@ -203,14 +203,14 @@ def test_level_set_projective_invariance():
     for _ in range(50):
         t = random_unit_current(rng)
         pmap = random_projective_map(rng)
-        moved = t.transformed(pmap)
+        moved = pmap.current(t)
         assert moved.mass == t.mass
         p = random_point(rng)
         assert moved.lelong_number(pmap.point(p)) == t.lelong_number(p)
         threshold = Fraction(rng.randint(1, 5), rng.randint(6, 18))
         level = t.level_set(threshold, strict=True)
         moved_level = moved.level_set(threshold, strict=True)
-        assert moved_level == level.transformed(pmap)
+        assert moved_level == pmap.level_set(level)
 
 
 def test_level_set_validation():
@@ -407,7 +407,7 @@ def test_incidence_cache_is_invisible():
         current.subtract(chord, current.generic_lelong(chord)),
         current.subtract(conic, current.generic_lelong(conic) / 2),
         current.scaled(Fraction(3, 2)),
-        current.transformed(random_projective_map(rng)),
+        random_projective_map(rng).current(current),
         current + extra,
     ]
     for other in derived:

@@ -105,7 +105,7 @@ def test_facts_stable_under_projective_transform():
         pmap = random_projective_map(rng)
         moved = Arrangement(
             name=arr.name,
-            current=arr.current.transformed(pmap),
+            current=pmap.current(arr.current),
             alpha=arr.alpha,
             points={k: pmap.point(p) for k, p in arr.points.items()},
             lines={k: pmap.line(l) for k, l in arr.lines.items()},

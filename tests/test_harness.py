@@ -19,9 +19,10 @@ from planecurrents.harness import (
     generate,
     run_suite,
 )
-from planecurrents.projective import Line, Point, ProjectiveMap, line_through
+from planecurrents.projective import Line, Point, line_through
 from planecurrents.serialize import level_set_to_json, parse_instance
-from planecurrents import linalg
+
+from oracles import OracleMap, adjugate, matvec
 
 
 def test_spec_validation():
@@ -32,6 +33,10 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec, match=f"at most 2\\*\\*31 = {MAX_COEFFICIENT_BOUND}$"):
         GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND + 1).validate()
     GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND).validate()
+    for n_conics in (-1, 2):
+        with pytest.raises(InvalidSpec, match=f"n_conics must be 0 or 1, got {n_conics}$"):
+            GenSpec(n_conics=n_conics).validate()
+    GenSpec(n_conics=1).validate()
     with pytest.raises(InvalidSpec):
         GenSpec(weight_scheme="exotic").validate()
     with pytest.raises(InvalidSpec):
@@ -209,20 +214,13 @@ def test_sweep_grid_cap():
 
 
 def _frame_map(lines):
-    """Projective map sending four general-position lines to the frame."""
-    # columns of A are the first three coefficient vectors
-    a = linalg.transpose3(linalg.as_mat3([list(l.coeffs) for l in lines[:3]]))
-    lam = linalg.matvec3(linalg.inv3(a), lines[3].coeffs)
-    scale = linalg.as_mat3(
-        [
-            [1 / lam[0], 0, 0],
-            [0, 1 / lam[1], 0],
-            [0, 0, 1 / lam[2]],
-        ]
-    )
-    coeff_map = linalg.matmul3(scale, linalg.inv3(a))
-    # lines transform by the inverse transpose of the point matrix
-    return ProjectiveMap(linalg.inv3(linalg.transpose3(coeff_map)))
+    """Projective map sending four general-position lines to the frame.
+    With the first three line vectors as the columns of A and
+    lam = adj(A) l4, so that A lam = det(A) l4, the matrix N = A diag(lam)
+    sends e1, e2, e3 and (1, 1, 1) to multiples of the four lines. Lines
+    move by adj(M)^T, which for M = N^T is adj(N), a multiple of N^-1."""
+    lam = matvec(adjugate(list(zip(*(l.ints for l in lines[:3])))), lines[3].ints)
+    return OracleMap([[k * x for x in l.ints] for k, l in zip(lam, lines)])
 
 
 def test_sweep_reproduces_seven_line_profile():

@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from planecurrents import linalg
-from planecurrents.errors import SingularMatrix
 
 from math import gcd
 
@@ -139,15 +137,3 @@ def test_nullspace_is_the_reference_basis_exactly():
         assert basis == reference_nullspace(rows, ncols)
         assert all(type(x) is Fraction for vec in basis for x in vec)
 
-
-def test_inverse_and_determinant():
-    m = linalg.as_mat3([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
-    inv = linalg.inv3(m)
-    identity = linalg.matmul3(m, inv)
-    for i in range(3):
-        for j in range(3):
-            assert identity[i][j] == (1 if i == j else 0)
-    assert linalg.det3(m) == 1
-
-    with pytest.raises(SingularMatrix):
-        linalg.inv3(linalg.as_mat3([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,6 @@ from planecurrents.errors import (
     EqualLines,
     EqualPoints,
     IrrationalIntersection,
-    SingularMatrix,
     UnsupportedDegree,
 )
 from planecurrents.projective import (
@@ -16,7 +17,6 @@ from planecurrents.projective import (
     Conic,
     Line,
     Point,
-    ProjectiveMap,
     conic_from_lines,
     conic_gradient,
     conic_rank,
@@ -35,7 +35,9 @@ from planecurrents.projective import (
 )
 from planecurrents.serialize import MAX_POINTS
 
+import oracles
 from oracles import (
+    OracleMap,
     _form,
     _line_meets,
     _veronese,
@@ -433,14 +435,29 @@ def test_line_in_conic():
     assert not line_in_conic(line, Conic(0, 0, 1, -1, 0, 0))
 
 
+def test_oracles_import_only_the_classes():
+    # the oracles check the package, so they may not run its logic
+    names = set()
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("planecurrents") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("planecurrents"):
+            names.update(alias.name for alias in node.names)
+    assert names and names <= {"Point", "Line", "Conic", "DivisorCurrent", "LevelSet"}
+
+
 def test_apply_transform_identity_and_permutation():
-    identity = ProjectiveMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    p = Point(1, 2, 3)
-    assert identity.point(p) == p
-    perm = ProjectiveMap([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert perm.point(Point(1, 2, 3)) == Point(2, 3, 1)
-    with pytest.raises(SingularMatrix):
-        ProjectiveMap([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    p, line, conic = Point(1, 2, 3), Line(1, 2, 3), Conic(0, 0, 1, -1, 0, 0)
+    identity = OracleMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert (identity.point(p), identity.line(line), identity.conic(conic)) == (p, line, conic)
+    # (x : y : z) -> (y : z : x): a*x + b*y + c*z becomes b*x + c*y + a*z,
+    # and x*z - y^2 becomes y*z - x^2
+    perm = OracleMap([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert perm.point(p) == Point(2, 3, 1)
+    assert perm.line(line) == Line(2, 3, 1)
+    assert perm.conic(conic) == Conic(-1, 0, 0, 0, 1, 0)
+    with pytest.raises(ValueError, match="singular"):
+        OracleMap([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 
 
 def test_transform_preserves_incidence_and_multiplicity():

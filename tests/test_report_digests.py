@@ -37,7 +37,6 @@ SEARCH_SEEDS = tuple(range(0, 4096, 205))
 CONIC_SPECS = {
     "conics-1": ("--lines", "5", "--conics", "1", "--alpha", "9/20",
                  "--alpha", "41/100", "--trials", "20", "--seed", "1"),
-    "conics-2": ("--lines", "3", "--conics", "2", "--trials", "10", "--seed", "4"),
 }
 
 # a heavy line is reported as a curve under `heavy_curves`, with its weight,
@@ -72,7 +71,6 @@ SEARCH_DIGESTS: dict[int, str] = {
 
 CONIC_SEARCH_DIGESTS: dict[str, str] = {
     "conics-1": "c204be6379962c8e02de763378c7f952f5d8ca28978e6cfeea5a17885393f450",
-    "conics-2": "eeb3bb4907d0a0bbbb804ac77f44340197c54a39d472155cda19264e2af9b8b2",
 }
 
 CHECK_DIGESTS: dict[str, str] = {
