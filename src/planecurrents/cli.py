@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import gallery, serialize
 from .cover import Covered, evaluate_cover, verify_verdict
-from .errors import InvalidInstance, InvalidSpec, ParseError, PlaneCurrentsError
+from .errors import InvalidSpec, ParseError, PlaneCurrentsError
 from .harness import GenSpec, run_suite
 from .projective import max_on_curve
 
@@ -92,29 +92,27 @@ def cmd_check(args) -> int:
         "alpha": serialize.format_rational(alpha),
         "mass": serialize.format_rational(current.mass),
     }
-    try:
-        instance, level, verdict = evaluate_cover(current, alpha)
-    except InvalidInstance as exc:
+    outcome = evaluate_cover(current, alpha)
+    if outcome.reason is not None:
         document["status"] = "precondition-failed"
-        document["reason"] = str(exc)
+        document["reason"] = outcome.reason
         _write_report(args.out, document)
-        print(f"precondition failed: {exc}", file=sys.stderr)
+        print(f"precondition failed: {outcome.reason}", file=sys.stderr)
         return EXIT_PRECONDITION
-    document["beta"] = serialize.format_rational(instance.beta)
-    heavy_curves = [
-        {"curve": serialize.curve_to_json(c), "weight": serialize.format_rational(w)}
-        for w, c in current.components
-        if w >= alpha
-    ]
-    if heavy_curves:
-        document["heavy_curves"] = heavy_curves
+    document["beta"] = serialize.format_rational(outcome.beta)
+    if outcome.heavy_curves:
+        document["heavy_curves"] = [
+            {"curve": serialize.curve_to_json(c), "weight": serialize.format_rational(w)}
+            for w, c in outcome.heavy_curves
+        ]
     document["heavy_points"] = [
         {
             "point": serialize.point_to_json(p),
-            "lelong": serialize.format_rational(nu),
+            "lelong": serialize.format_rational(current.lelong_number(p)),
         }
-        for p, nu in zip(instance.heavy_points, instance.densities)
+        for p in outcome.heavy_points
     ]
+    level, verdict = outcome.level, outcome.verdict
     document["level_set"] = serialize.level_set_to_json(level)
     document["verdict"] = serialize.verdict_to_json(verdict)
     document["verified"] = verify_verdict(level, verdict)

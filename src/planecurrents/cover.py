@@ -47,12 +47,13 @@ the coloop reading.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import linalg
 from .currents import DivisorCurrent, LevelSet
-from .errors import AlphaOutOfRange, InvalidInstance
+from .errors import AlphaOutOfRange
 from .projective import (
     Conic,
     Curve,
@@ -319,47 +320,22 @@ def verify_verdict(level: LevelSet, verdict: Verdict, budget: int = 2) -> bool:
     )
 
 
-def _hypothesis_holds(current: DivisorCurrent, alpha: Fraction, heavy_points) -> bool:
-    """The hypothesis of the cover theorem at alpha: a component of weight
-    >= alpha, whose every point has density >= alpha, or at least four
-    points of density >= alpha among `heavy_points`, which are distinct
-    (their densities are not checked here)."""
-    return len(heavy_points) >= 4 or any(w >= alpha for w, _ in current.components)
+@dataclass(frozen=True)
+class Outcome:
+    """The decision on one instance at alpha. The hypothesis of the cover
+    theorem holds, and `reason` is None, when the current has unit mass,
+    alpha exceeds 2/5 and either a component of weight >= alpha (whose
+    every point has density >= alpha) or at least four points of density
+    >= alpha exist. Only then are `level`, the strict level set at beta,
+    and `verdict`, its conic cover check, set."""
 
-
-class CoverInstance:
-    """A unit-mass divisor current together with a density threshold
-    alpha > 2/5 that meets the hypothesis: a component curve of weight
-    >= alpha, or at least four certified points of density >= alpha.
-    `heavy_points` are the certified points (any number when a component
-    is heavy) and `densities` their Lelong numbers, in the same order."""
-
-    __slots__ = ("current", "alpha", "heavy_points", "densities")
-
-    def __init__(self, current: DivisorCurrent, alpha, heavy_points):
-        a = Fraction(alpha)
-        if current.mass != 1:
-            raise InvalidInstance(f"current mass is {current.mass}, expected exactly 1")
-        if a <= TWO_FIFTHS:
-            raise InvalidInstance(f"alpha must exceed 2/5, got {a}")
-        pts = tuple(sorted(set(heavy_points)))
-        if not _hypothesis_holds(current, a, pts):
-            raise InvalidInstance(
-                f"needs a component of weight >= {a} or four points of density >= {a}, got {len(pts)}"
-            )
-        densities = []
-        for p in pts:
-            nu = current.lelong_number(p)
-            if nu < a:
-                raise InvalidInstance(f"point {p} has density {nu} < {a}")
-            densities.append(nu)
-        object.__setattr__(self, "current", current)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "heavy_points", pts)
-        object.__setattr__(self, "densities", tuple(densities))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverInstance is immutable")
+    current: DivisorCurrent
+    alpha: Fraction
+    heavy_curves: tuple[tuple[Fraction, Curve], ...]
+    heavy_points: tuple[Point, ...]
+    reason: Optional[str] = None
+    level: Optional[LevelSet] = None
+    verdict: Optional[Verdict] = None
 
     @property
     def beta(self) -> Fraction:
@@ -369,21 +345,28 @@ class CoverInstance:
 def find_heavy_points(current: DivisorCurrent, alpha) -> tuple[Point, ...]:
     """The isolated points of the level set {nu >= alpha}, in canonical
     order. A component curve of weight >= alpha is not sampled: its weight
-    alone meets the hypothesis (see `_hypothesis_holds`), and `check`
-    reports it as a curve."""
+    alone meets the hypothesis (see `Outcome`), and `check` reports it as
+    a curve."""
     return current.level_set(Fraction(alpha), strict=False).isolated_points
 
 
-def evaluate_cover(current: DivisorCurrent, alpha) -> tuple[CoverInstance, LevelSet, Verdict]:
-    """Decide an instance: locate heavy points, validate the instance, build
+def evaluate_cover(current: DivisorCurrent, alpha) -> Outcome:
+    """Decide an instance: locate heavy points, check the hypothesis, build
     the strict level set at beta and decide the conic cover.
 
     For a valid instance the expected verdict is Covered; NotCoverable is a
-    counterexample report. At alpha <= 2/5 no heavy point is looked for, and
-    CoverInstance rejects the instance (mass first, then alpha)."""
+    counterexample report. At alpha <= 2/5 no heavy point is looked for;
+    the mass is checked first, then alpha, then the hypothesis."""
     a = Fraction(alpha)
     heavy = find_heavy_points(current, a) if a > TWO_FIFTHS else ()
-    instance = CoverInstance(current, a, heavy)
-    level = current.level_set(instance.beta, strict=True)
-    return instance, level, conic_cover_check(level)
-
+    heavy_curves = tuple((w, c) for w, c in current.components if w >= a)
+    if current.mass != 1:
+        reason = f"current mass is {current.mass}, expected exactly 1"
+    elif a <= TWO_FIFTHS:
+        reason = f"alpha must exceed 2/5, got {a}"
+    elif len(heavy) < 4 and not heavy_curves:
+        reason = f"needs a component of weight >= {a} or four points of density >= {a}, got {len(heavy)}"
+    else:
+        level = current.level_set(beta_of(a), strict=True)
+        return Outcome(current, a, heavy_curves, heavy, None, level, conic_cover_check(level))
+    return Outcome(current, a, heavy_curves, heavy, reason)

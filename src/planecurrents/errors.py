@@ -62,10 +62,6 @@ class FullWeightLine(PlaneCurrentsError):
     """Residual rescaling is undefined when the line carries weight 1."""
 
 
-class InvalidInstance(PlaneCurrentsError):
-    """Cover-instance preconditions are not met."""
-
-
 class DegenerateSeed(PlaneCurrentsError):
     """A constructive configuration seed violates genericity."""
 

@@ -29,16 +29,14 @@ from fractions import Fraction
 
 from .cover import (
     Covered,
-    CoverInstance,
     NotCoverable,
     UncoverableCurve,
     conic_cover_check,
     evaluate_cover,
-    find_heavy_points,
     verify_verdict,
 )
 from .currents import DivisorCurrent
-from .errors import DegenerateSeed, EqualLines, EqualPoints, InvalidInstance
+from .errors import DegenerateSeed, EqualLines, EqualPoints
 from .projective import (
     Line,
     Point,
@@ -298,9 +296,16 @@ def _common_facts(arr: Arrangement) -> list[Fact]:
     return facts
 
 
+def _rejected(outcome) -> Fact:
+    """The fact that the hypothesis fails, with the reason it does."""
+    detail = outcome.reason or "instance unexpectedly valid"
+    return Fact("instance-rejected", outcome.reason is not None, detail)
+
+
 def _facts_four_lines(arr: Arrangement) -> list[Fact]:
     facts = []
-    _, level, verdict = evaluate_cover(arr.current, arr.alpha)
+    outcome = evaluate_cover(arr.current, arr.alpha)
+    level, verdict = outcome.level, outcome.verdict
     vertices = tuple(sorted(arr.points.values()))
     facts.append(
         Fact(
@@ -332,7 +337,8 @@ def _facts_four_lines(arr: Arrangement) -> list[Fact]:
 
 def _facts_six_lines(arr: Arrangement) -> list[Fact]:
     facts = []
-    instance, strict, verdict = evaluate_cover(arr.current, arr.alpha)
+    outcome = evaluate_cover(arr.current, arr.alpha)
+    strict, verdict = outcome.level, outcome.verdict
     apex_points = tuple(sorted(arr.points[f"q{i}"] for i in range(1, 5)))
     facts.append(
         Fact(
@@ -350,7 +356,7 @@ def _facts_six_lines(arr: Arrangement) -> list[Fact]:
             repr(verdict),
         )
     )
-    wide = arr.current.level_set(instance.beta, strict=False)
+    wide = arr.current.level_set(outcome.beta, strict=False)
     facts.append(
         Fact(
             "wide-level-has-seven-points",
@@ -378,15 +384,12 @@ def _facts_six_lines(arr: Arrangement) -> list[Fact]:
 
 def _facts_three_lines(arr: Arrangement) -> list[Fact]:
     facts = []
-    heavy = find_heavy_points(arr.current, arr.alpha)
+    outcome = evaluate_cover(arr.current, arr.alpha)
+    heavy = outcome.heavy_points
     facts.append(
         Fact("exactly-three-heavy-points", len(heavy) == 3, f"{len(heavy)} points")
     )
-    try:
-        CoverInstance(arr.current, arr.alpha, heavy)
-        facts.append(Fact("instance-rejected", False, "instance unexpectedly valid"))
-    except InvalidInstance as exc:
-        facts.append(Fact("instance-rejected", True, str(exc)))
+    facts.append(_rejected(outcome))
     level = arr.current.level_set(Fraction(2, 9), strict=True)
     facts.append(
         Fact(
@@ -410,7 +413,8 @@ def _facts_three_lines(arr: Arrangement) -> list[Fact]:
 
 def _facts_seven_lines(arr: Arrangement) -> list[Fact]:
     facts = []
-    heavy = find_heavy_points(arr.current, arr.alpha)
+    outcome = evaluate_cover(arr.current, arr.alpha)
+    heavy = outcome.heavy_points
     expected_heavy = tuple(sorted(arr.points[l] for l in ("q1", "q2", "q3")))
     facts.append(
         Fact(
@@ -426,11 +430,7 @@ def _facts_seven_lines(arr: Arrangement) -> list[Fact]:
             "on the top-weight line",
         )
     )
-    try:
-        CoverInstance(arr.current, arr.alpha, heavy)
-        facts.append(Fact("instance-rejected", False, "instance unexpectedly valid"))
-    except InvalidInstance as exc:
-        facts.append(Fact("instance-rejected", True, str(exc)))
+    facts.append(_rejected(outcome))
     beta = Fraction(11, 30)
     level = arr.current.level_set(beta, strict=True)
     marked = tuple(sorted(arr.points.values()))

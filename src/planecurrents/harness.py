@@ -3,9 +3,9 @@
 The generator emits a deterministic stream of weighted line (and optional
 conic) arrangements of exact unit mass. Valid cover instances need, with
 alpha > 2/5, a component of weight >= alpha or at least four points of
-density >= alpha (`cover._hypothesis_holds`, the rule `CoverInstance`
-applies), and random arrangements almost never have them, so each draw
-picks a construction strategy that concentrates density on purpose:
+density >= alpha (`cover.evaluate_cover` decides), and random arrangements
+almost never have them, so each draw picks a construction strategy that
+concentrates density on purpose:
 
 * "pencils":    lines routed through four anchor points (cycle plus
                 diagonals), so anchors accumulate density; validity then
@@ -19,11 +19,12 @@ picks a construction strategy that concentrates density on purpose:
                 through five base points plus chords through base-point
                 pairs, so all pairwise intersections stay rational.
 
-Instances that fail that precondition, need irrational intersection
-points, or degenerate during construction are emitted with a skip tag
-and counted; checking only runs on valid instances. `run_suite` and `exhaustive_sweep` aggregate through
-one order-independent tally, and serialized reports hold no wall-clock
-timing, so they stay byte-identical across reruns.
+Each drawn instance carries the `Outcome` of `evaluate_cover`. Instances
+that fail that precondition, need irrational intersection points, or
+degenerate during construction are emitted with a skip tag and counted.
+`run_suite` and `exhaustive_sweep` aggregate through one order-independent
+tally, and serialized reports hold no wall-clock timing, so they stay
+byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from typing import Iterator, Optional
 from .cover import (
     TWO_FIFTHS,
     Covered,
-    CoverInstance,
+    Outcome,
     UncoverableCurve,
-    _hypothesis_holds,
     beta_of,
     conic_cover_check,
-    find_heavy_points,
+    evaluate_cover,
     verify_verdict,
 )
 from .currents import DivisorCurrent
@@ -58,6 +58,7 @@ from .projective import (
     max_on_curve,
 )
 from .serialize import (
+    MAX_CURVES,
     current_to_payload,
     format_rational,
     level_set_to_json,
@@ -95,6 +96,11 @@ class GenSpec:
         if self.n_conics not in (0, 1):
             # two conic components raise IrrationalIntersection: never valid
             raise InvalidSpec(f"n_conics must be 0 or 1, got {self.n_conics}")
+        n_curves = self.n_lines + self.n_conics
+        if n_curves > MAX_CURVES:
+            # so that `check` can re-read every counterexample payload; above
+            # 66 lines every draw is skipped-degenerate anyway
+            raise InvalidSpec(f"n_lines + n_conics must be at most {MAX_CURVES}, got {n_curves}")
         if self.coefficient_bound < 1:
             raise InvalidSpec("coefficient_bound must be at least 1 (no nondegenerate lines otherwise)")
         if self.coefficient_bound > MAX_COEFFICIENT_BOUND:
@@ -126,7 +132,7 @@ class GeneratedInstance:
     alpha: Fraction
     strategy: str
     current: Optional[DivisorCurrent] = None
-    instance: Optional[CoverInstance] = None
+    outcome: Optional[Outcome] = None
 
 
 @dataclass(frozen=True)
@@ -300,12 +306,10 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
         return GeneratedInstance(index, TAG_DEGENERATE, alpha, strategy)
     built = partial(GeneratedInstance, index, alpha=alpha, strategy=strategy, current=current)
     try:
-        heavy = find_heavy_points(current, alpha)
+        outcome = evaluate_cover(current, alpha)
     except IrrationalIntersection:
         return built(TAG_INVALID)
-    if not _hypothesis_holds(current, alpha, heavy):
-        return built(TAG_PRECONDITION)
-    return built(TAG_OK, instance=CoverInstance(current, alpha, heavy))
+    return built(TAG_OK if outcome.reason is None else TAG_PRECONDITION, outcome=outcome)
 
 
 def generate(spec: GenSpec) -> Iterator[GeneratedInstance]:
@@ -339,20 +343,20 @@ class _Tally:
         else:
             self.skipped[tag] = self.skipped.get(tag, 0) + 1
 
-    def record(self, current, alpha, level, verdict, valid: bool, **head) -> None:
-        """Tally the verdict on one checked instance. A NotCoverable verdict
-        on a valid instance keeps a standalone, re-verified counterexample
-        payload led by the `head` fields."""
+    def record(self, outcome: Outcome, level, verdict, **head) -> None:
+        """Tally the verdict on the level set of one checked instance. A
+        NotCoverable verdict on a valid outcome keeps a standalone,
+        re-verified counterexample payload led by the `head` fields."""
         if isinstance(verdict, Covered):
             self.covered += 1
             omitted = 0 if verdict.omitted is None else 1
             self.omitted_histogram[omitted] = self.omitted_histogram.get(omitted, 0) + 1
             return
         self.not_coverable += 1
-        if valid:
+        if outcome.reason is None:
             self.counterexamples.append({
                 **head,
-                "instance": current_to_payload(current, alpha),
+                "instance": current_to_payload(outcome.current, outcome.alpha),
                 "level_set": level_set_to_json(level),
                 "verdict": verdict_to_json(verdict),
                 "verified": verify_verdict(level, verdict),
@@ -386,10 +390,8 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
     for item in islice(generate(spec), trials):
         tally.count(item.tag)
         if item.tag == TAG_OK:
-            instance = item.instance
-            level = instance.current.level_set(instance.beta, strict=True)
-            tally.record(instance.current, instance.alpha, level, conic_cover_check(level),
-                         valid=True, index=item.index)
+            outcome = item.outcome
+            tally.record(outcome, outcome.level, outcome.verdict, index=item.index)
     return tally.report(spec.summary(), trials)
 
 
@@ -470,21 +472,25 @@ def exhaustive_sweep(grid: SweepGrid) -> RunReport:
                     tally.count(TAG_DEGENERATE)
                 continue
             for alpha in grid.alphas:
-                valid = _hypothesis_holds(current, alpha, find_heavy_points(current, alpha))
+                outcome = evaluate_cover(current, alpha)
+                valid = outcome.reason is None
                 tally.count(TAG_OK if valid else TAG_PRECONDITION)
-                level = current.level_set(beta_of(alpha), strict=True)
-                verdict = conic_cover_check(level)
-                tally.record(current, alpha, level, verdict, valid=valid)
+                level, verdict = outcome.level, outcome.verdict
+                if not valid:
+                    # the sweep profiles invalid outcomes too, which carry no verdict
+                    level = current.level_set(beta_of(alpha), strict=True)
+                    verdict = conic_cover_check(level)
+                tally.record(outcome, level, verdict)
                 if level.is_finite() and level.isolated_points:
                     m2 = max_on_curve(level.isolated_points, 2)
                     m2_min = m2 if m2_min is None else min(m2_min, m2)
                     m2_max = m2 if m2_max is None else max(m2_max, m2)
                 if isinstance(verdict, Covered):
-                    outcome = f"covered/omit-{0 if verdict.omitted is None else 1}"
+                    shape = f"covered/omit-{0 if verdict.omitted is None else 1}"
                 else:
                     kind = "curve" if isinstance(verdict.obstruction, UncoverableCurve) else "points"
-                    outcome = f"not-coverable/{kind}"
-                profile = f"{'valid' if valid else 'precondition-failed'}/{outcome}"
+                    shape = f"not-coverable/{kind}"
+                profile = f"{'valid' if valid else 'precondition-failed'}/{shape}"
                 profile_counts[profile] = profile_counts.get(profile, 0) + 1
 
     return tally.report(

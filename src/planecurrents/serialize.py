@@ -48,12 +48,14 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 MAX_POINTS = 12
 
 # Most lines plus conics in an instance document, and most characters in a
-# curve coefficient (its JSON string, or an integer's decimal form). The
-# incidence map meets every pair of components, and a level set can return
-# every meet. On a 2-vCPU Xeon at both caps (slowest of two runs), 100 lines
-# of 64-character "p/q" coefficients take 0.08 s in `check` and 0.61 s in a
-# `levelset` that returns all 4,851 meets; a conic and 99 of its chords take
-# 0.04 s. Without the caps, 256 lines of 100 characters took 0.7 s and 9.3 s.
+# curve coefficient or point coordinate (its JSON string, or an integer's
+# decimal form). The incidence map meets every pair of components, and a
+# level set can return every meet. On a 2-vCPU Xeon at both caps (slowest of
+# two runs), 100 lines of 64-character "p/q" coefficients take 0.08 s in
+# `check` and 0.61 s in a `levelset` that returns all 4,851 meets; a conic
+# and 99 of its chords take 0.04 s. Without the caps, 256 lines of 100
+# characters took 0.7 s and 9.3 s. `mj --degree 2` on 12 points takes
+# 0.012 s with 64-digit coordinates and took 9.1 s with 4,000-digit ones.
 MAX_CURVES = 100
 MAX_COEFFICIENT_LENGTH = 64
 
@@ -81,6 +83,12 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
 
 
 def _parse_tuple(value: Any, size: int, path: str) -> tuple[Fraction, ...]:
+    """`size` rationals, not all zero, each written in at most
+    MAX_COEFFICIENT_LENGTH characters; the length is checked first."""
+    for i, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
+        if isinstance(v, (str, int)) and len(str(v)) > MAX_COEFFICIENT_LENGTH:
+            message = f"{len(str(v))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed"
+            raise ParseError(message, f"{path}[{i}]")
     if not isinstance(value, (list, tuple)) or len(value) != size:
         raise ParseError(f"expected a list of {size} rationals", path)
     coeffs = tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
@@ -113,17 +121,8 @@ def line_to_json(line: Line) -> list[str]:
     return _rational_form(line.ints)
 
 
-def _curve_coefficients(value: Any, size: int, path: str) -> tuple[Fraction, ...]:
-    """`_parse_tuple`, once no entry is longer than MAX_COEFFICIENT_LENGTH."""
-    for i, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
-        if isinstance(v, (str, int)) and len(str(v)) > MAX_COEFFICIENT_LENGTH:
-            message = f"{len(str(v))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed"
-            raise ParseError(message, f"{path}[{i}]")
-    return _parse_tuple(value, size, path)
-
-
 def parse_line(value: Any, path: str = "line") -> Line:
-    return Line(*_curve_coefficients(value, 3, path))
+    return Line(*_parse_tuple(value, 3, path))
 
 
 def conic_to_json(conic: Conic) -> list[str]:
@@ -131,7 +130,7 @@ def conic_to_json(conic: Conic) -> list[str]:
 
 
 def parse_conic(value: Any, path: str = "conic") -> Conic:
-    return Conic(*_curve_coefficients(value, 6, path))
+    return Conic(*_parse_tuple(value, 6, path))
 
 
 def curve_to_json(curve: Curve) -> dict:

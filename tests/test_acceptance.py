@@ -12,7 +12,6 @@ import pytest
 
 from planecurrents.cover import (
     Covered,
-    CoverInstance,
     NotCoverable,
     UncoverableCurve,
     conic_cover_check,
@@ -27,7 +26,6 @@ from planecurrents.auxiliary import (
     residual_rescale,
 )
 from planecurrents.currents import DivisorCurrent, LevelSet
-from planecurrents.errors import InvalidInstance
 from planecurrents.gallery import build
 from planecurrents.harness import GenSpec, generate
 from planecurrents.projective import (
@@ -98,7 +96,7 @@ def test_criterion_2_six_line_threshold_sharpness():
         strict = arr.current.level_set(beta, strict=True)
         expected = tuple(sorted(arr.points[f"q{i}"] for i in range(1, 5)))
         assert strict.component_curves == () and strict.isolated_points == expected
-        _, _, verdict = evaluate_cover(arr.current, arr.alpha)
+        verdict = evaluate_cover(arr.current, arr.alpha).verdict
         assert isinstance(verdict, Covered) and verdict.omitted is None
 
         wide = arr.current.level_set(beta, strict=False)
@@ -110,7 +108,7 @@ def test_criterion_2_six_line_threshold_sharpness():
 def test_criterion_3_four_line_single_omission():
     with _budget("3 four-line single omission", 1.0):
         arr = build("four-lines")
-        _, _, verdict = evaluate_cover(arr.current, arr.alpha)
+        verdict = evaluate_cover(arr.current, arr.alpha).verdict
         assert isinstance(verdict, Covered) and verdict.omitted is not None
         assert verify_verdict(arr.current.level_set(Fraction(1, 3), True), verdict)
         # no conic covers all six: every five-point conic omits the sixth
@@ -127,8 +125,9 @@ def test_criterion_4_three_line_failure_mode():
         arr = build("three-lines")
         heavy = find_heavy_points(arr.current, arr.alpha)
         assert len(heavy) == 3
-        with pytest.raises(InvalidInstance):
-            CoverInstance(arr.current, arr.alpha, heavy)
+        outcome = evaluate_cover(arr.current, arr.alpha)
+        assert outcome.heavy_points == heavy and outcome.heavy_curves == ()
+        assert outcome.reason is not None and outcome.verdict is None
         level = arr.current.level_set(Fraction(2, 9), strict=True)
         verdict = conic_cover_check(level)
         assert isinstance(verdict, NotCoverable)
@@ -158,7 +157,7 @@ def test_criterion_6_randomized_covered_suite():
             for item in islice(generate(spec), 1200):
                 if item.tag != "ok":
                     continue
-                level = item.current.level_set(item.instance.beta, strict=True)
+                level = item.current.level_set(item.outcome.beta, strict=True)
                 verdict = conic_cover_check(level)
                 assert isinstance(verdict, Covered), (
                     f"counterexample at n={n_lines}, index={item.index}: {verdict!r}"

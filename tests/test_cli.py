@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -250,11 +251,10 @@ def test_check_counterexample_exit_code(instance_files, tmp_path, monkeypatch):
 
     fake = NotCoverable(UncoveredPoints((Point(1, 0, 0), Point(0, 1, 0))))
 
-    def fake_evaluate(current, alpha):
-        from planecurrents.cover import CoverInstance, find_heavy_points
+    real_evaluate = cli_mod.evaluate_cover
 
-        inst = CoverInstance(current, alpha, find_heavy_points(current, alpha))
-        return inst, current.level_set(inst.beta, strict=True), fake
+    def fake_evaluate(current, alpha):
+        return dataclasses.replace(real_evaluate(current, alpha), verdict=fake)
 
     monkeypatch.setattr(cli_mod, "evaluate_cover", fake_evaluate)
     report_path = tmp_path / "cex.json"
@@ -429,6 +429,43 @@ def test_check_caps_instance_documents(tmp_path, count, first, error):
     else:
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["verified"] is True
+
+
+@pytest.mark.parametrize("lines, code", [("100", 0), ("101", 1)])
+def test_search_caps_lines(tmp_path, lines, code):
+    # so that `check` reads every counterexample payload back; from 67 lines
+    # on, every draw was already skipped-degenerate
+    out = tmp_path / "report.json"
+    proc = _run_cli("search", "--lines", lines, "--trials", "3", "--out", str(out))
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr == "search: n_lines + n_conics must be at most 100, got 101\n"
+    else:
+        assert json.loads(out.read_text())["skipped"] == {"skipped-degenerate": 3}
+
+
+@pytest.mark.parametrize("command", ["mj", "lelong"])
+@pytest.mark.parametrize("length", [serialize.MAX_COEFFICIENT_LENGTH, serialize.MAX_COEFFICIENT_LENGTH + 1])
+def test_point_coordinates_are_capped(tmp_path, instance_files, command, length):
+    # the degree-2 bracket tests multiply determinants of the coordinates:
+    # 12 points of 4,000 digits took seconds
+    big = "1" + "0" * (length - 1)
+    if command == "mj":
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [[big, "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+        proc = _run_cli("mj", str(path), "--degree", "2", "--out", str(tmp_path / "mj.json"))
+        where, printed = "points[0][0]", "3\n"
+    else:
+        # (big : 1 : 0) lies on z = 0 alone among the four lines
+        proc = _run_cli("lelong", instance_files["four-lines"], "--point", f"{big},1,0",
+                        "--out", str(tmp_path / "lelong.json"))
+        where, printed = "--point[0]", "1/4\n"
+    assert "Traceback" not in proc.stderr
+    if length > serialize.MAX_COEFFICIENT_LENGTH:
+        error = f"parse error: {where}: {length} characters, at most 64 are allowed\n"
+        assert (proc.returncode, proc.stderr) == (1, error)
+    else:
+        assert (proc.returncode, proc.stdout) == (0, printed)
 
 
 def test_search_checks_every_draw_of_a_huge_alpha(tmp_path):

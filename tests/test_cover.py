@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,11 +7,9 @@ import pytest
 
 from planecurrents.cover import (
     Covered,
-    CoverInstance,
     NotCoverable,
     UncoverableCurve,
     UncoveredPoints,
-    _hypothesis_holds,
     beta_of,
     conic_cover_check,
     evaluate_cover,
@@ -19,7 +18,7 @@ from planecurrents.cover import (
     verify_verdict,
 )
 from planecurrents.currents import DivisorCurrent, LevelSet
-from planecurrents.errors import AlphaOutOfRange, InvalidInstance
+from planecurrents.errors import AlphaOutOfRange
 from planecurrents.serialize import MAX_POINTS
 from planecurrents.projective import (
     Conic,
@@ -437,18 +436,21 @@ def test_cover_instance_validation():
     )
     heavy = find_heavy_points(quad, HALF)
     assert len(heavy) == 6
-    instance = CoverInstance(quad, HALF, heavy)
-    assert instance.beta == Fraction(1, 3)
-    assert instance.densities == tuple(quad.lelong_number(p) for p in heavy)
+    outcome = evaluate_cover(quad, HALF)
+    assert outcome.reason is None and outcome.beta == Fraction(1, 3)
+    assert outcome.heavy_points == heavy and outcome.heavy_curves == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.reason = "edited"
 
-    with pytest.raises(InvalidInstance):
-        CoverInstance(quad, Fraction(2, 5), heavy)  # alpha too small
-    with pytest.raises(InvalidInstance):
-        CoverInstance(quad, HALF, heavy[:3])  # too few points
-    with pytest.raises(InvalidInstance):
-        CoverInstance(quad, HALF, heavy[:3] + (Point(7, 11, 13),))  # light point
-    with pytest.raises(InvalidInstance):
-        CoverInstance(quad.scaled(Fraction(1, 2)), HALF, heavy)  # mass != 1
+    def rejected(current, alpha, reason):
+        outcome = evaluate_cover(current, alpha)
+        assert outcome.reason == reason
+        assert outcome.level is None and outcome.verdict is None
+
+    rejected(quad, Fraction(2, 5), "alpha must exceed 2/5, got 2/5")
+    triangle = DivisorCurrent([(Fraction(1, 3), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1))])
+    rejected(triangle, HALF, "needs a component of weight >= 1/2 or four points of density >= 1/2, got 3")
+    rejected(quad.scaled(HALF), HALF, "current mass is 1/2, expected exactly 1")
 
 
 NO_POINT_CONIC = Conic(1, 0, 0, 1, 0, -3)  # x^2 + y^2 = 3z^2: no rational point
@@ -458,8 +460,9 @@ def test_heavy_conic_without_rational_points_is_covered():
     current = DivisorCurrent([(HALF, NO_POINT_CONIC)])
     alpha = Fraction(9, 20)
     assert find_heavy_points(current, alpha) == ()
-    instance, level, verdict = evaluate_cover(current, alpha)
-    assert instance.heavy_points == () and instance.densities == ()
+    outcome = evaluate_cover(current, alpha)
+    level, verdict = outcome.level, outcome.verdict
+    assert outcome.heavy_points == () and outcome.heavy_curves == ((HALF, NO_POINT_CONIC),)
     assert level.component_curves == (NO_POINT_CONIC,) and level.isolated_points == ()
     assert verdict == Covered(NO_POINT_CONIC)
     assert verify_verdict(level, verdict)
@@ -467,16 +470,18 @@ def test_heavy_conic_without_rational_points_is_covered():
 
 def test_component_weight_equal_to_alpha_is_heavy():
     current = DivisorCurrent([(HALF, NO_POINT_CONIC)])
-    instance, level, verdict = evaluate_cover(current, HALF)
-    assert verdict == Covered(NO_POINT_CONIC) and verify_verdict(level, verdict)
+    outcome = evaluate_cover(current, HALF)
+    verdict = outcome.verdict
+    assert verdict == Covered(NO_POINT_CONIC) and verify_verdict(outcome.level, verdict)
     # just above the weight, no component is heavy and no point is either
-    with pytest.raises(InvalidInstance, match="got 0$"):
-        evaluate_cover(current, Fraction(11, 20))
-    # the same with a line of weight exactly alpha and no listed point
+    assert evaluate_cover(current, Fraction(11, 20)).reason.endswith("got 0")
+    # the same with a line of weight exactly alpha and one heavy point
     lines = DivisorCurrent(
         [(HALF, Line(0, 0, 1)), (Fraction(1, 4), Line(1, 0, 0)), (Fraction(1, 4), Line(0, 1, 0))]
     )
-    assert CoverInstance(lines, HALF, ()).heavy_points == ()
+    outcome = evaluate_cover(lines, HALF)
+    assert outcome.reason is None and outcome.heavy_curves == ((HALF, Line(0, 0, 1)),)
+    assert outcome.heavy_points == (Point(0, 0, 1),)
 
 
 def test_heavy_line_with_three_heavy_points():
@@ -486,21 +491,19 @@ def test_heavy_line_with_three_heavy_points():
     )
     three = (Point(0, 0, 1), Point(1, 0, 0), Point(0, 1, 0))
     assert current.level_set(HALF).isolated_points == (Point(0, 0, 1),)
-    instance = CoverInstance(current, HALF, three)
-    assert instance.heavy_points == tuple(sorted(three))
-    assert instance.densities == (HALF, Fraction(3, 4), Fraction(3, 4))
-    _, level, verdict = evaluate_cover(current, HALF)
-    assert isinstance(verdict, Covered) and verify_verdict(level, verdict)
+    assert [current.lelong_number(p) for p in three] == [HALF, Fraction(3, 4), Fraction(3, 4)]
+    outcome = evaluate_cover(current, HALF)
+    # the two points on the heavy line are not listed
+    assert outcome.heavy_points == (Point(0, 0, 1),)
+    verdict = outcome.verdict
+    assert isinstance(verdict, Covered) and verify_verdict(outcome.level, verdict)
     # below alpha the line is no longer heavy, and three points are too few
     lighter = DivisorCurrent(
         [(Fraction(2, 5), Line(0, 0, 1)), (Fraction(3, 10), Line(1, 0, 0)), (Fraction(3, 10), Line(0, 1, 0))]
     )
     assert all(lighter.lelong_number(p) >= HALF for p in three)
-    with pytest.raises(InvalidInstance, match="got 3$"):
-        CoverInstance(lighter, HALF, three)
-    # a light listed point is still rejected when a component is heavy
-    with pytest.raises(InvalidInstance, match="has density"):
-        CoverInstance(current, HALF, three + (Point(1, 1, 1),))
+    outcome = evaluate_cover(lighter, HALF)
+    assert outcome.heavy_points == tuple(sorted(three)) and outcome.reason.endswith("got 3")
 
 
 def test_conic_witness_is_the_reference_kernel_vector():
@@ -516,9 +519,10 @@ def test_check_cover_instance_on_quadrilateral():
     quad = DivisorCurrent(
         [(Fraction(1, 4), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))]
     )
-    instance, level, verdict = evaluate_cover(quad, HALF)
+    outcome = evaluate_cover(quad, HALF)
+    level, verdict = outcome.level, outcome.verdict
     assert isinstance(verdict, Covered) and verdict.omitted is not None
-    assert level == quad.level_set(instance.beta, strict=True)
+    assert level == quad.level_set(outcome.beta, strict=True)
     assert conic_cover_check(level) == verdict
     assert verify_verdict(level, verdict)
 
@@ -528,11 +532,11 @@ def test_evaluate_cover_rejects_alpha_at_most_two_fifths(alpha):
     quad = DivisorCurrent(
         [(Fraction(1, 4), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))]
     )
-    with pytest.raises(InvalidInstance, match=f"alpha must exceed 2/5, got {alpha}$"):
-        evaluate_cover(quad, alpha)
+    outcome = evaluate_cover(quad, alpha)
+    assert outcome.reason == f"alpha must exceed 2/5, got {alpha}"
+    assert outcome.heavy_points == () and outcome.level is None and outcome.verdict is None
     # the mass is checked first
-    with pytest.raises(InvalidInstance, match="current mass is 1/2"):
-        evaluate_cover(quad.scaled(HALF), alpha)
+    assert evaluate_cover(quad.scaled(HALF), alpha).reason == "current mass is 1/2, expected exactly 1"
 
 
 def test_find_heavy_points_on_full_line():
@@ -550,8 +554,9 @@ def test_find_heavy_points_on_full_line():
     # not listed; (0:0:1), off it, has density 2/5
     heavy = find_heavy_points(heavy_line, alpha)
     assert heavy == level.isolated_points == ()
-    instance = CoverInstance(heavy_line, alpha, heavy)
-    assert instance.heavy_points == () and instance.densities == ()
+    outcome = evaluate_cover(heavy_line, alpha)
+    assert outcome.reason is None and outcome.heavy_points == ()
+    assert outcome.heavy_curves == ((Fraction(3, 5), Line(0, 0, 1)),)
 
 
 def test_find_heavy_points_on_conic_component():
@@ -567,7 +572,9 @@ def test_find_heavy_points_on_conic_component():
     assert level.component_curves == (SMOOTH_CONIC,)
     heavy = find_heavy_points(t, alpha)
     assert heavy == level.isolated_points == ()
-    assert CoverInstance(t, alpha, heavy).heavy_points == ()
+    outcome = evaluate_cover(t, alpha)
+    assert outcome.reason is None and outcome.heavy_points == ()
+    assert outcome.heavy_curves == ((alpha, SMOOTH_CONIC),)
 
 
 ORACLE_ALPHAS = (Fraction(9, 20), HALF, Fraction(3, 5))
@@ -584,7 +591,8 @@ def test_find_heavy_points_matches_the_level_set_oracle():
         assert heavy == isolated
         heavy_curve = any(w >= alpha for w, _ in current.components)
         holds = heavy_curve or len(isolated) >= 4
-        assert _hypothesis_holds(current, alpha, heavy) == holds
+        # the densities behind the decision agree with the oracle's
+        assert (evaluate_cover(current, alpha).reason is None) == holds
         outcomes[heavy_curve, len(isolated) >= 4] += 1
     # heavy curves, four or more points, and neither all occur
     assert outcomes[True, False] and outcomes[False, True] and outcomes[False, False]

@@ -133,8 +133,7 @@ def test_four_lines_every_five_subset_conic_omits_a_point():
 
 def test_six_lines_strict_verdict_and_wide_m2():
     arr = gallery.build("six-lines")
-    _, level, verdict = evaluate_cover(arr.current, arr.alpha)
-    assert verdict.omitted is None
+    assert evaluate_cover(arr.current, arr.alpha).verdict.omitted is None
     wide = arr.current.level_set(Fraction(1, 3), strict=False)
     assert len(wide.isolated_points) == 7
     assert max_on_curve(wide.isolated_points, 2) == 5

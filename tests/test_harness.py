@@ -5,8 +5,8 @@ from itertools import islice
 
 import pytest
 
-from planecurrents.cover import CoverInstance, NotCoverable, conic_cover_check, find_heavy_points
-from planecurrents.errors import GridTooLarge, InvalidInstance, InvalidSpec
+from planecurrents.cover import NotCoverable, conic_cover_check, evaluate_cover, find_heavy_points
+from planecurrents.errors import GridTooLarge, InvalidSpec
 from planecurrents.gallery import build
 from planecurrents.harness import (
     FRAME_LINES,
@@ -37,6 +37,10 @@ def test_spec_validation():
         with pytest.raises(InvalidSpec, match=f"n_conics must be 0 or 1, got {n_conics}$"):
             GenSpec(n_conics=n_conics).validate()
     GenSpec(n_conics=1).validate()
+    GenSpec(n_lines=99, n_conics=1).validate()
+    for n_lines, n_conics in ((101, 0), (100, 1)):
+        with pytest.raises(InvalidSpec, match="n_lines \\+ n_conics must be at most 100, got 101$"):
+            GenSpec(n_lines=n_lines, n_conics=n_conics).validate()
     with pytest.raises(InvalidSpec):
         GenSpec(weight_scheme="exotic").validate()
     with pytest.raises(InvalidSpec):
@@ -58,13 +62,10 @@ def test_generated_instances_are_valid_unit_mass():
         if item.current is not None:
             assert item.current.mass == 1
         if item.tag == "ok":
-            inst = item.instance
-            assert (
-                any(w >= inst.alpha for w, _ in inst.current.components)
-                or len(inst.heavy_points) >= 4
-            )
+            outcome = item.outcome
+            assert outcome.heavy_curves or len(outcome.heavy_points) >= 4
             assert all(
-                inst.current.lelong_number(p) >= inst.alpha for p in inst.heavy_points
+                item.current.lelong_number(p) >= item.alpha for p in outcome.heavy_points
             )
 
 
@@ -87,7 +88,7 @@ def test_uniform_four_lines_match_quadrilateral_shape():
         if len(item.current.support_intersections()) != 6:
             continue
         generic += 1
-        verdict = conic_cover_check(item.current.level_set(item.instance.beta, strict=True))
+        verdict = conic_cover_check(item.current.level_set(item.outcome.beta, strict=True))
         # same shape as the canonical quadrilateral: covered, one omission
         assert isinstance(verdict, Covered) and verdict.omitted is not None
     assert generic > 10
@@ -158,13 +159,29 @@ def test_generated_validity_is_the_cover_instance_rule(n_conics, scheme):
         if item.tag not in ("ok", "skipped-precondition"):
             continue
         heavy = find_heavy_points(item.current, item.alpha)
-        try:
-            CoverInstance(item.current, item.alpha, heavy)
-        except InvalidInstance:
-            assert item.tag == "skipped-precondition"
-        else:
-            assert item.tag == "ok"
+        holds = any(w >= item.alpha for w, _ in item.current.components) or len(heavy) >= 4
+        assert item.tag == ("ok" if holds else "skipped-precondition")
     assert tags.get("ok", 0) > 0
+
+
+@pytest.mark.parametrize("n_conics, scheme", [(0, "uniform"), (0, "random"), (1, "random")])
+def test_generated_outcome_is_evaluate_cover(n_conics, scheme):
+    spec = GenSpec(
+        n_lines=4 + n_conics,
+        n_conics=n_conics,
+        weight_scheme=scheme,
+        alphas=(Fraction(9, 20), Fraction(1, 2), Fraction(3, 5)),
+        seed=31,
+    )
+    tags = set()
+    for item in islice(generate(spec), 80):
+        tags.add(item.tag)
+        if item.current is None or item.tag == "skipped-invalid":
+            assert item.outcome is None
+            continue
+        assert item.outcome == evaluate_cover(item.current, item.alpha)
+        assert (item.outcome.verdict is not None) == (item.tag == "ok")
+    assert "ok" in tags and "skipped-precondition" in tags
 
 
 def test_counterexample_payloads_reverify(monkeypatch):
