@@ -19,6 +19,7 @@ recomputable from the constructed current alone.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -35,56 +36,44 @@ from .projective import Line, Point, line_through, on_common_curve
 ONE_HALF = Fraction(1, 2)
 
 
+@dataclass(frozen=True)
 class BoundRow:
     """One evaluated point: its density in the constructed current and the
     bound it must exceed."""
 
-    __slots__ = ("point", "value", "bound", "satisfied")
+    point: Point
+    value: Fraction
+    bound: Fraction
 
-    def __init__(self, point: Point, value: Fraction, bound: Fraction):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "satisfied", value > bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundRow is immutable")
+    @property
+    def satisfied(self) -> bool:
+        return self.value > self.bound
 
     def __repr__(self):
         rel = ">" if self.satisfied else "<="
         return f"BoundRow({self.point} -> {self.value} {rel} {self.bound})"
 
 
+@dataclass(frozen=True)
 class BlendReport:
-    __slots__ = ("current", "mass_ok", "rows")
+    current: DivisorCurrent
+    rows: tuple[BoundRow, ...]
 
-    def __init__(self, current: DivisorCurrent, rows: tuple[BoundRow, ...]):
-        object.__setattr__(self, "current", current)
-        object.__setattr__(self, "mass_ok", current.mass == 1)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlendReport is immutable")
+    @property
+    def mass_ok(self) -> bool:
+        return self.current.mass == 1
 
 
+@dataclass(frozen=True)
 class RescaleReport:
-    __slots__ = ("line_weight", "current", "mass_ok", "applicable", "rows")
+    line_weight: Fraction
+    current: DivisorCurrent
+    applicable: Optional[bool]
+    rows: tuple[BoundRow, ...]
 
-    def __init__(
-        self,
-        line_weight: Fraction,
-        current: DivisorCurrent,
-        applicable: Optional[bool],
-        rows: tuple[BoundRow, ...],
-    ):
-        object.__setattr__(self, "line_weight", line_weight)
-        object.__setattr__(self, "current", current)
-        object.__setattr__(self, "mass_ok", current.mass == 1)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RescaleReport is immutable")
+    @property
+    def mass_ok(self) -> bool:
+        return self.current.mass == 1
 
 
 def _check_alpha_prime(alpha_prime) -> Fraction:

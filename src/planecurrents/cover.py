@@ -70,84 +70,48 @@ from .projective import (
 TWO_FIFTHS = Fraction(2, 5)
 
 
+@dataclass(frozen=True)
 class Covered:
     """Positive verdict: a witness curve containing the level set with at
     most the one listed omission."""
 
-    __slots__ = ("witness", "omitted")
-
-    def __init__(self, witness: Union[Line, Conic], omitted: Optional[Point] = None):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "omitted", omitted)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Covered is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Covered):
-            return NotImplemented
-        return self.witness == other.witness and self.omitted == other.omitted
+    witness: Union[Line, Conic]
+    omitted: Optional[Point] = None
 
     def __repr__(self):
         return f"Covered(witness={self.witness!r}, omitted={self.omitted!r})"
 
 
+@dataclass(frozen=True)
 class UncoverableCurve:
     """Obstruction: a component curve that cannot fit inside any witness."""
 
-    __slots__ = ("curve",)
-
-    def __init__(self, curve: Curve):
-        object.__setattr__(self, "curve", curve)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UncoverableCurve is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, UncoverableCurve):
-            return NotImplemented
-        return self.curve == other.curve
+    curve: Curve
 
     def __repr__(self):
         return f"UncoverableCurve({self.curve!r})"
 
 
+@dataclass(frozen=True)
 class UncoveredPoints:
     """Obstruction: points such that every single omission among them still
-    fails the fit, so at least two of them escape every witness."""
+    fails the fit, so at least two of them escape every witness. The
+    points are kept sorted."""
 
-    __slots__ = ("points",)
+    points: tuple[Point, ...]
 
-    def __init__(self, points):
-        object.__setattr__(self, "points", tuple(sorted(points)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UncoveredPoints is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, UncoveredPoints):
-            return NotImplemented
-        return self.points == other.points
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(sorted(self.points)))
 
     def __repr__(self):
         return f"UncoveredPoints({list(self.points)!r})"
 
 
+@dataclass(frozen=True)
 class NotCoverable:
     """Negative verdict with a re-checkable obstruction certificate."""
 
-    __slots__ = ("obstruction",)
-
-    def __init__(self, obstruction: Union[UncoverableCurve, UncoveredPoints]):
-        object.__setattr__(self, "obstruction", obstruction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NotCoverable is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, NotCoverable):
-            return NotImplemented
-        return self.obstruction == other.obstruction
+    obstruction: Union[UncoverableCurve, UncoveredPoints]
 
     def __repr__(self):
         return f"NotCoverable({self.obstruction!r})"

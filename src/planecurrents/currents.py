@@ -45,6 +45,7 @@ and for currents whose map cannot be built.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -215,43 +216,29 @@ class DivisorCurrent:
         return LevelSet(t, strict, curves, tuple(isolated))
 
 
+@dataclass(frozen=True)
 class LevelSet:
     """Upper level set of Lelong numbers: component curves passing the
-    threshold plus finitely many isolated points off those curves."""
+    threshold plus finitely many isolated points off those curves. The
+    curves and points are kept sorted."""
 
-    __slots__ = ("threshold", "strict", "component_curves", "isolated_points")
+    threshold: Fraction
+    strict: bool
+    component_curves: tuple[Curve, ...] = ()
+    isolated_points: tuple[Point, ...] = ()
 
-    def __init__(
-        self,
-        threshold: Fraction | int,
-        strict: bool,
-        component_curves: Iterable[Curve] = (),
-        isolated_points: Iterable[Point] = (),
-    ):
-        curves = tuple(sorted(component_curves, key=curve_sort_key))
-        points = tuple(sorted(isolated_points))
+    def __post_init__(self):
+        curves = tuple(sorted(self.component_curves, key=curve_sort_key))
+        points = tuple(sorted(self.isolated_points))
         if len(set(points)) != len(points):
             raise ValueError("isolated points must be pairwise distinct")
         for p in points:
             if any(incident(p, c) for c in curves):
                 raise ValueError(f"isolated point {p} lies on a component curve")
-        object.__setattr__(self, "threshold", Fraction(threshold))
-        object.__setattr__(self, "strict", bool(strict))
+        object.__setattr__(self, "threshold", Fraction(self.threshold))
+        object.__setattr__(self, "strict", bool(self.strict))
         object.__setattr__(self, "component_curves", curves)
         object.__setattr__(self, "isolated_points", points)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LevelSet is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LevelSet):
-            return NotImplemented
-        return (
-            self.threshold == other.threshold
-            and self.strict == other.strict
-            and self.component_curves == other.component_curves
-            and self.isolated_points == other.isolated_points
-        )
 
     def __repr__(self):
         return (

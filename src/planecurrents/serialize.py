@@ -65,6 +65,12 @@ def format_rational(value: Fraction | int) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _shown(text: str) -> str:
+    """A rejected string as an error message shows it: its repr, or its
+    length alone when it is longer than MAX_COEFFICIENT_LENGTH."""
+    return repr(text) if len(text) <= MAX_COEFFICIENT_LENGTH else f"of {len(text)} characters"
+
+
 def parse_rational(value: Any, path: str = "rational") -> Fraction:
     if isinstance(value, bool):
         raise ParseError("expected a rational, got a boolean", path)
@@ -73,12 +79,12 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if not match:
-            raise ParseError(f"invalid rational {value!r} (expected an integer or p/q)", path)
+            raise ParseError(f"invalid rational {_shown(value)} (expected an integer or p/q)", path)
         num, den = match.groups()
         try:
             return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"invalid rational {value!r} ({exc})", path) from None
+            raise ParseError(f"invalid rational {_shown(value)} ({exc})", path) from None
     raise ParseError(f"expected a rational string or integer, got {type(value).__name__}", path)
 
 

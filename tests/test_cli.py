@@ -480,6 +480,17 @@ def test_search_checks_every_draw_of_a_huge_alpha(tmp_path):
     assert report["valid"] > 0 and report["covered"] == report["valid"]
 
 
+@pytest.mark.parametrize(
+    "alpha", [f"{'1' * 40000}/{'3' * 40000}", "x" * 5000], ids=["over-int-limit", "not-a-rational"]
+)
+def test_long_rational_error_is_short(tmp_path, alpha):
+    # the message once repeated the whole string: 80,187 bytes of stderr
+    proc = _run_cli("search", "--trials", "1", "--alpha", alpha, "--out", str(tmp_path / "report.json"))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 1000
+    assert f"--alpha: invalid rational of {len(alpha)} characters" in proc.stderr
+
+
 def test_search_usage_errors(capsys):
     assert main(["search", "--lines", "5", "--trials", "0"]) == 1
     assert main(["search", "--lines", "2", "--trials", "1"]) == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from planecurrents.auxiliary import BlendReport, BoundRow, RescaleReport
 from planecurrents.cover import (
     Covered,
     NotCoverable,
@@ -451,6 +452,45 @@ def test_cover_instance_validation():
     triangle = DivisorCurrent([(Fraction(1, 3), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1))])
     rejected(triangle, HALF, "needs a component of weight >= 1/2 or four points of density >= 1/2, got 3")
     rejected(quad.scaled(HALF), HALF, "current mass is 1/2, expected exactly 1")
+
+
+def _two_lines():
+    return DivisorCurrent([(HALF, Line(1, 0, 0)), (HALF, Line(0, 1, 0))])
+
+
+def _row():
+    return BoundRow(Point(1, 1, 1), HALF, Fraction(2, 5))
+
+
+# each builds a record from fresh, equal fields
+RECORDS = {
+    "Covered": lambda: Covered(Conic(1, 0, 0, 1, 0, -1), Point(0, 0, 1)),
+    "UncoverableCurve": lambda: UncoverableCurve(Line(0, 0, 1)),
+    "UncoveredPoints": lambda: UncoveredPoints((Point(1, 0, 0), Point(0, 1, 0))),
+    "NotCoverable": lambda: NotCoverable(UncoverableCurve(Line(0, 0, 1))),
+    "LevelSet": lambda: LevelSet(1, 1, (Line(0, 0, 1),), (Point(1, 1, 1),)),
+    "BoundRow": _row,
+    "BlendReport": lambda: BlendReport(_two_lines(), (_row(),)),
+    "RescaleReport": lambda: RescaleReport(HALF, _two_lines(), True, (_row(),)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_values(name):
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(twin, field))
+    if name == "UncoveredPoints":
+        pts = (Point(1, 2, 3), Point(0, 0, 1), Point(1, 0, 0), Point(0, 1, 0))
+        assert UncoveredPoints(p for p in pts) == UncoveredPoints(tuple(sorted(pts)))
+    if name == "LevelSet":
+        assert record.threshold == 1 and type(record.threshold) is Fraction and record.strict is True
+        with pytest.raises(ValueError, match="^isolated points must be pairwise distinct$"):
+            LevelSet(HALF, True, (), (Point(1, 1, 1), Point(2, 2, 2)))
+        with pytest.raises(ValueError, match=r"^isolated point .* lies on a component curve$"):
+            LevelSet(HALF, True, (Line(0, 0, 1),), (Point(1, -1, 0),))
 
 
 NO_POINT_CONIC = Conic(1, 0, 0, 1, 0, -3)  # x^2 + y^2 = 3z^2: no rational point

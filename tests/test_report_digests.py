@@ -85,6 +85,10 @@ CHECK_DIGESTS: dict[str, str] = {
     "heavy-line-2-3-6": "943c8f88e82de3de5c13ff6b0ddecd24155687b4a694ad93fd7a22ff017b518e",
 }
 
+# `verify-examples` prints `repr` of gallery verdicts and level sets, so
+# this digest of its stdout pins those reprs too
+VERIFY_EXAMPLES_DIGEST = "ffba717d816ec8f592cc910bdd9ed2d400751479d9c74778325466851514f53e"
+
 LEVELSET_DIGESTS: dict[str, str] = {
     "four-lines@alpha": "11af75b37188dacd7563327c68f68ade624d7aa3d7669426114039776c7a05f8",
     "four-lines@beta": "4385e1a365cc1ec055d3d9daf785c3bed4053ad96a90a15bfec2dde1f8344c92",
@@ -203,3 +207,9 @@ def test_levelset(name, at, documents, tmp_path):
     code, digest = _digest(_levelset_argv(*documents[name], at), tmp_path)
     assert code == 0
     assert digest == LEVELSET_DIGESTS[f"{name}@{at}"]
+
+
+def test_verify_examples_stdout(capsys):
+    assert main(["verify-examples"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_EXAMPLES_DIGEST

@@ -51,10 +51,11 @@ def test_rational_error_messages_are_pinned():
     with pytest.raises(ValueError) as limit:
         int(digits)
     assert "4301 digits" in str(limit.value)
-    for text in (digits, f"-{digits}/3", f"1/{digits}"):
+    # a string past the 64-character cap is named by its length, not echoed
+    for text, length in ((digits, 4301), (f"-{digits}/3", 4304), (f"1/{digits}", 4303)):
         with pytest.raises(ParseError) as err:
             serialize.parse_rational(text, "weights[0]")
-        assert str(err.value) == f"weights[0]: invalid rational {text!r} ({limit.value})"
+        assert str(err.value) == f"weights[0]: invalid rational of {length} characters ({limit.value})"
 
 
 def test_rational_rejects_exponents():
