@@ -212,8 +212,8 @@ class DivisorCurrent:
         passes = (lambda n: n * q > bound) if strict else (lambda n: n * q >= bound)
         curves = tuple(c for n, c in zip(self.nums, self.curves) if passes(n))
         incidence = self._incidence_map().items()
-        isolated = sorted(Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top))
-        return LevelSet(t, strict, curves, tuple(isolated))
+        isolated = tuple(Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top))
+        return LevelSet(t, strict, curves, isolated)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Rationals travel as strings "p/q" (or plain integers) and are emitted in
 lowest terms with positive denominators, so every report round-trips
-bit-exactly and no floating point ever enters the data path. Conic
-coefficients use the fixed monomial order (x^2, xy, xz, y^2, yz, z^2).
+bit-exactly and no floating point ever enters the data path. Curve and
+point coefficients parse straight to primitive integer tuples, without a
+`Fraction`. Conic coefficients use the fixed monomial order
+(x^2, xy, xz, y^2, yz, z^2). Reports are written exactly as
+`json.dumps(document, indent=2, sort_keys=True)` writes them.
 
 Instance documents look like
 
@@ -19,12 +22,12 @@ Validation failures raise ParseError with the offending field path.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import tempfile
 from fractions import Fraction
-from math import gcd
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Any, Optional
 
 from .currents import DivisorCurrent, LevelSet
@@ -61,8 +64,8 @@ MAX_COEFFICIENT_LENGTH = 64
 
 
 def format_rational(value: Fraction | int) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num, den = value.numerator, value.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _shown(text: str) -> str:
@@ -71,36 +74,48 @@ def _shown(text: str) -> str:
     return repr(text) if len(text) <= MAX_COEFFICIENT_LENGTH else f"of {len(text)} characters"
 
 
-def parse_rational(value: Any, path: str = "rational") -> Fraction:
+def _ratio(value: Any, path: str) -> tuple[int, int]:
+    """A rational as (numerator, denominator), the denominator positive and
+    the pair not necessarily in lowest terms."""
     if isinstance(value, bool):
         raise ParseError("expected a rational, got a boolean", path)
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if not match:
             raise ParseError(f"invalid rational {_shown(value)} (expected an integer or p/q)", path)
         num, den = match.groups()
         try:
-            return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError) as exc:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:
             raise ParseError(f"invalid rational {_shown(value)} ({exc})", path) from None
+        if not den:
+            # the text of Fraction's ZeroDivisionError
+            raise ParseError(f"invalid rational {_shown(value)} (Fraction({num}, 0))", path)
+        return num, den
     raise ParseError(f"expected a rational string or integer, got {type(value).__name__}", path)
 
 
-def _parse_tuple(value: Any, size: int, path: str) -> tuple[Fraction, ...]:
+def parse_rational(value: Any, path: str = "rational") -> Fraction:
+    return Fraction(*_ratio(value, path))
+
+
+def _parse_tuple(value: Any, size: int, path: str) -> tuple[int, ...]:
     """`size` rationals, not all zero, each written in at most
-    MAX_COEFFICIENT_LENGTH characters; the length is checked first."""
+    MAX_COEFFICIENT_LENGTH characters (checked first), as integers with
+    the same ratios."""
     for i, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
         if isinstance(v, (str, int)) and len(str(v)) > MAX_COEFFICIENT_LENGTH:
             message = f"{len(str(v))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed"
             raise ParseError(message, f"{path}[{i}]")
     if not isinstance(value, (list, tuple)) or len(value) != size:
         raise ParseError(f"expected a list of {size} rationals", path)
-    coeffs = tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if all(c == 0 for c in coeffs):
+    ratios = [_ratio(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not any(num for num, _ in ratios):
         raise ParseError("all coefficients are zero", path)
-    return coeffs
+    scale = lcm(*[den for _, den in ratios])
+    return tuple([num * (scale // den) for num, den in ratios])
 
 
 def _rational_form(ints: tuple[int, ...]) -> list[str]:
@@ -120,7 +135,7 @@ def point_to_json(p: Point) -> list[str]:
 
 
 def parse_point(value: Any, path: str = "point") -> Point:
-    return Point(*_parse_tuple(value, 3, path))
+    return Point._of(_parse_tuple(value, 3, path))
 
 
 def line_to_json(line: Line) -> list[str]:
@@ -128,7 +143,7 @@ def line_to_json(line: Line) -> list[str]:
 
 
 def parse_line(value: Any, path: str = "line") -> Line:
-    return Line(*_parse_tuple(value, 3, path))
+    return Line._of(_parse_tuple(value, 3, path))
 
 
 def conic_to_json(conic: Conic) -> list[str]:
@@ -136,7 +151,7 @@ def conic_to_json(conic: Conic) -> list[str]:
 
 
 def parse_conic(value: Any, path: str = "conic") -> Conic:
-    return Conic(*_parse_tuple(value, 6, path))
+    return Conic._of(_parse_tuple(value, 6, path))
 
 
 def curve_to_json(curve: Curve) -> dict:
@@ -249,8 +264,38 @@ def verdict_to_json(verdict: Verdict) -> dict:
     return {"kind": "not-coverable", "obstruction": payload}
 
 
+def _encode(value: Any, indent: str) -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True) writes it, for
+    the values a report holds; any other value or key raises TypeError."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict:
+        # the encoder raises TypeError on a key that is not a string
+        items = [f"{encode_basestring_ascii(k)}: {_encode(value[k], inner)}" for k in sorted(value)]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        items = [_encode(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def dumps(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return _encode(document, "") + "\n"
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planecurrents import serialize
 from planecurrents.cover import Covered, NotCoverable, UncoverableCurve, UncoveredPoints
@@ -56,6 +58,95 @@ def test_rational_error_messages_are_pinned():
         with pytest.raises(ParseError) as err:
             serialize.parse_rational(text, "weights[0]")
         assert str(err.value) == f"weights[0]: invalid rational of {length} characters ({limit.value})"
+
+
+def test_coefficient_error_messages_are_pinned():
+    # the same texts as weights[...]: a curve or point coefficient fails as
+    # the rational it is, at its own position
+    cases = (
+        ("1/0", "invalid rational '1/0' (Fraction(1, 0))"),
+        (" -7/000 ", "invalid rational ' -7/000 ' (Fraction(-7, 0))"),
+        ("abc", "invalid rational 'abc' (expected an integer or p/q)"),
+        (True, "expected a rational, got a boolean"),
+        (1.5, "expected a rational string or integer, got float"),
+        ("1" * 65, "65 characters, at most 64 are allowed"),
+    )
+    for bad, message in cases:
+        for parse, payload, path in (
+            (serialize.parse_instance, {"lines": [[bad, "0", "1"]], "weights": ["1"]}, "lines[0][0]"),
+            (serialize.parse_instance, {"conics": [["1", "0", bad, "1", "0", "-1"]], "weights": ["1"]},
+             "conics[0][2]"),
+            (serialize.parse_points_file, {"points": [["1", bad, "0"]]}, "points[0][1]"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(payload)
+            assert str(err.value) == f"{path}: {message}"
+    for parse, payload, path in (
+        (serialize.parse_instance, {"lines": [["0", "0/3", "-0"]], "weights": ["1"]}, "lines[0]"),
+        (serialize.parse_instance, {"conics": [["0"] * 6], "weights": ["1"]}, "conics[0]"),
+        (serialize.parse_points_file, {"points": [["0", "0/5", 0]]}, "points[0]"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(payload)
+        assert str(err.value) == f"{path}: all coefficients are zero"
+
+
+# a coefficient as a document may write it: a JSON integer, or a string with
+# optional surrounding whitespace, sign and leading zeros, and a p/q that
+# need not be in lowest terms
+_space = st.sampled_from(["", " ", "\t", "\n ", "  "])
+_coefficient = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.builds(
+        lambda lead, sign, num, den, trail: f"{lead}{sign}{num}{'' if den is None else f'/{den}'}{trail}",
+        _space,
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.integers(0, 10**20).map(str), st.sampled_from(["0", "00", "007"])),
+        st.one_of(st.none(), st.integers(1, 10**12), st.sampled_from(["1", "0004", "12"])),
+        _space,
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_coefficient, min_size=6, max_size=6))
+def test_coefficients_parse_as_the_constructors_do(raw):
+    if all(Fraction(v) == 0 for v in raw[:3]):
+        raw[0] = "-3/6"
+    for parse, cls, size in ((serialize.parse_point, Point, 3), (serialize.parse_line, Line, 3)):
+        assert parse(raw[:size]) == cls(*(Fraction(v) for v in raw[:size]))
+    assert serialize.parse_conic(raw) == Conic(*(Fraction(v) for v in raw))
+
+
+_leaf = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "\udfff\ud83d", "\U0001f600", "é"]),
+    st.integers(-10**400, 10**400),
+    st.booleans(),
+    st.none(),
+)
+_report = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(_report)
+def test_dumps_writes_what_json_dumps_writes(document):
+    assert serialize.dumps(document) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_rejects_what_a_report_never_holds():
+    # json.dumps would write these, so they must not reach a report unnoticed
+    for document in (1.5, {"a": [Fraction(1, 2)]}, {"a": {1: "b"}}, {"a": "b", None: 1}, {(): 1}):
+        with pytest.raises(TypeError):
+            serialize.dumps(document)
 
 
 def test_rational_rejects_exponents():
