@@ -308,10 +308,11 @@ class Outcome:
 
 def find_heavy_points(current: DivisorCurrent, alpha) -> tuple[Point, ...]:
     """The isolated points of the level set {nu >= alpha}, in canonical
-    order. A component curve of weight >= alpha is not sampled: its weight
-    alone meets the hypothesis (see `Outcome`), and `check` reports it as
-    a curve."""
-    return current.level_set(Fraction(alpha), strict=False).isolated_points
+    order, read from the current's incidence map with no LevelSet built.
+    A component curve of weight >= alpha is not sampled: its weight alone
+    meets the hypothesis (see `Outcome`), and `check` reports it as a
+    curve."""
+    return tuple(sorted(current._level_parts(alpha, False)[2]))
 
 
 def evaluate_cover(current: DivisorCurrent, alpha) -> Outcome:
@@ -320,11 +321,15 @@ def evaluate_cover(current: DivisorCurrent, alpha) -> Outcome:
 
     For a valid instance the expected verdict is Covered; NotCoverable is a
     counterexample report. At alpha <= 2/5 no heavy point is looked for;
-    the mass is checked first, then alpha, then the hypothesis."""
+    the mass is checked first, then alpha, then the hypothesis. Weights
+    and mass are tested on the current's numerators over `den`: w = n/den
+    is >= alpha = p/q when n*q >= p*den, and the mass is 1 when the sum of
+    n*deg is den; a Fraction is built only for a reason's text."""
     a = Fraction(alpha)
     heavy = find_heavy_points(current, a) if a > TWO_FIFTHS else ()
-    heavy_curves = tuple((w, c) for w, c in current.components if w >= a)
-    if current.mass != 1:
+    q, bound = a.denominator, a.numerator * current.den
+    heavy_curves = tuple(wc for n, wc in zip(current.nums, current.components) if n * q >= bound)
+    if sum(n * c.degree for n, (_, c) in zip(current.nums, current.components)) != current.den:
         reason = f"current mass is {current.mass}, expected exactly 1"
     elif a <= TWO_FIFTHS:
         reason = f"alpha must exceed 2/5, got {a}"

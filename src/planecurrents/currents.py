@@ -27,12 +27,19 @@ p/q (q > 0) when n*q > p*den (or >=), so neither a sum nor a threshold
 test builds a Fraction; `mass` and `lelong_number` build one for their
 result.
 
+Components are kept in canonical order, lines before conics and each
+kind by its `<`: the order of `projective.curve_sort_key`, sorted as two
+lists so that every comparison is one `<`.
+
 A current keeps one (density numerator, heaviest numerator) pair per
 pairwise intersection point once built, keyed on the point's primitive
 integer tuple (`Point.ints`): two lines meet at the primitive form of
-their cross product, so the map of an all-line current holds no Point,
-and its keys hash and compare as plain tuples. A Point is built only for
-a point that a level set or `support_intersections` returns. The current
+their cross product, computed inline on the integer tuples, so the map of
+an all-line current holds no Point, and its keys hash and compare as
+plain tuples. The build keeps the set of component indices through each
+point; where only two components meet, the density is the sum of their
+two numerators. A Point is built only for a point that a level set,
+`support_intersections` or `cover.find_heavy_points` returns. The current
 is immutable, so level sets at any threshold (the heavy points at alpha
 and the strict level set at beta) read the same map, and the map lives
 and dies with its current. A point is isolated when its density passes
@@ -48,7 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import (
@@ -63,14 +71,14 @@ from .projective import (
     Curve,
     Point,
     Triple,
-    _cross,
-    _primitive,
     curve_sort_key,
     incident,
     intersect_curves,
     is_irreducible,
     multiplicity,
 )
+
+_curve = itemgetter(1)
 
 
 class DivisorCurrent:
@@ -98,8 +106,13 @@ class DivisorCurrent:
             if curve in merged:
                 w += merged[curve]
             merged[curve] = w
-        items = [(w, c) for c, w in merged.items() if w != 0]
-        items.sort(key=lambda wc: curve_sort_key(wc[1]))
+        # lines before conics, each sorted by its own `<`: the order of
+        # `curve_sort_key` with no tuple comparison
+        lines = [(w, c) for c, w in merged.items() if w and c.degree == 1]
+        conics = [(w, c) for c, w in merged.items() if w and c.degree == 2]
+        lines.sort(key=_curve)
+        conics.sort(key=_curve)
+        items = lines + conics
         den = lcm(*(w.denominator for w, _ in items))
         nums = tuple(w.numerator * (den // w.denominator) for w, _ in items)
         object.__setattr__(self, "components", tuple(items))
@@ -173,22 +186,42 @@ class DivisorCurrent:
         """Pairwise intersection point, as its primitive integer tuple ->
         (density, heaviest weight) of the components through it as
         numerators over `den`, from one pass over the component pairs. Two
-        lines meet at their cross product, with no Point built; other
-        pairs go through `intersect_curves`."""
+        lines meet at the primitive form of their cross product, computed
+        here on the integer tuples with no Point built; other pairs go
+        through `intersect_curves`, in component-pair order, so the first
+        pair without rational meets is the one that raises."""
         if self._incidence is None:
-            through: dict[Triple, dict[int, int]] = {}
-            pairs = combinations(enumerate(zip(self.nums, self.curves)), 2)
-            for (i, (n1, c1)), (j, (n2, c2)) in pairs:
-                if c1.degree == 1 == c2.degree:
+            nums, curves = self.nums, self.curves
+            m = sum(c.degree == 1 for c in curves)  # lines come first
+            through: dict[Triple, set[int]] = {}
+            for i in range(m):
+                a0, a1, a2 = curves[i].ints
+                for j in range(i + 1, m):
+                    b0, b1, b2 = curves[j].ints
                     # distinct lines, so the cross product is nonzero
-                    meets = (_primitive(_cross(c1.ints, c2.ints)),)
+                    x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+                    g = gcd(x, y, z)
+                    if (x or y or z) < 0:
+                        g = -g
+                    key = (x, y, z) if g == 1 else (x // g, y // g, z // g)
+                    if key in through:
+                        through[key].update((i, j))
+                    else:
+                        through[key] = {i, j}
+            for i, j in combinations(range(len(curves)), 2):
+                if j >= m:
+                    for p in intersect_curves(curves[i], curves[j]):
+                        through.setdefault(p.ints, set()).update((i, j))
+            summary = {}
+            for key, members in through.items():
+                if len(members) == 2:
+                    # most points lie on just the two curves that met there
+                    i, j = members
+                    ni, nj = nums[i], nums[j]
+                    summary[key] = (ni + nj, ni if ni > nj else nj)
                 else:
-                    meets = [p.ints for p in intersect_curves(c1, c2)]
-                for key in meets:
-                    nums = through.setdefault(key, {})
-                    nums[i] = n1
-                    nums[j] = n2
-            summary = {k: (sum(ns.values()), max(ns.values())) for k, ns in through.items()}
+                    ns = [nums[i] for i in members]
+                    summary[key] = (sum(ns), max(ns))
             object.__setattr__(self, "_incidence", summary)
         return self._incidence
 
@@ -204,6 +237,16 @@ class DivisorCurrent:
     def level_set(self, threshold: Fraction | int, strict: bool = False) -> "LevelSet":
         """Structural upper level set at the threshold (>= by default,
         > when strict)."""
+        t, curves, points = self._level_parts(threshold, strict)
+        return LevelSet(t, strict, curves, points)
+
+    def _level_parts(
+        self, threshold: Fraction | int, strict: bool
+    ) -> tuple[Fraction, tuple[Curve, ...], list[Point]]:
+        """The threshold as a Fraction, the component curves passing it in
+        component order and the isolated points of the level set, unsorted,
+        read from the incidence map: the parts of `level_set`, which
+        `cover.find_heavy_points` reads without building a LevelSet."""
         t = Fraction(threshold)
         if t <= 0:
             raise NonpositiveThreshold(f"threshold {t} must be positive")
@@ -212,8 +255,7 @@ class DivisorCurrent:
         passes = (lambda n: n * q > bound) if strict else (lambda n: n * q >= bound)
         curves = tuple(c for n, c in zip(self.nums, self.curves) if passes(n))
         incidence = self._incidence_map().items()
-        isolated = tuple(Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top))
-        return LevelSet(t, strict, curves, isolated)
+        return t, curves, [Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top)]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ concentrates density on purpose:
                 through five base points plus chords through base-point
                 pairs, so all pairwise intersections stay rational.
 
+Draws stay integer tuples until a current is built: a point is the raw
+nonzero tuple drawn, or its primitive form where points must be told
+apart; a line is the primitive form of the cross product of two drawn
+points (zero exactly when they are the same point, and then both are drawn
+again). Tuple `==` and `in` tell points and lines apart, and a `Line` is
+built once per kept line.
+
 Each drawn instance carries the `Outcome` of `evaluate_cover`. Instances
 that fail that precondition, need irrational intersection points, or
 degenerate during construction are emitted with a skip tag and counted.
@@ -52,9 +59,11 @@ from .errors import GridTooLarge, InvalidSpec, IrrationalIntersection
 from .projective import (
     Line,
     Point,
+    Triple,
+    _cross,
+    _primitive,
     conic_space,
     is_irreducible,
-    line_through,
     max_on_curve,
 )
 from .serialize import (
@@ -169,32 +178,38 @@ class RunReport:
         }
 
 
-def _random_point(rng: random.Random, bound: int) -> Point:
+def _random_point(rng: random.Random, bound: int) -> Triple:
+    """A point as a nonzero integer tuple, not made primitive."""
     # choice over the range draws what randint(-bound, bound) draws, with
     # one _randbelow(2 * bound + 1) per entry, in fewer calls
     span = range(-bound, bound + 1)
     while True:
         coords = (rng.choice(span), rng.choice(span), rng.choice(span))
         if any(coords):
-            return Point._of(coords)
+            return coords
 
 
-def _random_line(rng: random.Random, bound: int) -> Line:
+def _random_line(rng: random.Random, bound: int) -> Triple:
+    """The line through two random points, as its primitive integer tuple.
+    The cross product of two nonzero tuples is zero exactly when they are
+    the same projective point, and then both are drawn again."""
     while True:
-        p, q = _random_point(rng, bound), _random_point(rng, bound)
-        if p != q:
-            return line_through(p, q)
+        cross = _cross(_random_point(rng, bound), _random_point(rng, bound))
+        if any(cross):
+            return _primitive(cross)
 
 
 def _distinct_lines(rng, bound, count, start=(), attempts=60) -> Optional[list[Line]]:
+    """`count` distinct lines: `start` (primitive tuples) and then random
+    lines, compared as tuples; None if `attempts` draws fall short."""
     lines = list(start)
     for _ in range(attempts):
         if len(lines) >= count:
-            return lines[:count]
+            break
         cand = _random_line(rng, bound)
         if cand not in lines:
             lines.append(cand)
-    return lines[:count] if len(lines) >= count else None
+    return [Line._of(t) for t in lines[:count]] if len(lines) >= count else None
 
 
 def _scaled(raws, curves, mass=1) -> list[Fraction]:
@@ -204,30 +219,33 @@ def _scaled(raws, curves, mass=1) -> list[Fraction]:
     return [Fraction(r * mass.numerator, denom) for r in raws]
 
 
+def _distinct_points(rng, bound, count) -> list[Triple]:
+    """`count` distinct random points as primitive integer tuples."""
+    points: list[Triple] = []
+    while len(points) < count:
+        p = _primitive(_random_point(rng, bound))
+        if p not in points:
+            points.append(p)
+    return points
+
+
 def _lines_pencils(rng, spec: GenSpec) -> Optional[list[Line]]:
     for _ in range(20):
-        anchors = []
-        while len(anchors) < 4:
-            p = _random_point(rng, spec.coefficient_bound)
-            if p not in anchors:
-                anchors.append(p)
-        a, b, c, d = anchors
+        a, b, c, d = _distinct_points(rng, spec.coefficient_bound, 4)
         pair_order = [(a, b), (b, c), (c, d), (d, a), (a, c), (b, d)]
-        lines: list[Line] = []
+        lines: list[Triple] = []
         for p, q in pair_order[: spec.n_lines]:
-            cand = line_through(p, q)
+            # distinct points, so the cross product is nonzero
+            cand = _primitive(_cross(p, q))
             if cand in lines:
                 break
             lines.append(cand)
         else:
-            if len(lines) < spec.n_lines:
-                extra = _distinct_lines(
-                    rng, spec.coefficient_bound, spec.n_lines, start=lines
-                )
-                if extra is None:
-                    continue
-                lines = extra
-            return lines
+            if len(lines) >= spec.n_lines:
+                return [Line._of(t) for t in lines]
+            extra = _distinct_lines(rng, spec.coefficient_bound, spec.n_lines, start=lines)
+            if extra is not None:
+                return extra
     return None
 
 
@@ -239,28 +257,24 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
     Chords follow the 5-cycle of base points first so that base points sit
     on two chords each and accumulate density."""
     for _ in range(30):
-        base = []
-        while len(base) < 5:
-            p = _random_point(rng, spec.coefficient_bound)
-            if p not in base:
-                base.append(p)
-        space = conic_space(base)
+        base = _distinct_points(rng, spec.coefficient_bound, 5)
+        space = conic_space(map(Point._of, base))
         if len(space) != 1 or not is_irreducible(space[0]):
             continue
         conic = space[0]
         cycle = [(base[i], base[(i + 1) % 5]) for i in range(5)]
         rest = [pq for pq in combinations(base, 2) if pq not in cycle]
         rng.shuffle(rest)
-        lines: list[Line] = []
+        lines: list[Triple] = []
         for p, q in cycle + rest:
             if len(lines) >= spec.n_lines:
                 break
-            cand = line_through(p, q)
+            cand = _primitive(_cross(p, q))
             if cand not in lines:
                 lines.append(cand)
         if len(lines) < spec.n_lines:
             continue
-        return lines + [conic]
+        return [Line._of(t) for t in lines] + [conic]
     return None
 
 

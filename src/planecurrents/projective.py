@@ -16,8 +16,11 @@ The rational form, the class scaled so that its first nonzero entry is 1,
 is the contract at the edges: `Point.coords`, `Line.coeffs` and
 `Conic.coeffs` compute it as `Fraction`s for `repr`, serialization writes
 it from the integer tuple, and the canonical order `<` is the
-lexicographic order of those forms, compared on the integer tuples by
-cross-multiplying with the two positive leading entries.
+lexicographic order of those forms, compared on the integer tuples: one
+scan finds the first position where either tuple is nonzero; if only one
+is nonzero there, the tuple that is zero there is smaller, and otherwise
+both lead there and the entries are cross-multiplied with the two positive
+leads. No `Fraction` is built.
 
 Everything is immutable after construction and all arithmetic is exact.
 """
@@ -92,9 +95,17 @@ class _Homogeneous:
         if other.__class__ is not self.__class__:
             return NotImplemented
         a, b = self.ints, other.ints
-        la, lb = _lead(a), _lead(b)
+        i = 0
+        while not (a[i] or b[i]):
+            i += 1
+        la, lb = a[i], b[i]
+        if not (la and lb):
+            # the rational forms differ first at i, where one of them is 0
+            # and the other 1
+            return not la
+        # same lead position: x/la against y/lb, both leads positive; the
+        # zeros before i and the leads themselves compare equal
         for x, y in zip(a, b):
-            # x/la against y/lb, both leads positive
             if x * lb != y * la:
                 return x * lb < y * la
         return False

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
@@ -299,9 +298,20 @@ def dumps(document: dict) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write the full document and rename it into place."""
+    """Write the full document to a new temporary file beside `path` and
+    rename it into place. The file is created with mode 0o666, so the
+    umask sets the report's mode as it does for any new file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+    for _ in range(100):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileExistsError:
+            continue
+        break
+    else:
+        raise FileExistsError(f"no free temporary name in {directory}")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
+from hypothesis import strategies as st
+
 from planecurrents.projective import Conic, Line, Point
 from planecurrents.currents import DivisorCurrent, LevelSet
 
@@ -48,6 +50,16 @@ def random_homogeneous(rng: random.Random, size: int) -> list:
         k = rng.choice([-6, -2, -1, 2, 3, Fraction(-5, 2), Fraction(7, 3)])
         values = [k * v for v in values]
     return values
+
+
+def homogeneous_tuples(size: int, bound: int = 4):
+    """Hypothesis strategy: nonzero integer tuples with entries in
+    [-bound, bound], often with leading zeros and a negative lead."""
+    return (
+        st.tuples(st.integers(0, size - 1), st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+        .map(lambda zv: (0,) * zv[0] + tuple(zv[1][zv[0]:]))
+        .filter(any)
+    )
 
 
 def reference_rank(rows) -> int:

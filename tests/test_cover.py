@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planecurrents.auxiliary import BlendReport, BoundRow, RescaleReport
 from planecurrents.cover import (
@@ -19,7 +21,7 @@ from planecurrents.cover import (
     verify_verdict,
 )
 from planecurrents.currents import DivisorCurrent, LevelSet
-from planecurrents.errors import AlphaOutOfRange
+from planecurrents.errors import AlphaOutOfRange, IrrationalIntersection, NonpositiveThreshold
 from planecurrents.serialize import MAX_POINTS
 from planecurrents.projective import (
     Conic,
@@ -34,6 +36,7 @@ from oracles import (
     _veronese,
     coverable_oracle,
     level_set_oracle,
+    mass_oracle,
     minimal_obstruction_oracle,
     omission_oracle,
     random_points,
@@ -636,3 +639,64 @@ def test_find_heavy_points_matches_the_level_set_oracle():
         outcomes[heavy_curve, len(isolated) >= 4] += 1
     # heavy curves, four or more points, and neither all occur
     assert outcomes[True, False] and outcomes[False, True] and outcomes[False, False]
+
+
+# lines with coefficients in [-2, 2] often meet three or more at a point,
+# and meet the conic x*z = y^2 at rational and at irrational points
+_SMALL_LINES = st.tuples(*[st.integers(-2, 2)] * 3).filter(any).map(lambda v: Line(*v))
+_THRESHOLDS = st.one_of(
+    st.sampled_from([Fraction(9, 20), HALF, Fraction(3, 5), Fraction(2, 5), Fraction(1, 3)]),
+    st.fractions(-1, 1, max_denominator=40),
+)
+
+
+@st.composite
+def _currents(draw, mass=st.just(Fraction(1))):
+    """A current of small lines and, sometimes, the conic x*z = y^2, with
+    weights proportional to drawn integers that give it the drawn mass."""
+    curves = draw(st.lists(_SMALL_LINES, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        curves.append(SMOOTH_CONIC)
+    raws = draw(st.lists(st.integers(1, 9), min_size=len(curves), max_size=len(curves)))
+    m = draw(mass)
+    total = sum(r * c.degree for r, c in zip(raws, curves))
+    return DivisorCurrent([(Fraction(r) * m / total, c) for r, c in zip(raws, curves)])
+
+
+@given(_currents(), _THRESHOLDS)
+def test_find_heavy_points_is_the_level_set_points(current, alpha):
+    try:
+        expected = current.level_set(alpha).isolated_points
+    except (IrrationalIntersection, NonpositiveThreshold) as exc:
+        with pytest.raises(type(exc)):
+            find_heavy_points(current, alpha)
+        return
+    assert find_heavy_points(current, alpha) == expected
+
+
+@given(_currents(st.sampled_from([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(7, 6)])), st.data())
+def test_evaluate_cover_decides_as_the_fraction_reference(current, data):
+    # the weights and the mass are tested on integer numerators; the
+    # reference tests them as Fractions. Alpha is often a weight, where
+    # >= and > part; beta is 0 at alpha = 1, so alpha stays below 1
+    weights = st.sampled_from([w for w, _ in current.components])
+    alpha = data.draw(st.one_of(_THRESHOLDS, weights).filter(lambda a: a < 1))
+    try:
+        outcome = evaluate_cover(current, alpha)
+    except IrrationalIntersection:
+        return
+    a, mass = Fraction(alpha), mass_oracle(current)
+    heavy_curves = tuple((w, c) for w, c in current.components if w >= a)
+    heavy = find_heavy_points(current, a) if a > Fraction(2, 5) else ()
+    if mass != 1:
+        reason = f"current mass is {mass}, expected exactly 1"
+    elif a <= Fraction(2, 5):
+        reason = f"alpha must exceed 2/5, got {a}"
+    elif len(heavy) < 4 and not heavy_curves:
+        reason = f"needs a component of weight >= {a} or four points of density >= {a}, got {len(heavy)}"
+    else:
+        reason = None
+    assert outcome.reason == reason
+    assert outcome.heavy_curves == heavy_curves
+    assert outcome.heavy_points == heavy
+    assert (outcome.verdict is None) == (reason is not None)

@@ -23,13 +23,16 @@ from planecurrents.projective import (
     Point,
     conic_from_lines,
     conic_gradient,
+    curve_sort_key,
     incident,
+    is_irreducible,
     line_through,
     meet,
     two_points_on_line,
 )
 
 from oracles import (
+    homogeneous_tuples,
     lelong_oracle,
     level_set_oracle,
     mass_oracle,
@@ -38,6 +41,7 @@ from oracles import (
     random_points,
     random_projective_map,
     random_unit_current,
+    rational_form,
 )
 
 QUAD_LINES = [Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1)]
@@ -431,3 +435,32 @@ def test_irrational_intersection_raises_every_time():
                 current.level_set(Fraction(1, 6))
             with pytest.raises(IrrationalIntersection):
                 current.support_intersections()
+
+
+_CURVES = st.one_of(
+    homogeneous_tuples(3).map(lambda v: Line(*v)),
+    homogeneous_tuples(6).map(lambda v: Conic(*v)).filter(is_irreducible),
+)
+
+
+@given(st.data())
+def test_component_order_is_the_curve_sort_key_order(data):
+    # lines and conics are sorted apart; the result must be the order of
+    # `curve_sort_key`, and of degree then rational form, with duplicates
+    # (equal classes under different scalings too) merged
+    pool = data.draw(st.lists(_CURVES, min_size=1, max_size=6))
+    scaled = [type(c)(*(k * x for x in c.ints)) for c in pool for k in (-2, 3)]
+    pool += scaled[: data.draw(st.integers(0, len(scaled)))]
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.fractions(0, 2, max_denominator=6)), max_size=12
+    ))
+    components = [(w, pool[i]) for i, w in picks]
+    merged = {}
+    for w, c in components:
+        merged[c] = merged.get(c, 0) + w
+    kept = [(w, c) for c, w in merged.items() if w]
+    current = DivisorCurrent(components)
+    assert current.components == tuple(sorted(kept, key=lambda wc: curve_sort_key(wc[1])))
+    assert list(current.curves) == sorted(
+        (c for _, c in kept), key=lambda c: (len(c.ints), rational_form(c.ints))
+    )

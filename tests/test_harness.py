@@ -123,24 +123,26 @@ def test_conic_pencil_instances_validate():
 
 def _randint_point(rng, bound):
     while True:
-        coords = [rng.randint(-bound, bound) for _ in range(3)]
+        coords = tuple(rng.randint(-bound, bound) for _ in range(3))
         if any(coords):
-            return Point(*coords)
+            return coords
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2024])
 @pytest.mark.parametrize("bound", [1, 5])
 def test_random_draws_keep_the_randint_stream(seed, bound):
     # `search` reports are pinned per --seed, so the generator's draws must
-    # stay the randint(-bound, bound) stream on every Python version
+    # stay the randint(-bound, bound) stream on every Python version: a
+    # point is the raw tuple drawn, and a line the primitive tuple of the
+    # line through the first two draws that are different points
     rng, reference = random.Random(seed), random.Random(seed)
     for _ in range(40):
         assert _random_point(rng, bound) == _randint_point(reference, bound)
         while True:
-            p, q = _randint_point(reference, bound), _randint_point(reference, bound)
+            p, q = Point(*_randint_point(reference, bound)), Point(*_randint_point(reference, bound))
             if p != q:
                 break
-        assert _random_line(rng, bound) == line_through(p, q)
+        assert _random_line(rng, bound) == line_through(p, q).ints
     assert rng.random() == reference.random()
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planecurrents.errors import (
     EqualLines,
@@ -41,6 +43,7 @@ from oracles import (
     _form,
     _line_meets,
     _veronese,
+    homogeneous_tuples,
     m1_oracle,
     m2_minor_oracle,
     m2_oracle,
@@ -80,6 +83,17 @@ def test_order_equality_and_hash_match_the_rational_oracle(cls, size):
                 assert hash(objs[i]) == hash(objs[j])
                 equal_pairs += i != j
     assert equal_pairs > 0
+
+
+@pytest.mark.parametrize("cls, size", [(Point, 3), (Line, 3), (Conic, 6)])
+@given(data=st.data())
+def test_order_is_the_lexicographic_order_of_rational_forms(cls, size, data):
+    a = data.draw(homogeneous_tuples(size))
+    k = data.draw(st.sampled_from([None, -3, -1, 2]))
+    b = data.draw(homogeneous_tuples(size)) if k is None else tuple(k * x for x in a)
+    fa, fb = rational_form(a), rational_form(b)
+    assert (cls(*a) < cls(*b)) == (fa < fb)
+    assert (cls(*b) < cls(*a)) == (fb < fa)
 
 
 def test_canonical_form_is_idempotent_and_unique():

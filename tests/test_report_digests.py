@@ -38,6 +38,21 @@ CONIC_SPECS = {
     "conics-1": ("--lines", "5", "--conics", "1", "--alpha", "9/20",
                  "--alpha", "41/100", "--trials", "20", "--seed", "1"),
 }
+# draw paths the seven-line specs miss: uniform weights (no heavy-line
+# strategy), four lines (pencils without extras), nine lines (pencil
+# extras drawn after the six anchor lines), the smallest coefficient bound
+# (many repeated points and lines) and a conic with six chords
+DRAW_SPECS = {
+    "lines-6-uniform": ("--lines", "6", "--weight-scheme", "uniform", "--alpha", "9/20",
+                        "--alpha", "1/2", "--trials", "40", "--seed", "3"),
+    "lines-4": ("--lines", "4", "--alpha", "9/20", "--alpha", "1/2", "--alpha", "3/5",
+                "--trials", "40", "--seed", "4"),
+    "lines-9": ("--lines", "9", "--alpha", "9/20", "--alpha", "1/2", "--trials", "40", "--seed", "9"),
+    "coeff-bound-1": ("--lines", "5", "--coeff-bound", "1", "--alpha", "9/20", "--alpha", "1/2",
+                      "--trials", "40", "--seed", "1"),
+    "conics-1-lines-6": ("--lines", "6", "--conics", "1", "--alpha", "9/20", "--alpha", "41/100",
+                         "--trials", "30", "--seed", "2"),
+}
 
 # a heavy line is reported as a curve under `heavy_curves`, with its weight,
 # and none of its points under `heavy_points`; these documents pin that key
@@ -71,6 +86,14 @@ SEARCH_DIGESTS: dict[int, str] = {
 
 CONIC_SEARCH_DIGESTS: dict[str, str] = {
     "conics-1": "c204be6379962c8e02de763378c7f952f5d8ca28978e6cfeea5a17885393f450",
+}
+
+DRAW_DIGESTS: dict[str, str] = {
+    "lines-6-uniform": "11e4e5d6c2685184b14b6c1fbdce3aa1a400f0dd93824373e9cdd454c63db552",
+    "lines-4": "de92d238767683ead7195e04e79bda61653a5c38e7b77f6432182e69509dec35",
+    "lines-9": "27fb3086a97dda38036c6665fedd6378fa57d2fc4ce425f3a67d306f1db3af03",
+    "coeff-bound-1": "80c6b57585c76a0efb94e043b11cd54b339b05aefe41f71aabbdeb63c994878e",
+    "conics-1-lines-6": "655876c743dc4de17055bb94908b21e6a9a65ee821cbd17d283366c57b37d4cb",
 }
 
 CHECK_DIGESTS: dict[str, str] = {
@@ -186,6 +209,13 @@ def test_search_conics(name, tmp_path):
     code, digest = _digest(["search", *CONIC_SPECS[name]], tmp_path)
     assert code == 0
     assert digest == CONIC_SEARCH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SPECS))
+def test_search_draw_paths(name, tmp_path):
+    code, digest = _digest(["search", *DRAW_SPECS[name]], tmp_path)
+    assert code == 0
+    assert digest == DRAW_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", DOCUMENTS)

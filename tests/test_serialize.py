@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction
 
 import pytest
@@ -287,3 +289,43 @@ def test_atomic_write(tmp_path):
     assert json.loads(target.read_text()) == {"a": 1}
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_atomic_write_mode_follows_the_umask(tmp_path, umask):
+    target = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        serialize.atomic_write(str(target), "{}\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+        # replacing a report of another mode gives it the new file's mode
+        target.chmod(0o600 if umask == 0o022 else 0o644)
+        serialize.atomic_write(str(target), "[]\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+        assert target.read_text() == "[]\n"
+    finally:
+        os.umask(previous)
+
+
+def test_atomic_write_leaves_no_temporary_file_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def broken_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(serialize.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        serialize.atomic_write(str(target), "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert target.read_text() == "old\n"
+
+
+def test_atomic_write_retries_a_taken_temporary_name(tmp_path, monkeypatch):
+    taken = tmp_path / f".tmp-{bytes(8).hex()}.json"
+    taken.write_text("someone else's\n")
+    draws = iter([bytes(8), bytes(8), b"\x01" * 8])
+    monkeypatch.setattr(serialize.os, "urandom", lambda n: next(draws))
+    serialize.atomic_write(str(tmp_path / "report.json"), "{}\n")
+    assert taken.read_text() == "someone else's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "report.json"]
