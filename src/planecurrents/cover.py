@@ -17,25 +17,32 @@ witness having that curve as a component. Hence:
   rank below the column count k (3 or 6). Rank below k means nothing is
   omitted. At rank k, the rest after omitting point p fits iff p is a
   coloop of the row matroid (removing it drops the rank). One reduced
-  echelon of the transposed rows, whose columns are the points, answers
-  that for every point at once: its pivots are the greedy basis, and a
-  basis point is a coloop iff its echelon row is zero on every non-pivot
-  column (its fundamental cocircuit is itself; Oxley, Matroid Theory,
-  2011, ch. 2). No other point is a coloop, so the omission is the first
-  such pivot, the point the plain scan ("omit nothing", then each point
-  in canonical order) would pick, with the same witness. With no degree
-  left, only a lone point can be omitted.
+  echelon of the transposed rows answers that for every point at once.
+  Its columns are the points from the last one back, so its pivots are
+  the greedy basis taken from the last point, and a pivot is a coloop
+  iff its echelon row is zero on every non-pivot column
+  (`linalg.coloops`); no other point is one. The coloops do not depend
+  on the basis read (Oxley, Matroid Theory, 2011, ch. 2), so the
+  omission is the coloop first in canonical order, the last one in
+  column order: the point the plain scan ("omit nothing", then each
+  point in canonical order) would pick. The witness is fitted to the
+  basis points of the rest, the pivots but the omission. They span the
+  rows of the rest, so their rows have the same reduced row echelon form
+  and give the same first conic of `conic_space`, from at most five rows,
+  and any two distinct ones span the same line. With no degree left,
+  only a lone point can be omitted.
 * a set that fails is pruned to an inclusion-minimal obstruction in
-  canonical order, keeping that echelon up to date: dropping a point
-  that is not a pivot drops its column; dropping a pivot first moves its
-  row's pivot, by one `linalg.pivot_on` step, to the first remaining
-  non-pivot column where the row is nonzero. The drop is kept iff no
-  pivot row is then zero on every remaining non-pivot column (with no
-  degree left, pruning leaves the last two points). Against
-  one elimination per omission question, this took the bench `points`
-  workload from 592 to 986 point sets per second (medians of 10 pairs of
-  30 s runs, 2-vCPU x86-64) and its traced `linalg.rank` calls (seed 1)
-  from 3,077 to 660.
+  canonical order, keeping that echelon up to date; a drop is kept iff
+  no pivot row is then zero on every remaining non-pivot column (with no
+  degree left, pruning leaves the last two points). While every drop is
+  kept, the point visited is the last column left, and it is not a pivot,
+  since the points left have no coloop: its column just goes. After a
+  refused drop the point visited can be a pivot, and one `linalg.pivot_on`
+  step first moves its row's pivot to the first remaining non-pivot
+  column where the row is nonzero. Against a basis taken from the first
+  point, this cut the pivot steps of the cover checks on the bench
+  `points` inputs of seed 1, passes 1-20 (1,400 sets), from 34,196 to
+  23,998.
 
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
@@ -154,6 +161,9 @@ def _spanning_line(points) -> Line:
 
 
 def _witness(forced, points, budget: int) -> Union[Line, Conic]:
+    """The canonical witness: the forced curves, then the line or the
+    first conic of `conic_space` through the points, which may be any
+    points spanning the rows of those it must hold."""
     if budget == 1:
         return forced[0] if forced else _spanning_line(points)
     if len(forced) == 1 and isinstance(forced[0], Conic):
@@ -166,44 +176,23 @@ def _witness(forced, points, budget: int) -> Union[Line, Conic]:
     return conic_space(points)[0]
 
 
-def _coloop(echelon, basis, live) -> Optional[int]:
-    """The first pivot, in the order of `basis`, whose echelon row is zero
-    on every live non-pivot column: a coloop of the live columns, which
-    lies in every basis of them; None if there is none."""
-    free = [j for j in live if j not in basis]
-    return next((b for row, b in zip(echelon, basis) if not any(row[j] for j in free)), None)
-
-
-def _omission(echelon, basis, ncols: int) -> tuple[bool, Optional[int]]:
-    """(fits, omitted) for the points whose transposed incidence rows have
-    this reduced echelon: whether a curve holds all of them but at most
-    one, and the first omission that lets it, None for omitting nothing.
-    At rank `ncols` only a coloop can be omitted, and every coloop is a
-    pivot, so the first one in ascending order is the omission; no rank
-    test is made."""
-    if len(basis) < ncols:
-        return True, None
-    omitted = _coloop(echelon, basis, range(len(echelon[0])))
-    return omitted is not None, omitted
-
-
 def _minimal_obstruction(echelon, basis) -> list[int]:
-    """Indices of an inclusion-minimal obstruction, pruned in canonical
-    order, among the points (columns) of a reduced echelon of full row
-    rank with no coloop; the echelon is updated in place. The points kept
-    keep both properties, so dropping point i keeps the rank, and the drop
-    is kept iff it leaves no coloop. A pivot i first hands its row to the
-    first kept non-pivot column where that row is nonzero, which exists
-    since i is no coloop."""
+    """Columns of an inclusion-minimal obstruction among the columns (the
+    points, the last one first) of a reduced echelon of full row rank with
+    no coloop, pruned in canonical order, from the last column down; the
+    echelon is updated in place. The columns kept keep both properties,
+    so dropping one keeps the rank, and the drop is kept iff it leaves no
+    coloop. A pivot i first hands its row to the first kept non-pivot
+    column where that row is nonzero, which exists since i is no coloop."""
     basis = list(basis)
     keep = list(range(len(echelon[0])))
-    for i in range(len(keep)):
+    for i in reversed(range(len(keep))):
         trial = [j for j in keep if j != i]
         if i in basis:
             r = basis.index(i)
             basis[r] = next(j for j in trial if j not in basis and echelon[r][j])
             linalg.pivot_on(echelon, r, basis[r])
-        if _coloop(echelon, basis, trial) is None:
+        if not linalg.coloops(echelon, basis, trial):
             keep = trial
     return keep
 
@@ -221,14 +210,20 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
         if len(points) >= 2:
             return NotCoverable(UncoveredPoints(points[-2:]))
         return Covered(_witness(curves, (), budget), points[0] if points else None)
-    rows, ncols = _rows_of([p.ints for p in points], degree_left)
-    # the transposed rows have one column per point
+    # one column per point, from the last point back
+    back = points[::-1]
+    rows, ncols = _rows_of([p.ints for p in back], degree_left)
     echelon, basis = linalg.reduced_echelon(list(zip(*rows)))
-    fits, omitted = _omission(echelon, basis, ncols)
-    if not fits:
-        return NotCoverable(UncoveredPoints(points[i] for i in _minimal_obstruction(echelon, basis)))
-    rest = tuple(p for i, p in enumerate(points) if i != omitted)
-    return Covered(_witness(curves, rest, budget), None if omitted is None else points[omitted])
+    omitted = None
+    if len(basis) == ncols:
+        # only a coloop can be omitted, and every coloop is a pivot
+        found = linalg.coloops(echelon, basis, range(len(back)))
+        if not found:
+            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(echelon, basis)))
+        omitted = found[-1]  # the first coloop in canonical order
+        basis.remove(omitted)
+    witness = _witness(curves, [back[j] for j in basis], budget)
+    return Covered(witness, None if omitted is None else back[omitted])
 
 
 def line_cover_check(level: LevelSet) -> Verdict:

@@ -248,7 +248,8 @@ class DivisorCurrent:
         read from the incidence map: the parts of `level_set`, which
         `cover.find_heavy_points` reads without building a LevelSet."""
         t = Fraction(threshold)
-        if t <= 0:
+        # the strict level set at 0 is every component curve and no point
+        if t <= 0 and not (strict and t == 0):
             raise NonpositiveThreshold(f"threshold {t} must be positive")
         # n/den passes p/q when n*q > p*den (or >=), with q and den positive
         q, bound = t.denominator, t.numerator * self.den

@@ -35,7 +35,7 @@ class NegativeScale(PlaneCurrentsError):
 
 
 class NonpositiveThreshold(PlaneCurrentsError):
-    """Level-set threshold must be positive."""
+    """Level-set threshold must be positive, or zero for a strict level set."""
 
 
 class IrrationalIntersection(PlaneCurrentsError):

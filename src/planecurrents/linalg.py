@@ -24,8 +24,13 @@ Two eliminations, both fraction-free:
   exactly that form's. Its pivot columns are the same greedy basis as
   `pivots`. `nullspace` reads its basis off these rows, dividing only
   there, into `Fraction`s; `projective.conic_space` reads the same basis
-  as integers, scaled by the lcm of the pivots. `cover` keeps one such echelon of a point set
-  up to date by further `pivot_on` steps to read coloops.
+  as integers, scaled by the lcm of the pivots.
+
+`coloops` reads, from one such echelon of columns, the columns that lie
+in every basis of them. `cover` and `projective.max_on_curve` take it of
+the transposed incidence rows of a point set, whose columns are the
+points; `cover` keeps that echelon up to date by further `pivot_on` steps
+while it prunes points.
 """
 
 from __future__ import annotations
@@ -150,3 +155,15 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:
         basis.append(tuple(vec))
     return basis
 
+
+def coloops(echelon: Sequence[Sequence[int]], basis: Sequence[int], live: Iterable[int]) -> list[int]:
+    """The columns of `basis`, in its order, whose echelon rows are zero on
+    every live column outside it: the coloops of the live columns, which
+    lie in every basis of them. `echelon` must be zero off row i in column
+    basis[i], as `reduced_echelon` and `pivot_on` leave it; then a column
+    outside the basis is the combination of the basis columns given by its
+    entries, and a basis column that no such combination uses is not in
+    the span of the others. Which basis is read does not change the
+    coloops (Oxley, Matroid Theory, 2011, ch. 2)."""
+    free = [j for j in live if j not in basis]
+    return [b for row, b in zip(echelon, basis) if not any(row[j] for j in free)]

@@ -295,38 +295,59 @@ def _sixes_on_a_conic(coords: Sequence[Triple]) -> Iterator[tuple[int, ...]]:
     conic: those with [abc][ade][bdf][cef] = [abd][ace][bcf][def], where
     [ijk] is the determinant of the points i, j, k. The two sides differ
     by the determinant of the six Veronese rows (Richter-Gebert,
-    Perspectives on Projective Geometry, 2011)."""
-    indices = range(len(coords))
-    br = {(i, j, k): _dot(_cross(coords[i], coords[j]), coords[k]) for i, j, k in combinations(indices, 3)}
-    for six in combinations(indices, 6):
-        a, b, c, d, e, f = six
-        left = br[a, b, c] * br[a, d, e] * br[b, d, f] * br[c, e, f]
-        if left == br[a, b, d] * br[a, c, e] * br[b, c, f] * br[d, e, f]:
-            yield six
+    Perspectives on Projective Geometry, 2011). The brackets are held as
+    br[i][j][k] for i < j < k, and [abc][ade] and [abd][ace] are taken
+    before the loop over f, so each six costs four lookups and four
+    products."""
+    n = len(coords)
+    br = [[None] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        x, y, z = _cross(coords[i], coords[j])
+        br[i][j] = [0] * (j + 1) + [x * u + y * v + z * w for u, v, w in coords[j + 1 :]]
+    for a in range(n - 5):
+        for b in range(a + 1, n - 4):
+            ab = br[a][b]
+            for c in range(b + 1, n - 3):
+                abc, ac, bc = ab[c], br[a][c], br[b][c]
+                for d in range(c + 1, n - 2):
+                    abd, ad, bd = ab[d], br[a][d], br[b][d]
+                    for e in range(d + 1, n - 1):
+                        left, right = abc * ad[e], abd * ac[e]
+                        ce, de = br[c][e], br[d][e]
+                        for f in range(e + 1, n):
+                            if left * bd[f] * ce[f] == right * bc[f] * de[f]:
+                                yield a, b, c, d, e, f
 
 
 def max_on_curve(points: Iterable[Point], degree: int) -> int:
     """Largest number of the given points lying on a single curve of the
-    given degree.
+    given degree. The count does not depend on the order of the points,
+    so they are read once into a set and not sorted.
 
     Degree 1 counts pairs, O(n^2): from each point, the later points on
     each line through it; the best line holds its first point plus its
     count.
 
-    Degree 2 is one rank test, then one bracket test per six points,
-    O(n^6) integer products. If all the points lie on a conic the answer
-    is n. Otherwise a largest set on one conic is the closure of five
-    independent points (distinct, no four collinear): the five and every
-    point that makes six on a conic with them."""
-    coords = [p.ints for p in sorted(set(points))]
+    Degree 2 takes one reduced echelon of the transposed Veronese rows,
+    whose columns are the points. Rank below 6 means all n points lie on
+    a conic. Otherwise a coloop (`linalg.coloops`), a point whose removal
+    drops the rank, leaves n - 1 on a conic, and no conic holds n. Only
+    with no coloop does it test each six points by brackets, O(n^6)
+    integer products: a largest set on one conic is then the closure of
+    five independent points (distinct, no four collinear), the five and
+    every point that makes six on a conic with them."""
+    coords = list({p.ints for p in points})
     rows, ncols = _rows_of(coords, degree)
     if degree == 1:
         # distinct rows, so every cross product is nonzero: a line's coefficients
         counts = (Counter(_primitive(_cross(r, s)) for s in rows[i + 1 :]) for i, r in enumerate(rows))
         return max((1 + c for lines in counts for c in lines.values()), default=len(rows))
     n = len(rows)
-    if n < ncols or linalg.rank(rows) < ncols:
+    echelon, basis = linalg.reduced_echelon(list(zip(*rows)))
+    if len(basis) < ncols:
         return n
+    if linalg.coloops(echelon, basis, range(n)):
+        return n - 1
     closures = Counter(five for six in _sixes_on_a_conic(coords) for five in combinations(six, 5))
     # five points with four on a line make six on a conic with each of the
     # other n - 5; five independent ones only with the points of their one

@@ -319,6 +319,24 @@ def test_check_heavy_conic_without_rational_points(tmp_path, capsys):
     assert report["verdict"] == {"kind": "covered", "witness": conic, "omitted": None}
 
 
+def test_check_at_alpha_one(tmp_path, capsys):
+    # beta = (2/3)(1 - 1) = 0: the strict level set at 0 is every component
+    # curve and no point, so the one line of weight 1 is its own witness
+    path = tmp_path / "alpha-one.json"
+    path.write_text(json.dumps({"lines": [["0", "0", "1"]], "conics": [], "weights": ["1"], "alpha": "1"}))
+    report_path = tmp_path / "alpha-one-report.json"
+    assert main(["check", str(path), "--out", str(report_path)]) == 0
+    assert capsys.readouterr().out == "covered (omitted: none)\n"
+    report = json.loads(report_path.read_text())
+    assert report["beta"] == "0" and report["level_set"]["threshold"] == "0"
+    line = {"kind": "line", "coefficients": ["0", "0", "1"]}
+    assert report["level_set"]["component_curves"] == [line]
+    assert report["level_set"]["isolated_points"] == []
+    assert report["verdict"]["kind"] == "covered" and report["verdict"]["omitted"] is None
+    assert _is_component(Line(0, 0, 1), _parse_curve(report["verdict"]["witness"]))
+    assert report["verified"] is True
+
+
 def _parse_curve(document):
     parse = serialize.parse_line if document["kind"] == "line" else serialize.parse_conic
     return parse(document["coefficients"])

@@ -558,6 +558,43 @@ def test_conic_witness_is_the_reference_kernel_vector():
         assert verdict == Covered(reference_conic_space(pts)[0])
 
 
+def test_witness_is_the_reference_witness_of_the_rest():
+    # the witness is fitted to the basis points of the rest only; it must
+    # be the reference conic of the whole rest, or the oracle's join of
+    # two rest points, also when the rest has rank below 5
+    rng = random.Random(89)
+    sets = [
+        [Point(t, 1, 1) for t in range(-2, 2)] + [Point(1, 5, 1), Point(3, -2, 1)],
+        [Point(t, 0, 1) for t in range(-3, 4)] + [Point(1, 2, 1)],
+        [Point(t * t, t, 1) for t in range(-3, 4)] + [Point(1, 5, 1)],
+        [Point(1, t, 2 * t + 1) for t in range(-4, 5)],
+    ]
+    for _ in range(60):
+        n = rng.randint(6, MAX_POINTS)
+        sets.append(random_structured_points(rng, n))
+        sets.append(random_wide_points(rng, n, rng.choice(["collinear", "concurrent", "rescaled"])))
+    forced_line = (Line(0, 0, 1),)
+    seen = Counter()
+    for pts in sets:
+        for forced, budget in (((), 1), ((), 2), (forced_line, 2)):
+            points = sorted({p for p in pts if not any(incident(p, c) for c in forced)})
+            verdict = (line_cover_check if budget == 1 else conic_cover_check)(LevelSet(HALF, True, forced, points))
+            if not isinstance(verdict, Covered) or len(points) < 6:
+                continue
+            rest = [p for p in points if p != verdict.omitted]
+            if forced:
+                expected = _line_pair(forced[0], _join(rest[0], rest[1]))
+            elif budget == 1:
+                expected = _join(rest[0], rest[1])
+            else:
+                expected = reference_conic_space(rest)[0]
+                if reference_rank([_veronese(p.coords) for p in rest]) < 5:
+                    seen["rank below 5"] += 1
+            assert verdict.witness == expected
+            seen[forced, budget, verdict.omitted is None] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 7, seen
+
+
 def test_check_cover_instance_on_quadrilateral():
     quad = DivisorCurrent(
         [(Fraction(1, 4), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))]
@@ -678,9 +715,10 @@ def test_find_heavy_points_is_the_level_set_points(current, alpha):
 def test_evaluate_cover_decides_as_the_fraction_reference(current, data):
     # the weights and the mass are tested on integer numerators; the
     # reference tests them as Fractions. Alpha is often a weight, where
-    # >= and > part; beta is 0 at alpha = 1, so alpha stays below 1
+    # >= and > part; at alpha = 1, beta is 0 and the strict level set
+    # there is every component curve and no point
     weights = st.sampled_from([w for w, _ in current.components])
-    alpha = data.draw(st.one_of(_THRESHOLDS, weights).filter(lambda a: a < 1))
+    alpha = data.draw(st.one_of(_THRESHOLDS, weights).filter(lambda a: a <= 1))
     try:
         outcome = evaluate_cover(current, alpha)
     except IrrationalIntersection:

@@ -267,6 +267,56 @@ def test_max_on_curve_matches_oracles_up_to_the_cap():
             assert max_on_curve(pts, 2) == m2_minor_oracle(pts)
 
 
+def _planted(rng, n, kind, off) -> list[Point]:
+    """n points moved by a random projective map: n - off on the smooth
+    conic x*z = y^2 (kind "conic") or on the line pair x*y = 0 with at
+    least four on y = 0 (kind "pair"), and `off` more on neither."""
+    if kind == "conic":
+        on = [Point(t * t, t, 1) for t in rng.sample(range(-9, 10), n - off)]
+        on_curve = lambda x, y, z: x * z == y * y
+    else:
+        k1 = max(4, (n - off + 1) // 2)
+        on = [Point(t, 0, 1) for t in rng.sample(range(-7, 8), k1)]
+        on += [Point(0, t, 1) for t in rng.sample([*range(-7, 0), *range(1, 8)], n - off - k1)]
+        on_curve = lambda x, y, z: x * y == 0
+    offs: list[Point] = []
+    while len(offs) < off:
+        p = random_point(rng)
+        if not on_curve(*p.coords) and p not in offs:
+            offs.append(p)
+    pmap = random_projective_map(rng, bound=2)
+    return [pmap.point(p) for p in on + offs]
+
+
+def test_max_on_curve_ignores_order_and_stops_at_a_coloop():
+    # the points are read into a set, unsorted: shuffled lists with points
+    # listed again under another scaling give the oracles' counts
+    rng = random.Random(61)
+    for _ in range(40):
+        pts = random_structured_points(rng, rng.randint(1, 7))
+        again = [Point(*(k * x for x in p.coords)) for p, k in zip(rng.sample(pts, min(3, len(pts))), (2, -3, 5))]
+        shuffled = pts + again
+        rng.shuffle(shuffled)
+        assert max_on_curve(shuffled, 1) == max_on_curve(pts, 1) == m1_oracle(pts)
+        assert max_on_curve(shuffled, 2) == max_on_curve(pts, 2) == m2_oracle(pts)
+    # planted sets up to the cap: n - 1 on a conic is a coloop (the stop at
+    # n - 1), and a line pair with four or more collinear points makes six
+    # on a conic with every other point
+    counts = set()
+    for n in range(6, MAX_POINTS + 1):
+        for kind, off in (("conic", 1), ("conic", 2), ("pair", 0), ("pair", 1), ("pair", 2)):
+            pts = _planted(rng, n, kind, off)
+            m2 = m2_minor_oracle(pts)
+            assert m2 >= n - off
+            if kind == "conic" and off == 1:
+                assert m2 == n - 1
+            counts.add(n - m2)
+            for order in (pts, pts[::-1], rng.sample(pts, n)):
+                assert max_on_curve(order, 1) == m1_oracle(pts)
+                assert max_on_curve(order, 2) == m2
+    assert counts == {0, 1, 2}
+
+
 def test_max_on_curve_reads_its_points_once():
     rng = random.Random(53)
     for _ in range(20):
