@@ -320,7 +320,7 @@ def evaluate_cover(current: DivisorCurrent, alpha) -> Outcome:
     and mass are tested on the current's numerators over `den`: w = n/den
     is >= alpha = p/q when n*q >= p*den, and the mass is 1 when the sum of
     n*deg is den; a Fraction is built only for a reason's text."""
-    a = Fraction(alpha)
+    a = alpha if type(alpha) is Fraction else Fraction(alpha)
     heavy = find_heavy_points(current, a) if a > TWO_FIFTHS else ()
     q, bound = a.denominator, a.numerator * current.den
     heavy_curves = tuple(wc for n, wc in zip(current.nums, current.components) if n * q >= bound)

@@ -36,9 +36,11 @@ pairwise intersection point once built, keyed on the point's primitive
 integer tuple (`Point.ints`): two lines meet at the primitive form of
 their cross product, computed inline on the integer tuples, so the map of
 an all-line current holds no Point, and its keys hash and compare as
-plain tuples. The build keeps the set of component indices through each
-point; where only two components meet, the density is the sum of their
-two numerators. A Point is built only for a point that a level set,
+plain tuples. The build keeps one [density, heaviest, first line] entry
+per point and no set of components: the first line through a point meets
+every other component through it there, so the pairs of that line
+complete the entry, and every other pair that meets there skips it. A
+Point is built only for a point that a level set,
 `support_intersections` or `cover.find_heavy_points` returns. The current
 is immutable, so level sets at any threshold (the heavy points at alpha
 and the strict level set at beta) read the same map, and the map lives
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable
@@ -94,7 +95,9 @@ class DivisorCurrent:
     __slots__ = ("components", "den", "nums", "_incidence")
 
     def __init__(self, components: Iterable[tuple[Fraction | int, Curve]] = ()):
-        merged: dict[Curve, Fraction] = {}
+        # keyed on `ints`: a line's tuple has 3 entries and a conic's 6, so
+        # equal tuples are equal curves, and no Python __hash__ runs
+        merged: dict[tuple[int, ...], tuple[Fraction, Curve]] = {}
         for weight, curve in components:
             w = weight if type(weight) is Fraction else Fraction(weight)
             if w.numerator < 0:
@@ -103,13 +106,15 @@ class DivisorCurrent:
                 raise ReducibleConic(
                     "reducible conic component; list a line pair as two lines"
                 )
-            if curve in merged:
-                w += merged[curve]
-            merged[curve] = w
+            key = curve.ints
+            if key in merged:
+                w0, curve = merged[key]
+                w += w0
+            merged[key] = (w, curve)
         # lines before conics, each sorted by its own `<`: the order of
         # `curve_sort_key` with no tuple comparison
-        lines = [(w, c) for c, w in merged.items() if w and c.degree == 1]
-        conics = [(w, c) for c, w in merged.items() if w and c.degree == 2]
+        lines = [wc for wc in merged.values() if wc[0] and wc[1].degree == 1]
+        conics = [wc for wc in merged.values() if wc[0] and wc[1].degree == 2]
         lines.sort(key=_curve)
         conics.sort(key=_curve)
         items = lines + conics
@@ -185,43 +190,55 @@ class DivisorCurrent:
     def _incidence_map(self) -> dict[Triple, tuple[int, int]]:
         """Pairwise intersection point, as its primitive integer tuple ->
         (density, heaviest weight) of the components through it as
-        numerators over `den`, from one pass over the component pairs. Two
-        lines meet at the primitive form of their cross product, computed
-        here on the integer tuples with no Point built; other pairs go
-        through `intersect_curves`, in component-pair order, so the first
-        pair without rational meets is the one that raises."""
+        numerators over `den`, from one pass over the component pairs.
+
+        Each point keeps one [density, heaviest, first line] entry. Lines
+        come first, so the row of the first line i through a point, its
+        pairs (i, j) for j > i, meets every other line through it there:
+        that row makes and completes the entry, and the rows of later
+        lines find it with another first line and skip it. Two lines meet
+        at the primitive form of their cross product, computed here on the
+        integer tuples with no Point built. A line-conic meet goes through
+        `intersect_curves` and adds the conic to the entry of its first
+        line in the same way, or makes the entry. These pairs are taken in
+        component-pair order, so the first pair without rational meets is
+        the one that raises."""
         if self._incidence is None:
             nums, curves = self.nums, self.curves
+            ints = [c.ints for c in curves]
             m = sum(c.degree == 1 for c in curves)  # lines come first
-            through: dict[Triple, set[int]] = {}
+            entries: dict[Triple, list[int]] = {}
             for i in range(m):
-                a0, a1, a2 = curves[i].ints
+                a0, a1, a2 = ints[i]
+                ni = nums[i]
                 for j in range(i + 1, m):
-                    b0, b1, b2 = curves[j].ints
+                    b0, b1, b2 = ints[j]
                     # distinct lines, so the cross product is nonzero
                     x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
                     g = gcd(x, y, z)
                     if (x or y or z) < 0:
                         g = -g
                     key = (x, y, z) if g == 1 else (x // g, y // g, z // g)
-                    if key in through:
-                        through[key].update((i, j))
-                    else:
-                        through[key] = {i, j}
-            for i, j in combinations(range(len(curves)), 2):
-                if j >= m:
+                    nj, e = nums[j], entries.get(key)
+                    if e is None:
+                        entries[key] = [ni + nj, ni if ni > nj else nj, i]
+                    elif e[2] == i:
+                        e[0] += nj
+                        if nj > e[1]:
+                            e[1] = nj
+            for i in range(len(curves)):
+                ni = nums[i]
+                for j in range(max(i + 1, m), len(curves)):
+                    nj = nums[j]
                     for p in intersect_curves(curves[i], curves[j]):
-                        through.setdefault(p.ints, set()).update((i, j))
-            summary = {}
-            for key, members in through.items():
-                if len(members) == 2:
-                    # most points lie on just the two curves that met there
-                    i, j = members
-                    ni, nj = nums[i], nums[j]
-                    summary[key] = (ni + nj, ni if ni > nj else nj)
-                else:
-                    ns = [nums[i] for i in members]
-                    summary[key] = (sum(ns), max(ns))
+                        e = entries.get(p.ints)
+                        if e is None:
+                            entries[p.ints] = [ni + nj, ni if ni > nj else nj, i]
+                        elif e[2] == i:
+                            e[0] += nj
+                            if nj > e[1]:
+                                e[1] = nj
+            summary = {key: (density, top) for key, (density, top, _) in entries.items()}
             object.__setattr__(self, "_incidence", summary)
         return self._incidence
 
@@ -247,7 +264,7 @@ class DivisorCurrent:
         component order and the isolated points of the level set, unsorted,
         read from the incidence map: the parts of `level_set`, which
         `cover.find_heavy_points` reads without building a LevelSet."""
-        t = Fraction(threshold)
+        t = threshold if type(threshold) is Fraction else Fraction(threshold)
         # the strict level set at 0 is every component curve and no point
         if t <= 0 and not (strict and t == 0):
             raise NonpositiveThreshold(f"threshold {t} must be positive")

@@ -11,13 +11,26 @@ concentrates density on purpose:
                 diagonals), so anchors accumulate density; validity then
                 depends on the drawn weights.
 * "heavy-line": one line drawn with weight >= alpha, whose weight alone
-                meets the hypothesis, so validity is certain.
+                meets the hypothesis, so validity is certain for alpha
+                < 1. The weight is capped at 9/10, or at alpha when
+                9/10 < alpha <= 1; at alpha = 1 the other lines get
+                weight 0, so the draw is skipped-degenerate. Above 1 no
+                weight reaches alpha and the cap stays 9/10.
 * "scatter":    unstructured lines through random point pairs; almost
                 always tagged skipped-precondition, kept as a negative
                 control.
 * "conic-pencil" (only when conics are requested): an irreducible conic
                 through five base points plus chords through base-point
                 pairs, so all pairwise intersections stay rational.
+
+Random values come from `_below(rng, n)`, which draws what
+`rng.randrange(n)` draws, from the same `getrandbits(n.bit_length())`
+calls repeated until the value is below n; only the chord order of
+"conic-pencil" is `rng.shuffle`. `low + _below(rng, high - low + 1)` is
+`randint(low, high)` and `seq[_below(rng, len(seq))]` is `choice(seq)`,
+so every report for a seed is the one those calls gave, with one Python
+frame per value where they take two or three. `_random_point` runs the
+same loop inline for its three coordinates.
 
 Draws stay integer tuples until a current is built: a point is the raw
 nonzero tuple drawn, or its primitive form where points must be told
@@ -84,7 +97,7 @@ TAG_DEGENERATE = "skipped-degenerate"
 DENOMINATOR_BOUND = 16
 
 # largest coefficient_bound: line coefficients, cross products of drawn
-# points, stay near 64 bits, and len() of the draw range fits an ssize_t
+# points, stay near 64 bits
 MAX_COEFFICIENT_BOUND = 2**31
 
 
@@ -178,15 +191,29 @@ class RunReport:
         }
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """What `rng.randrange(n)` draws (n >= 1), from the same getrandbits
+    calls: k = n.bit_length() bits, drawn again until below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_point(rng: random.Random, bound: int) -> Triple:
-    """A point as a nonzero integer tuple, not made primitive."""
-    # choice over the range draws what randint(-bound, bound) draws, with
-    # one _randbelow(2 * bound + 1) per entry, in fewer calls
-    span = range(-bound, bound + 1)
+    """A point as a nonzero integer tuple, not made primitive: each entry
+    is what randint(-bound, bound) draws, by the `_below` loop inline."""
+    getrandbits, n = rng.getrandbits, 2 * bound + 1
+    k = n.bit_length()
     while True:
-        coords = (rng.choice(span), rng.choice(span), rng.choice(span))
+        coords = []
+        while len(coords) < 3:
+            r = getrandbits(k)
+            if r < n:
+                coords.append(r - bound)
         if any(coords):
-            return coords
+            return tuple(coords)
 
 
 def _random_line(rng: random.Random, bound: int) -> Triple:
@@ -279,18 +306,18 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
 
 
 def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstance:
-    alpha = Fraction(rng.choice(spec.alphas))
+    alpha = Fraction(spec.alphas[_below(rng, len(spec.alphas))])
     strategies = ["pencils", "scatter"]
     if spec.weight_scheme == "random":
         strategies.append("heavy-line")
     if spec.n_conics > 0:
         strategies = ["conic-pencil"]
-    strategy = rng.choice(strategies)
+    strategy = strategies[_below(rng, len(strategies))]
 
     def raws(count, low=1, high=DENOMINATOR_BOUND):
         if spec.weight_scheme == "uniform":
             return [1] * count
-        return [rng.randint(low, high) for _ in range(count)]
+        return [low + _below(rng, high - low + 1) for _ in range(count)]
 
     if strategy == "conic-pencil":
         curves = _conic_pencil(rng, spec)
@@ -303,8 +330,11 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
         # the first line's weight is drawn at or above alpha
         curves = _distinct_lines(rng, spec.coefficient_bound, spec.n_lines)
         if curves is not None:
-            margin = Fraction(rng.randint(0, 4), 20)
-            first = min(alpha + margin * (1 - alpha), Fraction(9, 10))
+            margin = Fraction(_below(rng, 5), 20)
+            # capped at 9/10 so that the other lines keep weight, but never
+            # below an alpha up to 1; above 1 no weight reaches alpha
+            cap = max(alpha, Fraction(9, 10)) if alpha <= 1 else Fraction(9, 10)
+            first = min(alpha + margin * (1 - alpha), cap)
             weights = [first] + _scaled(raws(len(curves) - 1), curves[1:], 1 - first)
     else:
         curves = (

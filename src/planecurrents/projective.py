@@ -53,7 +53,12 @@ def _lead(v: Sequence[int]) -> int:
 
 def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """The integer tuple divided by its gcd, signed so its lead is positive."""
-    g = gcd(*v) if _lead(v) > 0 else -gcd(*v)
+    for lead in v:
+        if lead:
+            break
+    else:
+        raise ValueError("homogeneous coordinates must not all be zero")
+    g = gcd(*v) if lead > 0 else -gcd(*v)
     return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 

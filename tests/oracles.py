@@ -339,13 +339,30 @@ def mass_oracle(current) -> Fraction:
     )
 
 
+def weights_through_oracle(current, point) -> list[Fraction]:
+    """The Fraction weights of the components whose form vanishes at the
+    point."""
+    return [w for w, c in current.components if _form(c, point.coords) == 0]
+
+
 def lelong_oracle(current, point) -> Fraction:
-    """Sum of the Fraction weights of the components whose form vanishes
-    at the point: lines and irreducible conics are smooth, so each has
-    multiplicity 1 there."""
-    return sum(
-        (w for w, c in current.components if _form(c, point.coords) == 0), Fraction(0)
-    )
+    """Sum of the Fraction weights of the components through the point:
+    lines and irreducible conics are smooth, so each has multiplicity 1
+    there."""
+    return sum(weights_through_oracle(current, point), Fraction(0))
+
+
+def pairwise_meets_oracle(current) -> set[Point]:
+    """The rational common points of every pair of components. Raises
+    ValueError where a pair has no rational intersection representation."""
+    meets = set()
+    for (_, c1), (_, c2) in combinations(current.components, 2):
+        if len(c2.coeffs) == 3:
+            c1, c2 = c2, c1
+        if len(c1.coeffs) != 3:
+            raise ValueError("two conic components")
+        meets.update(_line_meets(c1, c2))
+    return meets
 
 
 def level_set_oracle(current, threshold, strict):
@@ -363,16 +380,9 @@ def level_set_oracle(current, threshold, strict):
     passes = (lambda v: v > t) if strict else (lambda v: v >= t)
     comps = current.components
     curves = tuple(c for w, c in comps if passes(w))
-    candidates = set()
-    for (_, c1), (_, c2) in combinations(comps, 2):
-        if len(c2.coeffs) == 3:
-            c1, c2 = c2, c1
-        if len(c1.coeffs) != 3:
-            raise ValueError("two conic components")
-        candidates.update(_line_meets(c1, c2))
     isolated = sorted(
         p
-        for p in candidates
+        for p in pairwise_meets_oracle(current)
         if passes(lelong_oracle(current, p))
         and all(_form(c, p.coords) != 0 for c in curves)
     )

@@ -36,12 +36,14 @@ from oracles import (
     lelong_oracle,
     level_set_oracle,
     mass_oracle,
+    pairwise_meets_oracle,
     random_lines,
     random_point,
     random_points,
     random_projective_map,
     random_unit_current,
     rational_form,
+    weights_through_oracle,
 )
 
 QUAD_LINES = [Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1)]
@@ -383,6 +385,58 @@ def test_concurrent_lines_share_one_map_entry():
     assert current.lelong_number(centre) == sum(weights)
     assert current.level_set(sum(weights)).isolated_points == (centre,)
     assert current.level_set(sum(weights), strict=True).isolated_points == ()
+
+
+def _assert_map_matches_oracle(current):
+    """The map has one key per pairwise meet, and each entry is the
+    density and the heaviest weight through the point, over `den`."""
+    incidence = current._incidence_map()
+    assert set(incidence) == {p.ints for p in pairwise_meets_oracle(current)}
+    for key, (density, heaviest) in incidence.items():
+        through = weights_through_oracle(current, Point(*key))
+        assert (Fraction(density, current.den), Fraction(heaviest, current.den)) == (
+            sum(through),
+            max(through),
+        )
+
+
+def _chords_through(conic_points, pairs, weights):
+    """The conic x*z = y^2 and the chords through the given pairs of its
+    points (t^2 : t : 1), with the conic's weight last."""
+    pts = [Point(t * t, t, 1) for t in conic_points]
+    chords = [line_through(pts[i], pts[j]) for i, j in pairs]
+    return DivisorCurrent(list(zip(weights, chords + [SMOOTH_CONIC])))
+
+
+def test_incidence_map_matches_the_oracle():
+    rng = random.Random(53)
+    for make in (random_unit_current, _concurrent_current, _conic_chord_current):
+        for _ in range(25):
+            _assert_map_matches_oracle(make(rng))
+
+    # four lines through (0:0:1) that sort after the other three, so the
+    # first line through it has the fourth-last row; the heaviest of them
+    # is neither of the first pair
+    spokes = [Line(1, b, 0) for b in (5, 6, 7, 9)]
+    others = [Line(1, -3, 2), Line(1, -1, 5), Line(1, 0, -4)]
+    weights = [Fraction(k, 40) for k in (3, 2, 4, 7, 6, 9, 5)]
+    last = DivisorCurrent(list(zip(weights, spokes + others)))
+    assert last.curves[-4:] == tuple(spokes)
+    assert last._incidence_map()[(0, 0, 1)] == (16, 7)  # 3 + 2 + 4 + 7 and 7, over den 40
+    _assert_map_matches_oracle(last)
+
+    # the conic meets two chords at (1:1:1), and three at (0:0:1); a third
+    # chord, (4:2:1)-(9:3:1), passes through neither
+    two = _chords_through(
+        [1, 2, 0, 3], [(0, 1), (0, 2), (1, 3)], [Fraction(k, 30) for k in (3, 5, 4, 7)]
+    )
+    assert two._incidence_map()[(1, 1, 1)] == (15, 7)  # 3 + 5 + 7 and the conic's 7, over 30
+    three = _chords_through(
+        [0, 1, -1, 2, 3], [(0, 1), (0, 2), (0, 3), (3, 4)], [Fraction(k, 30) for k in (2, 6, 3, 4, 5)]
+    )
+    assert three._incidence_map()[(0, 0, 1)] == (16, 6)  # 2 + 6 + 3 + 5 and 6, over 30
+    for current in (two, three):
+        _assert_map_matches_oracle(current)
 
 
 def test_incidence_cache_is_invisible():

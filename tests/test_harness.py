@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from planecurrents.cover import NotCoverable, conic_cover_check, evaluate_cover, find_heavy_points
+from planecurrents.cover import Covered, NotCoverable, conic_cover_check, evaluate_cover, find_heavy_points
 from planecurrents.errors import GridTooLarge, InvalidSpec
 from planecurrents.gallery import build
 from planecurrents.harness import (
@@ -13,6 +13,7 @@ from planecurrents.harness import (
     MAX_COEFFICIENT_BOUND,
     GenSpec,
     SweepGrid,
+    _below,
     _random_line,
     _random_point,
     exhaustive_sweep,
@@ -129,12 +130,13 @@ def _randint_point(rng, bound):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2024])
-@pytest.mark.parametrize("bound", [1, 5])
+@pytest.mark.parametrize("bound", [1, 2, 5, 8, MAX_COEFFICIENT_BOUND])
 def test_random_draws_keep_the_randint_stream(seed, bound):
     # `search` reports are pinned per --seed, so the generator's draws must
     # stay the randint(-bound, bound) stream on every Python version: a
     # point is the raw tuple drawn, and a line the primitive tuple of the
-    # line through the first two draws that are different points
+    # line through the first two draws that are different points. At the
+    # largest bound an entry takes 33 bits, two 32-bit words per draw
     rng, reference = random.Random(seed), random.Random(seed)
     for _ in range(40):
         assert _random_point(rng, bound) == _randint_point(reference, bound)
@@ -144,6 +146,40 @@ def test_random_draws_keep_the_randint_stream(seed, bound):
                 break
         assert _random_line(rng, bound) == line_through(p, q).ints
     assert rng.random() == reference.random()
+
+
+def test_below_draws_what_randrange_draws():
+    # 2**32 + 1 takes 33 bits, two words per try, and about half the tries
+    for n in [*range(1, 41), 2**32 + 1]:
+        rng, reference = random.Random(n), random.Random(n)
+        assert [_below(rng, n) for _ in range(60)] == [reference.randrange(n) for _ in range(60)]
+        assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize(
+    "alpha, tag, heaviest",
+    [
+        (Fraction(19, 20), "ok", Fraction(19, 20)),
+        # the heavy line takes all the mass and the other lines weight 0
+        (Fraction(1), "skipped-degenerate", None),
+        # no weight reaches alpha > 1; the cap stays 9/10
+        (Fraction(3, 2), "skipped-precondition", Fraction(9, 10)),
+    ],
+)
+def test_heavy_line_draws_above_nine_tenths(alpha, tag, heaviest):
+    spec = GenSpec(n_lines=5, weight_scheme="random", alphas=(alpha,), seed=1)
+    heavy = [item for item in islice(generate(spec), 240) if item.strategy == "heavy-line"]
+    assert len(heavy) > 40
+    assert {item.tag for item in heavy} == {tag}
+    for item in heavy:
+        if heaviest is None:
+            assert item.current is None
+            continue
+        weights = [w for w, _ in item.current.components]
+        assert sum(weights) == 1 and max(weights) == heaviest
+        if tag == "ok":
+            assert [w for w, _ in item.outcome.heavy_curves] == [heaviest]
+            assert isinstance(item.outcome.verdict, Covered)
 
 
 @pytest.mark.parametrize("n_conics, scheme", [(0, "uniform"), (0, "random"), (1, "random")])
