@@ -42,7 +42,9 @@ witness having that curve as a component. Hence:
   column where the row is nonzero. Against a basis taken from the first
   point, this cut the pivot steps of the cover checks on the bench
   `points` inputs of seed 1, passes 1-20 (1,400 sets), from 34,196 to
-  23,998.
+  23,998. That step is a basis exchange on the fraction-free echelon, so
+  it is given the echelon's common pivot entry, the row's entry at the
+  point visited, and divides each entry by it exactly (see `linalg`).
 
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
@@ -183,7 +185,8 @@ def _minimal_obstruction(echelon, basis) -> list[int]:
     echelon is updated in place. The columns kept keep both properties,
     so dropping one keeps the rank, and the drop is kept iff it leaves no
     coloop. A pivot i first hands its row to the first kept non-pivot
-    column where that row is nonzero, which exists since i is no coloop."""
+    column where that row is nonzero, which exists since i is no coloop,
+    by a `linalg.pivot_on` step from the common pivot entry echelon[r][i]."""
     basis = list(basis)
     keep = list(range(len(echelon[0])))
     for i in reversed(range(len(keep))):
@@ -191,7 +194,7 @@ def _minimal_obstruction(echelon, basis) -> list[int]:
         if i in basis:
             r = basis.index(i)
             basis[r] = next(j for j in trial if j not in basis and echelon[r][j])
-            linalg.pivot_on(echelon, r, basis[r])
+            linalg.pivot_on(echelon, r, basis[r], echelon[r][i])
         if not linalg.coloops(echelon, basis, trial):
             keep = trial
     return keep

@@ -268,12 +268,12 @@ class DivisorCurrent:
         # the strict level set at 0 is every component curve and no point
         if t <= 0 and not (strict and t == 0):
             raise NonpositiveThreshold(f"threshold {t} must be positive")
-        # n/den passes p/q when n*q > p*den (or >=), with q and den positive
-        q, bound = t.denominator, t.numerator * self.den
-        passes = (lambda n: n * q > bound) if strict else (lambda n: n * q >= bound)
-        curves = tuple(c for n, c in zip(self.nums, self.curves) if passes(n))
+        # n/den passes p/q when n*q > p*den (or >=), with q and den positive;
+        # on integers n*q > p*den is n*q >= p*den + 1, so both tests are >=
+        q, bound = t.denominator, t.numerator * self.den + bool(strict)
+        curves = tuple(c for n, c in zip(self.nums, self.curves) if n * q >= bound)
         incidence = self._incidence_map().items()
-        return t, curves, [Point._of(k) for k, (nu, top) in incidence if passes(nu) and not passes(top)]
+        return t, curves, [Point._of(k) for k, (nu, top) in incidence if nu * q >= bound > top * q]
 
 
 @dataclass(frozen=True)

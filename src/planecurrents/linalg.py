@@ -9,22 +9,31 @@ arrive as integers. For them the whole check is one `gcd` call over all
 the entries, which accepts nothing but integers, before the rows are
 copied.
 
-Two eliminations, both fraction-free:
+Two eliminations, both fraction-free after Bareiss (Math. Comp., 1968):
 
-* `pivots` and `rank` run a Bareiss (1968) row echelon form. By the
-  Sylvester identity each intermediate entry is a minor of the input, so
-  entries grow with the matrix, not multiplicatively with each step.
-  It clears below the pivots only and divides exactly, so for a rank it
-  is two to three times faster than `reduced_echelon` on the 3x3 to
-  11x6 integer matrices of the package.
-* `reduced_echelon` runs Gauss-Jordan by single pivot steps (`pivot_on`):
-  every row but the pivot row is cleared in the pivot column and divided
-  by its gcd. Each resulting row is a nonzero integer multiple of the
-  matching row of the reduced row echelon form, so its zero pattern is
-  exactly that form's. Its pivot columns are the same greedy basis as
-  `pivots`. `nullspace` reads its basis off these rows, dividing only
-  there, into `Fraction`s; `projective.conic_space` reads the same basis
-  as integers, scaled by the lcm of the pivots.
+* `pivots` and `rank` run a Bareiss row echelon form. By the Sylvester
+  identity each intermediate entry is a minor of the input, so entries
+  grow with the matrix, not multiplicatively with each step. It clears
+  below the pivots only, so for a rank it is 1.6 to 2.2 times faster
+  than `reduced_echelon` on the 3x3 to 11x6 integer matrices of the
+  package (300 random matrices of each shape, Python 3.11).
+* `reduced_echelon` runs Gauss-Jordan by single fraction-free pivot
+  steps (`pivot_on`). Every pivot entry of the tableau equals one value
+  d, 1 at the start. A step on the nonzero entry a = m[r][c] leaves row
+  r as it is, turns every other row into (a * row - row[c] * m[r]) / d
+  and makes a the new d. The division is exact. With B the submatrix of
+  the input on the pivot rows and columns (in the order and sign the
+  steps took them), the pivot rows are det(B) * B^-1 times the input's,
+  and d = det(B); so every entry is a minor of the input (an entry of a
+  row not yet a pivot row is a minor one larger), and the step is the
+  basis exchange whose new determinant is a. The same argument covers
+  any later exchange, as in `cover`, given the d of the tableau it
+  starts from. So each row is d times the matching row of the reduced
+  row echelon form, with that form's zero pattern, at the cost of one
+  exact division per entry and no gcd. Its pivot columns are the same
+  greedy basis as `pivots`. `nullspace` reads its basis off these rows,
+  dividing only there, into `Fraction`s; `projective.conic_space` reads
+  the same basis as integers, scaled by d.
 
 `coloops` reads, from one such echelon of columns, the columns that lie
 in every basis of them. `cover` and `projective.max_on_curve` take it of
@@ -101,39 +110,42 @@ def rank(rows: Sequence[Row]) -> int:
     return len(pivots(rows))
 
 
-def pivot_on(m: list[list[int]], r: int, c: int) -> None:
-    """One Gauss-Jordan step on integer rows, in place: row r, divided by
-    its gcd, keeps its nonzero entry at column c, and every other row with
-    a nonzero entry there becomes m[r][c] * row - row[c] * m[r], divided by
-    its gcd. The rows span the same space, and column c is zero off row r."""
+def pivot_on(m: list[list[int]], r: int, c: int, d: int) -> None:
+    """One fraction-free Gauss-Jordan step on integer rows, in place, for
+    a tableau whose pivot entries all equal d (1 before the first step):
+    with a = m[r][c] nonzero, row r stays as it is and every other row
+    becomes (a * row - row[c] * m[r]) / d, a division that is exact (see
+    the module docstring). Column c is then zero off row r, and every
+    pivot entry, row r's at c included, equals a, the next step's d."""
     pivot_row = m[r]
-    g = gcd(*pivot_row)
-    if g > 1:
-        pivot_row = m[r] = [x // g for x in pivot_row]
     a = pivot_row[c]
     for s, row in enumerate(m):
         b = row[c]
         if b and s != r:
-            row = [a * x - b * y for x, y in zip(row, pivot_row)]
-            g = gcd(*row)
-            m[s] = [x // g for x in row] if g > 1 else row
+            m[s] = [(a * x - b * y) // d for x, y in zip(row, pivot_row)]
+        elif not b and a != d:
+            m[s] = [a * x // d for x in row]
 
 
 def reduced_echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free reduced row echelon form: the nonzero rows, each with
-    its gcd divided out and its pivot in the matching entry of the
-    ascending pivot column list, and zero in every other pivot column.
-    Scaling row i to a pivot of 1 gives row i of the reduced row echelon
-    form, and the pivots are those of `pivots`."""
+    its pivot in the matching entry of the ascending pivot column list,
+    and zero in every other pivot column. Every pivot entry equals one d,
+    up to sign the k x k minor of the integer rows on the pivot columns
+    and the rows that became pivot rows, and each row is d times the
+    matching row of the reduced row echelon form. The pivots are those of
+    `pivots`."""
     m = integer_rows(rows)
     pivots: list[int] = []
+    d = 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pivot_on(m, r, c)
+        pivot_on(m, r, c, d)
+        d = m[r][c]
         pivots.append(c)
         if r + 1 == len(m):
             break

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
@@ -272,17 +272,18 @@ def _rows_of(coords: list[Triple], degree: int) -> tuple[list, int]:
 def conic_space(points: Iterable[Point]) -> tuple[Conic, ...]:
     """Basis of the space of quadratic forms vanishing on all given points:
     the basis of `linalg.nullspace` on their Veronese rows, each vector
-    scaled to integers by the lcm of the pivots of the reduced echelon.
-    Neither the order of the rows nor repeated rows change that echelon."""
+    scaled to integers by d, the common pivot entry of the reduced
+    echelon, which leaves -row[f] at each pivot column. Neither the order
+    of the rows nor repeated rows change the vectors."""
     rows, ncols = _rows_of([p.ints for p in points], 2)
     echelon, pivots = linalg.reduced_echelon(rows)
-    scale = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    d = echelon[0][pivots[0]] if pivots else 1
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         coeffs = [0] * ncols
-        coeffs[f] = scale
+        coeffs[f] = d
         for row, c in zip(echelon, pivots):
-            coeffs[c] = -row[f] * (scale // row[c])
+            coeffs[c] = -row[f]
         basis.append(Conic._of(coeffs))
     return tuple(basis)
 
@@ -329,9 +330,9 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     given degree. The count does not depend on the order of the points,
     so they are read once into a set and not sorted.
 
-    Degree 1 counts pairs, O(n^2): from each point, the later points on
-    each line through it; the best line holds its first point plus its
-    count.
+    Degree 1 counts pairs, O(n^2): each pair of points is filed under the
+    primitive integer tuple of the line through them, and a line with the
+    most pairs, c = k * (k - 1) / 2, holds the most points, k.
 
     Degree 2 takes one reduced echelon of the transposed Veronese rows,
     whose columns are the points. Rank below 6 means all n points lie on
@@ -344,9 +345,19 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     coords = list({p.ints for p in points})
     rows, ncols = _rows_of(coords, degree)
     if degree == 1:
-        # distinct rows, so every cross product is nonzero: a line's coefficients
-        counts = (Counter(_primitive(_cross(r, s)) for s in rows[i + 1 :]) for i, r in enumerate(rows))
-        return max((1 + c for lines in counts for c in lines.values()), default=len(rows))
+        pairs: dict[Triple, int] = {}
+        for i, (a0, a1, a2) in enumerate(rows):
+            for b0, b1, b2 in rows[i + 1 :]:
+                # distinct points, so the cross product is nonzero: the
+                # coefficients of their line, made primitive as in
+                # `currents.DivisorCurrent._incidence_map`
+                x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+                g = gcd(x, y, z)
+                if (x or y or z) < 0:
+                    g = -g
+                key = (x, y, z) if g == 1 else (x // g, y // g, z // g)
+                pairs[key] = pairs.get(key, 0) + 1
+        return (1 + isqrt(1 + 8 * max(pairs.values()))) // 2 if pairs else len(rows)
     n = len(rows)
     echelon, basis = linalg.reduced_echelon(list(zip(*rows)))
     if len(basis) < ncols:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planecurrents import linalg
 from planecurrents.auxiliary import BlendReport, BoundRow, RescaleReport
 from planecurrents.cover import (
     Covered,
     NotCoverable,
     UncoverableCurve,
     UncoveredPoints,
+    _minimal_obstruction,
     beta_of,
     conic_cover_check,
     evaluate_cover,
@@ -27,6 +30,7 @@ from planecurrents.projective import (
     Conic,
     Line,
     Point,
+    _rows_of,
     incident,
     max_on_curve,
 )
@@ -39,6 +43,7 @@ from oracles import (
     mass_oracle,
     minimal_obstruction_oracle,
     omission_oracle,
+    random_point,
     random_points,
     random_projective_map,
     random_structured_points,
@@ -46,6 +51,7 @@ from oracles import (
     random_wide_points,
     reference_conic_space,
     reference_rank,
+    reference_rref_on_basis,
 )
 
 HALF = Fraction(1, 2)
@@ -314,6 +320,37 @@ def test_obstructions_are_the_canonical_pruning():
                         assert verdict == NotCoverable(UncoveredPoints(expected))
                         seen[budget - sum(c.degree for c in forced)] += 1
     assert min(seen[0], seen[1], seen[2]) >= 10, seen
+
+
+def test_pruning_keeps_the_echelon_exact(monkeypatch):
+    # every hand-off of a pivot row is a fraction-free basis exchange from
+    # the echelon's common pivot entry: after the pruning the echelon is
+    # still d times the reference RREF on the basis it ends with
+    exchanges = []
+    pivot_on = linalg.pivot_on
+
+    def recording(m, r, c, d):
+        exchanges.append((r, c))
+        pivot_on(m, r, c, d)
+
+    monkeypatch.setattr(linalg, "pivot_on", recording)
+    rng = random.Random(97)
+    seen = 0
+    for _ in range(150):
+        points = sorted(set(random_structured_points(rng, rng.randint(7, MAX_POINTS))))
+        for degree in (1, 2):
+            columns = list(zip(*_rows_of([p.ints for p in points[::-1]], degree)[0]))
+            echelon, basis = linalg.reduced_echelon(columns)
+            if len(basis) < len(columns) or linalg.coloops(echelon, basis, range(len(points))):
+                continue
+            exchanges.clear()
+            _minimal_obstruction(echelon, basis)
+            for r, c in exchanges:
+                basis[r] = c
+            d = echelon[0][basis[0]]
+            assert echelon == [[d * x for x in row] for row in reference_rref_on_basis(columns, basis)]
+            seen += bool(exchanges)
+    assert seen >= 30, seen
 
 
 def test_verify_verdict_rechecks_point_obstructions():
@@ -738,3 +775,79 @@ def test_evaluate_cover_decides_as_the_fraction_reference(current, data):
     assert outcome.heavy_curves == heavy_curves
     assert outcome.heavy_points == heavy
     assert (outcome.verdict is None) == (reason is not None)
+
+
+def _digest_corpus(rng) -> list[list[Point]]:
+    """Seeded 7-12 point sets for the digest below: generic sets, sets
+    with 0-2 points off a planted conic or line pair moved by a random
+    projective map, and the same kinds with coordinates of up to 64
+    digits (on x*z = y^2 and x*y = 0 themselves)."""
+
+    def big(digits):
+        return rng.randint(-(10**digits) + 1, 10**digits - 1)
+
+    def offs(on, count, on_curve, draw):
+        extra: list[Point] = []
+        while len(extra) < count:
+            p = draw()
+            if not on_curve(p.ints) and p not in on and p not in extra:
+                extra.append(p)
+        return extra
+
+    def big_point():
+        while True:
+            coords = [big(64) for _ in range(3)]
+            if any(coords):
+                return Point(*coords)
+
+    def conic_point(digits):
+        s, t = big(digits), big(digits)
+        return Point(s * s, s * t, t * t) if s or t else Point(1, 0, 0)
+
+    def pair_point(digits, on_y):
+        a, b = big(digits), big(digits)
+        return (Point(a, 0, b) if on_y else Point(0, a, b)) if a or b else Point(1, 1, 0)
+
+    on_conic = lambda v: v[0] * v[2] == v[1] * v[1]
+    on_pair = lambda v: v[0] * v[1] == 0
+    sets = []
+    for n in range(7, MAX_POINTS + 1):
+        sets.append(random_points(rng, n))
+        sets.append(random_points(rng, n, bound=10**63))
+        for off in (0, 1, 2):
+            for on_curve, draw in ((on_conic, conic_point), (on_pair, pair_point)):
+                for digits in (1, 31):
+                    # a line pair holds 0, 1, 2 or half of its points on x = 0
+                    split = rng.choice((0, 1, 2, (n - off) // 2))
+                    on: list[Point] = []
+                    while len(on) < n - off:
+                        p = draw(digits) if draw is conic_point else draw(digits, len(on) >= split)
+                        if p not in on:
+                            on.append(p)
+                    if digits == 1:
+                        pts = on + offs(on, off, on_curve, lambda: random_point(rng))
+                        pmap = random_projective_map(rng, bound=2)
+                        sets.append([pmap.point(p) for p in pts])
+                    else:
+                        sets.append(on + offs(on, off, on_curve, big_point))
+    return sets
+
+
+# sha-256 of the reprs of max_on_curve at degrees 1 and 2, both cover
+# verdicts and both verify_verdict results over `_digest_corpus`, recorded
+# before the fraction-free pivot step went in: the kernel behind all six
+# may change, none of them may
+POINT_SET_DIGEST = "9173ddb89f4b14995a6733b5ea4d46f88ce210b7b1e38664b0249036ac9dea29"
+
+
+def test_point_set_results_are_pinned():
+    rng = random.Random(2401)
+    lines = []
+    for pts in _digest_corpus(rng):
+        level = finite_level(pts)
+        v1, v2 = line_cover_check(level), conic_cover_check(level)
+        results = (max_on_curve(pts, 1), max_on_curve(pts, 2), v1, v2,
+                   verify_verdict(level, v1, 1), verify_verdict(level, v2, 2))
+        lines.append(repr(results))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == POINT_SET_DIGEST, (len(lines), digest)

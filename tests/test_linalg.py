@@ -6,9 +6,16 @@ from hypothesis import strategies as st
 
 from planecurrents import linalg
 
-from math import gcd
+from itertools import combinations
+from math import lcm
 
-from oracles import reference_nullspace, reference_rank, reference_rref
+from oracles import (
+    reference_det,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
+    reference_rref_on_basis,
+)
 
 fractions_st = st.builds(
     Fraction,
@@ -96,13 +103,47 @@ def test_reduced_echelon_is_the_scaled_rref():
             mults = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in rows]
             rows = [[s * x + t * y for x, y in zip(a, b)] for s, t in mults]
         cases.append(rows)
+    cases.append([[2, 1, 0], [1, 2, 0], [0, 0, 5]])  # a row scaled by 3/2, not by 3 // 2
     for rows in cases:
         echelon, pivots = linalg.reduced_echelon(rows)
         expected, expected_pivots = reference_rref(rows)
         assert pivots == expected_pivots == linalg.pivots(rows)
         assert all(type(x) is int for row in echelon for x in row)
-        assert all(gcd(*row) == 1 for row in echelon)
         assert [[Fraction(x, row[c]) for x in row] for row, c in zip(echelon, pivots)] == expected
+        # one common pivot entry d, every row exactly d times the RREF, and
+        # |d| a k x k minor of the integer rows on the pivot columns
+        d = echelon[0][pivots[0]] if pivots else 1
+        assert all(row[c] == d for row, c in zip(echelon, pivots))
+        assert echelon == [[d * x for x in row] for row in expected]
+        scaled = [[x * lcm(*(Fraction(y).denominator for y in row)) for x in row] for row in rows]
+        minors = {abs(reference_det([[scaled[i][c] for c in pivots] for i in sub]))
+                  for sub in combinations(range(len(rows)), len(pivots))}
+        assert abs(d) in minors
+
+
+def test_pivot_on_is_a_basis_exchange():
+    # after each exchange the rows are a times the reference RREF with
+    # respect to the new basis, a being the entry pivoted on
+    rng = random.Random(31)
+    exchanges = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(2, 12)
+        bound = rng.choice((3, 9, 10**6))
+        rows = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(ncols)] for _ in range(nrows)]
+        echelon, basis = linalg.reduced_echelon(rows)
+        for _ in range(3):
+            d = echelon[0][basis[0]] if basis else 1
+            options = [(r, c) for r in range(len(basis)) for c in range(ncols)
+                       if c not in basis and echelon[r][c]]
+            if not options:
+                break
+            r, c = rng.choice(options)
+            a = echelon[r][c]
+            linalg.pivot_on(echelon, r, c, d)
+            basis[r] = c
+            assert echelon == [[a * x for x in row] for row in reference_rref_on_basis(rows, basis)]
+            exchanges += 1
+    assert exchanges > 300
 
 
 def test_nullspace_vectors_annihilate_rows():
