@@ -49,9 +49,13 @@ witness having that curve as a component. Hence:
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
 such that every single-point omission still fails the rank test).
-`verify_verdict` re-checks an obstruction by that definition, from rows
-built once: one rank test for the whole set and one per omission, not by
-the coloop reading.
+`verify_verdict` re-checks an obstruction by that definition, by rank,
+not by the coloop reading, from one row by row elimination of its rows
+(`linalg.extend_echelon`). That pass gives the rank of the whole set and
+the greedy basis B of its rows. Omitting a point outside B leaves B in
+the rest, which keeps full rank, with no elimination. Omitting the point
+of the k-th row of B continues the state before that row, the first k - 1
+rows of B, with the rows after it, until full rank.
 """
 
 from __future__ import annotations
@@ -243,7 +247,12 @@ def conic_cover_check(level: LevelSet) -> Verdict:
 
 def verify_verdict(level: LevelSet, verdict: Verdict, budget: int = 2) -> bool:
     """Independently re-check a verdict certificate against the level set
-    by direct incidence and rank tests."""
+    by direct incidence and rank tests. A point obstruction must hold two
+    or more distinct points of the level set, and neither the whole set
+    nor any rest after one omission may fit: by rank, on one elimination
+    whose state before each basis row is continued for that row's
+    omission (see the module docstring); with no degree left, any two
+    points are an obstruction."""
     if isinstance(verdict, Covered):
         w = verdict.witness
         if not isinstance(w, Line if budget == 1 else Conic):
@@ -265,21 +274,26 @@ def verify_verdict(level: LevelSet, verdict: Verdict, budget: int = 2) -> bool:
     degree_left = budget - level.total_component_degree
     if degree_left < 0:
         return False
-    pts = obs.points
-    if degree_left:
-        rows, ncols = _rows_of([p.ints for p in pts], degree_left)
-    else:
-        rows, ncols = pts, 0  # no curve is left: only an empty rest fits
-
-    def fits(omitted) -> bool:
-        rest = [row for p, row in zip(pts, rows) if p != omitted]
-        return linalg.rank(rest) < ncols if ncols else not rest
-
-    return (
-        len(pts) >= 2
-        and all(p in level.isolated_points for p in pts)
-        and not any(fits(p) for p in (None, *pts))
-    )
+    # omitting a point omits every copy of it, so the rows are the distinct points
+    pts = list(dict.fromkeys(p.ints for p in obs.points))
+    members = {p.ints for p in level.isolated_points}
+    if len(pts) < 2 or not members.issuperset(pts):
+        return False
+    if not degree_left:
+        return True  # no curve is left, and every omission leaves a point
+    rows, ncols = _rows_of(pts, degree_left)
+    echelon: list = []
+    basis = linalg.extend_echelon(echelon, rows, ncols)
+    if len(echelon) < ncols:
+        return False  # the whole set fits
+    # omitting a row outside the basis leaves the basis, so the rest has
+    # full rank; omitting basis row i continues from the state before it
+    for k, i in enumerate(basis):
+        rest = echelon[:k]
+        linalg.extend_echelon(rest, rows[i + 1 :], ncols)
+        if len(rest) < ncols:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ class DivisorCurrent:
         """Structural upper level set at the threshold (>= by default,
         > when strict)."""
         t, curves, points = self._level_parts(threshold, strict)
-        return LevelSet(t, strict, curves, points)
+        return LevelSet._of(t, bool(strict), curves, points)
 
     def _level_parts(
         self, threshold: Fraction | int, strict: bool
@@ -295,10 +295,21 @@ class LevelSet:
         for p in points:
             if any(incident(p, c) for c in curves):
                 raise ValueError(f"isolated point {p} lies on a component curve")
-        object.__setattr__(self, "threshold", Fraction(self.threshold))
-        object.__setattr__(self, "strict", bool(self.strict))
+        self._set(Fraction(self.threshold), bool(self.strict), curves, points)
+
+    def _set(self, threshold: Fraction, strict: bool, curves, points) -> None:
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "strict", strict)
         object.__setattr__(self, "component_curves", curves)
         object.__setattr__(self, "isolated_points", points)
+
+    @classmethod
+    def _of(cls, threshold: Fraction, strict: bool, curves, points) -> "LevelSet":
+        """The level set of trusted parts, sorted but not re-checked: the
+        incidence map gives distinct points off the passing curves."""
+        self = object.__new__(cls)
+        self._set(threshold, strict, tuple(sorted(curves, key=curve_sort_key)), tuple(sorted(points)))
+        return self
 
     def __repr__(self):
         return (

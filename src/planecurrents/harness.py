@@ -13,9 +13,9 @@ concentrates density on purpose:
 * "heavy-line": one line drawn with weight >= alpha, whose weight alone
                 meets the hypothesis, so validity is certain for alpha
                 < 1. The weight is capped at 9/10, or at alpha when
-                9/10 < alpha <= 1; at alpha = 1 the other lines get
-                weight 0, so the draw is skipped-degenerate. Above 1 no
-                weight reaches alpha and the cap stays 9/10.
+                alpha > 9/10; at alpha = 1 the other lines get weight
+                0, so the draw is skipped-degenerate. `GenSpec.validate`
+                rejects alpha > 1, which no weight reaches.
 * "scatter":    unstructured lines through random point pairs; almost
                 always tagged skipped-precondition, kept as a negative
                 control.
@@ -134,6 +134,9 @@ class GenSpec:
         for a in self.alphas:
             if Fraction(a) <= TWO_FIFTHS:
                 raise InvalidSpec(f"alpha must exceed 2/5, got {a}")
+            if Fraction(a) > 1:
+                # a unit-mass current has every weight and density at most 1
+                raise InvalidSpec(f"alpha must be at most 1, got {a}")
 
     def summary(self) -> dict:
         return {
@@ -332,9 +335,8 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
         if curves is not None:
             margin = Fraction(_below(rng, 5), 20)
             # capped at 9/10 so that the other lines keep weight, but never
-            # below an alpha up to 1; above 1 no weight reaches alpha
-            cap = max(alpha, Fraction(9, 10)) if alpha <= 1 else Fraction(9, 10)
-            first = min(alpha + margin * (1 - alpha), cap)
+            # below alpha
+            first = min(alpha + margin * (1 - alpha), max(alpha, Fraction(9, 10)))
             weights = [first] + _scaled(raws(len(curves) - 1), curves[1:], 1 - first)
     else:
         curves = (

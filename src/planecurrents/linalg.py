@@ -11,12 +11,30 @@ copied.
 
 Two eliminations, both fraction-free after Bareiss (Math. Comp., 1968):
 
-* `pivots` and `rank` run a Bareiss row echelon form. By the Sylvester
-  identity each intermediate entry is a minor of the input, so entries
-  grow with the matrix, not multiplicatively with each step. It clears
-  below the pivots only, so for a rank it is 1.6 to 2.2 times faster
-  than `reduced_echelon` on the 3x3 to 11x6 integer matrices of the
-  package (300 random matrices of each shape, Python 3.11).
+* `extend_echelon` eliminates row by row, and `rank` and `pivots` run
+  on it. Its state is a list of (pivot column, row) pairs. A new row is
+  reduced against them in their order: with d the pivot entry of the
+  pair before (1 before the first) and a = pivot_row[c], the row becomes
+  (a * row - row[c] * pivot_row) / d, and a is the next d. The division
+  is exact: by the Sylvester identity, after k steps entry x is the
+  determinant of the first k stored rows' input rows and the new row's
+  on the columns c_1, ..., c_k, x, as in Bareiss's algorithm on those
+  rows with the pivot columns taken first. A row that is zero after
+  every step lies in the span of the stored ones; otherwise it is stored
+  with its first nonzero column as its pivot, which is none of the pivots
+  before (the minors on a repeated column vanish). Its pivot entry is
+  then a nonzero (k + 1) x (k + 1) minor, so the rows stored are the
+  greedy basis of the rows taken in order, and their pivots are leading
+  columns of vectors of the row space, distinct, as many as its rank:
+  the pivot columns of its reduced row echelon form, which are the
+  greedy basis of the columns. No stored row changes, so a prefix of the
+  state can be continued with other rows, as `cover.verify_verdict`
+  does for each omission. The elimination stops once every column is a
+  pivot. For a rank it is 2.0 to 3.0 times faster than `reduced_echelon`
+  on 3x3 integer matrices, 3.5 to 6.8 times on 7x3 and 12x3, and 2.1 to
+  5.4 times on the Veronese rows of 6, 9 and 12 points, with entries of
+  one digit or of 64 (300 random matrices of each shape, best of 9,
+  three runs, Python 3.11.7 on a 2-vCPU x86-64 VM).
 * `reduced_echelon` runs Gauss-Jordan by single fraction-free pivot
   steps (`pivot_on`). Every pivot entry of the tableau equals one value
   d, 1 at the start. A step on the nonzero entry a = m[r][c] leaves row
@@ -70,39 +88,47 @@ def integer_rows(rows: Iterable[Row]) -> list[list[int]]:
     return [list(row) for row in rows]
 
 
-def _echelon(rows: Sequence[Row]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form: the nonzero integer rows, each with
-    its pivot in the matching entry of the ascending pivot column list."""
-    m = integer_rows(rows)
-    pivots: list[int] = []
-    if not m:
-        return m, pivots
-    ncols = len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, len(m)):
-            for j in range(c + 1, ncols):
-                # exact by the Sylvester identity: entries stay minors
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+def extend_echelon(
+    echelon: list[tuple[int, Sequence[int]]], rows: Sequence[Sequence[int]], ncols: int
+) -> list[int]:
+    """Row by row fraction-free elimination, in place, until the echelon
+    has ncols rows. The echelon is a list of (pivot column, row) pairs;
+    each integer row is reduced against them in their order by Bareiss
+    steps (see the module docstring), and appended, with its first
+    nonzero column as its pivot, if it stays nonzero. Returns the indices
+    in `rows` of the rows appended: the greedy basis of the rows taken in
+    order. No row is changed in place, so `echelon[:k]` is the state
+    after the row that gave the k-th pair, or after any later row before
+    the one that gave the next, and a copy of it can be continued."""
+    taken = []
+    for i, row in enumerate(rows):
+        if len(echelon) == ncols:
             break
-    return m[:r], pivots
+        d = 1
+        for c, pivot_row in echelon:
+            a, b = pivot_row[c], row[c]
+            if b:
+                row = [(a * x - b * y) // d for x, y in zip(row, pivot_row)]
+            elif a != d:
+                row = [a * x // d for x in row]
+            d = a
+        for lead, x in enumerate(row):
+            if x:
+                echelon.append((lead, row))
+                taken.append(i)
+                break
+    return taken
 
 
 def pivots(rows: Sequence[Row]) -> list[int]:
-    """Pivot columns of the echelon form, ascending. Column c is a pivot
-    iff it is not in the span of the columns before it, so the pivots are
-    the greedy basis of the columns taken in order."""
-    return _echelon(rows)[1]
+    """Pivot columns of the reduced row echelon form, ascending, read as
+    the pivots of `extend_echelon`. Column c is a pivot iff it is not in
+    the span of the columns before it, so the pivots are the greedy basis
+    of the columns taken in order."""
+    m = integer_rows(rows)
+    echelon: list = []
+    extend_echelon(echelon, m, len(m[0]) if m else 0)
+    return sorted(c for c, _ in echelon)
 
 
 def rank(rows: Sequence[Row]) -> int:

@@ -7,7 +7,8 @@ candidate's form, lines through two points are the oracle's own cross
 product, the reference rank, reduced row echelon form and nullspace are
 plain Gaussian and Gauss-Jordan elimination over Fraction, the reference
 determinant is a Laplace expansion, a minimal obstruction is pruned one
-point at a time with the reference-rank omission test, and `OracleMap`
+point at a time with the reference-rank omission test, a point
+obstruction is re-checked by a reference rank per omission, and `OracleMap`
 moves points, lines and conics by an integer matrix and its adjugate, on
 the integer tuples. From `planecurrents` only the classes `Point`, `Line`,
 `Conic`, `DivisorCurrent` and `LevelSet` are imported.
@@ -299,6 +300,31 @@ def omission_oracle(forced, points, budget):
         if fits:
             return omitted, rest
     return None
+
+
+def obstruction_oracle(isolated, obstruction, degree_left) -> bool:
+    """Whether the points `obstruction` certify that no curve of degree
+    `degree_left` holds all the points `isolated` but one: there are at
+    least two of them, all among `isolated` (compared by `rational_form`),
+    and neither the whole set nor the rest after omitting any one point
+    (every copy of it) fits. A rest fits when `reference_rank` of its
+    coordinate (degree 1) or Veronese (degree 2) rows is below the column
+    count; with no degree left only an empty rest fits."""
+    members = {rational_form(p.coords) for p in isolated}
+    pts = list(dict.fromkeys(rational_form(p.coords) for p in obstruction))
+    if len(obstruction) < 2 or any(f not in members for f in pts):
+        return False
+    for omitted in (None, *pts):
+        rest = [f for f in pts if f != omitted]
+        if degree_left == 1:
+            fits = reference_rank(rest) < 3
+        elif degree_left == 2:
+            fits = reference_rank([_veronese(f) for f in rest]) < 6
+        else:
+            fits = not rest
+        if fits:
+            return False
+    return True
 
 
 def minimal_obstruction_oracle(forced, points, budget) -> list[Point]:

@@ -419,6 +419,12 @@ def _run_cli(*argv):
     )
 
 
+def test_search_rejects_alpha_above_one(tmp_path):
+    proc = _run_cli("search", "--lines", "5", "--alpha", "3/2", "--trials", "30", "--out", str(tmp_path / "report.json"))
+    assert (proc.returncode, proc.stderr) == (1, "search: alpha must be at most 1, got 3/2\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("conics", ["2", "100000000"])
 def test_search_rejects_two_or_more_conics(tmp_path, conics):
     # two conics never made a valid draw, and a huge count hung drawing them

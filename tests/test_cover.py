@@ -42,6 +42,7 @@ from oracles import (
     level_set_oracle,
     mass_oracle,
     minimal_obstruction_oracle,
+    obstruction_oracle,
     omission_oracle,
     random_point,
     random_points,
@@ -370,6 +371,104 @@ def test_verify_verdict_rechecks_point_obstructions():
     # degree 1: four points with no three collinear, but not three points
     assert verify_verdict(level, NotCoverable(UncoveredPoints(conic[:3] + strays[1:])), budget=1)
     assert not verify_verdict(level, NotCoverable(UncoveredPoints(conic[:3])), budget=1)
+
+
+def _first_in_order(rng, head, count):
+    """`head`, points of the form (1 : b : c) with b <= -4, then random
+    points (1 : b : c) with b >= -3 up to `count`, so that `head` comes
+    first in canonical order."""
+    pts = list(head)
+    while len(pts) < count:
+        p = Point(1, Fraction(rng.randint(-3, 9), rng.randint(1, 3)), Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+def _with_coloop(rng, degree, at):
+    """A point set whose rows have full rank and exactly one coloop, a point
+    off a line (degree 1) or off x*z = y^2 (degree 2): the first, a middle
+    or the last row of the greedy basis taken in canonical order."""
+    ncols = 3 if degree == 1 else 6
+    on = (sorted(Point(1, t, 2 * t + 1) for t in rng.sample(range(-9, 10), rng.randint(ncols, ncols + 3)))
+          if degree == 1 else
+          sorted(Point(1, t, t * t) for t in rng.sample(range(-9, 10), rng.randint(ncols, ncols + 3))))
+    # the coloop sits just before on[0], between on[k - 1] and on[k], or after on[-1]
+    k = {"first": 0, "middle": rng.randint(1, ncols - 2), "last": len(on)}[at]
+    low = on[k - 1].coords[1] if k else Fraction(-20)
+    high = on[k].coords[1] if k < len(on) else Fraction(20)
+    while True:
+        b = low + (high - low) * Fraction(rng.randint(1, 9), 10)
+        p = Point(1, b, rng.randint(-40, 40))
+        if (p.coords[2] != 2 * b + 1) if degree == 1 else (p.coords[2] != b * b):
+            return on[:k] + [p] + on[k:]
+
+
+def test_verify_verdict_matches_the_rank_oracle():
+    # the whole set and every omission against `obstruction_oracle`, on the
+    # cover checks' own obstructions and tampered ones
+    rng = random.Random(907)
+    cases = []  # (level, points of the claimed obstruction, budget)
+
+    def claims(level, budget):
+        pts = list(level.isolated_points)
+        verdict = (line_cover_check if budget == 1 else conic_cover_check)(level)
+        claimed = [pts, pts[1:], rng.sample(pts, rng.randint(0, len(pts))), rng.sample(pts, rng.randint(0, len(pts)))]
+        if isinstance(verdict, NotCoverable) and isinstance(verdict.obstruction, UncoveredPoints):
+            obs = list(verdict.obstruction.points)
+            claimed.append(obs)
+            claimed += [obs[:i] + obs[i + 1:] for i in range(len(obs))]
+            claimed += [obs + [p] for p in rng.sample(pts, min(2, len(pts))) if p not in obs]
+            claimed.append(obs + [obs[-1]])  # a point listed twice
+            claimed.append(obs + [random_point(rng, 40)])  # most likely off the level set
+        cases.extend((level, c, budget) for c in claimed)
+
+    for _ in range(25):
+        n = rng.randint(7, MAX_POINTS)
+        for pts in (random_points(rng, n), random_structured_points(rng, n)):
+            level = finite_level(set(pts))
+            claims(level, 1)
+            claims(level, 2)
+    # a forced line leaves degree 1 of budget 2; a forced conic leaves 0
+    for forced in ((Line(0, 0, 1),), (SMOOTH_CONIC,)):
+        for _ in range(10):
+            pts = [p for p in set(random_structured_points(rng, rng.randint(7, MAX_POINTS)))
+                   if not any(incident(p, c) for c in forced)]
+            claims(LevelSet(HALF, True, forced, pts), 2)
+    # dependent first rows: three collinear points first at degree 1, six
+    # on a conic first at degree 2, so that the basis skips rows
+    for _ in range(15):
+        ts = rng.sample(range(-20, -3), 6)
+        collinear = [Point(1, -9, c) for c in rng.sample(range(-9, 10), 3)]
+        on_conic = [Point(1, t, t * t) for t in ts]
+        for head, budget in ((collinear, 1), (on_conic, 2)):
+            level = finite_level(_first_in_order(rng, head, rng.randint(len(head) + 2, MAX_POINTS)))
+            assert list(level.isolated_points[: len(head)]) == sorted(head)
+            claims(level, budget)
+    # one coloop, the first, a middle or the last basis row: omitting it fits
+    for at in ("first", "middle", "last"):
+        for degree in (1, 2):
+            for _ in range(6):
+                level = finite_level(_with_coloop(rng, degree, at))
+                rows = [_veronese(p.coords) if degree == 2 else p.coords for p in level.isolated_points]
+                basis: list[int] = []
+                for i, row in enumerate(rows):
+                    if reference_rank([rows[j] for j in basis] + [row]) > len(basis):
+                        basis.append(i)
+                coloops = [i for i in range(len(rows)) if reference_rank(rows[:i] + rows[i + 1:]) < len(basis)]
+                assert len(coloops) == 1 and coloops[0] in basis
+                position = basis.index(coloops[0])
+                assert {"first": position == 0, "middle": 0 < position < len(basis) - 1,
+                        "last": position == len(basis) - 1}[at]
+                claims(level, degree)
+    results = Counter()
+    for level, claimed, budget in cases:
+        degree_left = budget - level.total_component_degree
+        expected = obstruction_oracle(level.isolated_points, claimed, degree_left)
+        assert verify_verdict(level, NotCoverable(UncoveredPoints(claimed)), budget) == expected, (
+            level, claimed, budget)
+        results[expected] += 1
+    assert results[True] >= 100 and results[False] >= 100, results
 
 
 def test_conic_cover_forced_line_plus_points():

@@ -222,6 +222,10 @@ def test_level_set_projective_invariance():
 def test_level_set_validation():
     with pytest.raises(ValueError):
         LevelSet(Fraction(1, 2), True, (Line(1, 0, 0),), (Point(0, 1, 0),))
+    with pytest.raises(ValueError, match=r"^isolated point \(0 : 1 : 0\) lies on a component curve$"):
+        LevelSet(Fraction(1, 2), True, (Line(1, 0, 0),), (Point(0, 1, 0),))
+    with pytest.raises(ValueError, match="^isolated points must be pairwise distinct$"):
+        LevelSet(Fraction(1, 2), True, (), (Point(1, 2, 3), Point(2, 4, 6)))
     ok = LevelSet(Fraction(1, 2), False, (), (Point(1, 2, 3), Point(1, 0, 0)))
     assert ok.isolated_points == tuple(sorted((Point(1, 2, 3), Point(1, 0, 0))))
     assert ok.is_finite()
@@ -279,6 +283,27 @@ def test_level_set_matches_oracle(make):
         for threshold in _thresholds(rng, current):
             for strict in (False, True):
                 _assert_matches_oracle(current, threshold, strict)
+
+
+@pytest.mark.parametrize(
+    "make", [random_unit_current, _concurrent_current, _conic_chord_current]
+)
+def test_level_set_is_the_public_constructor(make):
+    # `level_set` skips the distinctness and incidence re-check, which the
+    # incidence map guarantees; the public constructor must agree
+    rng = random.Random(41)
+    for _ in range(25):
+        current = make(rng)
+        for threshold in _thresholds(rng, current):
+            for strict in (False, True):
+                level = current.level_set(threshold, strict=strict)
+                t, curves, points = current._level_parts(threshold, strict)
+                rng.shuffle(points)
+                public = LevelSet(t, strict, curves[::-1], points)
+                assert level == public and repr(level) == repr(public)
+                assert type(level.threshold) is Fraction and level.strict is strict
+                assert type(level.component_curves) is tuple and type(level.isolated_points) is tuple
+                assert hash(level) == hash(public)
 
 
 @pytest.mark.parametrize("make, through", [(_concurrent_current, 3), (_conic_chord_current, 4)])

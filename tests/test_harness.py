@@ -162,8 +162,6 @@ def test_below_draws_what_randrange_draws():
         (Fraction(19, 20), "ok", Fraction(19, 20)),
         # the heavy line takes all the mass and the other lines weight 0
         (Fraction(1), "skipped-degenerate", None),
-        # no weight reaches alpha > 1; the cap stays 9/10
-        (Fraction(3, 2), "skipped-precondition", Fraction(9, 10)),
     ],
 )
 def test_heavy_line_draws_above_nine_tenths(alpha, tag, heaviest):
@@ -180,6 +178,19 @@ def test_heavy_line_draws_above_nine_tenths(alpha, tag, heaviest):
         if tag == "ok":
             assert [w for w, _ in item.outcome.heavy_curves] == [heaviest]
             assert isinstance(item.outcome.verdict, Covered)
+
+
+def test_heavy_line_draws_above_one_are_invalid():
+    # no weight or density of a unit-mass current reaches alpha > 1, so the
+    # spec is rejected before any draw
+    spec = GenSpec(n_lines=5, weight_scheme="random", alphas=(Fraction(3, 2),), seed=1)
+    with pytest.raises(InvalidSpec, match="^alpha must be at most 1, got 3/2$"):
+        spec.validate()
+    with pytest.raises(InvalidSpec):
+        next(generate(spec))
+    with pytest.raises(InvalidSpec):
+        run_suite(spec, 30)
+    GenSpec(alphas=(Fraction(1),)).validate()
 
 
 @pytest.mark.parametrize("n_conics, scheme", [(0, "uniform"), (0, "random"), (1, "random")])

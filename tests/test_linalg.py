@@ -178,3 +178,76 @@ def test_nullspace_is_the_reference_basis_exactly():
         assert basis == reference_nullspace(rows, ncols)
         assert all(type(x) is Fraction for vec in basis for x in vec)
 
+
+
+def _kernel_cases(rng, count):
+    """Integer matrices of the package's shapes: 3x3, 4-12 x 3 and 6-12
+    Veronese rows of points (x^2, xy, xz, y^2, yz, z^2), with entries of
+    one digit or of 64, and with zero, repeated and scaled rows mixed in."""
+    cases = [([], 3), ([[0, 0, 0]], 3), ([[0, 0, 0]] * 3, 3), ([[0, 0, 5], [0, 0, -10], [0, 3, 0]], 3)]
+    for _ in range(count):
+        bound = rng.choice((3, 9, 10**64))
+        kind = rng.randrange(3)
+        if kind == 2:
+            nrows, ncols = rng.randint(6, 12), 6
+            points = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(nrows)]
+            rows = [[x * x, x * y, x * z, y * y, y * z, z * z] for x, y, z in points]
+        else:
+            nrows, ncols = (3 if kind == 0 else rng.randint(4, 12)), 3
+            rows = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randrange(3)):
+            extra = rng.randrange(3)
+            if extra == 0:
+                row = [0] * ncols
+            elif extra == 1:
+                row = list(rng.choice(rows))
+            else:
+                k = rng.choice((-3, -1, 2, 10**20))
+                row = [k * x for x in rng.choice(rows)]
+            rows.insert(rng.randrange(len(rows) + 1), row)
+        cases.append((rows, ncols))
+    return cases
+
+
+def test_extend_echelon_is_the_greedy_row_basis_of_minors():
+    # the rows taken are the greedy basis of the rows in order, each stored
+    # row is the Bareiss row: at column x, the determinant of the basis
+    # rows up to it on the pivot columns before it and x
+    rng = random.Random(37)
+    for rows, ncols in _kernel_cases(rng, 150):
+        echelon = []
+        taken = linalg.extend_echelon(echelon, rows, ncols)
+        greedy = []
+        for i, row in enumerate(rows):
+            if reference_rank([rows[j] for j in greedy] + [row]) > len(greedy):
+                greedy.append(i)
+        assert taken == greedy and len(echelon) == reference_rank(rows)
+        assert linalg.rank(rows) == len(taken)
+        assert linalg.pivots(rows) == _greedy_pivots(rows, ncols) == sorted(c for c, _ in echelon)
+        for k, (c, row) in enumerate(echelon):
+            before = [p for p, _ in echelon[:k]]
+            assert all(type(x) is int for x in row) and row[c] and not any(row[:c])
+            for x in range(ncols):
+                assert row[x] == reference_det([[rows[i][j] for j in before + [x]] for i in taken[: k + 1]])
+
+
+def test_extend_echelon_continues_any_prefix_state():
+    # echelon[:k] is the state after any prefix that gave its first k rows;
+    # continued with any subset of the later rows it gives the rank of the
+    # prefix and the subset, and leaves the echelon it was cut from as it was
+    rng = random.Random(41)
+    continued = 0
+    for rows, ncols in _kernel_cases(rng, 120):
+        echelon = []
+        taken = linalg.extend_echelon(echelon, rows, ncols)
+        saved = [(c, list(row)) for c, row in echelon]
+        for j in range(len(rows) + 1):
+            k = sum(i < j for i in taken)
+            for _ in range(2):
+                later = [row for row in rows[j:] if rng.random() < 0.6]
+                state = echelon[:k]
+                linalg.extend_echelon(state, later, ncols)
+                assert len(state) == reference_rank(rows[:j] + later)
+                continued += 1
+        assert [(c, list(row)) for c, row in echelon] == saved
+    assert continued > 1500
