@@ -170,7 +170,7 @@ def cmd_mj(args) -> int:
     document = {
         "command": "mj",
         "degree": args.degree,
-        "points": len(points),
+        "points": len(set(points)),
         "max_on_curve": value,
     }
     _write_report(args.out, document)

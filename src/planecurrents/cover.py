@@ -14,43 +14,38 @@ witness having that curve as a component. Hence:
 * otherwise the degree left, e, is spent on the isolated points. Their
   coordinate (e = 1) or Veronese (e = 2) incidence rows are built once
   per check; a curve of degree e holds a set of points iff its rows have
-  rank below the column count k (3 or 6). Rank below k means nothing is
-  omitted. At rank k, the rest after omitting point p fits iff p is a
-  coloop of the row matroid (removing it drops the rank). One reduced
-  echelon of the transposed rows answers that for every point at once.
-  Its columns are the points from the last one back, so its pivots are
-  the greedy basis taken from the last point, and a pivot is a coloop
-  iff its echelon row is zero on every non-pivot column
-  (`linalg.coloops`); no other point is one. The coloops do not depend
-  on the basis read (Oxley, Matroid Theory, 2011, ch. 2), so the
-  omission is the coloop first in canonical order, the last one in
-  column order: the point the plain scan ("omit nothing", then each
-  point in canonical order) would pick. The witness is fitted to the
-  basis points of the rest, the pivots but the omission. They span the
-  rows of the rest, so their rows have the same reduced row echelon form
-  and give the same first conic of `conic_space`, from at most five rows,
-  and any two distinct ones span the same line. With no degree left,
-  only a lone point can be omitted.
+  rank below the column count k (3 or 6). The `linalg.kernel` of the
+  transposed rows, whose columns are the points, gives the dependencies
+  among the points, and the rank is n minus their number. Rank below k
+  means nothing is omitted. At rank k, the rest after omitting point p
+  fits iff p is a coloop of the row matroid (removing it drops the rank),
+  that is iff p is in the support of no dependency: a point in none is in
+  every basis, and a point in the support of one is spanned by the others
+  it uses (Oxley, Matroid Theory, 2011, ch. 2). So the omission is the
+  first coloop in canonical order, the point the plain scan ("omit
+  nothing", then each point in canonical order) would pick. The witness
+  is fitted to the basis points of the rest, the pivots but the omission.
+  Their rows span those of the rest, so they have the same kernel and
+  give the same first conic of `conic_space`, from at most five rows, and
+  any two distinct ones span the same line. With no degree left, only a
+  lone point can be omitted.
 * a set that fails is pruned to an inclusion-minimal obstruction in
-  canonical order, keeping that echelon up to date; a drop is kept iff
-  no pivot row is then zero on every remaining non-pivot column (with no
-  degree left, pruning leaves the last two points). While every drop is
-  kept, the point visited is the last column left, and it is not a pivot,
-  since the points left have no coloop: its column just goes. After a
-  refused drop the point visited can be a pivot, and one `linalg.pivot_on`
-  step first moves its row's pivot to the first remaining non-pivot
-  column where the row is nonzero. Against a basis taken from the first
-  point, this cut the pivot steps of the cover checks on the bench
-  `points` inputs of seed 1, passes 1-20 (1,400 sets), from 34,196 to
-  23,998. That step is a basis exchange on the fraction-free echelon, so
-  it is given the echelon's common pivot entry, the row's entry at the
-  point visited, and divides each entry by it exactly (see `linalg`).
+  canonical order (with no degree left, pruning leaves the last two
+  points). The points left always have full rank and no coloop, so a drop
+  keeps the rank, and it is kept iff it leaves no coloop. The
+  dependencies of the rest are those zero at the point dropped, the span
+  of the other vectors each combined with the first vector nonzero there
+  to cancel it; a drop is kept iff their supports still cover every
+  point left. The columns run from the last point back, so the pivots
+  are the greedy basis taken from the last point, and the early points
+  in canonical order are free columns: only their own vector is nonzero
+  there, and dropping one costs no combination.
 
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
 such that every single-point omission still fails the rank test).
 `verify_verdict` re-checks an obstruction by that definition, by rank,
-not by the coloop reading, from one row by row elimination of its rows
+not by the dependencies, from its own row by row elimination of its rows
 (`linalg.extend_echelon`). That pass gives the rank of the whole set and
 the greedy basis B of its rows. Omitting a point outside B leaves B in
 the rest, which keeps full rank, with no elimination. Omitting the point
@@ -62,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from . import linalg
@@ -182,25 +178,39 @@ def _witness(forced, points, budget: int) -> Union[Line, Conic]:
     return conic_space(points)[0]
 
 
-def _minimal_obstruction(echelon, basis) -> list[int]:
-    """Columns of an inclusion-minimal obstruction among the columns (the
-    points, the last one first) of a reduced echelon of full row rank with
-    no coloop, pruned in canonical order, from the last column down; the
-    echelon is updated in place. The columns kept keep both properties,
-    so dropping one keeps the rank, and the drop is kept iff it leaves no
-    coloop. A pivot i first hands its row to the first kept non-pivot
-    column where that row is nonzero, which exists since i is no coloop,
-    by a `linalg.pivot_on` step from the common pivot entry echelon[r][i]."""
-    basis = list(basis)
-    keep = list(range(len(echelon[0])))
-    for i in reversed(range(len(keep))):
-        trial = [j for j in keep if j != i]
-        if i in basis:
-            r = basis.index(i)
-            basis[r] = next(j for j in trial if j not in basis and echelon[r][j])
-            linalg.pivot_on(echelon, r, basis[r], echelon[r][i])
-        if not linalg.coloops(echelon, basis, trial):
-            keep = trial
+def _without(deps, i) -> list:
+    """The dependencies of the rest after dropping point i, from those of
+    the points kept before: the others, each one nonzero at i combined
+    with the first vector nonzero there to cancel it, made primitive."""
+    first = next(vec for vec in deps if vec[i])
+    a = first[i]
+    rest = []
+    for vec in deps:
+        if vec is first:
+            continue
+        b = vec[i]
+        if b:
+            vec = [a * x - b * y for x, y in zip(vec, first)]
+            g = gcd(*vec)
+            vec = [x // g for x in vec]
+        rest.append(vec)
+    return rest
+
+
+def _minimal_obstruction(deps, n) -> list[int]:
+    """Columns of an inclusion-minimal obstruction among n columns (the
+    points, the last one first) of full rank and no coloop, given their
+    dependencies, pruned in canonical order, from the last column down: a
+    drop is kept iff the dependencies of the rest still cover every
+    column left (see the module docstring)."""
+    keep = list(range(n))
+    for i in reversed(range(n)):
+        rest = _without(deps, i)
+        # every vector is zero off the columns kept, so the rest is covered
+        # iff as many columns as it has are nonzero in some vector
+        if sum(map(any, zip(*rest))) == len(keep) - 1:
+            deps = rest
+            keep.remove(i)
     return keep
 
 
@@ -219,14 +229,15 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
         return Covered(_witness(curves, (), budget), points[0] if points else None)
     # one column per point, from the last point back
     back = points[::-1]
+    n = len(back)
     rows, ncols = _rows_of([p.ints for p in back], degree_left)
-    echelon, basis = linalg.reduced_echelon(list(zip(*rows)))
+    basis, deps = linalg.kernel(list(zip(*rows)), n)
     omitted = None
     if len(basis) == ncols:
         # only a coloop can be omitted, and every coloop is a pivot
-        found = linalg.coloops(echelon, basis, range(len(back)))
+        found = [j for j in basis if not any(vec[j] for vec in deps)]
         if not found:
-            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(echelon, basis)))
+            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(deps, n)))
         omitted = found[-1]  # the first coloop in canonical order
         basis.remove(omitted)
     witness = _witness(curves, [back[j] for j in basis], budget)

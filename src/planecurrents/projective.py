@@ -271,21 +271,11 @@ def _rows_of(coords: list[Triple], degree: int) -> tuple[list, int]:
 
 def conic_space(points: Iterable[Point]) -> tuple[Conic, ...]:
     """Basis of the space of quadratic forms vanishing on all given points:
-    the basis of `linalg.nullspace` on their Veronese rows, each vector
-    scaled to integers by d, the common pivot entry of the reduced
-    echelon, which leaves -row[f] at each pivot column. Neither the order
-    of the rows nor repeated rows change the vectors."""
+    the `linalg.kernel` of their Veronese rows, the basis of
+    `linalg.nullspace` up to scale. Neither the order of the rows nor
+    repeated rows change the vectors."""
     rows, ncols = _rows_of([p.ints for p in points], 2)
-    echelon, pivots = linalg.reduced_echelon(rows)
-    d = echelon[0][pivots[0]] if pivots else 1
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        coeffs = [0] * ncols
-        coeffs[f] = d
-        for row, c in zip(echelon, pivots):
-            coeffs[c] = -row[f]
-        basis.append(Conic._of(coeffs))
-    return tuple(basis)
+    return tuple(Conic._of(vec) for vec in linalg.kernel(rows, ncols)[1])
 
 
 def on_common_curve(points: Iterable[Point], degree: int) -> bool:
@@ -334,14 +324,16 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     primitive integer tuple of the line through them, and a line with the
     most pairs, c = k * (k - 1) / 2, holds the most points, k.
 
-    Degree 2 takes one reduced echelon of the transposed Veronese rows,
-    whose columns are the points. Rank below 6 means all n points lie on
-    a conic. Otherwise a coloop (`linalg.coloops`), a point whose removal
-    drops the rank, leaves n - 1 on a conic, and no conic holds n. Only
-    with no coloop does it test each six points by brackets, O(n^6)
-    integer products: a largest set on one conic is then the closure of
-    five independent points (distinct, no four collinear), the five and
-    every point that makes six on a conic with them."""
+    Degree 2 takes the `linalg.kernel` of the transposed Veronese rows,
+    whose columns are the points, so its vectors are the dependencies
+    among the points. Rank below 6 (more than n - 6 of them) means all n
+    points lie on a conic. Otherwise a coloop, a point in the support of
+    no dependency, whose removal drops the rank, leaves n - 1 on a conic,
+    and no conic holds n. Only with no coloop does it test each six points
+    by brackets, O(n^6) integer products: a largest set on one conic is
+    then the closure of five independent points (distinct, no four
+    collinear), the five and every point that makes six on a conic with
+    them."""
     coords = list({p.ints for p in points})
     rows, ncols = _rows_of(coords, degree)
     if degree == 1:
@@ -359,10 +351,10 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
                 pairs[key] = pairs.get(key, 0) + 1
         return (1 + isqrt(1 + 8 * max(pairs.values()))) // 2 if pairs else len(rows)
     n = len(rows)
-    echelon, basis = linalg.reduced_echelon(list(zip(*rows)))
-    if len(basis) < ncols:
+    deps = linalg.kernel(list(zip(*rows)), n)[1]
+    if n - len(deps) < ncols:
         return n
-    if linalg.coloops(echelon, basis, range(n)):
+    if sum(map(any, zip(*deps))) < n:  # a column in no dependency
         return n - 1
     closures = Counter(five for six in _sixes_on_a_conic(coords) for five in combinations(six, 5))
     # five points with four on a line make six on a conic with each of the

@@ -57,7 +57,7 @@ MAX_POINTS = 12
 # `check` and 0.61 s in a `levelset` that returns all 4,851 meets; a conic
 # and 99 of its chords take 0.04 s. Without the caps, 256 lines of 100
 # characters took 0.7 s and 9.3 s. `mj --degree 2` on 12 generic points
-# with 64-digit coordinates takes 0.008 s in process (best of 25) and took
+# with 64-digit coordinates takes 0.007 s in process (best of 25) and took
 # 9.1 s with 4,000-digit ones.
 MAX_CURVES = 100
 MAX_COEFFICIENT_LENGTH = 64

@@ -128,24 +128,6 @@ def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
-def reference_rref_on_basis(rows, basis) -> list[list[Fraction]]:
-    """The rows of the row space that are 1 at basis[i] in row i and 0 at
-    the other basis columns, by Gauss-Jordan elimination over Fraction on
-    the columns of `basis` in its order; `basis` must index a basis of the
-    columns."""
-    m = [row for row in reference_rref(rows)[0]]
-    for i, c in enumerate(basis):
-        pivot = next(j for j in range(i, len(m)) if m[j][c] != 0)
-        m[i], m[pivot] = m[pivot], m[i]
-        inv = 1 / m[i][c]
-        m[i] = [x * inv for x in m[i]]
-        for j in range(len(m)):
-            if j != i and m[j][c] != 0:
-                f = m[j][c]
-                m[j] = [a - f * b for a, b in zip(m[j], m[i])]
-    return m
-
-
 def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
     """Right nullspace basis from `reference_rref`: one vector per free
     column (ascending), 1 there and 0 at the other free columns."""

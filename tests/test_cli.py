@@ -242,6 +242,17 @@ def test_mj_command(tmp_path, capsys):
     assert main(["mj", str(path), "--degree", "1"]) == 0
 
 
+def test_mj_counts_a_repeated_point_once(tmp_path, capsys):
+    # (1 : 0 : 0) written twice, as [1, 0, 0] and [2, 0, 0]: one point, on
+    # one line with itself
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [["1", "0", "0"], ["2", "0", "0"]]}))
+    for degree in ("1", "2"):
+        assert main(["mj", str(path), "--degree", degree]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["points"] == report["max_on_curve"] == 1
+
+
 def test_check_counterexample_exit_code(instance_files, tmp_path, monkeypatch):
     # the theorem guarantees no real counterexample, so force one to pin
     # down the exit-code wiring

@@ -3,12 +3,13 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planecurrents import linalg
+from planecurrents import cover, linalg
 from planecurrents.auxiliary import BlendReport, BoundRow, RescaleReport
 from planecurrents.cover import (
     Covered,
@@ -51,8 +52,8 @@ from oracles import (
     random_unit_current,
     random_wide_points,
     reference_conic_space,
+    reference_nullspace,
     reference_rank,
-    reference_rref_on_basis,
 )
 
 HALF = Fraction(1, 2)
@@ -209,8 +210,8 @@ def test_omission_no_coloop():
 
 
 def test_omission_at_the_point_cap():
-    # nine points on y = 0 and three off it, not on one line: the three are
-    # the coloops, the first of them is omitted
+    # nine points on y = 0 and three off it, not on one line: each of the
+    # three is a coloop, and the first of them is omitted
     on_line = [Point(t, 0, 1) for t in range(-4, 5)]
     off = [Point(3, 1, 1), Point(1, 2, 1), Point(-2, 5, 1)]
     assert len(on_line + off) == MAX_POINTS
@@ -323,35 +324,63 @@ def test_obstructions_are_the_canonical_pruning():
     assert min(seen[0], seen[1], seen[2]) >= 10, seen
 
 
-def test_pruning_keeps_the_echelon_exact(monkeypatch):
-    # every hand-off of a pivot row is a fraction-free basis exchange from
-    # the echelon's common pivot entry: after the pruning the echelon is
-    # still d times the reference RREF on the basis it ends with
-    exchanges = []
-    pivot_on = linalg.pivot_on
+def _spans_the_reference_dependencies(vectors, columns, kept):
+    """The vectors are primitive integer vectors, zero off the kept columns
+    (points), and a basis of the reference nullspace of the kept columns."""
+    rows = [[row[j] for j in kept] for row in columns]
+    expected = reference_nullspace(rows, len(kept))
+    on_kept = [[vec[j] for j in kept] for vec in vectors]
+    assert all(type(x) is int for vec in vectors for x in vec)
+    assert all(gcd(*vec) == 1 for vec in vectors)
+    assert all(not vec[j] for vec in vectors for j in range(len(vec)) if j not in kept)
+    assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in rows for vec in on_kept)
+    assert len(vectors) == len(expected) == reference_rank(on_kept)
 
-    def recording(m, r, c, d):
-        exchanges.append((r, c))
-        pivot_on(m, r, c, d)
 
-    monkeypatch.setattr(linalg, "pivot_on", recording)
+def test_pruning_keeps_the_dependencies_exact(monkeypatch):
+    # after every step of the pruning, the vectors held span exactly the
+    # dependencies among the points kept, and a drop is kept iff they
+    # still cover every point kept. With the points from the last one back
+    # the pivots are visited last and a step rarely combines vectors, so
+    # the same vectors are also pruned in the reverse column order, where
+    # the pivots come first
+    steps = []
+
+    def recording(deps, i):
+        rest = without(deps, i)
+        steps.append((deps, i, rest))
+        return rest
+
+    without = cover._without
+    monkeypatch.setattr(cover, "_without", recording)
     rng = random.Random(97)
-    seen = 0
+    seen = Counter()
     for _ in range(150):
         points = sorted(set(random_structured_points(rng, rng.randint(7, MAX_POINTS))))
+        n = len(points)
         for degree in (1, 2):
             columns = list(zip(*_rows_of([p.ints for p in points[::-1]], degree)[0]))
-            echelon, basis = linalg.reduced_echelon(columns)
-            if len(basis) < len(columns) or linalg.coloops(echelon, basis, range(len(points))):
+            basis, deps = linalg.kernel(columns, n)
+            if len(basis) < len(columns) or not all(any(vec[j] for vec in deps) for j in range(n)):
                 continue
-            exchanges.clear()
-            _minimal_obstruction(echelon, basis)
-            for r, c in exchanges:
-                basis[r] = c
-            d = echelon[0][basis[0]]
-            assert echelon == [[d * x for x in row] for row in reference_rref_on_basis(columns, basis)]
-            seen += bool(exchanges)
-    assert seen >= 30, seen
+            reversed_order = ([row[::-1] for row in columns], [vec[::-1] for vec in deps])
+            for columns, deps in ((columns, deps), reversed_order):
+                steps.clear()
+                result = _minimal_obstruction(deps, n)
+                held, kept = deps, list(range(n))
+                _spans_the_reference_dependencies(held, columns, kept)
+                for before, i, rest in steps:
+                    assert before is held
+                    trial = [j for j in kept if j != i]
+                    _spans_the_reference_dependencies(rest, columns, trial)
+                    seen["combined"] += sum(bool(vec[i]) for vec in before) > 1
+                    if all(any(vec[j] for vec in rest) for j in trial):
+                        held, kept = rest, trial
+                    else:
+                        seen["refused"] += 1
+                assert result == kept and len(steps) == n
+                seen["sets"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_verify_verdict_rechecks_point_obstructions():
@@ -455,9 +484,9 @@ def test_verify_verdict_matches_the_rank_oracle():
                 for i, row in enumerate(rows):
                     if reference_rank([rows[j] for j in basis] + [row]) > len(basis):
                         basis.append(i)
-                coloops = [i for i in range(len(rows)) if reference_rank(rows[:i] + rows[i + 1:]) < len(basis)]
-                assert len(coloops) == 1 and coloops[0] in basis
-                position = basis.index(coloops[0])
+                coloop_rows = [i for i in range(len(rows)) if reference_rank(rows[:i] + rows[i + 1:]) < len(basis)]
+                assert len(coloop_rows) == 1 and coloop_rows[0] in basis
+                position = basis.index(coloop_rows[0])
                 assert {"first": position == 0, "middle": 0 < position < len(basis) - 1,
                         "last": position == len(basis) - 1}[at]
                 claims(level, degree)

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from planecurrents import linalg
 
-from itertools import combinations
-from math import lcm
+from math import gcd
 
 from oracles import (
     reference_det,
     reference_nullspace,
     reference_rank,
-    reference_rref,
-    reference_rref_on_basis,
 )
 
 fractions_st = st.builds(
@@ -82,68 +79,6 @@ def test_pivots_are_the_greedy_column_basis():
         pivots = linalg.pivots(rows)
         assert pivots == _greedy_pivots(rows, ncols)
         assert linalg.rank(rows) == len(pivots)
-
-
-def test_reduced_echelon_is_the_scaled_rref():
-    rng = random.Random(29)
-    cases = [[], [[0, 0, 0]], [[0, 5, 10]], [[1, 2], [2, 4]], [[0, 0], [0, 3], [4, 0]]]
-    cases.append([[Fraction(1, 2), 3, 0], [1, Fraction(-2, 3), 5]])  # mixed rows are scaled first
-    for _ in range(400):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 12)
-        bound = rng.choice((3, 9, 10**6))
-        rows = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(ncols)] for _ in range(nrows)]
-        shape = rng.randrange(4)
-        if shape == 1:
-            rows.insert(rng.randrange(nrows + 1), [0] * ncols)
-        elif shape == 2:
-            rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
-        elif shape == 3:
-            # rank deficient: every row a combination of two
-            a, b = rows[0], rows[-1]
-            mults = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in rows]
-            rows = [[s * x + t * y for x, y in zip(a, b)] for s, t in mults]
-        cases.append(rows)
-    cases.append([[2, 1, 0], [1, 2, 0], [0, 0, 5]])  # a row scaled by 3/2, not by 3 // 2
-    for rows in cases:
-        echelon, pivots = linalg.reduced_echelon(rows)
-        expected, expected_pivots = reference_rref(rows)
-        assert pivots == expected_pivots == linalg.pivots(rows)
-        assert all(type(x) is int for row in echelon for x in row)
-        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(echelon, pivots)] == expected
-        # one common pivot entry d, every row exactly d times the RREF, and
-        # |d| a k x k minor of the integer rows on the pivot columns
-        d = echelon[0][pivots[0]] if pivots else 1
-        assert all(row[c] == d for row, c in zip(echelon, pivots))
-        assert echelon == [[d * x for x in row] for row in expected]
-        scaled = [[x * lcm(*(Fraction(y).denominator for y in row)) for x in row] for row in rows]
-        minors = {abs(reference_det([[scaled[i][c] for c in pivots] for i in sub]))
-                  for sub in combinations(range(len(rows)), len(pivots))}
-        assert abs(d) in minors
-
-
-def test_pivot_on_is_a_basis_exchange():
-    # after each exchange the rows are a times the reference RREF with
-    # respect to the new basis, a being the entry pivoted on
-    rng = random.Random(31)
-    exchanges = 0
-    for _ in range(300):
-        nrows, ncols = rng.randint(1, 6), rng.randint(2, 12)
-        bound = rng.choice((3, 9, 10**6))
-        rows = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(ncols)] for _ in range(nrows)]
-        echelon, basis = linalg.reduced_echelon(rows)
-        for _ in range(3):
-            d = echelon[0][basis[0]] if basis else 1
-            options = [(r, c) for r in range(len(basis)) for c in range(ncols)
-                       if c not in basis and echelon[r][c]]
-            if not options:
-                break
-            r, c = rng.choice(options)
-            a = echelon[r][c]
-            linalg.pivot_on(echelon, r, c, d)
-            basis[r] = c
-            assert echelon == [[a * x for x in row] for row in reference_rref_on_basis(rows, basis)]
-            exchanges += 1
-    assert exchanges > 300
 
 
 def test_nullspace_vectors_annihilate_rows():
@@ -251,3 +186,38 @@ def test_extend_echelon_continues_any_prefix_state():
                 continued += 1
         assert [(c, list(row)) for c, row in echelon] == saved
     assert continued > 1500
+
+
+def test_kernel_is_the_primitive_reference_nullspace():
+    # one integer vector per free column, primitive and positive there,
+    # proportional to the reference vector (1 there, 0 at the other free
+    # columns), on the package's shapes and their transposes, whose
+    # columns are points, with the greedy column basis as pivots
+    rng = random.Random(43)
+    cases = _kernel_cases(rng, 150)
+    cases += [(list(zip(*rows)), len(rows)) for rows, _ in cases]
+    for _ in range(60):
+        # transposed coordinate and Veronese rows of up to 12 points
+        n, bound = rng.randint(1, 12), rng.choice((9, 10**64))
+        points = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(3)] for _ in range(n)]
+        veronese = [[x * x, x * y, x * z, y * y, y * z, z * z] for x, y, z in points]
+        cases += [(list(zip(*points)), n), (list(zip(*veronese)), n)]
+    cases.append(([[Fraction(1, 2), 3, 0], [1, Fraction(-2, 3), 5]], 3))  # rational rows are scaled first
+    cases.append(([[2, 1, 0], [1, 2, 0], [0, 0, 5]], 3))
+    combined = 0
+    for rows, ncols in cases:
+        pivots, basis = linalg.kernel(rows, ncols)
+        assert pivots == _greedy_pivots(rows, ncols) == linalg.pivots(rows)
+        expected = reference_nullspace(rows, ncols)
+        assert len(basis) == len(expected) == ncols - len(pivots)
+        free = [c for c in range(ncols) if c not in pivots]
+        for f, vec, ref in zip(free, basis, expected):
+            assert all(type(x) is int for x in vec) and len(vec) == ncols
+            assert gcd(*vec) == 1 and vec[f] > 0
+            assert vec == [vec[f] * x for x in ref]
+        combined += bool(basis) and bool(pivots)
+    assert combined > 200
+    for ncols in range(5):
+        units = [[int(c == f) for c in range(ncols)] for f in range(ncols)]
+        assert linalg.kernel([], ncols) == ([], units)
+        assert linalg.kernel([[0] * ncols] * 2, ncols) == ([], units)
