@@ -3,15 +3,6 @@ projective plane: Lelong numbers, structural upper level sets, and
 certified decisions on whether a level set fits inside a line or a conic
 with at most one exception."""
 
-from .auxiliary import (
-    BlendReport,
-    BoundRow,
-    RescaleReport,
-    blend_single_line,
-    blend_three_lines,
-    line_weight_bound,
-    residual_rescale,
-)
 from .cover import (
     Covered,
     NotCoverable,
@@ -50,8 +41,6 @@ from .projective import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlendReport",
-    "BoundRow",
     "Conic",
     "Covered",
     "Curve",
@@ -63,15 +52,12 @@ __all__ = [
     "NotCoverable",
     "Outcome",
     "Point",
-    "RescaleReport",
     "RunReport",
     "SweepGrid",
     "UncoverableCurve",
     "UncoveredPoints",
     "Verdict",
     "beta_of",
-    "blend_single_line",
-    "blend_three_lines",
     "conic_cover_check",
     "conic_from_lines",
     "conic_rank",
@@ -86,12 +72,10 @@ __all__ = [
     "line_cover_check",
     "line_in_conic",
     "line_through",
-    "line_weight_bound",
     "max_on_curve",
     "meet",
     "multiplicity",
     "on_common_curve",
-    "residual_rescale",
     "run_suite",
     "verify_verdict",
 ]

@@ -82,7 +82,7 @@ def cmd_verify_examples(args) -> int:
 def cmd_check(args) -> int:
     payload = _load_json(args.path)
     current, file_alpha = serialize.parse_instance(payload)
-    alpha = serialize.parse_rational(args.alpha, "--alpha") if args.alpha else file_alpha
+    alpha = serialize.parse_rational(args.alpha, "--alpha") if args.alpha is not None else file_alpha
     if alpha is None:
         print("check: no alpha given (use --alpha or an instance-file alpha)", file=sys.stderr)
         return EXIT_ERROR

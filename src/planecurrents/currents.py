@@ -61,11 +61,9 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import (
-    NegativeScale,
     NegativeWeight,
     NonpositiveThreshold,
     ReducibleConic,
-    WeightExceeded,
 )
 from .projective import (
     Conic,
@@ -153,39 +151,6 @@ class DivisorCurrent:
             sum(n * multiplicity(p, c) for n, (_, c) in zip(self.nums, self.components)),
             self.den,
         )
-
-    def generic_lelong(self, curve: Curve) -> Fraction:
-        """Weight of the curve in this current (its generic density along
-        the curve); zero when absent."""
-        for w, c in self.components:
-            if c == curve:
-                return w
-        return Fraction(0)
-
-    def subtract(self, curve: Curve, amount: Fraction | int) -> "DivisorCurrent":
-        """Remove `amount * [curve]`; positivity must be preserved."""
-        a = Fraction(amount)
-        if a < 0:
-            raise NegativeWeight(f"cannot subtract negative weight {a}")
-        if a == 0:
-            return self
-        have = self.generic_lelong(curve)
-        if a > have:
-            raise WeightExceeded(f"subtracting {a} exceeds component weight {have}")
-        return DivisorCurrent(
-            [(w - a if c == curve else w, c) for w, c in self.components]
-        )
-
-    def scaled(self, factor: Fraction | int) -> "DivisorCurrent":
-        f = Fraction(factor)
-        if f < 0:
-            raise NegativeScale(f"scale factor {f} is negative")
-        return DivisorCurrent([(w * f, c) for w, c in self.components])
-
-    def __add__(self, other: "DivisorCurrent") -> "DivisorCurrent":
-        if not isinstance(other, DivisorCurrent):
-            return NotImplemented
-        return DivisorCurrent(list(self.components) + list(other.components))
 
     def _incidence_map(self) -> dict[Triple, tuple[int, int]]:
         """Pairwise intersection point, as its primitive integer tuple ->

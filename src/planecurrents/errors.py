@@ -26,14 +26,6 @@ class NegativeWeight(PlaneCurrentsError):
     """A component weight is negative."""
 
 
-class WeightExceeded(PlaneCurrentsError):
-    """Subtraction amount exceeds the component weight."""
-
-
-class NegativeScale(PlaneCurrentsError):
-    """Scaling factor for a current is negative."""
-
-
 class NonpositiveThreshold(PlaneCurrentsError):
     """Level-set threshold must be positive, or zero for a strict level set."""
 
@@ -44,22 +36,6 @@ class IrrationalIntersection(PlaneCurrentsError):
 
 class AlphaOutOfRange(PlaneCurrentsError):
     """Density threshold alpha must exceed 2/5."""
-
-
-class CollinearPoints(PlaneCurrentsError):
-    """Three points that were required to span a triangle are collinear."""
-
-
-class BadAlphaPrime(PlaneCurrentsError):
-    """Auxiliary parameter alpha' must exceed 2/5."""
-
-
-class NonUnitMass(PlaneCurrentsError):
-    """Operation requires a current of mass exactly 1."""
-
-
-class FullWeightLine(PlaneCurrentsError):
-    """Residual rescaling is undefined when the line carries weight 1."""
 
 
 class DegenerateSeed(PlaneCurrentsError):

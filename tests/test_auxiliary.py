@@ -1,21 +1,12 @@
+"""The paper's auxiliary currents, built in test code on component lists:
+blends that keep mass 1 and push chosen densities past 2/5, and the
+rescaled residual of a heavy line, which pushes off-line densities past
+1/2."""
+
 import random
 from fractions import Fraction
 
-import pytest
-
-from planecurrents.auxiliary import (
-    blend_single_line,
-    blend_three_lines,
-    line_weight_bound,
-    residual_rescale,
-)
 from planecurrents.currents import DivisorCurrent
-from planecurrents.errors import (
-    BadAlphaPrime,
-    CollinearPoints,
-    FullWeightLine,
-    NonUnitMass,
-)
 from planecurrents.projective import (
     Line,
     Point,
@@ -24,7 +15,14 @@ from planecurrents.projective import (
     on_common_curve,
 )
 
-from oracles import random_point, random_points, random_unit_current
+from oracles import (
+    blend_current,
+    random_point,
+    random_points,
+    random_unit_current,
+    rescaled_residual,
+    weight_of,
+)
 
 TWO_FIFTHS = Fraction(2, 5)
 
@@ -36,6 +34,12 @@ def random_alpha_prime(rng) -> Fraction:
     return Fraction(rng.randint(lo, den - 1), den)
 
 
+def line_weight_bound(alpha_prime) -> Fraction:
+    """The weight (4a' - 1)/3 above which a rescaled residual lifts every
+    off-line density above (2/3)(1 - a') past 1/2."""
+    return (4 * alpha_prime - 1) / 3
+
+
 def triangle(rng):
     while True:
         pts = random_points(rng, 3)
@@ -43,19 +47,22 @@ def triangle(rng):
             return pts
 
 
+def sides(p1, p2, p3) -> list[Line]:
+    return [line_through(p, q) for p, q in ((p1, p2), (p1, p3), (p2, p3))]
+
+
 def test_blend_three_lines_mass_and_bounds():
     rng = random.Random(3)
     for _ in range(100):
         ap = random_alpha_prime(rng)
         t = random_unit_current(rng)
-        p1, p2, p3 = triangle(rng)
-        report = blend_three_lines(t, p1, p2, p3, ap)
-        assert report.mass_ok and report.current.mass == 1
+        corners = triangle(rng)
+        blended = blend_current(t, sides(*corners), ap)
+        assert blended.mass == 1
         # every corner sits on two of the three blend lines
         corner_floor = 2 * (5 * ap - 2) / (15 * ap)
-        for row in report.rows[:3]:
-            assert row.value >= corner_floor
-            assert row.bound == TWO_FIFTHS
+        for p in corners:
+            assert blended.lelong_number(p) >= corner_floor
 
 
 def test_blend_three_lines_corner_bound_with_dense_corners():
@@ -63,14 +70,14 @@ def test_blend_three_lines_corner_bound_with_dense_corners():
     for _ in range(50):
         ap = random_alpha_prime(rng)
         beta_prime = Fraction(2, 3) * (1 - ap)
-        p1, p2, p3 = triangle(rng)
+        corners = triangle(rng)
         # give each corner density beta_prime + margin via its own pencil line
         margin = Fraction(1, 50)
         aux = []
         spare = 1 - 3 * (beta_prime + margin)
         if spare < 0:
             continue
-        for p in (p1, p2, p3):
+        for p in corners:
             q = random_point(rng)
             if q == p:
                 q = Point(q.coords[0] + 1, q.coords[1], q.coords[2])
@@ -79,10 +86,10 @@ def test_blend_three_lines_corner_bound_with_dense_corners():
         t = DivisorCurrent(aux)
         if t.mass != 1:
             continue
-        report = blend_three_lines(t, p1, p2, p3, ap)
-        for row in report.rows[:3]:
-            if t.lelong_number(row.point) > beta_prime:
-                assert row.satisfied, (ap, row)
+        blended = blend_current(t, sides(*corners), ap)
+        for p in corners:
+            if t.lelong_number(p) > beta_prime:
+                assert blended.lelong_number(p) > TWO_FIFTHS, (ap, p)
 
 
 def test_blend_heavy_extra_points_pass_two_fifths():
@@ -100,34 +107,11 @@ def test_blend_heavy_extra_points_pass_two_fifths():
                     spokes.append(line)
         third = Fraction(1, 3)
         t = DivisorCurrent([(alpha * third, l) for l in spokes])
-        filler = 1 - t.mass
-        t = t + DivisorCurrent([(filler, Line(1, 2, 3))])
+        t = DivisorCurrent([*t.components, (1 - t.mass, Line(1, 2, 3))])
         if t.lelong_number(hub) < alpha:
             continue
-        corners = triangle(rng)
-        report = blend_three_lines(t, *corners, ap, extra_points=(hub,))
-        hub_row = report.rows[3]
-        assert hub_row.point == hub and hub_row.satisfied
-
-
-def test_blend_three_lines_errors():
-    rng = random.Random(11)
-    t = random_unit_current(rng)
-    collinear = [Point(0, 0, 1), Point(1, 0, 1), Point(2, 0, 1)]
-    with pytest.raises(CollinearPoints):
-        blend_three_lines(t, *collinear, Fraction(1, 2))
-    with pytest.raises(CollinearPoints):
-        blend_three_lines(t, collinear[0], collinear[0], Point(1, 1, 1), Fraction(1, 2))
-    with pytest.raises(BadAlphaPrime):
-        blend_three_lines(t, Point(1, 0, 0), Point(0, 1, 0), Point(0, 0, 1), TWO_FIFTHS)
-    with pytest.raises(NonUnitMass):
-        blend_three_lines(
-            t.scaled(Fraction(1, 2)),
-            Point(1, 0, 0),
-            Point(0, 1, 0),
-            Point(0, 0, 1),
-            Fraction(1, 2),
-        )
+        blended = blend_current(t, sides(*triangle(rng)), ap)
+        assert blended.lelong_number(hub) > TWO_FIFTHS
 
 
 def test_blend_single_line_mass_and_bound():
@@ -136,10 +120,7 @@ def test_blend_single_line_mass_and_bound():
         ap = random_alpha_prime(rng)
         t = random_unit_current(rng)
         line = line_through(*random_points(rng, 2))
-        report = blend_single_line(t, line, ap)
-        assert report.mass_ok and report.current.mass == 1
-    with pytest.raises(BadAlphaPrime):
-        blend_single_line(random_unit_current(rng), Line(1, 0, 0), TWO_FIFTHS)
+        assert blend_current(t, [line], ap).mass == 1
 
 
 def test_blend_single_line_point_on_line_bound():
@@ -151,18 +132,14 @@ def test_blend_single_line_point_on_line_bound():
         p = Point(1, rng.randint(-5, 5), 0)  # on z = 0
         margin = Fraction(1, 60)
         cross = line_through(p, Point(0, 0, 1))
-        t = DivisorCurrent([(beta_prime + margin, cross)])
-        t = t + DivisorCurrent([(1 - t.mass, Line(1, 1, 1))])
+        t = DivisorCurrent([(beta_prime + margin, cross), (1 - beta_prime - margin, Line(1, 1, 1))])
         if t.mass != 1 or t.lelong_number(p) <= beta_prime:
             continue
-        report = blend_single_line(t, line, ap, extra_points=(p,))
-        assert report.rows[0].satisfied
+        assert blend_current(t, [line], ap).lelong_number(p) > TWO_FIFTHS
 
 
 def test_line_weight_bound_values_and_monotonicity():
     assert line_weight_bound(Fraction(1, 2)) == Fraction(1, 3)
-    with pytest.raises(BadAlphaPrime):
-        line_weight_bound(TWO_FIFTHS)
     rng = random.Random(19)
     values = sorted(random_alpha_prime(rng) for _ in range(50))
     bounds = [line_weight_bound(a) for a in values]
@@ -181,15 +158,8 @@ def test_residual_rescale_identity_cases():
     rng = random.Random(29)
     t = random_unit_current(rng)
     line = Line(7, 11, 13)
-    assert t.generic_lelong(line) == 0
-    report = residual_rescale(t, line)
-    assert report.line_weight == 0 and report.current == t and report.mass_ok
-
-    only_line = DivisorCurrent([(1, Line(1, 0, 0))])
-    with pytest.raises(FullWeightLine):
-        residual_rescale(only_line, Line(1, 0, 0))
-    with pytest.raises(NonUnitMass):
-        residual_rescale(t.scaled(2), line)
+    assert weight_of(t, line) == 0
+    assert rescaled_residual(t, line) == t
 
 
 def test_residual_rescale_mass_and_closed_form():
@@ -199,12 +169,11 @@ def test_residual_rescale_mass_and_closed_form():
         weight, line = t.components[0]
         if weight == 1:
             continue
-        report = residual_rescale(t, line)
-        assert report.mass_ok and report.current.mass == 1
-        assert report.line_weight == weight
+        residual = rescaled_residual(t, line)
+        assert residual.mass == 1
         for p in t.support_intersections():
             expected = (t.lelong_number(p) - weight * multiplicity(p, line)) / (1 - weight)
-            assert report.current.lelong_number(p) == expected
+            assert residual.lelong_number(p) == expected
 
 
 def test_residual_rescale_half_bound_chain():
@@ -237,8 +206,5 @@ def test_residual_rescale_half_bound_chain():
         t = DivisorCurrent(components)
         if t.mass != 1 or t.lelong_number(p) <= beta_prime:
             continue
-        report = residual_rescale(t, line, alpha_prime=ap, points=(p,))
-        assert report.applicable is True
-        assert report.rows[0].value > Fraction(1, 2)
-        assert report.rows[0].satisfied
+        assert rescaled_residual(t, line).lelong_number(p) > Fraction(1, 2)
         checked += 1

@@ -16,6 +16,8 @@ from planecurrents.cli import main
 from planecurrents.gallery import build
 from planecurrents.projective import Conic, Line, line_in_conic
 
+from oracles import combine
+
 
 @pytest.fixture(scope="module")
 def instance_files(tmp_path_factory):
@@ -139,7 +141,7 @@ def test_check_nonpositive_file_alpha_is_a_failed_precondition(tmp_path):
 def test_check_mass_reason_comes_before_alpha(tmp_path):
     arr = build("four-lines")
     path = tmp_path / "half.json"
-    path.write_text(serialize.dumps(serialize.current_to_payload(arr.current.scaled(Fraction(1, 2)))))
+    path.write_text(serialize.dumps(serialize.current_to_payload(combine((Fraction(1, 2), arr.current)))))
     report_path = tmp_path / "report.json"
     assert main(["check", str(path), "--alpha", "1/5", "--out", str(report_path)]) == 2
     report = json.loads(report_path.read_text())
@@ -186,6 +188,14 @@ def test_exponent_rational_is_a_parse_error(instance_files, capsys):
     for alpha in ("5e-1", "0.5"):
         assert main(["check", instance_files["four-lines"], "--alpha", alpha]) == 1
         assert "parse error" in capsys.readouterr().err
+
+
+def test_check_empty_alpha_is_a_parse_error(instance_files, tmp_path, capsys):
+    # as for search and levelset, not a silent fall back to the file's alpha
+    report_path = tmp_path / "report.json"
+    assert main(["check", instance_files["four-lines"], "--alpha", "", "--out", str(report_path)]) == 1
+    assert capsys.readouterr().err == "parse error: --alpha: invalid rational '' (expected an integer or p/q)\n"
+    assert not report_path.exists()
 
 
 def test_mj_rejects_too_many_points_before_searching(tmp_path, capsys, monkeypatch):

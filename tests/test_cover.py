@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from planecurrents import cover, linalg
-from planecurrents.auxiliary import BlendReport, BoundRow, RescaleReport
 from planecurrents.cover import (
     Covered,
     NotCoverable,
@@ -39,6 +38,7 @@ from planecurrents.projective import (
 from oracles import (
     _join,
     _veronese,
+    combine,
     coverable_oracle,
     level_set_oracle,
     mass_oracle,
@@ -592,7 +592,7 @@ def test_threshold_scaling_equivalence():
         t = random_unit_current(rng)
         c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         threshold = Fraction(rng.randint(1, 4), rng.randint(5, 15))
-        scaled_level = t.scaled(c).level_set(c * threshold, strict=True)
+        scaled_level = combine((c, t)).level_set(c * threshold, strict=True)
         level = t.level_set(threshold, strict=True)
         assert scaled_level.component_curves == level.component_curves
         assert scaled_level.isolated_points == level.isolated_points
@@ -619,15 +619,7 @@ def test_cover_instance_validation():
     rejected(quad, Fraction(2, 5), "alpha must exceed 2/5, got 2/5")
     triangle = DivisorCurrent([(Fraction(1, 3), l) for l in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1))])
     rejected(triangle, HALF, "needs a component of weight >= 1/2 or four points of density >= 1/2, got 3")
-    rejected(quad.scaled(HALF), HALF, "current mass is 1/2, expected exactly 1")
-
-
-def _two_lines():
-    return DivisorCurrent([(HALF, Line(1, 0, 0)), (HALF, Line(0, 1, 0))])
-
-
-def _row():
-    return BoundRow(Point(1, 1, 1), HALF, Fraction(2, 5))
+    rejected(combine((HALF, quad)), HALF, "current mass is 1/2, expected exactly 1")
 
 
 # each builds a record from fresh, equal fields
@@ -637,9 +629,6 @@ RECORDS = {
     "UncoveredPoints": lambda: UncoveredPoints((Point(1, 0, 0), Point(0, 1, 0))),
     "NotCoverable": lambda: NotCoverable(UncoverableCurve(Line(0, 0, 1))),
     "LevelSet": lambda: LevelSet(1, 1, (Line(0, 0, 1),), (Point(1, 1, 1),)),
-    "BoundRow": _row,
-    "BlendReport": lambda: BlendReport(_two_lines(), (_row(),)),
-    "RescaleReport": lambda: RescaleReport(HALF, _two_lines(), True, (_row(),)),
 }
 
 
@@ -781,7 +770,7 @@ def test_evaluate_cover_rejects_alpha_at_most_two_fifths(alpha):
     assert outcome.reason == f"alpha must exceed 2/5, got {alpha}"
     assert outcome.heavy_points == () and outcome.level is None and outcome.verdict is None
     # the mass is checked first
-    assert evaluate_cover(quad.scaled(HALF), alpha).reason == "current mass is 1/2, expected exactly 1"
+    assert evaluate_cover(combine((HALF, quad)), alpha).reason == "current mass is 1/2, expected exactly 1"
 
 
 def test_find_heavy_points_on_full_line():

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from planecurrents.currents import DivisorCurrent, LevelSet
 from planecurrents.errors import (
     IrrationalIntersection,
-    NegativeScale,
     NegativeWeight,
     NonpositiveThreshold,
     ReducibleConic,
-    WeightExceeded,
 )
 from planecurrents.projective import (
     _cross,
@@ -32,6 +30,10 @@ from planecurrents.projective import (
 )
 
 from oracles import (
+    _join,
+    bezout_excess,
+    combine,
+    holds_line,
     homogeneous_tuples,
     lelong_oracle,
     level_set_oracle,
@@ -43,6 +45,8 @@ from oracles import (
     random_projective_map,
     random_unit_current,
     rational_form,
+    reference_conic_space,
+    weight_of,
     weights_through_oracle,
 )
 
@@ -82,36 +86,6 @@ def test_lelong_numbers():
     assert mixed.lelong_number(Point(0, 0, 1)) == Fraction(2, 3)
 
 
-def test_generic_lelong_and_subtract():
-    t = quarter_current()
-    line = QUAD_LINES[0]
-    assert t.generic_lelong(line) == Fraction(1, 4)
-    assert t.generic_lelong(Line(1, 5, 7)) == 0
-
-    smaller = t.subtract(line, Fraction(1, 8))
-    assert smaller.generic_lelong(line) == Fraction(1, 8)
-    assert smaller.mass == t.mass - Fraction(1, 8)
-
-    gone = t.subtract(line, Fraction(1, 4))
-    assert gone.generic_lelong(line) == 0
-    assert len(gone.components) == 3
-
-    assert t.subtract(line, 0) == t
-    with pytest.raises(WeightExceeded):
-        t.subtract(line, Fraction(1, 2))
-    with pytest.raises(NegativeWeight):
-        t.subtract(line, Fraction(-1, 4))
-
-
-def test_scale_and_add():
-    t = quarter_current()
-    assert t.scaled(1) == t
-    assert t.scaled(Fraction(1, 2)).mass == Fraction(1, 2)
-    assert (t + t).mass == 2
-    with pytest.raises(NegativeScale):
-        t.scaled(-1)
-
-
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=8))
 def test_lelong_linearity(num, den):
     rng = random.Random(num * 8 + den)
@@ -119,7 +93,7 @@ def test_lelong_linearity(num, den):
     t1 = random_unit_current(rng)
     t2 = random_unit_current(rng)
     p = random_point(rng)
-    combined = t1.scaled(factor) + t2
+    combined = combine((factor, t1), (1, t2))
     assert combined.lelong_number(p) == factor * t1.lelong_number(p) + t2.lelong_number(p)
 
 
@@ -136,7 +110,7 @@ def test_bezout_mass_bound_for_noncomponent_lines():
     for _ in range(100):
         t = random_unit_current(rng)
         line = random_lines(rng, 1)[0]
-        if t.generic_lelong(line) != 0:
+        if weight_of(t, line) != 0:
             continue
         crossing = {meet(line, c) for c in t.curves if c != line}
         assert sum(t.lelong_number(p) for p in crossing) <= t.mass
@@ -318,6 +292,39 @@ def test_oracle_currents_have_rich_points(make, through):
         assert richest >= through
 
 
+def _bezout_curves(current):
+    """The lines through two pairwise meets of the current and the conics
+    through five with a one-dimensional `reference_conic_space`, leaving
+    out the components and every curve that holds a component line."""
+    meets = sorted(pairwise_meets_oracle(current))
+    lines = {_join(p, q) for p, q in combinations(meets, 2)}
+    spaces = (reference_conic_space(five) for five in combinations(meets, 5))
+    conics = {space[0] for space in spaces if len(space) == 1}
+    component_lines = [c for c in current.curves if isinstance(c, Line)]
+    return [
+        c
+        for c in (*lines, *conics)
+        if c not in current.curves and not any(holds_line(c, l) for l in component_lines)
+    ]
+
+
+def _few_line_current(rng) -> DivisorCurrent:
+    """A unit current of three to five lines: at most ten meets, so 252
+    five-point subsets at most."""
+    return random_unit_current(rng, rng.randint(3, 5))
+
+
+@pytest.mark.parametrize("make", [_few_line_current, _conic_chord_current])
+def test_bezout_excess_is_never_positive(make):
+    # a curve sharing no component with the current takes at most
+    # deg * mass of density at the meets on it
+    rng = random.Random(61)
+    for _ in range(10):
+        current = make(rng)
+        for curve in _bezout_curves(current):
+            assert bezout_excess(current, curve) <= 0, (current, curve)
+
+
 def _assert_integer_weights(current):
     """`den` is the lcm of the weight denominators, `nums` the weights over
     it, and mass and densities agree with the Fraction oracle."""
@@ -487,11 +494,11 @@ def test_incidence_cache_is_invisible():
     on_conic = [p for p in current.support_intersections() if incident(p, conic)]
     extra = DivisorCurrent([(Fraction(1, 5), Line(*conic_gradient(conic, p))) for p in on_conic])
     derived = [
-        current.subtract(chord, current.generic_lelong(chord)),
-        current.subtract(conic, current.generic_lelong(conic) / 2),
-        current.scaled(Fraction(3, 2)),
+        DivisorCurrent([(w, c) for w, c in current.components if c != chord]),
+        DivisorCurrent([(w / 2 if c == conic else w, c) for w, c in current.components]),
+        combine((Fraction(3, 2), current)),
         random_projective_map(rng).current(current),
-        current + extra,
+        combine((1, current), (1, extra)),
     ]
     for other in derived:
         _assert_integer_weights(other)

@@ -23,7 +23,7 @@ from planecurrents.harness import (
 from planecurrents.projective import Line, Point, line_through
 from planecurrents.serialize import level_set_to_json, parse_instance
 
-from oracles import OracleMap, adjugate, matvec
+from oracles import OracleMap, adjugate, matvec, weight_of
 
 
 def test_spec_validation():
@@ -292,7 +292,7 @@ def _frame_map(lines):
 def test_sweep_reproduces_seven_line_profile():
     arr = build("seven-lines")
     ordered = [arr.lines[k] for k in ("L1", "L2", "L3", "l1", "l2", "l3", "l4")]
-    weights = {line: arr.current.generic_lelong(line) for line in ordered}
+    weights = {line: weight_of(arr.current, line) for line in ordered}
     pmap = _frame_map(ordered[:4])
     frame_images = [pmap.line(l) for l in ordered[:4]]
     assert tuple(frame_images) == FRAME_LINES
