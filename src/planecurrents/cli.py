@@ -55,11 +55,16 @@ def _load_json(path: str):
 
 
 def _write_report(path: Optional[str], document: dict) -> None:
+    """The report to `path`, or to stdout when no --out was given; an empty
+    --out is a path that cannot be written, as a missing directory is."""
     text = serialize.dumps(document)
-    if path:
-        serialize.atomic_write(path, text)
-    else:
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        serialize.atomic_write(path, text)
+    except OSError as exc:
+        raise PlaneCurrentsError(f"cannot write report to {path!r} ({exc.strerror or exc})") from None
 
 
 def cmd_verify_examples(args) -> int:

@@ -327,13 +327,21 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     Degree 2 takes the `linalg.kernel` of the transposed Veronese rows,
     whose columns are the points, so its vectors are the dependencies
     among the points. Rank below 6 (more than n - 6 of them) means all n
-    points lie on a conic. Otherwise a coloop, a point in the support of
-    no dependency, whose removal drops the rank, leaves n - 1 on a conic,
-    and no conic holds n. Only with no coloop does it test each six points
-    by brackets, O(n^6) integer products: a largest set on one conic is
-    then the closure of five independent points (distinct, no four
-    collinear), the five and every point that makes six on a conic with
-    them."""
+    points lie on a conic. Otherwise the rank is 6, the points on a conic
+    are the sets of rank 5, and the kernel's columns, one per point,
+    represent the dual matroid (Oxley, Matroid Theory, 2011, ch. 2): k
+    points are off a largest conic iff they form a smallest circuit of
+    the dual, which has rank n - 6, so such a circuit has at most n - 5
+    points. A zero column, a coloop, a point in the support of no
+    dependency, is a circuit of one: n - 1 on a conic. Two proportional
+    columns, equal once each is primitive with a positive lead, are a
+    circuit of two: n - 2. With neither, at most n - 3 lie on a conic,
+    and n = 8 gives 5 (at n = 7 the dual has rank 1, so one of the two
+    stages has returned). Only from 9 points on with neither does it test
+    each six points by brackets, O(n^6) integer products: a largest set
+    on one conic is then the closure of five independent points
+    (distinct, no four collinear), the five and every point that makes
+    six on a conic with them."""
     coords = list({p.ints for p in points})
     rows, ncols = _rows_of(coords, degree)
     if degree == 1:
@@ -354,8 +362,13 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     deps = linalg.kernel(list(zip(*rows)), n)[1]
     if n - len(deps) < ncols:
         return n
-    if sum(map(any, zip(*deps))) < n:  # a column in no dependency
+    columns = list(zip(*deps))  # empty when there is no dependency
+    if sum(map(any, columns)) < n:  # a column in no dependency
         return n - 1
+    if len(set(map(_primitive, columns))) < n:  # two proportional columns
+        return n - 2
+    if n <= 8:
+        return 5
     closures = Counter(five for six in _sixes_on_a_conic(coords) for five in combinations(six, 5))
     # five points with four on a line make six on a conic with each of the
     # other n - 5; five independent ones only with the points of their one

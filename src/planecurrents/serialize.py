@@ -42,23 +42,19 @@ from .projective import Conic, Curve, Line, Point, _lead
 # The groups are the signed numerator and the denominator, if any.
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
-# Longest "points" list a points file may hold. max_on_curve counts point
-# pairs at degree 1, O(n^2), and tests each six points at degree 2, O(n^6):
-# on a 2-vCPU Xeon, 12, 13 and 15 generic points (at most five on a conic)
-# take 0.002 s, 0.003 s and 0.009 s at degree 2, and 0.0004 s at most at
-# degree 1.
+# Longest "points" list a points file may hold. It bounds the one search
+# in max_on_curve that grows as a power of n: at degree 2, where no
+# dependency among the points gives the count, each six points are tested
+# by brackets, O(n^6). Degree 1 counts point pairs, O(n^2).
 MAX_POINTS = 12
 
 # Most lines plus conics in an instance document, and most characters in a
 # curve coefficient or point coordinate (its JSON string, or an integer's
 # decimal form). The incidence map meets every pair of components, and a
-# level set can return every meet. On a 2-vCPU Xeon at both caps (slowest of
-# two runs), 100 lines of 64-character "p/q" coefficients take 0.08 s in
-# `check` and 0.61 s in a `levelset` that returns all 4,851 meets; a conic
-# and 99 of its chords take 0.04 s. Without the caps, 256 lines of 100
-# characters took 0.7 s and 9.3 s. `mj --degree 2` on 12 generic points
-# with 64-digit coordinates takes 0.007 s in process (best of 25) and took
-# 9.1 s with 4,000-digit ones.
+# level set can return every meet, so the first cap bounds work that grows
+# with the square of the count. Every meet, density and bracket multiplies
+# coefficients or coordinates, so the second bounds the size of each
+# product. Both are checked before any curve or point is built.
 MAX_CURVES = 100
 MAX_COEFFICIENT_LENGTH = 64
 

@@ -13,8 +13,10 @@ moves points, lines and conics by an integer matrix and its adjugate, on
 the integer tuples. Scaled sums of currents (`combine`), component
 weights (`weight_of`) and the blend and rescale constructions use only
 the `DivisorCurrent` constructor and its `components`, and
-`bezout_excess` finds the meets on a curve by form evaluation. From `planecurrents` only the classes `Point`, `Line`,
-`Conic`, `DivisorCurrent` and `LevelSet` are imported.
+`bezout_excess` finds the meets on a curve by form evaluation and sums
+over them the density function it is given. From `planecurrents` only the
+classes `Point`, `Line`, `Conic`, `DivisorCurrent` and `LevelSet` are
+imported.
 """
 
 from __future__ import annotations
@@ -423,15 +425,16 @@ def rescaled_residual(current, line) -> DivisorCurrent:
     return DivisorCurrent([(w / (1 - a), c) for w, c in current.components if c != line])
 
 
-def bezout_excess(current, curve) -> Fraction:
-    """The library's `lelong_number` summed over the pairwise meets of the
-    current (`pairwise_meets_oracle`) on which the curve's form vanishes,
-    minus deg(curve) * mass. A curve C with no component in common with
-    the current meets each component C_i in deg(C) * deg(C_i) points
-    counted with multiplicity (Bezout), so the excess is at most 0."""
+def bezout_excess(current, curve, density) -> Fraction:
+    """`density`, a function of a point, summed over the pairwise meets of
+    the current (`pairwise_meets_oracle`) on which the curve's form
+    vanishes, minus deg(curve) * mass. A curve C with no component in
+    common with the current meets each component C_i in deg(C) * deg(C_i)
+    points counted with multiplicity (Bezout), so with the density of the
+    current the excess is at most 0."""
     degree = 1 if len(curve.coeffs) == 3 else 2
     on = [p for p in pairwise_meets_oracle(current) if _form(curve, p.coords) == 0]
-    return sum((current.lelong_number(p) for p in on), Fraction(0)) - degree * mass_oracle(current)
+    return sum((density(p) for p in on), Fraction(0)) - degree * mass_oracle(current)
 
 
 def pairwise_meets_oracle(current) -> set[Point]:

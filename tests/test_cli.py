@@ -198,6 +198,22 @@ def test_check_empty_alpha_is_a_parse_error(instance_files, tmp_path, capsys):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "empty"])
+def test_unwritable_report_is_an_error(tmp_path, capsys, monkeypatch, missing):
+    # an empty --out names a file that cannot be written, as a missing
+    # directory does: exit 1 with one line, no traceback and no report on
+    # stdout, and no temporary file left behind
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"]]}))
+    out = str(tmp_path / "missing" / "x.json") if missing else ""
+    assert main(["mj", str(path), "--degree", "1", "--out", out]) == 1
+    error = f"error: cannot write report to {out!r} (No such file or directory)\n"
+    assert capsys.readouterr() == ("", error)
+    assert os.listdir(tmp_path) == ["points.json"]
+    assert not any(name.startswith(".tmp-") for name in os.listdir(tmp_path.parent))
+
+
 def test_mj_rejects_too_many_points_before_searching(tmp_path, capsys, monkeypatch):
     # generic points (no three collinear, no six on a conic), on which a
     # search would run through every subset size

@@ -317,12 +317,21 @@ def _few_line_current(rng) -> DivisorCurrent:
 @pytest.mark.parametrize("make", [_few_line_current, _conic_chord_current])
 def test_bezout_excess_is_never_positive(make):
     # a curve sharing no component with the current takes at most
-    # deg * mass of density at the meets on it
+    # deg * mass of density at the meets on it, by `lelong_number` and by
+    # the incidence map's density numerators over `den`, as by the oracle
     rng = random.Random(61)
     for _ in range(10):
         current = make(rng)
+        incidence = current._incidence_map()
+        densities = (
+            current.lelong_number,
+            lambda p: Fraction(incidence[p.ints][0], current.den),
+        )
         for curve in _bezout_curves(current):
-            assert bezout_excess(current, curve) <= 0, (current, curve)
+            excess = bezout_excess(current, curve, lambda p: lelong_oracle(current, p))
+            assert excess <= 0, (current, curve)
+            for density in densities:
+                assert bezout_excess(current, curve, density) == excess, (current, curve)
 
 
 def _assert_integer_weights(current):

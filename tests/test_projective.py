@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planecurrents import projective
 from planecurrents.errors import (
     EqualLines,
     EqualPoints,
@@ -300,11 +301,16 @@ def test_max_on_curve_ignores_order_and_stops_at_a_coloop():
         assert max_on_curve(shuffled, 1) == max_on_curve(pts, 1) == m1_oracle(pts)
         assert max_on_curve(shuffled, 2) == max_on_curve(pts, 2) == m2_oracle(pts)
     # planted sets up to the cap: n - 1 on a conic is a coloop (the stop at
-    # n - 1), and a line pair with four or more collinear points makes six
-    # on a conic with every other point
+    # n - 1), n - 2 two proportional dependency columns, n - 3 from nine
+    # points on the bracket search, and a line pair with four or more
+    # collinear points makes six on a conic with every other point
     counts = set()
     for n in range(6, MAX_POINTS + 1):
-        for kind, off in (("conic", 1), ("conic", 2), ("pair", 0), ("pair", 1), ("pair", 2)):
+        for kind, off in (
+            ("conic", 1), ("conic", 2), ("conic", 3), ("pair", 0), ("pair", 1), ("pair", 2), ("pair", 3)
+        ):
+            if n - off < 4:  # the line pair takes four points on one line
+                continue
             pts = _planted(rng, n, kind, off)
             m2 = m2_minor_oracle(pts)
             assert m2 >= n - off
@@ -314,7 +320,31 @@ def test_max_on_curve_ignores_order_and_stops_at_a_coloop():
             for order in (pts, pts[::-1], rng.sample(pts, n)):
                 assert max_on_curve(order, 1) == m1_oracle(pts)
                 assert max_on_curve(order, 2) == m2
-    assert counts == {0, 1, 2}
+    assert counts == {0, 1, 2, 3}
+
+
+def test_max_on_curve_reads_two_off_without_brackets(monkeypatch):
+    # all but two on a conic is a circuit of two in the dual: two
+    # proportional dependency columns, which may differ in sign; and eight
+    # points with no such pair and no six on a conic give 5
+    def no_brackets(coords):
+        raise AssertionError("the bracket search ran")
+
+    monkeypatch.setattr(projective, "_sixes_on_a_conic", no_brackets)
+    rng = random.Random(29)
+    planted = [_planted(rng, n, kind, 2) for n in range(7, MAX_POINTS + 1) for kind in ("conic", "pair")]
+    generic: list[list[Point]] = []
+    while len(generic) < 4:
+        pts = random_points(rng, 8)
+        if m2_minor_oracle(pts) == 5:
+            generic.append(pts)
+    counts = set()
+    for pts in planted + generic:
+        m2 = m2_minor_oracle(pts)
+        counts.add(len(pts) - m2)
+        for order in (pts, pts[::-1], rng.sample(pts, len(pts))):
+            assert max_on_curve(order, 2) == m2
+    assert {2, 3} <= counts
 
 
 def test_max_on_curve_reads_its_points_once():
