@@ -34,9 +34,10 @@ lists so that every comparison is one `<`.
 A current keeps one (density numerator, heaviest numerator) pair per
 pairwise intersection point once built, keyed on the point's primitive
 integer tuple (`Point.ints`): two lines meet at the primitive form of
-their cross product, computed inline on the integer tuples, so the map of
-an all-line current holds no Point, and its keys hash and compare as
-plain tuples. The build keeps one [density, heaviest, first line] entry
+their cross product, computed inline, and a line meets a conic at the
+tuples of `projective._line_conic_meets`, both on the integer tuples, so
+the map holds no Point, and its keys hash and compare as plain tuples.
+The build keeps one [density, heaviest, first line] entry
 per point and no set of components: the first line through a point meets
 every other component through it there, so the pairs of that line
 complete the entry, and every other pair that meets there skips it. A
@@ -70,6 +71,7 @@ from .projective import (
     Curve,
     Point,
     Triple,
+    _line_conic_meets,
     curve_sort_key,
     incident,
     intersect_curves,
@@ -163,11 +165,12 @@ class DivisorCurrent:
         that row makes and completes the entry, and the rows of later
         lines find it with another first line and skip it. Two lines meet
         at the primitive form of their cross product, computed here on the
-        integer tuples with no Point built. A line-conic meet goes through
-        `intersect_curves` and adds the conic to the entry of its first
-        line in the same way, or makes the entry. These pairs are taken in
-        component-pair order, so the first pair without rational meets is
-        the one that raises."""
+        integer tuples with no Point built. A line and a conic meet at the
+        integer tuples of `_line_conic_meets`, which add the conic to the
+        entry of its first line in the same way, or make the entry. These
+        pairs are taken in component-pair order, and the conic pairs come
+        last, so the first pair without rational meets is the one that
+        raises."""
         if self._incidence is None:
             nums, curves = self.nums, self.curves
             ints = [c.ints for c in curves]
@@ -191,18 +194,20 @@ class DivisorCurrent:
                         e[0] += nj
                         if nj > e[1]:
                             e[1] = nj
-            for i in range(len(curves)):
+            for i in range(m):
                 ni = nums[i]
-                for j in range(max(i + 1, m), len(curves)):
+                for j in range(m, len(curves)):
                     nj = nums[j]
-                    for p in intersect_curves(curves[i], curves[j]):
-                        e = entries.get(p.ints)
+                    for key in _line_conic_meets(ints[i], ints[j]):
+                        e = entries.get(key)
                         if e is None:
-                            entries[p.ints] = [ni + nj, ni if ni > nj else nj, i]
+                            entries[key] = [ni + nj, ni if ni > nj else nj, i]
                         elif e[2] == i:
                             e[0] += nj
                             if nj > e[1]:
                                 e[1] = nj
+            if len(curves) - m > 1:  # the first conic pair raises
+                intersect_curves(curves[m], curves[m + 1])
             summary = {key: (density, top) for key, (density, top, _) in entries.items()}
             object.__setattr__(self, "_incidence", summary)
         return self._incidence

@@ -218,7 +218,10 @@ def conic_rank(conic: Conic) -> int:
 
 
 def is_irreducible(conic: Conic) -> bool:
-    return conic_rank(conic) == 3
+    """True iff the symmetric integer matrix of twice the form, the matrix
+    of `conic_rank`, has rank 3: half its determinant is nonzero."""
+    a00, a01, a02, a11, a12, a22 = conic.ints
+    return 4 * a00 * a11 * a22 + a01 * a02 * a12 != a00 * a12 * a12 + a01 * a01 * a22 + a02 * a02 * a11
 
 
 def conic_from_lines(l1: Line, l2: Line) -> Conic:
@@ -376,32 +379,31 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     return 5 + max((m for m in closures.values() if m < n - 5), default=0)
 
 
+def _span(line: Sequence[int]) -> tuple[Triple, Triple]:
+    """Two distinct points spanning the line with integer coefficients
+    `line`, not made primitive: its meets with x = 0 and y = 0, or, when
+    it passes through (0 : 0 : 1), that point and its meet with z = 0."""
+    l0, l1, l2 = line
+    return ((0, l2, -l1), (-l2, 0, l0)) if l2 else ((0, 0, 1), (l1, -l0, 0))
+
+
 def two_points_on_line(line: Line) -> tuple[Point, Point]:
     """Two distinct canonical points spanning the line."""
-    found = []
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        c = _cross(line.ints, e)
-        if any(c):
-            p = Point._of(c)
-            if p not in found:
-                found.append(p)
-        if len(found) == 2:
-            break
-    return found[0], found[1]
+    return tuple(map(Point._of, _span(line.ints)))
 
 
-def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
-    """Rational intersection points of a line with a conic.
+def _line_conic_meets(line: Sequence[int], conic: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rational meets of a line and a conic, given by their integer
+    tuples, as distinct primitive integer tuples in no set order.
 
     Raises IrrationalIntersection when the intersection exists only over a
     quadratic extension (or as a complex-conjugate pair).
     """
-    q = conic.ints
-    u, v = (p.ints for p in two_points_on_line(line))
+    u, v = _span(line)
     # q(u + t*v) = c + b*t + a*t^2; v itself is t = inf, and a root t = r/s
     # is the point s*u + r*v
-    a, c = _form(q, v), _form(q, u)
-    b = _form(q, [x + y for x, y in zip(u, v)]) - a - c
+    a, c = _form(conic, v), _form(conic, u)
+    b = _form(conic, (u[0] + v[0], u[1] + v[1], u[2] + v[2])) - a - c
     if a == 0:
         if b == c == 0:
             raise ValueError("line is contained in the conic")
@@ -411,10 +413,16 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
         root = isqrt(disc) if disc >= 0 else -1
         if root * root != disc:
             raise IrrationalIntersection(
-                f"{line!r} meets {conic!r} in points with irrational coordinates"
+                f"{Line._of(line)!r} meets {Conic._of(conic)!r} in points with irrational coordinates"
             )
         roots = [(2 * a, -b + root), (2 * a, -b - root)]
-    return tuple(sorted({Point._of(tuple(s * x + r * y for x, y in zip(u, v))) for s, r in roots}))
+    return list(dict.fromkeys(_primitive([s * x + r * y for x, y in zip(u, v)]) for s, r in roots))
+
+
+def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
+    """Rational intersection points of a line with a conic, in canonical
+    order; raises as `_line_conic_meets` does."""
+    return tuple(sorted(map(Point._of, _line_conic_meets(line.ints, conic.ints))))
 
 
 def intersect_curves(c1: Curve, c2: Curve) -> tuple[Point, ...]:

@@ -4,9 +4,11 @@ Rationals travel as strings "p/q" (or plain integers) and are emitted in
 lowest terms with positive denominators, so every report round-trips
 bit-exactly and no floating point ever enters the data path. Curve and
 point coefficients parse straight to primitive integer tuples, without a
-`Fraction`. Conic coefficients use the fixed monomial order
+`Fraction`, in one loop when well formed; errors are diagnosed in a fixed
+order. Conic coefficients use the fixed monomial order
 (x^2, xy, xz, y^2, yz, z^2). Reports are written exactly as
-`json.dumps(document, indent=2, sort_keys=True)` writes them.
+`json.dumps(document, indent=2, sort_keys=True)` writes them, as bytes
+to a temporary file that is then renamed into place.
 
 Instance documents look like
 
@@ -22,6 +24,7 @@ Validation failures raise ParseError with the offending field path.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from fractions import Fraction
@@ -73,10 +76,6 @@ def _shown(text: str) -> str:
 def _ratio(value: Any, path: str) -> tuple[int, int]:
     """A rational as (numerator, denominator), the denominator positive and
     the pair not necessarily in lowest terms."""
-    if isinstance(value, bool):
-        raise ParseError("expected a rational, got a boolean", path)
-    if isinstance(value, int):
-        return value, 1
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if not match:
@@ -90,6 +89,10 @@ def _ratio(value: Any, path: str) -> tuple[int, int]:
             # the text of Fraction's ZeroDivisionError
             raise ParseError(f"invalid rational {_shown(value)} (Fraction({num}, 0))", path)
         return num, den
+    if isinstance(value, bool):
+        raise ParseError("expected a rational, got a boolean", path)
+    if isinstance(value, int):
+        return value, 1
     raise ParseError(f"expected a rational string or integer, got {type(value).__name__}", path)
 
 
@@ -99,19 +102,32 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
 
 def _parse_tuple(value: Any, size: int, path: str) -> tuple[int, ...]:
     """`size` rationals, not all zero, each written in at most
-    MAX_COEFFICIENT_LENGTH characters (checked first), as integers with
-    the same ratios."""
-    for i, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
-        if isinstance(v, (str, int)) and len(str(v)) > MAX_COEFFICIENT_LENGTH:
-            message = f"{len(str(v))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed"
-            raise ParseError(message, f"{path}[{i}]")
-    if not isinstance(value, (list, tuple)) or len(value) != size:
-        raise ParseError(f"expected a list of {size} rationals", path)
-    ratios = [_ratio(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if not any(num for num, _ in ratios):
-        raise ParseError("all coefficients are zero", path)
-    scale = lcm(*[den for _, den in ratios])
-    return tuple([num * (scale // den) for num, den in ratios])
+    MAX_COEFFICIENT_LENGTH characters, as integers with the same ratios.
+    One loop takes a list of `size` strings of the rational grammar and
+    builds no path or message; anything else falls through to the checks,
+    which raise the first error in this order: the cap on every entry, the
+    shape, the first entry that is not a rational, all zeros."""
+    nums, dens = [], []
+    if type(value) is list and len(value) == size:
+        for v in value:
+            match = type(v) is str and len(v) <= MAX_COEFFICIENT_LENGTH and _RATIONAL.fullmatch(v)
+            if not match:
+                break
+            num, den = match.groups("1")
+            nums.append(int(num))
+            dens.append(int(den))
+    if len(nums) < size or not any(nums) or not all(dens):
+        for i, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
+            if isinstance(v, (str, int)) and len(str(v)) > MAX_COEFFICIENT_LENGTH:
+                message = f"{len(str(v))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed"
+                raise ParseError(message, f"{path}[{i}]")
+        if not isinstance(value, (list, tuple)) or len(value) != size:
+            raise ParseError(f"expected a list of {size} rationals", path)
+        nums, dens = zip(*[_ratio(v, f"{path}[{i}]") for i, v in enumerate(value)])
+        if not any(nums):
+            raise ParseError("all coefficients are zero", path)
+    scale = lcm(*dens)
+    return tuple([num * (scale // den) for num, den in zip(nums, dens)])
 
 
 def _rational_form(ints: tuple[int, ...]) -> list[str]:
@@ -203,7 +219,7 @@ def parse_instance(payload: Any) -> tuple[DivisorCurrent, Optional[Fraction]]:
     pairs = []
     for i, (raw, curve) in enumerate(zip(weights_raw, curves)):
         w = parse_rational(raw, f"weights[{i}]")
-        if w < 0:
+        if w.numerator < 0:
             raise ParseError(f"weight {format_rational(w)} is negative", f"weights[{i}]")
         pairs.append((w, curve))
     try:
@@ -297,7 +313,10 @@ def dumps(document: dict) -> str:
 def atomic_write(path: str, text: str) -> None:
     """Write the full document to a new temporary file beside `path` and
     rename it into place. The file is created with mode 0o666, so the
-    umask sets the report's mode as it does for any new file."""
+    umask sets the report's mode as it does for any new file. An empty
+    path names no file: it fails with ENOENT before any file is made."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
     for _ in range(100):
@@ -310,8 +329,12 @@ def atomic_write(path: str, text: str) -> None:
     else:
         raise FileExistsError(f"no free temporary name in {directory}")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        try:
+            data = text.encode()
+            while data:  # a write may be short
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

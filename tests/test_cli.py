@@ -202,14 +202,27 @@ def test_check_empty_alpha_is_a_parse_error(instance_files, tmp_path, capsys):
 def test_unwritable_report_is_an_error(tmp_path, capsys, monkeypatch, missing):
     # an empty --out names a file that cannot be written, as a missing
     # directory does: exit 1 with one line, no traceback and no report on
-    # stdout, and no temporary file left behind
+    # stdout, and no temporary file left behind; the empty path is refused
+    # before any file is opened, so no directory it does not name is touched
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"]]}))
     out = str(tmp_path / "missing" / "x.json") if missing else ""
+    opened = []
+    real_open = os.open
+
+    def recording_open(name, *args, **kwargs):
+        opened.append(str(name))
+        return real_open(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
     assert main(["mj", str(path), "--degree", "1", "--out", out]) == 1
     error = f"error: cannot write report to {out!r} (No such file or directory)\n"
     assert capsys.readouterr() == ("", error)
+    if missing:
+        assert [os.path.dirname(name) for name in opened] == [str(tmp_path / "missing")]
+    else:
+        assert opened == []
     assert os.listdir(tmp_path) == ["points.json"]
     assert not any(name.startswith(".tmp-") for name in os.listdir(tmp_path.parent))
 

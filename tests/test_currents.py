@@ -16,6 +16,7 @@ from planecurrents.errors import (
 )
 from planecurrents.projective import (
     _cross,
+    _span,
     Conic,
     Line,
     Point,
@@ -23,6 +24,7 @@ from planecurrents.projective import (
     conic_gradient,
     curve_sort_key,
     incident,
+    intersect_line_conic,
     is_irreducible,
     line_through,
     meet,
@@ -480,6 +482,25 @@ def test_incidence_map_matches_the_oracle():
         _assert_map_matches_oracle(current)
 
 
+def test_incidence_map_matches_the_oracle_at_tangents():
+    # tangents to x*z = y^2 at (0:0:1), (4:2:1) and (1:0:0), and lines
+    # through (1:0:0), the second spanning point of each of these lines
+    # (the a == 0 branch of the line-conic meets), beside two chords
+    tangents = [Line(1, 0, 0), Line(1, -4, 4), Line(0, 0, 1)]
+    through_v = [Line(0, 1, -t) for t in (1, -1, 3)]
+    chords = [Line(1, -3, 2), Line(1, 1, -2)]
+    spanning = [_span(line.ints)[1] for line in through_v + [Line(0, 0, 1)]]
+    assert all(incident(Point(*v), SMOOTH_CONIC) for v in spanning)
+    lines = tangents + through_v + chords
+    current = DivisorCurrent([(Fraction(k, 40), c) for k, c in enumerate(lines + [SMOOTH_CONIC], 1)])
+    for line in tangents:
+        assert len(intersect_line_conic(line, SMOOTH_CONIC)) == 1
+    _assert_map_matches_oracle(current)
+    rng = random.Random(59)
+    for _ in range(10):
+        _assert_map_matches_oracle(random_projective_map(rng).current(current))
+
+
 def test_incidence_cache_is_invisible():
     rng = random.Random(43)
     current = _conic_chord_current(rng)
@@ -530,6 +551,41 @@ def test_irrational_intersection_raises_every_time():
                 current.level_set(Fraction(1, 6))
             with pytest.raises(IrrationalIntersection):
                 current.support_intersections()
+
+
+def _first_irrational_pair_message(current):
+    """The message of `intersect_line_conic` on the first line-conic pair,
+    in component-pair order, without rational meets."""
+    for line in (c for c in current.curves if isinstance(c, Line)):
+        for conic in (c for c in current.curves if isinstance(c, Conic)):
+            try:
+                intersect_line_conic(line, conic)
+            except IrrationalIntersection as exc:
+                return str(exc)
+    raise AssertionError("every line meets every conic rationally")
+
+
+def test_irrational_pair_among_rational_ones_raises_its_own_message():
+    # x = 2z meets x*z = y^2 where y^2 = 2z^2, and x + 2y + 5z = 0 nowhere
+    # real; the chords and the line y = z meet it rationally and sort before
+    # and after them. With x^2 + y^2 = z^2 as well, x - 3y + 2z meets that
+    # conic irrationally, an earlier pair than x = 2z with either conic
+    lines = [Line(0, 1, -1), Line(1, -3, 2), Line(1, 0, -2), Line(1, 1, -2), Line(1, 2, 5)]
+    one = DivisorCurrent([(Fraction(1, 8), c) for c in lines + [SMOOTH_CONIC]])
+    two = DivisorCurrent([(Fraction(1, 8), c) for c in lines + [SMOOTH_CONIC, Conic(1, 0, 0, 1, 0, -1)]])
+    assert _first_irrational_pair_message(one) == str(
+        pytest.raises(IrrationalIntersection, intersect_line_conic, Line(1, 0, -2), SMOOTH_CONIC).value
+    )
+    assert _first_irrational_pair_message(two) != _first_irrational_pair_message(one)
+    for current in (one, two):
+        message = _first_irrational_pair_message(current)
+        for _ in range(2):
+            with pytest.raises(IrrationalIntersection) as err:
+                current.level_set(Fraction(1, 6))
+            assert str(err.value) == message
+            with pytest.raises(IrrationalIntersection) as err:
+                current.support_intersections()
+            assert str(err.value) == message
 
 
 _CURVES = st.one_of(

@@ -187,6 +187,23 @@ def test_conic_rank_classification():
     assert conic_rank(conic_from_lines(line, line)) == 1  # double line
 
 
+def test_is_irreducible_is_rank_three():
+    # the determinant test of is_irreducible against the rank of the same
+    # matrix: random conics with 1- and 64-digit coefficients, line pairs
+    # and double lines with 1- and 32-digit line coefficients
+    rng = random.Random(61)
+    ranks = []
+    for trial in range(400):
+        bound = (2, 10**64 - 1, 10**32)[trial % 3]
+        conic = Conic(*(rng.randint(-bound, bound) for _ in range(5)), rng.randint(1, bound))
+        l1, l2 = (Line(rng.randint(-bound, bound), rng.randint(-bound, bound), rng.randint(1, bound))
+                  for _ in range(2))
+        for q in (conic, conic_from_lines(l1, l2), conic_from_lines(l1, l1)):
+            ranks.append(conic_rank(q))
+            assert is_irreducible(q) == (ranks[-1] == 3), q
+    assert set(ranks) == {1, 2, 3}
+
+
 def test_conic_space_dimensions():
     assert len(conic_space([])) == 6
     generic5 = [Point(1, 0, 0), Point(0, 1, 0), Point(0, 0, 1), Point(1, 1, 1), Point(1, 2, 4)]

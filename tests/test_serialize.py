@@ -120,6 +120,61 @@ def test_coefficients_parse_as_the_constructors_do(raw):
     assert serialize.parse_conic(raw) == Conic(*(Fraction(v) for v in raw))
 
 
+# entries that are not coefficients: over the 64-character cap (a string or
+# an int), not a string or an int, or a string outside the grammar
+_BAD_ENTRY = st.sampled_from(
+    ["1" * 65, "-" + "7" * 64, 10**64, True, 1.5, None, ["1"], "\u0663", "1e3", "1/0"]
+)
+
+
+def _first_error(raw, size):
+    """The message of the ParseError a coefficient list must raise, with
+    its path suffix, or None: the cap on every entry first, then the shape,
+    then the first bad entry, then all zeros."""
+    entries = raw if isinstance(raw, (list, tuple)) else ()
+    for i, v in enumerate(entries):
+        if type(v) in (str, int) and len(str(v)) > 64:
+            return f"[{i}]: {len(str(v))} characters, at most 64 are allowed"
+    if not isinstance(raw, (list, tuple)) or len(raw) != size:
+        return f": expected a list of {size} rationals"
+    for i, v in enumerate(raw):
+        if type(v) is bool:
+            return f"[{i}]: expected a rational, got a boolean"
+        if type(v) not in (str, int):
+            return f"[{i}]: expected a rational string or integer, got {type(v).__name__}"
+        if v in ("\u0663", "1e3"):
+            return f"[{i}]: invalid rational {v!r} (expected an integer or p/q)"
+        if v == "1/0":
+            return f"[{i}]: invalid rational '1/0' (Fraction(1, 0))"
+    if not any(Fraction(v) for v in raw):
+        return ": all coefficients are zero"
+    return None
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_coefficient_lists_fail_at_their_first_error(data):
+    size, parse, cls, path = data.draw(st.sampled_from(
+        [(3, serialize.parse_line, Line, "lines[4]"), (6, serialize.parse_conic, Conic, "conics[0]"),
+         (3, serialize.parse_point, Point, "points[2]")]
+    ))
+    raw = data.draw(st.lists(_coefficient, min_size=size, max_size=size))
+    if data.draw(st.booleans()):
+        raw = [data.draw(st.sampled_from(["0", 0, " -0/7", "+000"])) for _ in raw]
+    for _ in range(data.draw(st.integers(0, 3))):
+        raw[data.draw(st.integers(0, size - 1))] = data.draw(_BAD_ENTRY)
+    shape = data.draw(st.sampled_from(["list", "list", "tuple", "short", "long", "string"]))
+    raw = {"list": raw, "tuple": tuple(raw), "short": raw[:-1], "long": raw + ["1"],
+           "string": ",".join(map(str, raw))}[shape]
+    expected = _first_error(raw, size)
+    if expected is None:
+        assert parse(raw, path) == cls(*(Fraction(v) for v in raw))
+    else:
+        with pytest.raises(ParseError) as err:
+            parse(raw, path)
+        assert str(err.value) == path + expected
+
+
 _leaf = st.one_of(
     st.text(st.characters(exclude_categories=())),
     st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "\udfff\ud83d", "\U0001f600", "é"]),
