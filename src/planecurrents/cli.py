@@ -70,16 +70,10 @@ def _write_report(path: Optional[str], document: dict) -> None:
 def cmd_verify_examples(args) -> int:
     all_ok = True
     for name in gallery.NAMES:
-        arrangement = gallery.build(name)
-        for fact in gallery.verify(arrangement):
+        for fact in gallery.verify(gallery.build(name)):
             status = "PASS" if fact.ok else "FAIL"
             all_ok &= fact.ok
             print(f"[{status}] {name}: {fact.name} ({fact.detail})")
-        if name == "seven-lines":
-            print("densities of the nine marked points (over 180 | reduced):")
-            for label in sorted(arrangement.points):
-                nu = arrangement.current.lelong_number(arrangement.points[label])
-                print(f"  {label}: {nu.numerator * (180 // nu.denominator)}/180 | {nu}")
     print("all facts pass" if all_ok else "FACT FAILURES PRESENT")
     return EXIT_OK if all_ok else EXIT_ERROR
 

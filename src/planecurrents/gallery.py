@@ -1,7 +1,9 @@
 """Canonical weighted line arrangements with known density profiles.
 
-Four constructions, named by their line counts, each packaged with the
-exact densities and incidence structure it must exhibit:
+Each arrangement is one entry of `_TABLE`: seed coordinates for a few
+labels (the frame points, or the frame lines), each line as the labels of
+the points on it, the line weights, alpha, the expected density of every
+point label, and a tuple of facts.
 
 * four-lines:  four lines in general position, weight 1/4 each; the six
   vertices all have density 1/2 and every conic misses at least one.
@@ -16,10 +18,32 @@ exact densities and incidence structure it must exhibit:
   weights (46, 37, 37, 19, 19, 11, 11)/180; exactly three points exceed
   density 81/180, they are collinear, and no conic holds more than seven
   of the nine marked points.
+* quadrangle:  the six sides of a complete quadrangle abcd, two opposite
+  pairs at 19/100 and the third at 3/25; the two heavier diagonal points
+  join the level set, and the conic through five of its six points must
+  leave one out.
 
-The constructions are combinatorial; coordinates are fixed rational seeds
-validated by a full incidence audit, so every stated fact is independent
-of the particular coordinatization.
+The incidence lists are read twice. `build` reads them as a
+construction: a line with two built points is the line through them, a
+point on two built lines is their meet, until every label is built. The
+audit then reads them as a specification: every labeled point lies on
+exactly the lines that list it. So the lists cannot describe one
+arrangement while the coordinates realize another, and every stated fact
+is independent of the particular coordinatization.
+
+`verify` checks the mass, the audit and every density, then each fact of
+the entry, read through `Arrangement.points`, with one of five kinds;
+"strict" and "wide" name the strict and non-strict level sets at
+beta = `beta_of(alpha)`:
+
+* heavy:    the heavy points at alpha are the given labels;
+* rejected: whether the hypothesis of the cover theorem fails;
+* level:    the level set has the given number of curves and exactly the
+  given isolated points;
+* verdict:  `conic_cover_check` of the level set has the given shape,
+  passes `verify_verdict`, and on the strict set of a valid instance is
+  the verdict of `evaluate_cover`;
+* max:      `max_on_curve` of the given points at degree 1 or 2.
 """
 
 from __future__ import annotations
@@ -29,25 +53,15 @@ from fractions import Fraction
 
 from .cover import (
     Covered,
-    NotCoverable,
     UncoverableCurve,
+    beta_of,
     conic_cover_check,
     evaluate_cover,
     verify_verdict,
 )
 from .currents import DivisorCurrent
 from .errors import DegenerateSeed, EqualLines, EqualPoints
-from .projective import (
-    Line,
-    Point,
-    incident,
-    line_through,
-    max_on_curve,
-    meet,
-    on_common_curve,
-)
-
-NAMES = ("four-lines", "six-lines", "three-lines", "seven-lines")
+from .projective import Line, Point, incident, line_through, max_on_curve, meet
 
 
 @dataclass(eq=False)
@@ -66,6 +80,105 @@ class Fact:
     name: str
     ok: bool
     detail: str
+
+
+@dataclass(frozen=True)
+class _Entry:
+    seeds: dict[str, tuple[int, int, int]]  # a line's label seeds a Line
+    lines: dict[str, str]  # line label -> labels of the points on it
+    weights: dict[str, Fraction]
+    alpha: Fraction
+    nu: dict[str, Fraction]  # every point label -> its expected density
+    facts: tuple[tuple, ...]  # (name, kind, *arguments of the kind)
+
+
+def _each(labels: str, value: str) -> dict[str, Fraction]:
+    return dict.fromkeys(labels.split(), Fraction(value))
+
+
+_FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+_TABLE = {
+    "four-lines": _Entry(
+        seeds=dict(zip(("L1", "L2", "L3", "L4"), _FRAME)),
+        lines={"L1": "v12 v13 v14", "L2": "v12 v23 v24", "L3": "v13 v23 v34", "L4": "v14 v24 v34"},
+        weights=_each("L1 L2 L3 L4", "1/4"),
+        alpha=Fraction(1, 2),
+        nu=_each("v12 v13 v14 v23 v24 v34", "1/2"),
+        facts=(
+            ("strict-level-on-six-vertices", "level", "strict", 0, "v12 v13 v14 v23 v24 v34"),
+            ("covered-omitting-one", "verdict", "strict", "omits-one"),
+            ("max-on-conic-is-five", "max", 2, "v12 v13 v14 v23 v24 v34", 5),
+        ),
+    ),
+    # the triangle q1 q2 q3 and the apex q4
+    "six-lines": _Entry(
+        seeds=dict(zip(("q1", "q2", "q3", "q4"), _FRAME)),
+        lines={"L1": "q2 q3 p1", "L2": "q1 q3 p2", "L3": "q1 q2 p3",
+               "L4": "q4 q1 p1", "L5": "q4 q2 p2", "L6": "q4 q3 p3"},
+        weights=_each("L1 L2 L3 L4 L5 L6", "1/6"),
+        alpha=Fraction(1, 2),
+        nu=_each("q1 q2 q3 q4", "1/2") | _each("p1 p2 p3", "1/3"),
+        facts=(
+            ("strict-level-is-four-points", "level", "strict", 0, "q1 q2 q3 q4"),
+            ("strict-covered-omitting-none", "verdict", "strict", "covers-all"),
+            ("wide-level-has-seven-points", "level", "wide", 0, "q1 q2 q3 q4 p1 p2 p3"),
+            ("wide-max-on-conic-is-five", "max", 2, "q1 q2 q3 q4 p1 p2 p3", 5),
+            ("wide-not-coverable", "verdict", "wide", "points"),
+            ("feet-and-apex-general-position", "max", 1, "p1 p2 p3 q4", 2),
+        ),
+    ),
+    "three-lines": _Entry(
+        seeds=dict(zip(("L1", "L2", "L3"), _FRAME)),
+        lines={"L1": "q2 q3", "L2": "q1 q3", "L3": "q1 q2"},
+        weights=_each("L1 L2 L3", "1/3"),
+        alpha=Fraction(2, 3),
+        nu=_each("q1 q2 q3", "2/3"),
+        facts=(
+            ("exactly-three-heavy-points", "heavy", "q1 q2 q3"),
+            ("instance-rejected", "rejected", True),
+            ("level-is-three-full-lines", "level", "strict", 3, ""),
+            ("not-coverable-curve-obstruction", "verdict", "strict", "curve"),
+        ),
+    ),
+    # built from the points p2, p3, p4, p5
+    "seven-lines": _Entry(
+        seeds=dict(zip(("p2", "p3", "p4", "p5"), _FRAME)),
+        lines={"L1": "q1 q2 q3 p1", "L2": "q1 p2 p3 p6", "L3": "q3 p4 p5 p6",
+               "l1": "q2 p2 p4", "l2": "q2 p3 p5", "l3": "p1 p2 p5", "l4": "p1 p3 p4"},
+        weights=_each("L1", "46/180") | _each("L2 L3", "37/180")
+        | _each("l1 l2", "19/180") | _each("l3 l4", "11/180"),
+        alpha=Fraction(9, 20),
+        nu=_each("q1 q3", "83/180") | _each("q2", "84/180") | _each("p1", "68/180")
+        | _each("p2 p3 p4 p5", "67/180") | _each("p6", "74/180"),
+        facts=(
+            ("exactly-three-heavy-points", "heavy", "q1 q2 q3"),
+            ("heavy-points-collinear", "max", 1, "q1 q2 q3", 3),
+            ("instance-rejected", "rejected", True),
+            ("level-is-the-nine-marked-points", "level", "strict", 0, "q1 q2 q3 p1 p2 p3 p4 p5 p6"),
+            ("max-on-conic-is-seven", "max", 2, "q1 q2 q3 p1 p2 p3 p4 p5 p6", 7),
+            ("not-coverable", "verdict", "strict", "points"),
+        ),
+    ),
+    # the anchors a b c d and the diagonal points e, f, g of their quadrangle
+    "quadrangle": _Entry(
+        seeds=dict(zip(("a", "b", "c", "d"), _FRAME)),
+        lines={"ab": "a b e", "cd": "c d e", "ac": "a c f",
+               "bd": "b d f", "ad": "a d g", "bc": "b c g"},
+        weights=_each("ab cd ac bd", "19/100") | _each("ad bc", "3/25"),
+        alpha=Fraction(9, 20),
+        nu=_each("a b c d", "1/2") | _each("e f", "19/50") | _each("g", "6/25"),
+        facts=(
+            ("four-heavy-points", "heavy", "a b c d"),
+            ("instance-valid", "rejected", False),
+            ("strict-level-is-six-points", "level", "strict", 0, "a b c d e f"),
+            ("max-on-conic-is-five", "max", 2, "a b c d e f", 5),
+            ("covered-omitting-one", "verdict", "strict", "omits-one"),
+        ),
+    ),
+}
+
+NAMES = tuple(_TABLE)
 
 
 def _audit_errors(arr: Arrangement) -> list[str]:
@@ -88,178 +201,37 @@ def _audit_errors(arr: Arrangement) -> list[str]:
     return problems
 
 
-def _quadrilateral_vertices(lines: dict[str, Line]) -> dict[str, Point]:
-    labels = sorted(lines)
-    points = {}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            points[f"v{a[-1]}{b[-1]}"] = meet(lines[a], lines[b])
-    return points
-
-
-def _build_four_lines() -> Arrangement:
-    lines = {
-        "L1": Line(1, 0, 0),
-        "L2": Line(0, 1, 0),
-        "L3": Line(0, 0, 1),
-        "L4": Line(1, 1, 1),
-    }
-    points = _quadrilateral_vertices(lines)
-    w = Fraction(1, 4)
-    incidences = {
-        "L1": frozenset({"v12", "v13", "v14"}),
-        "L2": frozenset({"v12", "v23", "v24"}),
-        "L3": frozenset({"v13", "v23", "v34"}),
-        "L4": frozenset({"v14", "v24", "v34"}),
-    }
-    return Arrangement(
-        name="four-lines",
-        current=DivisorCurrent([(w, l) for l in lines.values()]),
-        alpha=Fraction(1, 2),
-        points=points,
-        lines=lines,
-        expected_nu={label: Fraction(1, 2) for label in points},
-        incidences=incidences,
-    )
-
-
-# the triangle q1 q2 q3 and the apex q4
-_SIX_LINE_SEED = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-
-
-def _build_six_lines() -> Arrangement:
-    q1, q2, q3, q4 = (Point(*c) for c in _SIX_LINE_SEED)
+def build(name: str) -> Arrangement:
+    """The arrangement of a table entry, built from its seeds by its
+    incidence lists and audited against them."""
+    if name not in _TABLE:
+        raise KeyError(f"unknown arrangement {name!r}; choose from {NAMES}")
+    entry = _TABLE[name]
+    # each label's neighbours: a line's points, and the lines through a point
+    near = {label: on.split() for label, on in entry.lines.items()}
+    near.update({p: [l for l in entry.lines if p in near[l]] for p in entry.nu})
+    built = {label: (Line if label in entry.lines else Point)(*c) for label, c in entry.seeds.items()}
     try:
-        lines = {
-            "L1": line_through(q2, q3),
-            "L2": line_through(q1, q3),
-            "L3": line_through(q1, q2),
-            "L4": line_through(q4, q1),
-            "L5": line_through(q4, q2),
-            "L6": line_through(q4, q3),
-        }
-        p1 = meet(lines["L4"], lines["L1"])
-        p2 = meet(lines["L5"], lines["L2"])
-        p3 = meet(lines["L6"], lines["L3"])
+        while len(built) < len(near):
+            size = len(built)
+            for label, labels in near.items():
+                known = [built[k] for k in labels if k in built]
+                if label not in built and len(known) > 1:
+                    built[label] = (line_through if label in entry.lines else meet)(*known[:2])
+            if len(built) == size:
+                missing = sorted(near.keys() - built.keys())
+                raise DegenerateSeed(f"the incidence lists do not determine {missing}")
     except (EqualPoints, EqualLines) as exc:
-        raise DegenerateSeed(f"seed {_SIX_LINE_SEED} is degenerate ({exc})") from None
-    points = {"q1": q1, "q2": q2, "q3": q3, "q4": q4, "p1": p1, "p2": p2, "p3": p3}
-    incidences = {
-        "L1": frozenset({"q2", "q3", "p1"}),
-        "L2": frozenset({"q1", "q3", "p2"}),
-        "L3": frozenset({"q1", "q2", "p3"}),
-        "L4": frozenset({"q4", "q1", "p1"}),
-        "L5": frozenset({"q4", "q2", "p2"}),
-        "L6": frozenset({"q4", "q3", "p3"}),
-    }
-    nu = {f"q{i}": Fraction(1, 2) for i in range(1, 5)}
-    nu.update({f"p{i}": Fraction(1, 3) for i in range(1, 4)})
+        raise DegenerateSeed(f"seed {tuple(entry.seeds.values())} is degenerate ({exc})") from None
+    lines = {label: built[label] for label in entry.lines}
     arr = Arrangement(
-        name="six-lines",
-        current=DivisorCurrent([(Fraction(1, 6), l) for l in lines.values()]),
-        alpha=Fraction(1, 2),
-        points=points,
+        name=name,
+        current=DivisorCurrent([(entry.weights[label], line) for label, line in lines.items()]),
+        alpha=entry.alpha,
+        points={label: built[label] for label in entry.nu},
         lines=lines,
-        expected_nu=nu,
-        incidences=incidences,
-    )
-    problems = _audit_errors(arr)
-    if problems or max_on_curve([p1, p2, p3, q4], 1) != 2:
-        raise DegenerateSeed("; ".join(problems) or "apex and feet are not in general position")
-    return arr
-
-
-def _build_three_lines() -> Arrangement:
-    lines = {"L1": Line(1, 0, 0), "L2": Line(0, 1, 0), "L3": Line(0, 0, 1)}
-    points = {
-        "q1": meet(lines["L2"], lines["L3"]),
-        "q2": meet(lines["L1"], lines["L3"]),
-        "q3": meet(lines["L1"], lines["L2"]),
-    }
-    incidences = {
-        "L1": frozenset({"q2", "q3"}),
-        "L2": frozenset({"q1", "q3"}),
-        "L3": frozenset({"q1", "q2"}),
-    }
-    return Arrangement(
-        name="three-lines",
-        current=DivisorCurrent([(Fraction(1, 3), l) for l in lines.values()]),
-        alpha=Fraction(2, 3),
-        points=points,
-        lines=lines,
-        expected_nu={label: Fraction(2, 3) for label in points},
-        incidences=incidences,
-    )
-
-
-# the points p2, p3, p4, p5 the construction starts from
-_SEVEN_LINE_SEED = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-
-_SEVEN_LINE_WEIGHTS = {
-    "L1": Fraction(46, 180),
-    "L2": Fraction(37, 180),
-    "L3": Fraction(37, 180),
-    "l1": Fraction(19, 180),
-    "l2": Fraction(19, 180),
-    "l3": Fraction(11, 180),
-    "l4": Fraction(11, 180),
-}
-
-_SEVEN_LINE_NU = {
-    "q1": Fraction(83, 180),
-    "q2": Fraction(84, 180),
-    "q3": Fraction(83, 180),
-    "p1": Fraction(68, 180),
-    "p2": Fraction(67, 180),
-    "p3": Fraction(67, 180),
-    "p4": Fraction(67, 180),
-    "p5": Fraction(67, 180),
-    "p6": Fraction(74, 180),
-}
-
-
-def _build_seven_lines() -> Arrangement:
-    p2, p3, p4, p5 = (Point(*c) for c in _SEVEN_LINE_SEED)
-    try:
-        l1 = line_through(p2, p4)
-        l2 = line_through(p3, p5)
-        l3 = line_through(p2, p5)
-        l4 = line_through(p3, p4)
-        big2 = line_through(p2, p3)
-        big3 = line_through(p4, p5)
-        q2 = meet(l1, l2)
-        p1 = meet(l3, l4)
-        p6 = meet(big2, big3)
-        big1 = line_through(q2, p1)
-        q1 = meet(big1, big2)
-        q3 = meet(big1, big3)
-    except (EqualPoints, EqualLines) as exc:
-        raise DegenerateSeed(f"seed {_SEVEN_LINE_SEED} is degenerate ({exc})") from None
-    points = {
-        "q1": q1, "q2": q2, "q3": q3,
-        "p1": p1, "p2": p2, "p3": p3, "p4": p4, "p5": p5, "p6": p6,
-    }
-    lines = {
-        "L1": big1, "L2": big2, "L3": big3,
-        "l1": l1, "l2": l2, "l3": l3, "l4": l4,
-    }
-    incidences = {
-        "L1": frozenset({"q1", "q2", "q3", "p1"}),
-        "L2": frozenset({"q1", "p2", "p3", "p6"}),
-        "L3": frozenset({"q3", "p4", "p5", "p6"}),
-        "l1": frozenset({"q2", "p2", "p4"}),
-        "l2": frozenset({"q2", "p3", "p5"}),
-        "l3": frozenset({"p1", "p2", "p5"}),
-        "l4": frozenset({"p1", "p3", "p4"}),
-    }
-    arr = Arrangement(
-        name="seven-lines",
-        current=DivisorCurrent([(_SEVEN_LINE_WEIGHTS[label], lines[label]) for label in lines]),
-        alpha=Fraction(9, 20),
-        points=points,
-        lines=lines,
-        expected_nu=dict(_SEVEN_LINE_NU),
-        incidences=incidences,
+        expected_nu=dict(entry.nu),
+        incidences={label: frozenset(near[label]) for label in entry.lines},
     )
     problems = _audit_errors(arr)
     if problems:
@@ -267,202 +239,50 @@ def _build_seven_lines() -> Arrangement:
     return arr
 
 
-_BUILDERS = {
-    "four-lines": _build_four_lines,
-    "six-lines": _build_six_lines,
-    "three-lines": _build_three_lines,
-    "seven-lines": _build_seven_lines,
-}
-
-
-def build(name: str) -> Arrangement:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown arrangement {name!r}; choose from {NAMES}")
-    return _BUILDERS[name]()
-
-
-def _common_facts(arr: Arrangement) -> list[Fact]:
-    facts = [
-        Fact("mass", arr.current.mass == 1, f"mass = {arr.current.mass}"),
-    ]
-    problems = _audit_errors(arr)
-    facts.append(
-        Fact("incidence-audit", not problems, "; ".join(problems) or "exact match")
-    )
-    for label in sorted(arr.points):
-        nu = arr.current.lelong_number(arr.points[label])
-        want = arr.expected_nu[label]
-        facts.append(Fact(f"lelong-{label}", nu == want, f"{nu} (expected {want})"))
-    return facts
-
-
-def _rejected(outcome) -> Fact:
-    """The fact that the hypothesis fails, with the reason it does."""
-    detail = outcome.reason or "instance unexpectedly valid"
-    return Fact("instance-rejected", outcome.reason is not None, detail)
-
-
-def _facts_four_lines(arr: Arrangement) -> list[Fact]:
-    facts = []
-    outcome = evaluate_cover(arr.current, arr.alpha)
-    level, verdict = outcome.level, outcome.verdict
-    vertices = tuple(sorted(arr.points.values()))
-    facts.append(
-        Fact(
-            "strict-level-on-six-vertices",
-            not level.component_curves and level.isolated_points == vertices,
-            f"{len(level.component_curves)} curves, {len(level.isolated_points)} points",
-        )
-    )
-    omits_one = isinstance(verdict, Covered) and verdict.omitted is not None
-    facts.append(
-        Fact(
-            "covered-omitting-one",
-            omits_one and verify_verdict(level, verdict),
-            repr(verdict),
-        )
-    )
-    pair_counts = set()
-    lines = list(arr.lines.values())
-    for i, a in enumerate(lines):
-        for b in lines[i + 1 :]:
-            pair_counts.add(
-                sum(1 for p in vertices if incident(p, a) or incident(p, b))
-            )
-    facts.append(
-        Fact("line-pairs-cover-five", pair_counts == {5}, f"pair counts {pair_counts}")
-    )
-    return facts
-
-
-def _facts_six_lines(arr: Arrangement) -> list[Fact]:
-    facts = []
-    outcome = evaluate_cover(arr.current, arr.alpha)
-    strict, verdict = outcome.level, outcome.verdict
-    apex_points = tuple(sorted(arr.points[f"q{i}"] for i in range(1, 5)))
-    facts.append(
-        Fact(
-            "strict-level-is-four-points",
-            not strict.component_curves and strict.isolated_points == apex_points,
-            f"{len(strict.isolated_points)} points",
-        )
-    )
-    facts.append(
-        Fact(
-            "strict-covered-omitting-none",
-            isinstance(verdict, Covered)
-            and verdict.omitted is None
-            and verify_verdict(strict, verdict),
-            repr(verdict),
-        )
-    )
-    wide = arr.current.level_set(outcome.beta, strict=False)
-    facts.append(
-        Fact(
-            "wide-level-has-seven-points",
-            not wide.component_curves and len(wide.isolated_points) == 7,
-            f"{len(wide.isolated_points)} points",
-        )
-    )
-    m2 = max_on_curve(wide.isolated_points, 2)
-    facts.append(Fact("wide-max-on-conic-is-five", m2 == 5, f"max on conic = {m2}"))
-    wide_verdict = conic_cover_check(wide)
-    facts.append(
-        Fact(
-            "wide-not-coverable",
-            isinstance(wide_verdict, NotCoverable)
-            and m2 < len(wide.isolated_points) - 1
-            and verify_verdict(wide, wide_verdict),
-            repr(wide_verdict),
-        )
-    )
-    off_apex = [arr.points[l] for l in ("p1", "p2", "p3", "q4")]
-    m1 = max_on_curve(off_apex, 1)
-    facts.append(Fact("feet-and-apex-general-position", m1 == 2, f"max on line = {m1}"))
-    return facts
-
-
-def _facts_three_lines(arr: Arrangement) -> list[Fact]:
-    facts = []
-    outcome = evaluate_cover(arr.current, arr.alpha)
-    heavy = outcome.heavy_points
-    facts.append(
-        Fact("exactly-three-heavy-points", len(heavy) == 3, f"{len(heavy)} points")
-    )
-    facts.append(_rejected(outcome))
-    level = arr.current.level_set(Fraction(2, 9), strict=True)
-    facts.append(
-        Fact(
-            "level-is-three-full-lines",
-            len(level.component_curves) == 3 and not level.isolated_points,
-            f"{len(level.component_curves)} curves",
-        )
-    )
-    verdict = conic_cover_check(level)
-    facts.append(
-        Fact(
-            "not-coverable-curve-obstruction",
-            isinstance(verdict, NotCoverable)
-            and isinstance(verdict.obstruction, UncoverableCurve)
-            and verify_verdict(level, verdict),
-            repr(verdict),
-        )
-    )
-    return facts
-
-
-def _facts_seven_lines(arr: Arrangement) -> list[Fact]:
-    facts = []
-    outcome = evaluate_cover(arr.current, arr.alpha)
-    heavy = outcome.heavy_points
-    expected_heavy = tuple(sorted(arr.points[l] for l in ("q1", "q2", "q3")))
-    facts.append(
-        Fact(
-            "exactly-three-heavy-points",
-            heavy == expected_heavy,
-            f"{len(heavy)} points",
-        )
-    )
-    facts.append(
-        Fact(
-            "heavy-points-collinear",
-            on_common_curve(heavy, 1),
-            "on the top-weight line",
-        )
-    )
-    facts.append(_rejected(outcome))
-    beta = Fraction(11, 30)
-    level = arr.current.level_set(beta, strict=True)
-    marked = tuple(sorted(arr.points.values()))
-    facts.append(
-        Fact(
-            "level-is-the-nine-marked-points",
-            not level.component_curves and level.isolated_points == marked,
-            f"{len(level.isolated_points)} points",
-        )
-    )
-    m2 = max_on_curve(marked, 2)
-    facts.append(Fact("max-on-conic-is-seven", m2 == 7, f"max on conic = {m2}"))
-    verdict = conic_cover_check(level)
-    facts.append(
-        Fact(
-            "not-coverable",
-            isinstance(verdict, NotCoverable) and verify_verdict(level, verdict),
-            repr(verdict),
-        )
-    )
-    return facts
-
-
-_FACT_BUILDERS = {
-    "four-lines": _facts_four_lines,
-    "six-lines": _facts_six_lines,
-    "three-lines": _facts_three_lines,
-    "seven-lines": _facts_seven_lines,
-}
+def _shape(verdict) -> str:
+    if isinstance(verdict, Covered):
+        return "covers-all" if verdict.omitted is None else "omits-one"
+    return "curve" if isinstance(verdict.obstruction, UncoverableCurve) else "points"
 
 
 def verify(arr: Arrangement) -> tuple[Fact, ...]:
     """Recompute every expected fact of an arrangement; all facts must
     pass on an untampered build."""
-    return tuple(_common_facts(arr) + _FACT_BUILDERS[arr.name](arr))
+    facts = [Fact("mass", arr.current.mass == 1, f"mass = {arr.current.mass}")]
+    problems = _audit_errors(arr)
+    facts.append(Fact("incidence-audit", not problems, "; ".join(problems) or "exact match"))
+    for label in sorted(arr.points):
+        nu = arr.current.lelong_number(arr.points[label])
+        want = arr.expected_nu[label]
+        facts.append(Fact(f"lelong-{label}", nu == want, f"{nu} (expected {want})"))
+    outcome = evaluate_cover(arr.current, arr.alpha)
+    beta = beta_of(arr.alpha)
+    levels = {where: arr.current.level_set(beta, where == "strict") for where in ("strict", "wide")}
+
+    def at(labels: str) -> tuple[Point, ...]:
+        return tuple(sorted(arr.points[label] for label in labels.split()))
+
+    for name, kind, *args in _TABLE[arr.name].facts:
+        if kind == "heavy":
+            ok, detail = outcome.heavy_points == at(args[0]), f"{len(outcome.heavy_points)} points"
+        elif kind == "rejected":
+            ok, detail = (outcome.reason is not None) == args[0], outcome.reason or "hypothesis holds"
+        elif kind == "level":
+            level = levels[args[0]]
+            curves, points = len(level.component_curves), level.isolated_points
+            ok, detail = (curves, points) == (args[1], at(args[2])), f"{curves} curves, {len(points)} points"
+        elif kind == "verdict":
+            level = levels[args[0]]
+            verdict = conic_cover_check(level)
+            ok = (
+                _shape(verdict) == args[1]
+                and verify_verdict(level, verdict)
+                and (args[0] == "wide" or outcome.verdict in (None, verdict))
+            )
+            detail = repr(verdict)
+        else:
+            degree, labels, want = args
+            m = max_on_curve(at(labels), degree)
+            ok, detail = m == want, f"max on {('line', 'conic')[degree - 1]} = {m}"
+        facts.append(Fact(name, ok, detail))
+    return tuple(facts)

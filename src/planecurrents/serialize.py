@@ -57,7 +57,9 @@ MAX_POINTS = 12
 # level set can return every meet, so the first cap bounds work that grows
 # with the square of the count. Every meet, density and bracket multiplies
 # coefficients or coordinates, so the second bounds the size of each
-# product. Both are checked before any curve or point is built.
+# product. The count is checked before any curve is built; the length is
+# checked one coefficient list at a time, as that list is parsed, so the
+# curves listed before an over-long entry are already built.
 MAX_CURVES = 100
 MAX_COEFFICIENT_LENGTH = 64
 
@@ -189,10 +191,11 @@ def current_to_payload(current: DivisorCurrent, alpha: Optional[Fraction] = None
 def parse_instance(payload: Any) -> tuple[DivisorCurrent, Optional[Fraction]]:
     """Parse and validate an instance document.
 
-    Checks the MAX_CURVES and MAX_COEFFICIENT_LENGTH caps before any curve
-    is built, then nonzero coefficient tuples, nonnegative weights, weight
-    count, irreducibility of conic components, and (when alpha is present)
-    that the mass is exactly 1.
+    Checks the MAX_CURVES cap before any curve is built, then each
+    coefficient list in turn (the MAX_COEFFICIENT_LENGTH cap on its
+    entries, then a nonzero tuple), then nonnegative weights, weight count,
+    irreducibility of conic components, and (when alpha is present) that
+    the mass is exactly 1.
     """
     if not isinstance(payload, dict):
         raise ParseError("instance document must be a JSON object", "$")

@@ -1,14 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from planecurrents import gallery
-from planecurrents.cover import conic_cover_check, evaluate_cover
+from planecurrents.cover import conic_cover_check, evaluate_cover, verify_verdict
 from planecurrents.currents import DivisorCurrent
 from planecurrents.errors import DegenerateSeed
 from planecurrents.gallery import Arrangement
-from planecurrents.projective import max_on_curve
+from planecurrents.projective import Point, max_on_curve
 
 from oracles import random_projective_map
 
@@ -45,24 +46,38 @@ def test_seven_lines_table():
 
 
 def test_audit_rejects_tampered_weights():
-    arr = gallery.build("seven-lines")
-    tampered = Arrangement(
-        name=arr.name,
-        current=DivisorCurrent(
-            [
-                (w + Fraction(1, 180) if i == 0 else w, c)
-                for i, (w, c) in enumerate(arr.current.components)
-            ]
-        ),
-        alpha=arr.alpha,
-        points=arr.points,
-        lines=arr.lines,
-        expected_nu=arr.expected_nu,
-        incidences=arr.incidences,
-    )
-    facts = gallery.verify(tampered)
-    assert any(not f.ok for f in facts)
-    assert not next(f for f in facts if f.name == "mass").ok
+    for name in gallery.NAMES:
+        arr = gallery.build(name)
+        tampered = Arrangement(
+            name=arr.name,
+            current=DivisorCurrent(
+                [
+                    (w + Fraction(1, 180) if i == 0 else w, c)
+                    for i, (w, c) in enumerate(arr.current.components)
+                ]
+            ),
+            alpha=arr.alpha,
+            points=arr.points,
+            lines=arr.lines,
+            expected_nu=arr.expected_nu,
+            incidences=arr.incidences,
+        )
+        facts = gallery.verify(tampered)
+        assert any(not f.ok for f in facts)
+        assert not next(f for f in facts if f.name == "mass").ok
+        # one nudged expected density fails that density's fact and no other
+        for label in arr.points:
+            nudged = Arrangement(
+                name=arr.name,
+                current=arr.current,
+                alpha=arr.alpha,
+                points=arr.points,
+                lines=arr.lines,
+                expected_nu={**arr.expected_nu, label: arr.expected_nu[label] + Fraction(1, 180)},
+                incidences=arr.incidences,
+            )
+            failed = [f.name for f in gallery.verify(nudged) if not f.ok]
+            assert failed == [f"lelong-{label}"], (name, failed)
 
 
 def test_audit_rejects_mislabeled_incidence():
@@ -93,9 +108,33 @@ def test_audit_rejects_mislabeled_incidence():
 def test_degenerate_seed_detection(monkeypatch, seed, reason):
     import planecurrents.gallery as g
 
-    monkeypatch.setattr(g, "_SIX_LINE_SEED", seed)
+    entry = g._TABLE["six-lines"]
+    seeds = dict(zip(entry.seeds, seed))
+    monkeypatch.setitem(g._TABLE, "six-lines", dataclasses.replace(entry, seeds=seeds))
     with pytest.raises(DegenerateSeed, match=reason):
-        g._build_six_lines()
+        g.build("six-lines")
+
+
+def test_incidence_lists_that_stop_growing_are_degenerate(monkeypatch):
+    import planecurrents.gallery as g
+
+    # L6 lists one built point, so neither L6 nor p3 (on L3 and L6) is determined
+    entry = g._TABLE["six-lines"]
+    lines = {**entry.lines, "L6": "q4 p3"}
+    monkeypatch.setitem(g._TABLE, "six-lines", dataclasses.replace(entry, lines=lines))
+    with pytest.raises(DegenerateSeed, match=r"do not determine \['L6', 'p3'\]"):
+        g.build("six-lines")
+
+
+def test_quadrangle_omits_one_point_at_both_alphas():
+    arr = gallery.build("quadrangle")
+    for alpha in (Fraction(1, 2), Fraction(9, 20)):
+        outcome = evaluate_cover(arr.current, alpha)
+        assert outcome.reason is None
+        assert outcome.heavy_points == tuple(sorted(arr.points[l] for l in "abcd"))
+        assert outcome.level.isolated_points == tuple(sorted(arr.points[l] for l in "abcdef"))
+        assert outcome.verdict.omitted == Point(0, 0, 1)
+        assert verify_verdict(outcome.level, outcome.verdict)
 
 
 def test_facts_stable_under_projective_transform():

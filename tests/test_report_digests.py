@@ -101,6 +101,7 @@ CHECK_DIGESTS: dict[str, str] = {
     "six-lines": "bc9e6f9486759152b2a0e8fa1d2c8e7d072aa66949042eee585c53a22c0957b1",
     "three-lines": "f7fcfe9a9b24bc9deab7a228194c811c30f05f9128e2957061acd20a3c766da1",
     "seven-lines": "f386ae06dc086f9e4bab7fd59e3aec18d004d742f347d9f854589a01368efc60",
+    "quadrangle": "381a45fd3a8b3fa419a22605b5602acfe6a1207f489dfb37513bad77439a44cc",
     "conic-heavy": "dd2657b77262e24270e36f2bae4bdee9a9f7a6ca0fe0296cd0720a4139a11788",
     "conic-light": "f91408c456b6ef6aa3b8264a55778f393734567c07bcf809e6305deef5c600c8",
     "conic-tangent": "0a46fb75db268dfd3e67d47ca829189b5f909db3011eeb0b8684c513db0b4fa8",
@@ -110,7 +111,7 @@ CHECK_DIGESTS: dict[str, str] = {
 
 # `verify-examples` prints `repr` of gallery verdicts and level sets, so
 # this digest of its stdout pins those reprs too
-VERIFY_EXAMPLES_DIGEST = "ffba717d816ec8f592cc910bdd9ed2d400751479d9c74778325466851514f53e"
+VERIFY_EXAMPLES_DIGEST = "d46c4a644f8ccfc36fda83b89adf35ef3637623f32b774af430f0954dd660c8b"
 
 LEVELSET_DIGESTS: dict[str, str] = {
     "four-lines@alpha": "11af75b37188dacd7563327c68f68ade624d7aa3d7669426114039776c7a05f8",
@@ -121,6 +122,8 @@ LEVELSET_DIGESTS: dict[str, str] = {
     "three-lines@beta": "ea8bf389a257f28dfb8997aee6321ba68914a6247c1f1e30adbf5b60c07f89ef",
     "seven-lines@alpha": "110ee35174dddd8cf274bb1d55ef794d5727a23de04d0cf6b4a0d854b8bede49",
     "seven-lines@beta": "045e47fdde83e101ac7692b9add6efb83955bbfb6e150a50b58d569cf0fc811c",
+    "quadrangle@alpha": "2d4b10a61a12d781b87fe527909456d17a93063a843448fe645105750b1cd588",
+    "quadrangle@beta": "aa95f6a87f140722c941265e1421fada99036a7ea2a98ee4260de1e58cb739c8",
     "conic-heavy@alpha": "808c4f08c269aa942a9cc119f3e8db9aa0ef51910562cdeb0f266daccdba592b",
     "conic-heavy@beta": "ac371aee31ae314e4a26cd05ff91877582e444993a4cfc9653120d8da9a100ae",
     "conic-light@alpha": "909d8f792e169cf055cc05ec23e4b393dcc1dc879e26a3d716fd9e40cc5ee32f",
