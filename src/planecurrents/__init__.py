@@ -18,14 +18,13 @@ from .cover import (
     verify_verdict,
 )
 from .currents import DivisorCurrent, LevelSet
-from .harness import GenSpec, GeneratedInstance, RunReport, SweepGrid, exhaustive_sweep, generate, run_suite
+from .harness import GenSpec, GeneratedInstance, RunReport, generate, run_suite
 from .projective import (
     Conic,
     Curve,
     Line,
     Point,
     conic_from_lines,
-    conic_rank,
     conic_space,
     incident,
     intersect_curves,
@@ -53,17 +52,14 @@ __all__ = [
     "Outcome",
     "Point",
     "RunReport",
-    "SweepGrid",
     "UncoverableCurve",
     "UncoveredPoints",
     "Verdict",
     "beta_of",
     "conic_cover_check",
     "conic_from_lines",
-    "conic_rank",
     "conic_space",
     "evaluate_cover",
-    "exhaustive_sweep",
     "find_heavy_points",
     "generate",
     "incident",

@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Optional
 
-from . import gallery, serialize
+from . import serialize
 from .cover import Covered, evaluate_cover, verify_verdict
 from .errors import InvalidSpec, ParseError, PlaneCurrentsError
 from .harness import GenSpec, run_suite
@@ -68,6 +68,9 @@ def _write_report(path: Optional[str], document: dict) -> None:
 
 
 def cmd_verify_examples(args) -> int:
+    # imported here, its one use, so that no other command loads the gallery
+    from . import gallery
+
     all_ok = True
     for name in gallery.NAMES:
         for fact in gallery.verify(gallery.build(name)):

@@ -46,10 +46,6 @@ class InvalidSpec(PlaneCurrentsError):
     """Generator specification is invalid."""
 
 
-class GridTooLarge(PlaneCurrentsError):
-    """Sweep grid exceeds the configured instance cap."""
-
-
 class ParseError(PlaneCurrentsError):
     """Input document failed validation; carries the offending location."""
 

@@ -40,9 +40,10 @@ beta = `beta_of(alpha)`:
 * rejected: whether the hypothesis of the cover theorem fails;
 * level:    the level set has the given number of curves and exactly the
   given isolated points;
-* verdict:  `conic_cover_check` of the level set has the given shape,
-  passes `verify_verdict`, and on the strict set of a valid instance is
-  the verdict of `evaluate_cover`;
+* verdict:  `conic_cover_check` of the level set has the given shape and
+  passes `verify_verdict`; an omits-one verdict also names the labels
+  whose point can be left out, and omits the first of them in canonical
+  order (v12 and c as built; a projective map may reorder them);
 * max:      `max_on_curve` of the given points at degree 1 or 2.
 """
 
@@ -107,7 +108,7 @@ _TABLE = {
         nu=_each("v12 v13 v14 v23 v24 v34", "1/2"),
         facts=(
             ("strict-level-on-six-vertices", "level", "strict", 0, "v12 v13 v14 v23 v24 v34"),
-            ("covered-omitting-one", "verdict", "strict", "omits-one"),
+            ("covered-omitting-one", "verdict", "strict", "omits-one", "v12 v13 v14 v23 v24 v34"),
             ("max-on-conic-is-five", "max", 2, "v12 v13 v14 v23 v24 v34", 5),
         ),
     ),
@@ -173,7 +174,7 @@ _TABLE = {
             ("instance-valid", "rejected", False),
             ("strict-level-is-six-points", "level", "strict", 0, "a b c d e f"),
             ("max-on-conic-is-five", "max", 2, "a b c d e f", 5),
-            ("covered-omitting-one", "verdict", "strict", "omits-one"),
+            ("covered-omitting-one", "verdict", "strict", "omits-one", "a b c d e f"),
         ),
     ),
 }
@@ -274,11 +275,9 @@ def verify(arr: Arrangement) -> tuple[Fact, ...]:
         elif kind == "verdict":
             level = levels[args[0]]
             verdict = conic_cover_check(level)
-            ok = (
-                _shape(verdict) == args[1]
-                and verify_verdict(level, verdict)
-                and (args[0] == "wide" or outcome.verdict in (None, verdict))
-            )
+            ok = _shape(verdict) == args[1] and verify_verdict(level, verdict)
+            if args[1] == "omits-one":
+                ok = ok and verdict.omitted == at(args[2])[0]
             detail = repr(verdict)
         else:
             degree, labels, want = args

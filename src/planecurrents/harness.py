@@ -42,43 +42,24 @@ built once per kept line.
 Each drawn instance carries the `Outcome` of `evaluate_cover`. Instances
 that fail that precondition, need irrational intersection points, or
 degenerate during construction are emitted with a skip tag and counted.
-`run_suite` and `exhaustive_sweep` aggregate through one order-independent
-tally, and serialized reports hold no wall-clock timing, so they stay
-byte-identical across reruns.
+`run_suite` counts them in an order-independent tally, and serialized
+reports hold no wall-clock timing, so they stay byte-identical across
+reruns.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
-from math import comb
 from typing import Iterator, Optional
 
-from .cover import (
-    TWO_FIFTHS,
-    Covered,
-    Outcome,
-    UncoverableCurve,
-    beta_of,
-    conic_cover_check,
-    evaluate_cover,
-    verify_verdict,
-)
+from .cover import TWO_FIFTHS, Covered, Outcome, evaluate_cover, verify_verdict
 from .currents import DivisorCurrent
-from .errors import GridTooLarge, InvalidSpec, IrrationalIntersection
-from .projective import (
-    Line,
-    Point,
-    Triple,
-    _cross,
-    _primitive,
-    conic_space,
-    is_irreducible,
-    max_on_curve,
-)
+from .errors import InvalidSpec, IrrationalIntersection
+from .projective import Line, Point, Triple, _cross, _primitive, conic_space, is_irreducible
 from .serialize import (
     MAX_CURVES,
     current_to_payload,
@@ -162,8 +143,7 @@ class GeneratedInstance:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated result of a batch run; deterministic given (spec, trials).
-    `profile_counts`, `m2_min` and `m2_max` are sweep-only and not serialized."""
+    """Aggregated result of a batch run; deterministic given (spec, trials)."""
 
     spec_summary: dict
     trials: int
@@ -174,9 +154,6 @@ class RunReport:
     not_coverable: int
     omitted_histogram: dict
     counterexamples: tuple
-    profile_counts: dict = field(default_factory=dict)
-    m2_min: Optional[int] = None
-    m2_max: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -368,63 +345,9 @@ def generate(spec: GenSpec) -> Iterator[GeneratedInstance]:
         index += 1
 
 
-@dataclass
-class _Tally:
-    """Aggregate of a batch run; the counts do not depend on the order in
-    which instances arrive."""
-
-    tried: int = 0
-    valid: int = 0
-    skipped: dict = field(default_factory=dict)
-    covered: int = 0
-    not_coverable: int = 0
-    omitted_histogram: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
-
-    def count(self, tag: str) -> None:
-        """One more instance tried, valid or skipped under `tag`."""
-        self.tried += 1
-        if tag == TAG_OK:
-            self.valid += 1
-        else:
-            self.skipped[tag] = self.skipped.get(tag, 0) + 1
-
-    def record(self, outcome: Outcome, level, verdict, **head) -> None:
-        """Tally the verdict on the level set of one checked instance. A
-        NotCoverable verdict on a valid outcome keeps a standalone,
-        re-verified counterexample payload led by the `head` fields."""
-        if isinstance(verdict, Covered):
-            self.covered += 1
-            omitted = 0 if verdict.omitted is None else 1
-            self.omitted_histogram[omitted] = self.omitted_histogram.get(omitted, 0) + 1
-            return
-        self.not_coverable += 1
-        if outcome.reason is None:
-            self.counterexamples.append({
-                **head,
-                "instance": current_to_payload(outcome.current, outcome.alpha),
-                "level_set": level_set_to_json(level),
-                "verdict": verdict_to_json(verdict),
-                "verified": verify_verdict(level, verdict),
-            })
-
-    def report(self, spec_summary: dict, trials: int, **extra) -> RunReport:
-        return RunReport(
-            spec_summary=spec_summary,
-            trials=trials,
-            tried=self.tried,
-            valid=self.valid,
-            skipped=self.skipped,
-            covered=self.covered,
-            not_coverable=self.not_coverable,
-            omitted_histogram=self.omitted_histogram,
-            counterexamples=tuple(self.counterexamples),
-            **extra,
-        )
-
-
 def run_suite(spec: GenSpec, trials: int) -> RunReport:
-    """Generate `trials` instances and check every valid one.
+    """Generate `trials` instances and check every valid one; the counts
+    do not depend on the order in which instances arrive.
 
     The expected outcome is zero counterexamples; any counterexample
     payload re-verifies standalone and signals an implementation bug.
@@ -432,126 +355,39 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
     spec.validate()
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
-    tally = _Tally()
+    valid = covered = 0
+    skipped: dict[str, int] = {}
+    omitted_histogram: dict[int, int] = {}
+    counterexamples = []
     for item in islice(generate(spec), trials):
-        tally.count(item.tag)
-        if item.tag == TAG_OK:
-            outcome = item.outcome
-            tally.record(outcome, outcome.level, outcome.verdict, index=item.index)
-    return tally.report(spec.summary(), trials)
-
-
-FRAME_LINES = (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Exhaustive sweep over line configurations.
-
-    The first four lines are pinned to the canonical frame (x = 0, y = 0,
-    z = 0, x + y + z = 0), which every quadruple of lines in general
-    position can be mapped to projectively; the remaining lines range over
-    the pool of canonical lines with integer coefficients within the bound
-    (or an explicit pool).
-    """
-
-    n_lines: int = 4
-    coefficient_bound: int = 2
-    weight_vectors: Optional[tuple[tuple[Fraction, ...], ...]] = None
-    alphas: tuple[Fraction, ...] = (Fraction(1, 2),)
-    extra_pool: Optional[tuple[Line, ...]] = None
-    max_instances: int = 200_000
-
-    def validate(self) -> None:
-        if self.n_lines < 4:
-            raise InvalidSpec("sweep requires at least the four frame lines")
-        if self.coefficient_bound < 0:
-            raise InvalidSpec("coefficient_bound must be nonnegative")
-        if not self.alphas:
-            raise InvalidSpec("at least one alpha is required")
-        for a in self.alphas:
-            if Fraction(a) <= TWO_FIFTHS:
-                raise InvalidSpec(f"alpha must exceed 2/5, got {a}")
-        if self.weight_vectors is not None:
-            for vec in self.weight_vectors:
-                if len(vec) != self.n_lines:
-                    raise InvalidSpec("weight vector length must equal n_lines")
-
-
-def _line_pool(bound: int) -> list[Line]:
-    seen = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                if a == 0 and b == 0 and c == 0:
-                    continue
-                line = Line(a, b, c)
-                if line not in seen and line not in FRAME_LINES:
-                    seen.append(line)
-    return sorted(seen)
-
-
-def exhaustive_sweep(grid: SweepGrid) -> RunReport:
-    """Evaluate every configuration in the grid; records verdict profiles
-    and the extreme max-points-on-a-conic statistics."""
-    grid.validate()
-    pool = list(grid.extra_pool) if grid.extra_pool is not None else _line_pool(grid.coefficient_bound)
-    k = grid.n_lines - 4
-    n_combos = comb(len(pool), k) if len(pool) >= k else 0
-    weight_vectors = grid.weight_vectors or (
-        tuple([Fraction(1, grid.n_lines)] * grid.n_lines),
-    )
-    total = n_combos * len(weight_vectors) * len(grid.alphas)
-    if total > grid.max_instances:
-        raise GridTooLarge(f"{total} instances exceed the cap {grid.max_instances}")
-
-    tally = _Tally()
-    profile_counts: dict[str, int] = {}
-    m2_min = m2_max = None
-
-    for combo in combinations(pool, k):
-        lines = list(FRAME_LINES) + list(combo)
-        for weights in weight_vectors:
-            current = DivisorCurrent(list(zip(weights, lines)))
-            if len(current.components) != len(lines):
-                for _ in grid.alphas:
-                    tally.count(TAG_DEGENERATE)
-                continue
-            for alpha in grid.alphas:
-                outcome = evaluate_cover(current, alpha)
-                valid = outcome.reason is None
-                tally.count(TAG_OK if valid else TAG_PRECONDITION)
-                level, verdict = outcome.level, outcome.verdict
-                if not valid:
-                    # the sweep profiles invalid outcomes too, which carry no verdict
-                    level = current.level_set(beta_of(alpha), strict=True)
-                    verdict = conic_cover_check(level)
-                tally.record(outcome, level, verdict)
-                if level.is_finite() and level.isolated_points:
-                    m2 = max_on_curve(level.isolated_points, 2)
-                    m2_min = m2 if m2_min is None else min(m2_min, m2)
-                    m2_max = m2 if m2_max is None else max(m2_max, m2)
-                if isinstance(verdict, Covered):
-                    shape = f"covered/omit-{0 if verdict.omitted is None else 1}"
-                else:
-                    kind = "curve" if isinstance(verdict.obstruction, UncoverableCurve) else "points"
-                    shape = f"not-coverable/{kind}"
-                profile = f"{'valid' if valid else 'precondition-failed'}/{shape}"
-                profile_counts[profile] = profile_counts.get(profile, 0) + 1
-
-    return tally.report(
-        {
-            "kind": "sweep",
-            "n_lines": grid.n_lines,
-            "coefficient_bound": grid.coefficient_bound,
-            "pool_size": len(pool),
-            "alphas": [format_rational(a) for a in grid.alphas],
-            "weight_vectors": [
-                [format_rational(w) for w in vec] for vec in weight_vectors
-            ],
-        },
-        total,
-        profile_counts=profile_counts,
-        m2_min=m2_min,
-        m2_max=m2_max,
+        if item.tag != TAG_OK:
+            skipped[item.tag] = skipped.get(item.tag, 0) + 1
+            continue
+        valid += 1
+        outcome = item.outcome
+        level, verdict = outcome.level, outcome.verdict
+        if isinstance(verdict, Covered):
+            covered += 1
+            omitted = 0 if verdict.omitted is None else 1
+            omitted_histogram[omitted] = omitted_histogram.get(omitted, 0) + 1
+            continue
+        # a valid instance that is not coverable: keep a standalone,
+        # re-verified counterexample payload
+        counterexamples.append({
+            "index": item.index,
+            "instance": current_to_payload(outcome.current, outcome.alpha),
+            "level_set": level_set_to_json(level),
+            "verdict": verdict_to_json(verdict),
+            "verified": verify_verdict(level, verdict),
+        })
+    return RunReport(
+        spec_summary=spec.summary(),
+        trials=trials,
+        tried=trials,
+        valid=valid,
+        skipped=skipped,
+        covered=covered,
+        not_coverable=len(counterexamples),
+        omitted_histogram=omitted_histogram,
+        counterexamples=tuple(counterexamples),
     )

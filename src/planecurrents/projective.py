@@ -211,15 +211,9 @@ def conic_gradient(conic: Conic, p: Point) -> Triple:
     )
 
 
-def conic_rank(conic: Conic) -> int:
-    """Rank of the symmetric integer matrix of twice the form."""
-    a00, a01, a02, a11, a12, a22 = conic.ints
-    return linalg.rank(((2 * a00, a01, a02), (a01, 2 * a11, a12), (a02, a12, 2 * a22)))
-
-
 def is_irreducible(conic: Conic) -> bool:
-    """True iff the symmetric integer matrix of twice the form, the matrix
-    of `conic_rank`, has rank 3: half its determinant is nonzero."""
+    """True iff the symmetric integer matrix of twice the form has rank 3:
+    half its determinant is nonzero."""
     a00, a01, a02, a11, a12, a22 = conic.ints
     return 4 * a00 * a11 * a22 + a01 * a02 * a12 != a00 * a12 * a12 + a01 * a01 * a22 + a02 * a02 * a11
 

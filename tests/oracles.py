@@ -5,7 +5,8 @@ curve counts come from explicit candidate enumeration (spanned lines, line
 pairs, conics through five-point subsets) plus direct evaluation of each
 candidate's form, lines through two points are the oracle's own cross
 product, the reference rank, reduced row echelon form and nullspace are
-plain Gaussian and Gauss-Jordan elimination over Fraction, the reference
+plain Gaussian and Gauss-Jordan elimination over Fraction (a conic's rank
+is the reference rank of its symmetric matrix), the reference
 determinant is a Laplace expansion, a minimal obstruction is pruned one
 point at a time with the reference-rank omission test, a point
 obstruction is re-checked by a reference rank per omission, and `OracleMap`
@@ -88,6 +89,12 @@ def reference_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def conic_rank_oracle(conic) -> int:
+    """`reference_rank` of the symmetric matrix of twice the conic's form."""
+    a00, a01, a02, a11, a12, a22 = conic.coeffs
+    return reference_rank([[2 * a00, a01, a02], [a01, 2 * a11, a12], [a02, a12, 2 * a22]])
 
 
 def reference_det(rows) -> int:

@@ -44,6 +44,25 @@ def test_verify_examples(capsys):
     assert capsys.readouterr().out == out
 
 
+def test_check_does_not_load_the_gallery(instance_files, tmp_path):
+    # a fresh interpreter: only `verify-examples` may import the gallery
+    script = (
+        "import sys\n"
+        "from planecurrents import cli\n"
+        "code = cli.main(['check', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'planecurrents.gallery' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, instance_files["six-lines"], str(tmp_path / "six.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "covered (omitted: none)\n0 False\n", "")
+    assert json.loads((tmp_path / "six.json").read_text())["status"] == "covered"
+
+
 def test_check_covered(instance_files, tmp_path, capsys):
     report_path = tmp_path / "four.json"
     code = main(["check", instance_files["four-lines"], "--alpha", "1/2", "--out", str(report_path)])
@@ -318,12 +337,12 @@ def test_check_counterexample_exit_code(instance_files, tmp_path, monkeypatch):
 
 
 def test_verify_examples_fails_on_broken_fact(monkeypatch, capsys):
-    import planecurrents.cli as cli_mod
+    import planecurrents.gallery
     from planecurrents.gallery import Fact
 
-    real_verify = cli_mod.gallery.verify
+    real_verify = planecurrents.gallery.verify
     monkeypatch.setattr(
-        cli_mod.gallery,
+        planecurrents.gallery,
         "verify",
         lambda arr: real_verify(arr) + (Fact("forced-failure", False, "injected"),),
     )

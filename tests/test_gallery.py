@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from planecurrents import gallery
-from planecurrents.cover import conic_cover_check, evaluate_cover, verify_verdict
+from planecurrents.cover import beta_of, conic_cover_check, evaluate_cover, verify_verdict
 from planecurrents.currents import DivisorCurrent
 from planecurrents.errors import DegenerateSeed
 from planecurrents.gallery import Arrangement
 from planecurrents.projective import Point, max_on_curve
 
-from oracles import random_projective_map
+from oracles import omission_oracle, random_projective_map
 
 
 @pytest.mark.parametrize("name", gallery.NAMES)
@@ -124,6 +124,33 @@ def test_incidence_lists_that_stop_growing_are_degenerate(monkeypatch):
     monkeypatch.setitem(g._TABLE, "six-lines", dataclasses.replace(entry, lines=lines))
     with pytest.raises(DegenerateSeed, match=r"do not determine \['L6', 'p3'\]"):
         g.build("six-lines")
+
+
+# the label each omits-one fact expects left out, at the built coordinates
+OMITTED_AS_BUILT = {"four-lines": "v12", "quadrangle": "c"}
+
+
+def _omits_one_fact(name):
+    return next(f for f in gallery._TABLE[name].facts if f[1:4] == ("verdict", "strict", "omits-one"))
+
+
+@pytest.mark.parametrize("name, label", OMITTED_AS_BUILT.items())
+def test_omitted_label_is_the_omission_oracle(name, label):
+    arr = gallery.build(name)
+    labels = _omits_one_fact(name)[4].split()
+    assert min(labels, key=arr.points.__getitem__) == label
+    level = arr.current.level_set(beta_of(arr.alpha), strict=True)
+    assert omission_oracle((), level.isolated_points, 2)[0] == arr.points[label]
+
+
+@pytest.mark.parametrize("name, label", OMITTED_AS_BUILT.items())
+def test_omits_one_fact_fails_on_a_wrong_label(monkeypatch, name, label):
+    # without the label left out, the table expects another point omitted
+    entry, fact = gallery._TABLE[name], _omits_one_fact(name)
+    wrong = " ".join(l for l in fact[4].split() if l != label)
+    facts = tuple((*f[:4], wrong) if f is fact else f for f in entry.facts)
+    monkeypatch.setitem(gallery._TABLE, name, dataclasses.replace(entry, facts=facts))
+    assert [f.name for f in gallery.verify(gallery.build(name)) if not f.ok] == [fact[0]]
 
 
 def test_quadrangle_omits_one_point_at_both_alphas():

@@ -6,17 +6,14 @@ from itertools import islice
 import pytest
 
 from planecurrents.cover import Covered, NotCoverable, conic_cover_check, evaluate_cover, find_heavy_points
-from planecurrents.errors import GridTooLarge, InvalidSpec
+from planecurrents.errors import InvalidSpec
 from planecurrents.gallery import build
 from planecurrents.harness import (
-    FRAME_LINES,
     MAX_COEFFICIENT_BOUND,
     GenSpec,
-    SweepGrid,
     _below,
     _random_line,
     _random_point,
-    exhaustive_sweep,
     generate,
     run_suite,
 )
@@ -24,6 +21,7 @@ from planecurrents.projective import Line, Point, line_through
 from planecurrents.serialize import level_set_to_json, parse_instance
 
 from oracles import OracleMap, adjugate, matvec, weight_of
+from sweep import FRAME_LINES, GridTooLarge, SweepGrid, exhaustive_sweep
 
 
 def test_spec_validation():
@@ -237,10 +235,10 @@ def test_counterexample_payloads_reverify(monkeypatch):
     # force real counterexamples by shrinking beta: with threshold 1/40 far
     # more points pass, so some valid instances stop being coverable
     import planecurrents.cover as C
-    import planecurrents.harness as H
+    import sweep as S
 
     monkeypatch.setattr(C, "beta_of", lambda a: Fraction(1, 40))
-    monkeypatch.setattr(H, "beta_of", lambda a: Fraction(1, 40))
+    monkeypatch.setattr(S, "beta_of", lambda a: Fraction(1, 40))
     suite = run_suite(GenSpec(n_lines=6, weight_scheme="random", seed=17), 80)
     sweep = exhaustive_sweep(SweepGrid(n_lines=6, coefficient_bound=1))
     assert suite.counterexamples, "shrunken threshold should produce counterexamples"

