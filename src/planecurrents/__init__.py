@@ -18,7 +18,6 @@ from .cover import (
     verify_verdict,
 )
 from .currents import DivisorCurrent, LevelSet
-from .harness import GenSpec, GeneratedInstance, RunReport, generate, run_suite
 from .projective import (
     Conic,
     Curve,
@@ -75,3 +74,10 @@ __all__ = [
     "run_suite",
     "verify_verdict",
 ]
+
+
+def __getattr__(name):  # PEP 562: the names of `__all__` not imported above
+    if name in __all__:  # are `harness`'s, loaded on first use by a `search`
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ from typing import Optional
 from . import serialize
 from .cover import Covered, evaluate_cover, verify_verdict
 from .errors import InvalidSpec, ParseError, PlaneCurrentsError
-from .harness import GenSpec, run_suite
 from .projective import max_on_curve
 
 EXIT_OK = 0
@@ -182,6 +181,8 @@ def cmd_mj(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # imported here, its one use, so that no other command loads the harness
+    from .harness import GenSpec, run_suite
     alphas = tuple(
         serialize.parse_rational(a, "--alpha") for a in (args.alpha or ["1/2"])
     )

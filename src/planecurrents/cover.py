@@ -14,10 +14,10 @@ witness having that curve as a component. Hence:
 * otherwise the degree left, e, is spent on the isolated points. Their
   coordinate (e = 1) or Veronese (e = 2) incidence rows are built once
   per check; a curve of degree e holds a set of points iff its rows have
-  rank below the column count k (3 or 6). The `linalg.kernel` of the
-  transposed rows, whose columns are the points, gives the dependencies
-  among the points, and the rank is n minus their number. Rank below k
-  means nothing is omitted. At rank k, the rest after omitting point p
+  rank below the column count k (3 or 6). The transposed rows, whose
+  columns are the points, are eliminated once; rank below k means nothing
+  is omitted, and only at rank k are the dependencies among the points
+  read off (`linalg.read_off`). Then the rest after omitting point p
   fits iff p is a coloop of the row matroid (removing it drops the rank),
   that is iff p is in the support of no dependency: a point in none is in
   every basis, and a point in the support of one is spanned by the others
@@ -39,7 +39,9 @@ witness having that curve as a component. Hence:
   point left. The columns run from the last point back, so the pivots
   are the greedy basis taken from the last point, and the early points
   in canonical order are free columns: only their own vector is nonzero
-  there, and dropping one costs no combination.
+  there, and dropping one costs no combination. The points kept, of rank
+  k, number k plus the dependencies held, so once one is held every drop
+  leaves k points and no dependency, and the pruning stops.
 
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
@@ -205,6 +207,8 @@ def _minimal_obstruction(deps, n) -> list[int]:
     column left (see the module docstring)."""
     keep = list(range(n))
     for i in reversed(range(n)):
+        if len(deps) == 1:
+            break  # every later drop leaves ncols columns and no dependency
         rest = _without(deps, i)
         # every vector is zero off the columns kept, so the rest is covered
         # iff as many columns as it has are nonzero in some vector
@@ -231,10 +235,12 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
     back = points[::-1]
     n = len(back)
     rows, ncols = _rows_of([p.ints for p in back], degree_left)
-    basis, deps = linalg.kernel(list(zip(*rows)), n)
+    echelon = linalg.eliminate(list(zip(*rows)), n)
+    basis = sorted(c for c, _ in echelon)
     omitted = None
     if len(basis) == ncols:
         # only a coloop can be omitted, and every coloop is a pivot
+        deps = linalg.read_off(echelon, n)
         found = [j for j in basis if not any(vec[j] for vec in deps)]
         if not found:
             return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(deps, n)))

@@ -262,9 +262,10 @@ class LevelSet:
         points = tuple(sorted(self.isolated_points))
         if len(set(points)) != len(points):
             raise ValueError("isolated points must be pairwise distinct")
-        for p in points:
-            if any(incident(p, c) for c in curves):
-                raise ValueError(f"isolated point {p} lies on a component curve")
+        if curves:
+            for p in points:
+                if any(incident(p, c) for c in curves):
+                    raise ValueError(f"isolated point {p} lies on a component curve")
         self._set(Fraction(self.threshold), bool(self.strict), curves, points)
 
     def _set(self, threshold: Fraction, strict: bool, curves, points) -> None:

@@ -29,20 +29,21 @@ of the columns. No stored row changes, so a prefix of the state can be
 continued with other rows, as `cover.verify_verdict` does for each
 omission. The elimination stops once every column is a pivot.
 
-`rank` and `pivots` read the state's pivots. `kernel` reads an integer
-basis of the right nullspace off it by back-substitution: each stored row
-is zero on the pivots of the rows stored before it, so the rows on the
-pivot columns, in the order stored, are triangular. Set a free column f
-to D, the last pivot entry, and every other free column to 0, and solve
-the pivot entries from the last stored row back. D is, up to sign, the
-minor of the basis rows on the pivot columns, so by Cramer's rule every
-entry of the solution is a minor too: each division is exact, and the
-vector is primitive after one gcd. `nullspace` scales the same vectors to
-1 at their free column, the basis the reduced row echelon form gives.
-`projective.conic_space` takes the `kernel` of Veronese rows, and `cover`
-and `projective.max_on_curve` that of the transposed incidence rows of a
-point set, whose columns are the points: there its vectors are the
-dependencies among the points.
+`eliminate` builds the state once. `rank` and `pivots` read its pivots,
+and `read_off` an integer basis of the right nullspace by
+back-substitution: each stored row is zero on the pivots of the rows
+stored before it, so the rows on the pivot columns, in the order stored,
+are triangular. Set a free column f to D, the last pivot entry, and every
+other free column to 0, and solve the pivot entries from the last stored
+row back. D is, up to sign, the minor of the basis rows on the pivot
+columns, so by Cramer's rule every entry of the solution is a minor too:
+each division is exact, and the vector is primitive after one gcd.
+`nullspace` scales the same vectors to 1 at their free column, the basis
+the reduced row echelon form gives. `projective.conic_space` takes the
+`kernel` of Veronese rows. `cover` and `projective.max_on_curve` eliminate
+the transposed incidence rows of a point set, whose columns are the
+points, and read its vectors, the dependencies among the points, only at
+full rank.
 """
 
 from __future__ import annotations
@@ -106,15 +107,19 @@ def extend_echelon(
     return taken
 
 
+def eliminate(rows: Sequence[Row], ncols: int) -> list[tuple[int, list[int]]]:
+    """The `extend_echelon` state of the rows, scaled to integers."""
+    echelon: list = []
+    extend_echelon(echelon, integer_rows(rows), ncols)
+    return echelon
+
+
 def pivots(rows: Sequence[Row]) -> list[int]:
     """Pivot columns of the reduced row echelon form, ascending, read as
     the pivots of `extend_echelon`. Column c is a pivot iff it is not in
     the span of the columns before it, so the pivots are the greedy basis
     of the columns taken in order."""
-    m = integer_rows(rows)
-    echelon: list = []
-    extend_echelon(echelon, m, len(m[0]) if m else 0)
-    return sorted(c for c, _ in echelon)
+    return sorted(c for c, _ in eliminate(rows, len(rows[0]) if rows else 0))
 
 
 def rank(rows: Sequence[Row]) -> int:
@@ -122,14 +127,11 @@ def rank(rows: Sequence[Row]) -> int:
     return len(pivots(rows))
 
 
-def kernel(rows: Sequence[Row], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """The pivots of `pivots` and a basis of the right nullspace: one
+def read_off(echelon: list[tuple[int, Sequence[int]]], ncols: int) -> list[list[int]]:
+    """A basis of the right nullspace of the rows that gave the state: one
     primitive integer vector per free column, ascending, positive there
-    and zero at the other free columns, read off the `extend_echelon`
-    state by back-substitution (see the module docstring)."""
-    echelon: list = []
-    extend_echelon(echelon, integer_rows(rows), ncols)
-    pivots = sorted(c for c, _ in echelon)
+    and zero at the other free columns (see the module docstring)."""
+    pivots = {c for c, _ in echelon}
     d = echelon[-1][1][echelon[-1][0]] if echelon else 1
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -140,7 +142,13 @@ def kernel(rows: Sequence[Row], ncols: int) -> tuple[list[int], list[list[int]]]
             vec[c] = -sum(map(mul, row, vec)) // row[c]
         g = gcd(*vec) if d > 0 else -gcd(*vec)
         basis.append([x // g for x in vec])
-    return pivots, basis
+    return basis
+
+
+def kernel(rows: Sequence[Row], ncols: int) -> tuple[list[int], list[list[int]]]:
+    """The pivots of `pivots` and the `read_off` basis of the nullspace."""
+    echelon = eliminate(rows, ncols)
+    return sorted(c for c, _ in echelon), read_off(echelon, ncols)
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:

@@ -249,15 +249,6 @@ def multiplicity(p: Point, curve: Curve) -> int:
     return 1 if any(conic_gradient(curve, p)) else 2
 
 
-def _incidence_rows(points: Iterable[Point], degree: int) -> tuple[list, int]:
-    """(integer rows, column count) of the distinct points in canonical
-    order: coordinates for degree 1, Veronese rows (the monomials in the
-    fixed order) for degree 2. A curve of that degree through some of the
-    points is a kernel vector of their rows, so they lie on one iff the rank
-    is below the column count."""
-    return _rows_of([p.ints for p in sorted(set(points))], degree)
-
-
 def _rows_of(coords: list[Triple], degree: int) -> tuple[list, int]:
     if degree == 1:
         return coords, 3
@@ -279,7 +270,7 @@ def on_common_curve(points: Iterable[Point], degree: int) -> bool:
     """True iff some nonzero curve of the given degree passes through all
     the points (degree 1: collinear; degree 2: on a conic, possibly
     degenerate)."""
-    rows, ncols = _incidence_rows(points, degree)
+    rows, ncols = _rows_of([p.ints for p in sorted(set(points))], degree)
     return linalg.rank(rows) < ncols
 
 
@@ -321,10 +312,10 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
     primitive integer tuple of the line through them, and a line with the
     most pairs, c = k * (k - 1) / 2, holds the most points, k.
 
-    Degree 2 takes the `linalg.kernel` of the transposed Veronese rows,
-    whose columns are the points, so its vectors are the dependencies
-    among the points. Rank below 6 (more than n - 6 of them) means all n
-    points lie on a conic. Otherwise the rank is 6, the points on a conic
+    Degree 2 eliminates the transposed Veronese rows, whose columns are
+    the points. Rank below 6 means all n points lie on a conic, and no
+    vector is read off. Otherwise the rank is 6, the `linalg.read_off`
+    vectors are the dependencies among the points, the points on a conic
     are the sets of rank 5, and the kernel's columns, one per point,
     represent the dual matroid (Oxley, Matroid Theory, 2011, ch. 2): k
     points are off a largest conic iff they form a smallest circuit of
@@ -356,9 +347,10 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
                 pairs[key] = pairs.get(key, 0) + 1
         return (1 + isqrt(1 + 8 * max(pairs.values()))) // 2 if pairs else len(rows)
     n = len(rows)
-    deps = linalg.kernel(list(zip(*rows)), n)[1]
-    if n - len(deps) < ncols:
+    echelon = linalg.eliminate(list(zip(*rows)), n)
+    if len(echelon) < ncols:
         return n
+    deps = linalg.read_off(echelon, n)
     columns = list(zip(*deps))  # empty when there is no dependency
     if sum(map(any, columns)) < n:  # a column in no dependency
         return n - 1

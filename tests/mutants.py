@@ -1,0 +1,223 @@
+"""Mutation catalogue: one-line mutants of `src/` that named tests must kill.
+
+Each entry names a file under `src/planecurrents/`, an anchor text that must
+occur in it exactly once, the text that replaces it, and the pytest node ids
+that must fail on the mutant. For each entry the runner copies `src/` to a
+temporary directory, applies the mutant there and runs `pytest -x` on the
+named tests with the copy on `PYTHONPATH`. A mutant is killed only when
+pytest reports failed tests (exit code 1); a survivor, a missing or repeated
+anchor, a copy that is not the one imported, or any other pytest exit fails
+the catalogue. Stdlib only.
+
+Run from anywhere, optionally with entry names to run a subset:
+
+    python tests/mutants.py [name ...]
+
+Equivalent mutants are left out, each with the reason:
+- `>=` in place of `==` in `cover._minimal_obstruction`'s covering test:
+  the vectors left are zero at the column dropped and at every column
+  dropped before, so at most `len(keep) - 1` columns are nonzero in them.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/planecurrents/
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]  # node ids, relative to the repository root
+
+
+CATALOGUE = (
+    # the point-set shortcuts of the elimination
+    Mutant(
+        "pruning-stops-at-two-dependencies",
+        "cover.py",
+        "if len(deps) == 1:",
+        "if len(deps) == 2:",
+        ("tests/test_cover.py::test_pruning_keeps_the_dependencies_exact",),
+    ),
+    Mutant(
+        "omission-continued-one-pivot-too-far",
+        "cover.py",
+        "rest = echelon[:k]",
+        "rest = echelon[: k + 1]",
+        ("tests/test_cover.py::test_verify_verdict_matches_the_rank_oracle",),
+    ),
+    Mutant(
+        "cover-read-off-skipped-at-full-rank",
+        "cover.py",
+        "deps = linalg.read_off(echelon, n)",
+        "deps = []",
+        ("tests/test_cover.py::test_omission_single_coloop_not_first",),
+    ),
+    Mutant(
+        "max-on-curve-all-on-a-conic-at-rank-six",
+        "projective.py",
+        "if len(echelon) < ncols:",
+        "if len(echelon) <= ncols:",
+        ("tests/test_cover.py::test_conic_cover_pure_points_matches_m2_rule",),
+    ),
+    Mutant(
+        "max-on-curve-read-off-skipped-at-full-rank",
+        "projective.py",
+        "deps = linalg.read_off(echelon, n)",
+        "deps = []",
+        ("tests/test_projective.py::test_max_on_curve_matches_oracles_up_to_the_cap",),
+    ),
+    # a gallery fact that must be able to fail
+    Mutant(
+        "gallery-omits-one-check-always-true",
+        "gallery.py",
+        "ok = ok and verdict.omitted == at(args[2])[0]",
+        "ok = ok and True",
+        ("tests/test_gallery.py::test_omits_one_fact_fails_on_a_wrong_label",),
+    ),
+    # verdicts, thresholds, exact arithmetic and report writing
+    Mutant(
+        "omission-is-the-last-coloop",
+        "cover.py",
+        "omitted = found[-1]",
+        "omitted = found[0]",
+        ("tests/test_cover.py::test_omission_every_point_a_coloop",),
+    ),
+    Mutant(
+        "beta-off-by-a-millionth",
+        "cover.py",
+        "return Fraction(2, 3) * (1 - a)",
+        "return Fraction(2, 3) * (1 - a) + Fraction(1, 10**6)",
+        ("tests/test_cover.py::test_beta_of",),
+    ),
+    Mutant(
+        "kernel-vectors-not-primitive",
+        "linalg.py",
+        "basis.append([x // g for x in vec])",
+        "basis.append(vec)",
+        ("tests/test_linalg.py::test_kernel_is_the_primitive_reference_nullspace",),
+    ),
+    Mutant(
+        "negative-weight-accepted",
+        "currents.py",
+        "if w.numerator < 0:",
+        "if w.numerator < -1:",
+        ("tests/test_currents.py::test_component_normalization",),
+    ),
+    Mutant(
+        "hypothesis-at-three-points",
+        "cover.py",
+        "len(heavy) < 4 and",
+        "len(heavy) < 3 and",
+        ("tests/test_cover.py::test_cover_instance_validation",),
+    ),
+    Mutant(
+        "max-on-conic-five-at-nine-points",
+        "projective.py",
+        "if n <= 8:",
+        "if n <= 9:",
+        ("tests/test_projective.py::test_max_on_curve_matches_oracles_up_to_the_cap",),
+    ),
+    Mutant(
+        "point-cap-at-thirteen",
+        "serialize.py",
+        "MAX_POINTS = 12",
+        "MAX_POINTS = 13",
+        ("tests/test_cover.py::test_omission_at_the_point_cap",),
+    ),
+    Mutant(
+        "overflow-curve-at-the-budget",
+        "cover.py",
+        "if used > budget:",
+        "if used >= budget:",
+        ("tests/test_cover.py::test_conic_cover_degree_overflow",),
+    ),
+    Mutant(
+        "pruning-from-the-first-column",
+        "cover.py",
+        "for i in reversed(range(n)):",
+        "for i in range(n):",
+        ("tests/test_cover.py::test_obstructions_are_the_canonical_pruning",),
+    ),
+    Mutant(
+        "kernel-sign-not-normalised",
+        "linalg.py",
+        "g = gcd(*vec) if d > 0 else -gcd(*vec)",
+        "g = gcd(*vec)",
+        ("tests/test_linalg.py::test_kernel_is_the_primitive_reference_nullspace",),
+    ),
+    Mutant(
+        "tangent-meet-counted-twice",
+        "projective.py",
+        "return list(dict.fromkeys(_primitive([s * x + r * y for x, y in zip(u, v)]) for s, r in roots))",
+        "return [_primitive([s * x + r * y for x, y in zip(u, v)]) for s, r in roots]",
+        ("tests/test_currents.py::test_incidence_map_matches_the_oracle_at_tangents",),
+    ),
+    Mutant(
+        "empty-report-path-accepted",
+        "serialize.py",
+        "if not path:",
+        "if False:",
+        ("tests/test_cli.py::test_unwritable_report_is_an_error",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, detail) for one mutant, run on a mutated copy of `src/`."""
+    source = (ROOT / "src" / "planecurrents" / mutant.path).read_text()
+    count = source.count(mutant.anchor)
+    if count != 1:
+        return False, f"anchor occurs {count} times in {mutant.path}"
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / "planecurrents" / mutant.path).write_text(source.replace(mutant.anchor, mutant.replacement))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import planecurrents; print(planecurrents.__file__)"],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        if not probe.stdout.startswith(str(src)):
+            return False, f"the mutated copy is not the one imported: {probe.stdout.strip() or probe.stderr.strip()}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+    if proc.returncode == 1:
+        return True, "killed"
+    if proc.returncode == 0:
+        return False, "survived"
+    return False, f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+
+
+def main(argv: list[str]) -> int:
+    names = {m.name for m in CATALOGUE}
+    unknown = [a for a in argv if a not in names]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failures = 0
+    for mutant in CATALOGUE:
+        if argv and mutant.name not in argv:
+            continue
+        started = time.perf_counter()
+        killed, detail = run(mutant)
+        failures += not killed
+        print(f"{'ok  ' if killed else 'FAIL'} {mutant.name} ({time.perf_counter() - started:.1f} s): {detail}", flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

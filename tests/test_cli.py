@@ -45,12 +45,13 @@ def test_verify_examples(capsys):
 
 
 def test_check_does_not_load_the_gallery(instance_files, tmp_path):
-    # a fresh interpreter: only `verify-examples` may import the gallery
+    # a fresh interpreter: only `verify-examples` may import the gallery,
+    # and only `search` the harness
     script = (
         "import sys\n"
         "from planecurrents import cli\n"
         "code = cli.main(['check', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(code, 'planecurrents.gallery' in sys.modules)\n"
+        "print(code, 'planecurrents.gallery' in sys.modules, 'planecurrents.harness' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
@@ -59,7 +60,7 @@ def test_check_does_not_load_the_gallery(instance_files, tmp_path):
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "covered (omitted: none)\n0 False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "covered (omitted: none)\n0 False False\n", "")
     assert json.loads((tmp_path / "six.json").read_text())["status"] == "covered"
 
 

@@ -369,6 +369,7 @@ def test_pruning_keeps_the_dependencies_exact(monkeypatch):
                 result = _minimal_obstruction(deps, n)
                 held, kept = deps, list(range(n))
                 _spans_the_reference_dependencies(held, columns, kept)
+                held_counts = [len(held)]
                 for before, i, rest in steps:
                     assert before is held
                     trial = [j for j in kept if j != i]
@@ -378,7 +379,10 @@ def test_pruning_keeps_the_dependencies_exact(monkeypatch):
                         held, kept = rest, trial
                     else:
                         seen["refused"] += 1
-                assert result == kept and len(steps) == n
+                    held_counts.append(len(held))
+                # the steps end at the first column where one dependency is
+                # held, every later drop being refused, or after all n
+                assert result == kept and len(steps) == (held_counts.index(1) if 1 in held_counts else n)
                 seen["sets"] += 1
     assert min(seen.values()) >= 30, seen
 
@@ -433,6 +437,32 @@ def _with_coloop(rng, degree, at):
             return on[:k] + [p] + on[k:]
 
 
+def _greedy_basis(rows) -> list[int]:
+    """Indices of the greedy basis of the rows taken in order, by reference rank."""
+    basis: list[int] = []
+    for i, row in enumerate(rows):
+        if reference_rank([rows[j] for j in basis] + [row]) > len(basis):
+            basis.append(i)
+    return basis
+
+
+def _dependent_between(rng, degree, scale):
+    """Points (1 : b : c), so in canonical order by b: up to two random
+    points (degree 2 only), then points of one line, then random points.
+    The third collinear row (degree 1) or the fourth (degree 2) is in the
+    span of the rows before it, and basis rows follow it, and rows follow
+    the last basis row. At scale 10**30 the c have up to 64 digits."""
+    def bs(low, high, count):
+        return [k * scale + rng.randrange(scale) for k in rng.sample(range(low, high), count)]
+
+    wide = 10**4 * scale**2 - 1
+    m, q = (rng.randint(-100 * scale, 100 * scale) for _ in range(2))
+    pts = [Point(1, b, rng.randint(-wide, wide)) for b in bs(-30, -20, rng.randint(0, 2) if degree == 2 else 0)]
+    pts += [Point(1, b, m * b + q) for b in bs(-20, -10, degree + 2)]
+    pts += [Point(1, b, rng.randint(-wide, wide)) for b in bs(-10, 10, rng.randint(5, 7))]
+    return pts
+
+
 def test_verify_verdict_matches_the_rank_oracle():
     # the whole set and every omission against `obstruction_oracle`, on the
     # cover checks' own obstructions and tampered ones
@@ -480,15 +510,24 @@ def test_verify_verdict_matches_the_rank_oracle():
             for _ in range(6):
                 level = finite_level(_with_coloop(rng, degree, at))
                 rows = [_veronese(p.coords) if degree == 2 else p.coords for p in level.isolated_points]
-                basis: list[int] = []
-                for i, row in enumerate(rows):
-                    if reference_rank([rows[j] for j in basis] + [row]) > len(basis):
-                        basis.append(i)
+                basis = _greedy_basis(rows)
                 coloop_rows = [i for i in range(len(rows)) if reference_rank(rows[:i] + rows[i + 1:]) < len(basis)]
                 assert len(coloop_rows) == 1 and coloop_rows[0] in basis
                 position = basis.index(coloop_rows[0])
                 assert {"first": position == 0, "middle": 0 < position < len(basis) - 1,
                         "last": position == len(basis) - 1}[at]
+                claims(level, degree)
+    # a dependent row between basis rows and rows after the last one, at
+    # small and at 64-digit coordinates: an omission's continuation reads
+    # rows the first pass left out of the basis and rows it never read
+    for scale in (1, 10**30):
+        for degree in (1, 2):
+            for _ in range(6):
+                level = finite_level(_dependent_between(rng, degree, scale))
+                rows = [_veronese(p.coords) if degree == 2 else p.coords for p in level.isolated_points]
+                basis = _greedy_basis(rows)
+                assert len(basis) == 3 * degree and basis[-1] < len(rows) - 1
+                assert any(i not in basis for i in range(basis[-1])), basis
                 claims(level, degree)
     results = Counter()
     for level, claimed, budget in cases:
@@ -531,6 +570,8 @@ def test_conic_cover_degree_overflow():
     verdict = conic_cover_check(level)
     assert isinstance(verdict, NotCoverable)
     assert isinstance(verdict.obstruction, UncoverableCurve)
+    # the first curve in canonical order past the budget: the third line
+    assert verdict.obstruction == UncoverableCurve(level.component_curves[2])
     assert verify_verdict(level, verdict)
 
     mixed = LevelSet(HALF, True, (Line(1, 1, 1), SMOOTH_CONIC), ())

@@ -192,7 +192,8 @@ def test_kernel_is_the_primitive_reference_nullspace():
     # one integer vector per free column, primitive and positive there,
     # proportional to the reference vector (1 there, 0 at the other free
     # columns), on the package's shapes and their transposes, whose
-    # columns are points, with the greedy column basis as pivots
+    # columns are points, with the greedy column basis as pivots; the same
+    # vectors are read off a state built in two `extend_echelon` calls
     rng = random.Random(43)
     cases = _kernel_cases(rng, 150)
     cases += [(list(zip(*rows)), len(rows)) for rows, _ in cases]
@@ -208,6 +209,11 @@ def test_kernel_is_the_primitive_reference_nullspace():
     for rows, ncols in cases:
         pivots, basis = linalg.kernel(rows, ncols)
         assert pivots == _greedy_pivots(rows, ncols) == linalg.pivots(rows)
+        state, m = [], linalg.integer_rows(rows)
+        j = rng.randint(0, len(m))
+        linalg.extend_echelon(state, m[:j], ncols)
+        linalg.extend_echelon(state, m[j:], ncols)
+        assert linalg.read_off(state, ncols) == basis
         expected = reference_nullspace(rows, ncols)
         assert len(basis) == len(expected) == ncols - len(pivots)
         free = [c for c in range(ncols) if c not in pivots]
