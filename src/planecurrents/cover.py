@@ -12,23 +12,23 @@ witness having that curve as a component. Hence:
 * if the component degrees sum past the budget, the verdict is
   NotCoverable with one of those curves as the obstruction;
 * otherwise the degree left, e, is spent on the isolated points. Their
-  coordinate (e = 1) or Veronese (e = 2) incidence rows are built once
-  per check; a curve of degree e holds a set of points iff its rows have
-  rank below the column count k (3 or 6). The transposed rows, whose
-  columns are the points, are eliminated once; rank below k means nothing
-  is omitted, and only at rank k are the dependencies among the points
-  read off (`linalg.read_off`). Then the rest after omitting point p
-  fits iff p is a coloop of the row matroid (removing it drops the rank),
-  that is iff p is in the support of no dependency: a point in none is in
-  every basis, and a point in the support of one is spanned by the others
-  it uses (Oxley, Matroid Theory, 2011, ch. 2). So the omission is the
-  first coloop in canonical order, the point the plain scan ("omit
-  nothing", then each point in canonical order) would pick. The witness
-  is fitted to the basis points of the rest, the pivots but the omission.
-  Their rows span those of the rest, so they have the same kernel and
-  give the same first conic of `conic_space`, from at most five rows, and
-  any two distinct ones span the same line. With no degree left, only a
-  lone point can be omitted.
+  coordinate (e = 1) or Veronese (e = 2) incidence rows are built once per
+  check; a curve of degree e holds a set of points iff its rows have rank
+  below the column count k (3 or 6). `projective.dependencies` eliminates
+  the transposed rows, whose columns are the points, once; rank below k
+  means nothing is omitted, and only at rank k are the dependencies among
+  the points read off. Then the rest after omitting point p fits iff p is
+  a coloop of the row matroid (removing it drops the rank), that is iff p
+  is in the support of no dependency: a point in none is in every basis,
+  and a point in the support of one is spanned by the others it uses
+  (Oxley, Matroid Theory, 2011, ch. 2). So the omission is the first
+  coloop in canonical order, the point the plain scan ("omit nothing",
+  then each point in canonical order) would pick. The witness is fitted to
+  the basis points of the rest, the pivots but the omission. Their rows
+  span those of the rest, so they have the same kernel and give the same
+  first conic of `conic_space`, from at most five rows, and any two
+  distinct ones span the same line. With no degree left, only a lone point
+  can be omitted.
 * a set that fails is pruned to an inclusion-minimal obstruction in
   canonical order (with no degree left, pruning leaves the last two
   points). The points left always have full rank and no coloop, so a drop
@@ -73,6 +73,7 @@ from .projective import (
     _rows_of,
     conic_from_lines,
     conic_space,
+    dependencies,
     incident,
     line_in_conic,
     line_through,
@@ -141,16 +142,14 @@ def beta_of(alpha: Fraction | int) -> Fraction:
 
 
 def _overflow_curve(curves, budget: int) -> Optional[Curve]:
-    """First curve (canonical order) whose degree does not fit the budget."""
-    total = sum(c.degree for c in curves)
-    if total <= budget:
-        return None
+    """First curve (canonical order) whose degree does not fit the budget,
+    or None when all of them fit."""
     used = 0
     for c in curves:
         used += c.degree
         if used > budget:
             return c
-    raise AssertionError("unreachable")
+    return None
 
 
 def _spanning_line(points) -> Line:
@@ -233,17 +232,13 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
         return Covered(_witness(curves, (), budget), points[0] if points else None)
     # one column per point, from the last point back
     back = points[::-1]
-    n = len(back)
-    rows, ncols = _rows_of([p.ints for p in back], degree_left)
-    echelon = linalg.eliminate(list(zip(*rows)), n)
-    basis = sorted(c for c, _ in echelon)
+    basis, deps = dependencies([p.ints for p in back], degree_left)
     omitted = None
-    if len(basis) == ncols:
+    if deps is not None:
         # only a coloop can be omitted, and every coloop is a pivot
-        deps = linalg.read_off(echelon, n)
         found = [j for j in basis if not any(vec[j] for vec in deps)]
         if not found:
-            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(deps, n)))
+            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(deps, len(back))))
         omitted = found[-1]  # the first coloop in canonical order
         basis.remove(omitted)
     witness = _witness(curves, [back[j] for j in basis], budget)

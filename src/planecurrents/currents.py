@@ -33,22 +33,21 @@ lists so that every comparison is one `<`.
 
 A current keeps one (density numerator, heaviest numerator) pair per
 pairwise intersection point once built, keyed on the point's primitive
-integer tuple (`Point.ints`): two lines meet at the primitive form of
-their cross product, computed inline, and a line meets a conic at the
-tuples of `projective._line_conic_meets`, both on the integer tuples, so
-the map holds no Point, and its keys hash and compare as plain tuples.
-The build keeps one [density, heaviest, first line] entry
-per point and no set of components: the first line through a point meets
-every other component through it there, so the pairs of that line
-complete the entry, and every other pair that meets there skips it. A
-Point is built only for a point that a level set,
-`support_intersections` or `cover.find_heavy_points` returns. The current
-is immutable, so level sets at any threshold (the heavy points at alpha
-and the strict level set at beta) read the same map, and the map lives
-and dies with its current. A point is isolated when its density passes
-the threshold and its heaviest component does not (no component through
-it does, since passing is monotone). A build that raises
-IrrationalIntersection caches nothing, so every later call raises again.
+integer tuple (`Point.ints`), from one pass over the component pairs:
+each pair meets at the tuples of `projective.meets`, so the map holds no
+Point, and its keys hash and compare as plain tuples. The pass keeps one
+[density, heaviest, first component] entry per point and no set of
+components: the first component through a point meets every other
+component through it there, so the pairs of that component complete the
+entry, and every other pair that meets there skips it. A Point is built
+only for a point that a level set, `support_intersections` or
+`cover.find_heavy_points` returns. The current is immutable, so level
+sets at any threshold (the heavy points at alpha and the strict level set
+at beta) read the same map, and the map lives and dies with its current.
+A point is isolated when its density passes the threshold and its
+heaviest component does not (no component through it does, since passing
+is monotone). A build that raises IrrationalIntersection caches nothing,
+so every later call raises again.
 `lelong_number` stays the direct per-point formula, valid at any point
 and for currents whose map cannot be built.
 """
@@ -57,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 from typing import Iterable
 
@@ -71,11 +70,10 @@ from .projective import (
     Curve,
     Point,
     Triple,
-    _line_conic_meets,
     curve_sort_key,
     incident,
-    intersect_curves,
     is_irreducible,
+    meets,
     multiplicity,
 )
 
@@ -157,48 +155,26 @@ class DivisorCurrent:
     def _incidence_map(self) -> dict[Triple, tuple[int, int]]:
         """Pairwise intersection point, as its primitive integer tuple ->
         (density, heaviest weight) of the components through it as
-        numerators over `den`, from one pass over the component pairs.
+        numerators over `den`, from one loop over the component pairs
+        i < j, each met by `projective.meets` on the integer tuples with
+        no Point built.
 
-        Each point keeps one [density, heaviest, first line] entry. Lines
-        come first, so the row of the first line i through a point, its
-        pairs (i, j) for j > i, meets every other line through it there:
+        Each point keeps one [density, heaviest, first component] entry.
+        The row of the first component i through a point, its pairs
+        (i, j) for j > i, meets every other component through it there:
         that row makes and completes the entry, and the rows of later
-        lines find it with another first line and skip it. Two lines meet
-        at the primitive form of their cross product, computed here on the
-        integer tuples with no Point built. A line and a conic meet at the
-        integer tuples of `_line_conic_meets`, which add the conic to the
-        entry of its first line in the same way, or make the entry. These
-        pairs are taken in component-pair order, and the conic pairs come
-        last, so the first pair without rational meets is the one that
-        raises."""
+        components find it with another first component and skip it.
+        Lines sort first, so the first pair without rational meets, the
+        one that raises, is the first (line, conic) pair in component-pair
+        order with irrational meets, and otherwise the first conic pair."""
         if self._incidence is None:
-            nums, curves = self.nums, self.curves
-            ints = [c.ints for c in curves]
-            m = sum(c.degree == 1 for c in curves)  # lines come first
+            nums, ints = self.nums, [c.ints for c in self.curves]
             entries: dict[Triple, list[int]] = {}
-            for i in range(m):
-                a0, a1, a2 = ints[i]
+            for i, a in enumerate(ints):
                 ni = nums[i]
-                for j in range(i + 1, m):
-                    b0, b1, b2 = ints[j]
-                    # distinct lines, so the cross product is nonzero
-                    x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-                    g = gcd(x, y, z)
-                    if (x or y or z) < 0:
-                        g = -g
-                    key = (x, y, z) if g == 1 else (x // g, y // g, z // g)
-                    nj, e = nums[j], entries.get(key)
-                    if e is None:
-                        entries[key] = [ni + nj, ni if ni > nj else nj, i]
-                    elif e[2] == i:
-                        e[0] += nj
-                        if nj > e[1]:
-                            e[1] = nj
-            for i in range(m):
-                ni = nums[i]
-                for j in range(m, len(curves)):
+                for j in range(i + 1, len(ints)):
                     nj = nums[j]
-                    for key in _line_conic_meets(ints[i], ints[j]):
+                    for key in meets(a, ints[j]):
                         e = entries.get(key)
                         if e is None:
                             entries[key] = [ni + nj, ni if ni > nj else nj, i]
@@ -206,8 +182,6 @@ class DivisorCurrent:
                             e[0] += nj
                             if nj > e[1]:
                                 e[1] = nj
-            if len(curves) - m > 1:  # the first conic pair raises
-                intersect_curves(curves[m], curves[m + 1])
             summary = {key: (density, top) for key, (density, top, _) in entries.items()}
             object.__setattr__(self, "_incidence", summary)
         return self._incidence
@@ -225,7 +199,7 @@ class DivisorCurrent:
         """Structural upper level set at the threshold (>= by default,
         > when strict)."""
         t, curves, points = self._level_parts(threshold, strict)
-        return LevelSet._of(t, bool(strict), curves, points)
+        return LevelSet(t, strict, curves, points)
 
     def _level_parts(
         self, threshold: Fraction | int, strict: bool
@@ -266,21 +240,10 @@ class LevelSet:
             for p in points:
                 if any(incident(p, c) for c in curves):
                     raise ValueError(f"isolated point {p} lies on a component curve")
-        self._set(Fraction(self.threshold), bool(self.strict), curves, points)
-
-    def _set(self, threshold: Fraction, strict: bool, curves, points) -> None:
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "threshold", Fraction(self.threshold))
+        object.__setattr__(self, "strict", bool(self.strict))
         object.__setattr__(self, "component_curves", curves)
         object.__setattr__(self, "isolated_points", points)
-
-    @classmethod
-    def _of(cls, threshold: Fraction, strict: bool, curves, points) -> "LevelSet":
-        """The level set of trusted parts, sorted but not re-checked: the
-        incidence map gives distinct points off the passing curves."""
-        self = object.__new__(cls)
-        self._set(threshold, strict, tuple(sorted(curves, key=curve_sort_key)), tuple(sorted(points)))
-        return self
 
     def __repr__(self):
         return (

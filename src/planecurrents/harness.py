@@ -59,7 +59,7 @@ from typing import Iterator, Optional
 from .cover import TWO_FIFTHS, Covered, Outcome, evaluate_cover, verify_verdict
 from .currents import DivisorCurrent
 from .errors import InvalidSpec, IrrationalIntersection
-from .projective import Line, Point, Triple, _cross, _primitive, conic_space, is_irreducible
+from .projective import Line, Point, Triple, _cross, _primitive, conic_space, is_irreducible, join
 from .serialize import (
     MAX_CURVES,
     current_to_payload,
@@ -242,8 +242,7 @@ def _lines_pencils(rng, spec: GenSpec) -> Optional[list[Line]]:
         pair_order = [(a, b), (b, c), (c, d), (d, a), (a, c), (b, d)]
         lines: list[Triple] = []
         for p, q in pair_order[: spec.n_lines]:
-            # distinct points, so the cross product is nonzero
-            cand = _primitive(_cross(p, q))
+            cand = join(p, q)  # distinct points
             if cand in lines:
                 break
             lines.append(cand)
@@ -276,7 +275,7 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
         for p, q in cycle + rest:
             if len(lines) >= spec.n_lines:
                 break
-            cand = _primitive(_cross(p, q))
+            cand = join(p, q)
             if cand not in lines:
                 lines.append(cand)
         if len(lines) < spec.n_lines:

@@ -40,10 +40,10 @@ columns, so by Cramer's rule every entry of the solution is a minor too:
 each division is exact, and the vector is primitive after one gcd.
 `nullspace` scales the same vectors to 1 at their free column, the basis
 the reduced row echelon form gives. `projective.conic_space` takes the
-`kernel` of Veronese rows. `cover` and `projective.max_on_curve` eliminate
-the transposed incidence rows of a point set, whose columns are the
-points, and read its vectors, the dependencies among the points, only at
-full rank.
+`kernel` of Veronese rows. `projective.dependencies`, the one reader of
+`cover` and `projective.max_on_curve`, eliminates the transposed
+incidence rows of a point set, whose columns are the points, and reads
+its vectors, the dependencies among the points, only at full rank.
 """
 
 from __future__ import annotations

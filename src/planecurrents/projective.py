@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -164,6 +164,19 @@ def _cross(a: Sequence[int], b: Sequence[int]) -> Triple:
     )
 
 
+def join(a: Sequence[int], b: Sequence[int]) -> Triple:
+    """The primitive integer tuple of the cross product of two distinct
+    integer triples: the line through two points, or the meet of two
+    lines. Equal classes give the zero vector, which has no such tuple."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    g = gcd(x, y, z)
+    if (x or y or z) < 0:
+        g = -g
+    return (x, y, z) if g == 1 else (x // g, y // g, z // g)
+
+
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -189,14 +202,14 @@ def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
     if p == q:
         raise EqualPoints(f"no unique line through {p} twice")
-    return Line._of(_cross(p.ints, q.ints))
+    return Line._of(join(p.ints, q.ints))
 
 
 def meet(l1: Line, l2: Line) -> Point:
     """The unique common point of two distinct lines."""
     if l1 == l2:
         raise EqualLines(f"lines coincide: {l1}")
-    return Point._of(_cross(l1.ints, l2.ints))
+    return Point._of(join(l1.ints, l2.ints))
 
 
 def conic_gradient(conic: Conic, p: Point) -> Triple:
@@ -303,54 +316,56 @@ def _sixes_on_a_conic(coords: Sequence[Triple]) -> Iterator[tuple[int, ...]]:
                                 yield a, b, c, d, e, f
 
 
+def dependencies(coords: list[Triple], degree: int) -> tuple[list[int], list[list[int]] | None]:
+    """One elimination of the transposed incidence rows of the points
+    (degree 1: their coordinates, degree 2: their Veronese rows), whose
+    columns are the points, in the order given. Returns the pivots,
+    ascending, the greedy basis of the points taken in that order, and,
+    at full rank (3 or 6), the `linalg.read_off` vectors, an integer basis
+    of the dependencies among the points. Below full rank one curve of
+    the degree holds every point, and the vectors are not read: None."""
+    rows, ncols = _rows_of(coords, degree)
+    n = len(coords)
+    echelon = linalg.eliminate(list(zip(*rows)), n)
+    basis = sorted(c for c, _ in echelon)
+    if len(echelon) < ncols:
+        return basis, None
+    return basis, linalg.read_off(echelon, n)
+
+
 def max_on_curve(points: Iterable[Point], degree: int) -> int:
     """Largest number of the given points lying on a single curve of the
     given degree. The count does not depend on the order of the points,
     so they are read once into a set and not sorted.
 
     Degree 1 counts pairs, O(n^2): each pair of points is filed under the
-    primitive integer tuple of the line through them, and a line with the
-    most pairs, c = k * (k - 1) / 2, holds the most points, k.
+    `join` of the two, the line through them, and a line with the most
+    pairs, c = k * (k - 1) / 2, holds the most points, k.
 
-    Degree 2 eliminates the transposed Veronese rows, whose columns are
-    the points. Rank below 6 means all n points lie on a conic, and no
-    vector is read off. Otherwise the rank is 6, the `linalg.read_off`
-    vectors are the dependencies among the points, the points on a conic
-    are the sets of rank 5, and the kernel's columns, one per point,
-    represent the dual matroid (Oxley, Matroid Theory, 2011, ch. 2): k
-    points are off a largest conic iff they form a smallest circuit of
-    the dual, which has rank n - 6, so such a circuit has at most n - 5
-    points. A zero column, a coloop, a point in the support of no
-    dependency, is a circuit of one: n - 1 on a conic. Two proportional
-    columns, equal once each is primitive with a positive lead, are a
-    circuit of two: n - 2. With neither, at most n - 3 lie on a conic,
-    and n = 8 gives 5 (at n = 7 the dual has rank 1, so one of the two
-    stages has returned). Only from 9 points on with neither does it test
-    each six points by brackets, O(n^6) integer products: a largest set
-    on one conic is then the closure of five independent points
-    (distinct, no four collinear), the five and every point that makes
-    six on a conic with them."""
+    Degree 2 reads the `dependencies` of the points. Below full rank all
+    n points lie on a conic. Otherwise the points on a conic are the sets
+    of rank 5, and the kernel's columns, one per point, represent the
+    dual matroid (Oxley, Matroid Theory, 2011, ch. 2): k points are off a
+    largest conic iff they form a smallest circuit of the dual, which has
+    rank n - 6, so such a circuit has at most n - 5 points. A zero
+    column, a coloop, a point in the support of no dependency, is a
+    circuit of one: n - 1 on a conic. Two proportional columns, equal
+    once each is primitive with a positive lead, are a circuit of two:
+    n - 2. With neither, at most n - 3 lie on a conic, and n = 8 gives 5
+    (at n = 7 the dual has rank 1, so one of the two stages has
+    returned). Only from 9 points on with neither does it test each six
+    points by brackets, O(n^6) integer products: a largest set on one
+    conic is then the closure of five independent points (distinct, no
+    four collinear), the five and every point that makes six on a conic
+    with them."""
     coords = list({p.ints for p in points})
-    rows, ncols = _rows_of(coords, degree)
+    n = len(coords)
     if degree == 1:
-        pairs: dict[Triple, int] = {}
-        for i, (a0, a1, a2) in enumerate(rows):
-            for b0, b1, b2 in rows[i + 1 :]:
-                # distinct points, so the cross product is nonzero: the
-                # coefficients of their line, made primitive as in
-                # `currents.DivisorCurrent._incidence_map`
-                x, y, z = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-                g = gcd(x, y, z)
-                if (x or y or z) < 0:
-                    g = -g
-                key = (x, y, z) if g == 1 else (x // g, y // g, z // g)
-                pairs[key] = pairs.get(key, 0) + 1
-        return (1 + isqrt(1 + 8 * max(pairs.values()))) // 2 if pairs else len(rows)
-    n = len(rows)
-    echelon = linalg.eliminate(list(zip(*rows)), n)
-    if len(echelon) < ncols:
+        pairs = Counter(starmap(join, combinations(coords, 2)))
+        return (1 + isqrt(1 + 8 * max(pairs.values()))) // 2 if pairs else n
+    deps = dependencies(coords, degree)[1]
+    if deps is None:
         return n
-    deps = linalg.read_off(echelon, n)
     columns = list(zip(*deps))  # empty when there is no dependency
     if sum(map(any, columns)) < n:  # a column in no dependency
         return n - 1
@@ -405,25 +420,29 @@ def _line_conic_meets(line: Sequence[int], conic: Sequence[int]) -> list[tuple[i
     return list(dict.fromkeys(_primitive([s * x + r * y for x, y in zip(u, v)]) for s, r in roots))
 
 
-def intersect_line_conic(line: Line, conic: Conic) -> tuple[Point, ...]:
-    """Rational intersection points of a line with a conic, in canonical
-    order; raises as `_line_conic_meets` does."""
-    return tuple(sorted(map(Point._of, _line_conic_meets(line.ints, conic.ints))))
+def meets(c1: Sequence[int], c2: Sequence[int]) -> Sequence[tuple[int, ...]]:
+    """The rational meets of two distinct curves, given by their integer
+    tuples (a line's has 3 entries and a conic's 6), as distinct primitive
+    integer tuples in no set order: two lines meet at their `join`, and a
+    line and a conic, in either order, at their `_line_conic_meets`.
 
-
-def intersect_curves(c1: Curve, c2: Curve) -> tuple[Point, ...]:
-    """Rational intersection points of two distinct curves."""
-    if c1 == c2:
-        raise ValueError("curves coincide")
-    if isinstance(c1, Line) and isinstance(c2, Line):
-        return (meet(c1, c2),)
-    if isinstance(c1, Line):
-        return intersect_line_conic(c1, c2)
-    if isinstance(c2, Line):
-        return intersect_line_conic(c2, c1)
+    Raises IrrationalIntersection for two conics, and as
+    `_line_conic_meets` does."""
+    if len(c1) == 3:
+        return (join(c1, c2),) if len(c2) == 3 else _line_conic_meets(c1, c2)
+    if len(c2) == 3:
+        return _line_conic_meets(c2, c1)
     raise IrrationalIntersection(
         "intersections of two conic components are not representable over the rationals"
     )
+
+
+def intersect_curves(c1: Curve, c2: Curve) -> tuple[Point, ...]:
+    """Rational intersection points of two distinct curves, in canonical
+    order; raises as `meets` does."""
+    if c1 == c2:
+        raise ValueError("curves coincide")
+    return tuple(sorted(map(Point._of, meets(c1.ints, c2.ints))))
 
 
 def line_in_conic(line: Line, conic: Conic) -> bool:

@@ -58,11 +58,14 @@ CATALOGUE = (
         ("tests/test_cover.py::test_verify_verdict_matches_the_rank_oracle",),
     ),
     Mutant(
-        "cover-read-off-skipped-at-full-rank",
-        "cover.py",
-        "deps = linalg.read_off(echelon, n)",
-        "deps = []",
-        ("tests/test_cover.py::test_omission_single_coloop_not_first",),
+        "read-off-skipped-at-full-rank",
+        "projective.py",
+        "return basis, linalg.read_off(echelon, n)",
+        "return basis, []",
+        (
+            "tests/test_cover.py::test_omission_single_coloop_not_first",
+            "tests/test_projective.py::test_max_on_curve_matches_oracles_up_to_the_cap",
+        ),
     ),
     Mutant(
         "max-on-curve-all-on-a-conic-at-rank-six",
@@ -71,12 +74,34 @@ CATALOGUE = (
         "if len(echelon) <= ncols:",
         ("tests/test_cover.py::test_conic_cover_pure_points_matches_m2_rule",),
     ),
+    # the meets of the incidence map
     Mutant(
-        "max-on-curve-read-off-skipped-at-full-rank",
+        "incidence-later-line-re-adds-its-pairs",
+        "currents.py",
+        "elif e[2] == i:",
+        "else:",
+        ("tests/test_currents.py::test_concurrent_lines_share_one_map_entry",),
+    ),
+    Mutant(
+        "line-conic-meet-dropped",
         "projective.py",
-        "deps = linalg.read_off(echelon, n)",
-        "deps = []",
-        ("tests/test_projective.py::test_max_on_curve_matches_oracles_up_to_the_cap",),
+        "roots = [(2 * a, -b + root), (2 * a, -b - root)]",
+        "roots = [(2 * a, -b + root)]",
+        ("tests/test_projective.py::test_intersect_line_conic_matches_oracle",),
+    ),
+    Mutant(
+        "heaviest-weight-filed-as-density",
+        "currents.py",
+        "summary = {key: (density, top) for key, (density, top, _) in entries.items()}",
+        "summary = {key: (top, top) for key, (density, top, _) in entries.items()}",
+        ("tests/test_currents.py::test_incidence_map_matches_the_oracle",),
+    ),
+    Mutant(
+        "join-sign-not-normalised",
+        "projective.py",
+        "if (x or y or z) < 0:",
+        "if False:",
+        ("tests/test_projective.py::test_join_is_the_primitive_cross_product",),
     ),
     # a gallery fact that must be able to fail
     Mutant(

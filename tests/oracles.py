@@ -15,7 +15,8 @@ the integer tuples. Scaled sums of currents (`combine`), component
 weights (`weight_of`) and the blend and rescale constructions use only
 the `DivisorCurrent` constructor and its `components`, and
 `bezout_excess` finds the meets on a curve by form evaluation and sums
-over them the density function it is given. From `planecurrents` only the
+over them the density function it is given; `form_gradient` takes a
+conic's gradient by polarization of its form. From `planecurrents` only the
 classes `Point`, `Line`, `Conic`, `DivisorCurrent` and `LevelSet` are
 imported.
 """
@@ -272,6 +273,17 @@ def _form(curve, coords) -> Fraction:
         x, y, z = coords
         return a * x + b * y + c * z
     return sum(k * m for k, m in zip(curve.coeffs, _veronese(coords)) if k)
+
+
+def form_gradient(curve, coords) -> tuple[Fraction, ...]:
+    """The gradient of the curve's form at homogeneous coordinates: a
+    line's coefficients, and for a conic q, by polarization, the entries
+    q(p + e_k) - q(p) - q(e_k) at the unit vectors e_k."""
+    if len(curve.coeffs) == 3:
+        return tuple(curve.coeffs)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    at = _form(curve, coords)
+    return tuple(_form(curve, [x + u for x, u in zip(coords, e)]) - at - _form(curve, e) for e in units)
 
 
 def omission_oracle(forced, points, budget):

@@ -527,6 +527,27 @@ def test_check_caps_instance_documents(tmp_path, count, first, error):
         assert json.loads((tmp_path / "report.json").read_text())["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "lines, conics, message",
+    [
+        ([["1", "0", "0"]], [["1", "0", "0", "1", "0", "-3"]],
+         "Line(1, 0, 0) meets Conic(1, 0, 0, 1, 0, -3) in points with irrational coordinates"),
+        ([], [["0", "0", "1", "-1", "0", "0"], ["1", "0", "0", "1", "0", "-1"]],
+         "intersections of two conic components are not representable over the rationals"),
+    ],
+    ids=["line-conic", "two-conics"],
+)
+def test_check_irrational_meets_is_an_error(tmp_path, lines, conics, message):
+    # the incidence map raises on the first pair without rational meets:
+    # exit 1, one stderr line and no report
+    path = tmp_path / "doc.json"
+    weights = ["1/10", "9/20"] if lines else ["1/4", "1/4"]
+    path.write_text(json.dumps({"lines": lines, "conics": conics, "weights": weights, "alpha": "9/20"}))
+    proc = _run_cli("check", str(path), "--out", str(tmp_path / "report.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("lines, code", [("100", 0), ("101", 1)])
 def test_search_caps_lines(tmp_path, lines, code):
     # so that `check` reads every counterexample payload back; from 67 lines

@@ -24,7 +24,7 @@ from planecurrents.projective import (
     conic_gradient,
     curve_sort_key,
     incident,
-    intersect_line_conic,
+    intersect_curves,
     is_irreducible,
     line_through,
     meet,
@@ -265,8 +265,8 @@ def test_level_set_matches_oracle(make):
     "make", [random_unit_current, _concurrent_current, _conic_chord_current]
 )
 def test_level_set_is_the_public_constructor(make):
-    # `level_set` skips the distinctness and incidence re-check, which the
-    # incidence map guarantees; the public constructor must agree
+    # `level_set` calls the public constructor on the parts the incidence
+    # map gives; built from shuffled parts, it must give the same level set
     rng = random.Random(41)
     for _ in range(25):
         current = make(rng)
@@ -494,7 +494,7 @@ def test_incidence_map_matches_the_oracle_at_tangents():
     lines = tangents + through_v + chords
     current = DivisorCurrent([(Fraction(k, 40), c) for k, c in enumerate(lines + [SMOOTH_CONIC], 1)])
     for line in tangents:
-        assert len(intersect_line_conic(line, SMOOTH_CONIC)) == 1
+        assert len(intersect_curves(line, SMOOTH_CONIC)) == 1
     _assert_map_matches_oracle(current)
     rng = random.Random(59)
     for _ in range(10):
@@ -554,12 +554,12 @@ def test_irrational_intersection_raises_every_time():
 
 
 def _first_irrational_pair_message(current):
-    """The message of `intersect_line_conic` on the first line-conic pair,
+    """The message of `intersect_curves` on the first line-conic pair,
     in component-pair order, without rational meets."""
     for line in (c for c in current.curves if isinstance(c, Line)):
         for conic in (c for c in current.curves if isinstance(c, Conic)):
             try:
-                intersect_line_conic(line, conic)
+                intersect_curves(line, conic)
             except IrrationalIntersection as exc:
                 return str(exc)
     raise AssertionError("every line meets every conic rationally")
@@ -574,7 +574,7 @@ def test_irrational_pair_among_rational_ones_raises_its_own_message():
     one = DivisorCurrent([(Fraction(1, 8), c) for c in lines + [SMOOTH_CONIC]])
     two = DivisorCurrent([(Fraction(1, 8), c) for c in lines + [SMOOTH_CONIC, Conic(1, 0, 0, 1, 0, -1)]])
     assert _first_irrational_pair_message(one) == str(
-        pytest.raises(IrrationalIntersection, intersect_line_conic, Line(1, 0, -2), SMOOTH_CONIC).value
+        pytest.raises(IrrationalIntersection, intersect_curves, Line(1, 0, -2), SMOOTH_CONIC).value
     )
     assert _first_irrational_pair_message(two) != _first_irrational_pair_message(one)
     for current in (one, two):

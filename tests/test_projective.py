@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from planecurrents import projective
@@ -15,6 +15,7 @@ from planecurrents.errors import (
     UnsupportedDegree,
 )
 from planecurrents.projective import (
+    _cross,
     _primitive,
     _sixes_on_a_conic,
     Conic,
@@ -25,12 +26,13 @@ from planecurrents.projective import (
     conic_space,
     incident,
     intersect_curves,
-    intersect_line_conic,
     is_irreducible,
+    join,
     line_in_conic,
     line_through,
     max_on_curve,
     meet,
+    meets,
     multiplicity,
     on_common_curve,
     two_points_on_line,
@@ -41,9 +43,11 @@ import oracles
 from oracles import (
     OracleMap,
     _form,
+    _line_basis,
     _line_meets,
     _veronese,
     conic_rank_oracle,
+    form_gradient,
     homogeneous_tuples,
     m1_oracle,
     m2_minor_oracle,
@@ -132,6 +136,19 @@ def test_primitive_rejects_all_zero():
             _primitive(zero)
 
 
+_TRIPLES = st.tuples(*[st.integers(-9, 9)] * 3)
+
+
+@given(_TRIPLES, _TRIPLES)
+@example((1, 0, 0), (0, 0, 1))  # (0, -1, 0): a zero and a negative lead
+@example((0, 2, 4), (0, -4, 2))  # (20, 0, 0): leading zeros in, gcd 20 out
+def test_join_is_the_primitive_cross_product(a, b):
+    cross = _cross(a, b)
+    assume(any(cross))
+    got = join(a, b)
+    assert got == _primitive(cross) and type(got) is tuple
+
+
 def test_incidence_basics():
     assert incident(Point(1, 0, 0), Line(0, 0, 1))
     assert incident(Point(1, 1, 0), Conic(1, 0, 0, -1, 0, 0))  # x^2 - y^2
@@ -178,6 +195,23 @@ def test_multiplicity():
     assert is_irreducible(smooth)
     assert multiplicity(Point(1, 1, 1), smooth) == 1
     assert multiplicity(Point(1, 2, 3), smooth) == 0
+
+
+@given(homogeneous_tuples(3), homogeneous_tuples(3))
+def test_line_pair_is_double_at_its_meet(a, b):
+    # the pair's form and the oracle's gradient vanish where the lines
+    # meet; elsewhere on each line the gradient does not
+    l1, l2 = Line(*a), Line(*b)
+    assume(l1 != l2)
+    pair, double = conic_from_lines(l1, l2), meet(l1, l2)
+    assert multiplicity(double, pair) == 2
+    assert not any(form_gradient(pair, double.coords))
+    for line in (l1, l2):
+        e1, e2 = _line_basis(line)
+        for u, v in ((1, 0), (0, 1), (1, 1), (2, -3)):
+            p = Point(*(u * x + v * y for x, y in zip(e1, e2)))
+            if p != double:
+                assert multiplicity(p, pair) == 1 and any(form_gradient(pair, p.coords))
 
 
 def test_conic_rank_classification():
@@ -451,17 +485,17 @@ def test_two_points_and_samples_lie_on_line():
 def test_intersect_line_conic_rational_cases():
     conic = Conic(0, 0, 1, -1, 0, 0)  # x*z = y^2
     secant = line_through(Point(0, 0, 1), Point(1, 1, 1))
-    pts = intersect_line_conic(secant, conic)
+    pts = intersect_curves(secant, conic)
     assert set(pts) == {Point(0, 0, 1), Point(1, 1, 1)}
-    assert set(intersect_line_conic(Line(0, 1, -2), conic)) == {
+    assert set(intersect_curves(Line(0, 1, -2), conic)) == {
         Point(1, 0, 0),
         Point(4, 2, 1),
     }
     # tangent at (0:0:1) is x = 0
     tangent = Line(1, 0, 0)
-    assert intersect_line_conic(tangent, conic) == (Point(0, 0, 1),)
+    assert intersect_curves(tangent, conic) == (Point(0, 0, 1),)
     with pytest.raises(IrrationalIntersection):
-        intersect_line_conic(Line(1, 0, -2), conic)  # x = 2z forces y^2 = 2z^2
+        intersect_curves(Line(1, 0, -2), conic)  # x = 2z forces y^2 = 2z^2
 
 
 def _meets_match_oracle(line, conic) -> str:
@@ -472,9 +506,9 @@ def _meets_match_oracle(line, conic) -> str:
         expected = tuple(sorted(set(_line_meets(line, conic))))
     except ValueError:
         with pytest.raises(IrrationalIntersection):
-            intersect_line_conic(line, conic)
+            intersect_curves(line, conic)
         return "irrational"
-    assert intersect_line_conic(line, conic) == expected
+    assert intersect_curves(line, conic) == expected
     if _form(conic, v.coords) == 0:
         return "q(v) = 0, tangent" if len(expected) == 1 else "q(v) = 0, secant"
     return "tangent" if len(expected) == 1 else "secant"
@@ -522,7 +556,7 @@ def test_intersect_line_conic_line_in_a_line_pair():
         l1, l2 = (line_through(*random_points(rng, 2)) for _ in range(2))
         for line in (l1, l2):
             with pytest.raises(ValueError):
-                intersect_line_conic(line, conic_from_lines(l1, l2))
+                intersect_curves(line, conic_from_lines(l1, l2))
 
 
 def test_intersect_curves_dispatch():
@@ -534,6 +568,31 @@ def test_intersect_curves_dispatch():
         intersect_curves(conic, Conic(1, 0, 0, 1, 0, -1))
     with pytest.raises(ValueError):
         intersect_curves(l1, l1)
+
+
+def _meets_or_message(c1, c2):
+    try:
+        return list(meets(c1.ints, c2.ints))
+    except IrrationalIntersection as exc:
+        return str(exc)
+
+
+def test_meets_is_symmetric_in_line_and_conic():
+    # lines through two of the points (t^2 : t : 1) of x*z = y^2 meet it
+    # rationally, most random lines do not
+    conic = Conic(0, 0, 1, -1, 0, 0)
+    rng = random.Random(79)
+    kinds = set()
+    for _ in range(60):
+        s, t = rng.sample(range(-6, 7), 2)
+        for line in (line_through(Point(s * s, s, 1), Point(t * t, t, 1)), oracles.random_line(rng)):
+            got = _meets_or_message(line, conic)
+            assert _meets_or_message(conic, line) == got
+            kinds.add(type(got))
+    assert kinds == {list, str}
+    assert _meets_or_message(conic, Conic(1, 0, 0, 1, 0, -1)) == (
+        "intersections of two conic components are not representable over the rationals"
+    )
 
 
 def test_line_in_conic():
