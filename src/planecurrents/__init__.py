@@ -50,7 +50,6 @@ __all__ = [
     "NotCoverable",
     "Outcome",
     "Point",
-    "RunReport",
     "UncoverableCurve",
     "UncoveredPoints",
     "Verdict",

@@ -8,6 +8,10 @@ Commands:
   mj                largest subset of a point file on a curve of a degree
   search            seeded randomized suite over generated instances
 
+One rule writes every report: without --out the report alone goes to
+stdout; with --out it goes to the file, and the command's summary line, if
+it has one, to stdout. Failures and the `search` timing go to stderr.
+
 Exit codes (stable contract): 0 success, 1 usage/parse/internal error,
 2 precondition unmet, 3 counterexample found.
 """
@@ -53,9 +57,10 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON ({exc})", path) from None
 
 
-def _write_report(path: Optional[str], document: dict) -> None:
-    """The report to `path`, or to stdout when no --out was given; an empty
-    --out is a path that cannot be written, as a missing directory is."""
+def _write_report(path: Optional[str], document: dict, summary: str = "") -> None:
+    """Without --out, the report alone to stdout; with it, the report to
+    `path` and then `summary`, if any, to stdout. An empty --out is a path
+    that cannot be written, as a missing directory is."""
     text = serialize.dumps(document)
     if path is None:
         sys.stdout.write(text)
@@ -64,6 +69,8 @@ def _write_report(path: Optional[str], document: dict) -> None:
         serialize.atomic_write(path, text)
     except OSError as exc:
         raise PlaneCurrentsError(f"cannot write report to {path!r} ({exc.strerror or exc})") from None
+    if summary:
+        print(summary)
 
 
 def cmd_verify_examples(args) -> int:
@@ -118,11 +125,11 @@ def cmd_check(args) -> int:
     document["verdict"] = serialize.verdict_to_json(verdict)
     document["verified"] = verify_verdict(level, verdict)
     document["status"] = "covered" if isinstance(verdict, Covered) else "counterexample"
-    _write_report(args.out, document)
     if isinstance(verdict, Covered):
         omitted = "none" if verdict.omitted is None else str(verdict.omitted)
-        print(f"covered (omitted: {omitted})")
+        _write_report(args.out, document, f"covered (omitted: {omitted})")
         return EXIT_OK
+    _write_report(args.out, document)
     print("NOT coverable: counterexample recorded", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE
 
@@ -140,9 +147,7 @@ def cmd_lelong(args) -> int:
         "point": serialize.point_to_json(point),
         "lelong": serialize.format_rational(value),
     }
-    _write_report(args.out, document)
-    if args.out:
-        print(serialize.format_rational(value))
+    _write_report(args.out, document, document["lelong"])
     return EXIT_OK
 
 
@@ -155,12 +160,8 @@ def cmd_levelset(args) -> int:
         "command": "levelset",
         "level_set": serialize.level_set_to_json(level),
     }
-    _write_report(args.out, document)
-    if args.out:
-        print(
-            f"{len(level.component_curves)} component curves, "
-            f"{len(level.isolated_points)} isolated points"
-        )
+    summary = f"{len(level.component_curves)} component curves, {len(level.isolated_points)} isolated points"
+    _write_report(args.out, document, summary)
     return EXIT_OK
 
 
@@ -174,9 +175,7 @@ def cmd_mj(args) -> int:
         "points": len(set(points)),
         "max_on_curve": value,
     }
-    _write_report(args.out, document)
-    if args.out:
-        print(value)
+    _write_report(args.out, document, str(value))
     return EXIT_OK
 
 
@@ -201,13 +200,13 @@ def cmd_search(args) -> int:
         print(f"search: {exc}", file=sys.stderr)
         return EXIT_ERROR
     seconds = time.perf_counter() - started
-    _write_report(args.out, report.to_json_dict())
+    _write_report(args.out, report)
     print(
-        f"tried {report.tried}, valid {report.valid}, covered {report.covered}, "
-        f"counterexamples {len(report.counterexamples)} ({seconds:.2f}s)",
+        f"tried {report['tried']}, valid {report['valid']}, covered {report['covered']}, "
+        f"counterexamples {report['not_coverable']} ({seconds:.2f}s)",
         file=sys.stderr,
     )
-    return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
+    return EXIT_COUNTEREXAMPLE if report["not_coverable"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

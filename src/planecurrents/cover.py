@@ -90,9 +90,6 @@ class Covered:
     witness: Union[Line, Conic]
     omitted: Optional[Point] = None
 
-    def __repr__(self):
-        return f"Covered(witness={self.witness!r}, omitted={self.omitted!r})"
-
 
 @dataclass(frozen=True)
 class UncoverableCurve:

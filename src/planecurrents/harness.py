@@ -141,36 +141,6 @@ class GeneratedInstance:
     outcome: Optional[Outcome] = None
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Aggregated result of a batch run; deterministic given (spec, trials)."""
-
-    spec_summary: dict
-    trials: int
-    tried: int
-    valid: int
-    skipped: dict
-    covered: int
-    not_coverable: int
-    omitted_histogram: dict
-    counterexamples: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec_summary,
-            "trials": self.trials,
-            "tried": self.tried,
-            "valid": self.valid,
-            "skipped": dict(sorted(self.skipped.items())),
-            "covered": self.covered,
-            "not_coverable": self.not_coverable,
-            "omitted_histogram": {
-                str(k): v for k, v in sorted(self.omitted_histogram.items())
-            },
-            "counterexamples": list(self.counterexamples),
-        }
-
-
 def _below(rng: random.Random, n: int) -> int:
     """What `rng.randrange(n)` draws (n >= 1), from the same getrandbits
     calls: k = n.bit_length() bits, drawn again until below n."""
@@ -276,6 +246,8 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
             if len(lines) >= spec.n_lines:
                 break
             cand = join(p, q)
+            # `rest` keeps (b0, b4), the cycle's closing chord reversed: the
+            # shuffle permutes six pairs, and this skip drops the repeated line
             if cand not in lines:
                 lines.append(cand)
         if len(lines) < spec.n_lines:
@@ -344,9 +316,10 @@ def generate(spec: GenSpec) -> Iterator[GeneratedInstance]:
         index += 1
 
 
-def run_suite(spec: GenSpec, trials: int) -> RunReport:
-    """Generate `trials` instances and check every valid one; the counts
-    do not depend on the order in which instances arrive.
+def run_suite(spec: GenSpec, trials: int) -> dict:
+    """Generate `trials` instances, check every valid one and return the
+    `search` report, the document that `search` writes; the counts do not
+    depend on the order in which instances arrive.
 
     The expected outcome is zero counterexamples; any counterexample
     payload re-verifies standalone and signals an implementation bug.
@@ -356,7 +329,7 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
         raise InvalidSpec("trials must be at least 1")
     valid = covered = 0
     skipped: dict[str, int] = {}
-    omitted_histogram: dict[int, int] = {}
+    omitted_histogram: dict[str, int] = {}
     counterexamples = []
     for item in islice(generate(spec), trials):
         if item.tag != TAG_OK:
@@ -367,7 +340,7 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
         level, verdict = outcome.level, outcome.verdict
         if isinstance(verdict, Covered):
             covered += 1
-            omitted = 0 if verdict.omitted is None else 1
+            omitted = "0" if verdict.omitted is None else "1"
             omitted_histogram[omitted] = omitted_histogram.get(omitted, 0) + 1
             continue
         # a valid instance that is not coverable: keep a standalone,
@@ -379,14 +352,14 @@ def run_suite(spec: GenSpec, trials: int) -> RunReport:
             "verdict": verdict_to_json(verdict),
             "verified": verify_verdict(level, verdict),
         })
-    return RunReport(
-        spec_summary=spec.summary(),
-        trials=trials,
-        tried=trials,
-        valid=valid,
-        skipped=skipped,
-        covered=covered,
-        not_coverable=len(counterexamples),
-        omitted_histogram=omitted_histogram,
-        counterexamples=tuple(counterexamples),
-    )
+    return {
+        "spec": spec.summary(),
+        "trials": trials,
+        "tried": trials,
+        "valid": valid,
+        "skipped": skipped,
+        "covered": covered,
+        "not_coverable": len(counterexamples),
+        "omitted_histogram": omitted_histogram,
+        "counterexamples": counterexamples,
+    }

@@ -190,6 +190,20 @@ CATALOGUE = (
         ("tests/test_currents.py::test_incidence_map_matches_the_oracle_at_tangents",),
     ),
     Mutant(
+        "summary-printed-also-without-out",
+        "cli.py",
+        "sys.stdout.write(text)",
+        'sys.stdout.write(text + (summary and summary + "\\n"))',
+        ("tests/test_cli.py::test_one_output_rule",),
+    ),
+    Mutant(
+        "omitted-histogram-keys-swapped",
+        "harness.py",
+        'omitted = "0" if verdict.omitted is None else "1"',
+        'omitted = "1" if verdict.omitted is None else "0"',
+        ("tests/test_report_digests.py::test_search_seven_lines[0]",),
+    ),
+    Mutant(
         "empty-report-path-accepted",
         "serialize.py",
         "if not path:",

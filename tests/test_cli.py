@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -312,6 +313,38 @@ def test_mj_counts_a_repeated_point_once(tmp_path, capsys):
         assert main(["mj", str(path), "--degree", degree]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["points"] == report["max_on_curve"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, summary, stderr",
+    [
+        (["check", "six-lines", "--alpha", "1/2"], 0, "covered (omitted: none)\n", ""),
+        (["check", "three-lines", "--alpha", "2/3"], 2, "",
+         "precondition failed: needs a component of weight >= 2/3 or four points of density >= 2/3, got 3\n"),
+        (["lelong", "seven-lines", "--point", "1,0,1"], 0, "7/15\n", ""),
+        (["levelset", "three-lines", "--threshold", "2/9", "--strict"], 0,
+         "3 component curves, 0 isolated points\n", ""),
+        (["mj", "points", "--degree", "1"], 0, "2\n", ""),
+        (["search", "--lines", "5", "--trials", "10", "--seed", "7"], 0, "",
+         "tried 10, valid 4, covered 4, counterexamples 0 (#s)\n"),
+    ],
+    ids=["check-covered", "check-precondition-failed", "lelong", "levelset", "mj", "search"],
+)
+def test_one_output_rule(instance_files, tmp_path, capsys, argv, code, summary, stderr):
+    # without --out stdout is the report alone, the bytes --out writes; with
+    # --out stdout is the summary line alone; stderr is the same either way
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]}))
+    argv = [{**instance_files, "points": str(points)}.get(a, a) for a in argv]
+    report_path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(report_path)]) == code
+    written = capsys.readouterr()
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    assert printed.out == report_path.read_text()
+    assert written.out == summary
+    timing = re.compile(r"\(\d+\.\d\ds\)$", re.M)
+    assert timing.sub("(#s)", written.err) == timing.sub("(#s)", printed.err) == stderr
 
 
 def test_check_counterexample_exit_code(instance_files, tmp_path, monkeypatch):

@@ -71,8 +71,8 @@ def test_generated_instances_are_valid_unit_mass():
 def test_triangle_spec_single_trial_skips_precondition():
     spec = GenSpec(n_lines=3, weight_scheme="uniform", alphas=(Fraction(2, 3),), seed=0)
     report = run_suite(spec, 1)
-    assert report.skipped == {"skipped-precondition": 1}
-    assert report.valid == 0
+    assert report["skipped"] == {"skipped-precondition": 1}
+    assert report["valid"] == 0
 
 
 def test_uniform_four_lines_match_quadrilateral_shape():
@@ -97,10 +97,8 @@ def test_run_suite_deterministic():
     spec = GenSpec(n_lines=5, weight_scheme="random", seed=11)
     first = run_suite(spec, 60)
     again = run_suite(spec, 60)
-    assert first.to_json_dict() == again.to_json_dict()
-    assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(
-        again.to_json_dict(), sort_keys=True
-    )
+    assert first == again
+    assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
 def test_conic_pencil_instances_validate():
@@ -241,9 +239,9 @@ def test_counterexample_payloads_reverify(monkeypatch):
     monkeypatch.setattr(S, "beta_of", lambda a: Fraction(1, 40))
     suite = run_suite(GenSpec(n_lines=6, weight_scheme="random", seed=17), 80)
     sweep = exhaustive_sweep(SweepGrid(n_lines=6, coefficient_bound=1))
-    assert suite.counterexamples, "shrunken threshold should produce counterexamples"
+    assert suite["counterexamples"], "shrunken threshold should produce counterexamples"
     assert sweep.counterexamples, "shrunken threshold should produce counterexamples"
-    for payload in suite.counterexamples + sweep.counterexamples:
+    for payload in suite["counterexamples"] + list(sweep.counterexamples):
         assert payload["verified"] is True
         current, alpha = parse_instance(payload["instance"])
         heavy = find_heavy_points(current, alpha)
@@ -252,9 +250,9 @@ def test_counterexample_payloads_reverify(monkeypatch):
         level = current.level_set(Fraction(1, 40), strict=True)
         assert payload["level_set"] == level_set_to_json(level)
         assert isinstance(conic_cover_check(level), NotCoverable)
-    indices = [payload["index"] for payload in suite.counterexamples]
+    indices = [payload["index"] for payload in suite["counterexamples"]]
     assert indices == sorted(set(indices))
-    for payload in suite.counterexamples:
+    for payload in suite["counterexamples"]:
         assert set(payload) - {"index"} == set(sweep.counterexamples[0])
 
 
