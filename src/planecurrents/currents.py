@@ -27,9 +27,8 @@ p/q (q > 0) when n*q > p*den (or >=), so neither a sum nor a threshold
 test builds a Fraction; `mass` and `lelong_number` build one for their
 result.
 
-Components are kept in canonical order, lines before conics and each
-kind by its `<`: the order of `projective.curve_sort_key`, sorted as two
-lists so that every comparison is one `<`.
+Components are kept in canonical order, the order of the curves' `<`:
+lines before conics, and each kind by its rational form.
 
 A current keeps one (density numerator, heaviest numerator) pair per
 pairwise intersection point once built, keyed on the point's primitive
@@ -70,7 +69,6 @@ from .projective import (
     Curve,
     Point,
     Triple,
-    curve_sort_key,
     incident,
     is_irreducible,
     meets,
@@ -109,13 +107,7 @@ class DivisorCurrent:
                 w0, curve = merged[key]
                 w += w0
             merged[key] = (w, curve)
-        # lines before conics, each sorted by its own `<`: the order of
-        # `curve_sort_key` with no tuple comparison
-        lines = [wc for wc in merged.values() if wc[0] and wc[1].degree == 1]
-        conics = [wc for wc in merged.values() if wc[0] and wc[1].degree == 2]
-        lines.sort(key=_curve)
-        conics.sort(key=_curve)
-        items = lines + conics
+        items = sorted((wc for wc in merged.values() if wc[0]), key=_curve)
         den = lcm(*(w.denominator for w, _ in items))
         nums = tuple(w.numerator * (den // w.denominator) for w, _ in items)
         object.__setattr__(self, "components", tuple(items))
@@ -232,7 +224,7 @@ class LevelSet:
     isolated_points: tuple[Point, ...] = ()
 
     def __post_init__(self):
-        curves = tuple(sorted(self.component_curves, key=curve_sort_key))
+        curves = tuple(sorted(self.component_curves))
         points = tuple(sorted(self.isolated_points))
         if len(set(points)) != len(points):
             raise ValueError("isolated points must be pairwise distinct")
@@ -254,12 +246,3 @@ class LevelSet:
     @property
     def total_component_degree(self) -> int:
         return sum(c.degree for c in self.component_curves)
-
-    def contains(self, p: Point) -> bool:
-        """Membership as a set of plane points."""
-        return p in self.isolated_points or any(
-            incident(p, c) for c in self.component_curves
-        )
-
-    def is_finite(self) -> bool:
-        return not self.component_curves

@@ -81,6 +81,9 @@ DENOMINATOR_BOUND = 16
 # points, stay near 64 bits
 MAX_COEFFICIENT_BOUND = 2**31
 
+# random lines drawn by `_distinct_lines` before it gives up
+LINE_ATTEMPTS = 60
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -176,11 +179,11 @@ def _random_line(rng: random.Random, bound: int) -> Triple:
             return _primitive(cross)
 
 
-def _distinct_lines(rng, bound, count, start=(), attempts=60) -> Optional[list[Line]]:
+def _distinct_lines(rng, bound, count, start=()) -> Optional[list[Line]]:
     """`count` distinct lines: `start` (primitive tuples) and then random
-    lines, compared as tuples; None if `attempts` draws fall short."""
+    lines, compared as tuples; None if LINE_ATTEMPTS draws fall short."""
     lines = list(start)
-    for _ in range(attempts):
+    for _ in range(LINE_ATTEMPTS):
         if len(lines) >= count:
             break
         cand = _random_line(rng, bound)

@@ -29,8 +29,8 @@ of the columns. No stored row changes, so a prefix of the state can be
 continued with other rows, as `cover.verify_verdict` does for each
 omission. The elimination stops once every column is a pivot.
 
-`eliminate` builds the state once. `rank` and `pivots` read its pivots,
-and `read_off` an integer basis of the right nullspace by
+`eliminate` builds the state once. `rank` counts its rows, `kernel`
+reads its pivots, and `read_off` an integer basis of the right nullspace by
 back-substitution: each stored row is zero on the pivots of the rows
 stored before it, so the rows on the pivot columns, in the order stored,
 are triangular. Set a free column f to D, the last pivot entry, and every
@@ -114,17 +114,9 @@ def eliminate(rows: Sequence[Row], ncols: int) -> list[tuple[int, list[int]]]:
     return echelon
 
 
-def pivots(rows: Sequence[Row]) -> list[int]:
-    """Pivot columns of the reduced row echelon form, ascending, read as
-    the pivots of `extend_echelon`. Column c is a pivot iff it is not in
-    the span of the columns before it, so the pivots are the greedy basis
-    of the columns taken in order."""
-    return sorted(c for c, _ in eliminate(rows, len(rows[0]) if rows else 0))
-
-
 def rank(rows: Sequence[Row]) -> int:
     """Exact rank of a rational matrix (rows of equal length)."""
-    return len(pivots(rows))
+    return len(eliminate(rows, len(rows[0]) if rows else 0))
 
 
 def read_off(echelon: list[tuple[int, Sequence[int]]], ncols: int) -> list[list[int]]:
@@ -146,7 +138,10 @@ def read_off(echelon: list[tuple[int, Sequence[int]]], ncols: int) -> list[list[
 
 
 def kernel(rows: Sequence[Row], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """The pivots of `pivots` and the `read_off` basis of the nullspace."""
+    """The pivot columns of the reduced row echelon form, ascending, and
+    the `read_off` basis of the nullspace. Column c is a pivot iff it is
+    not in the span of the columns before it, so the pivots are the greedy
+    basis of the columns taken in order."""
     echelon = eliminate(rows, ncols)
     return sorted(c for c, _ in echelon), read_off(echelon, ncols)
 

@@ -2,9 +2,14 @@
 
 Points, lines and conics are each stored as one primitive integer tuple,
 `ints`: entries with gcd 1 and the first nonzero entry positive, the one
-integer representative of the projective class. Equality and hashing read
-that tuple, and joins, meets, incidence and form evaluation are integer
-arithmetic. Conics are six-coefficient quadratic forms
+integer representative of the projective class. A tuple is made primitive
+where it is made: the constructor normalises integers or rationals, and
+`_of` stores a tuple as given, from a source whose tuples are primitive
+already (`join`, `meets`, `conic_from_lines`, whose product of primitive
+forms is primitive by Gauss's lemma, and each caller that applies
+`_primitive` itself). Equality and hashing read that tuple, and joins,
+meets, incidence and form evaluation are integer arithmetic. Conics are
+six-coefficient quadratic forms
 
     a00*x^2 + a01*x*y + a02*x*z + a11*y^2 + a12*y*z + a22*z^2
 
@@ -13,14 +18,16 @@ including serialized output and the point-incidence ("Veronese") matrices
 used for curve fitting.
 
 The rational form, the class scaled so that its first nonzero entry is 1,
-is the contract at the edges: `Point.coords`, `Line.coeffs` and
-`Conic.coeffs` compute it as `Fraction`s for `repr`, serialization writes
-it from the integer tuple, and the canonical order `<` is the
-lexicographic order of those forms, compared on the integer tuples: one
-scan finds the first position where either tuple is nonzero; if only one
-is nonzero there, the tuple that is zero there is smaller, and otherwise
-both lead there and the entries are cross-multiplied with the two positive
-leads. No `Fraction` is built.
+is the contract at the edges. `_rational_form` writes it as text from the
+integer tuple, in lowest terms, for `repr`, `str` and serialization alike;
+`Point.coords`, `Line.coeffs` and `Conic.coeffs` compute it as
+`Fraction`s. The canonical order `<` is the lexicographic order of those
+forms, compared on the integer tuples: one scan finds the first position
+where either tuple is nonzero; if only one is nonzero there, the tuple
+that is zero there is smaller, and otherwise both lead there and the
+entries are cross-multiplied with the two positive leads. No `Fraction`
+is built. A line and a conic compare by degree, so the curves of a
+current sort lines first by one `<`; a point and a curve do not compare.
 
 Everything is immutable after construction and all arithmetic is exact.
 """
@@ -62,6 +69,18 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
+def _rational_form(ints: Sequence[int]) -> list[str]:
+    """The entries of a primitive integer tuple over its lead, as text in
+    lowest terms, that of `str(Fraction(x, lead))`: the lead is positive,
+    so x/lead is (x//g)/(lead//g) with g the gcd of the two."""
+    lead = _lead(ints)
+    out = []
+    for x in ints:
+        g = gcd(x, lead)
+        out.append(str(x // g) if g == lead else f"{x // g}/{lead // g}")
+    return out
+
+
 def _integers(values: Sequence) -> Sequence[int]:
     """Integers with the same ratios as the rationals given."""
     if all(type(v) is int for v in values):
@@ -82,10 +101,11 @@ class _Homogeneous:
         object.__setattr__(self, "ints", _primitive(_integers(values)))
 
     @classmethod
-    def _of(cls, ints: Sequence[int]):
-        """From a nonzero integer tuple of the right size, unchecked."""
+    def _of(cls, ints: tuple[int, ...]):
+        """From a primitive integer tuple of the right size, unchecked and
+        stored as given."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ints", _primitive(ints))
+        object.__setattr__(obj, "ints", ints)
         return obj
 
     def __setattr__(self, name, value):
@@ -98,7 +118,10 @@ class _Homogeneous:
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            # a line sorts before a conic; a point and a curve do not compare
+            if self.__class__ is Point or other.__class__ not in (Line, Conic):
+                return NotImplemented
+            return self.degree < other.degree
         a, b = self.ints, other.ints
         i = 0
         while not (a[i] or b[i]):
@@ -123,7 +146,7 @@ class _Homogeneous:
         return tuple(Fraction(x, lead) for x in self.ints)
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(str, self._rational()))})"
+        return f"{type(self).__name__}({', '.join(_rational_form(self.ints))})"
 
 
 class Point(_Homogeneous):
@@ -134,7 +157,7 @@ class Point(_Homogeneous):
     coords = property(_Homogeneous._rational, doc="rational form, first nonzero entry 1")
 
     def __str__(self):
-        return "(%s : %s : %s)" % self.coords
+        return f"({' : '.join(_rational_form(self.ints))})"
 
 
 class Line(_Homogeneous):
@@ -193,11 +216,6 @@ def _form(c: Sequence[int], v: Sequence[int]) -> int:
 Curve = Union[Line, Conic]
 
 
-def curve_sort_key(curve: Curve):
-    """Deterministic ordering: lines before conics, then by coefficients."""
-    return (curve.degree, curve)
-
-
 def line_through(p: Point, q: Point) -> Line:
     """The unique line through two distinct points."""
     if p == q:
@@ -232,7 +250,10 @@ def is_irreducible(conic: Conic) -> bool:
 
 
 def conic_from_lines(l1: Line, l2: Line) -> Conic:
-    """Product form of two lines (a line pair, or a double line if equal)."""
+    """Product form of two lines (a line pair, or a double line if equal).
+    It is primitive: the content of a product is the product of the
+    contents (Gauss's lemma), and its lead, in the lex monomial order, is
+    the product of the two positive leads."""
     a1, b1, c1 = l1.ints
     a2, b2, c2 = l2.ints
     return Conic._of((
@@ -273,10 +294,11 @@ def _rows_of(coords: list[Triple], degree: int) -> tuple[list, int]:
 def conic_space(points: Iterable[Point]) -> tuple[Conic, ...]:
     """Basis of the space of quadratic forms vanishing on all given points:
     the `linalg.kernel` of their Veronese rows, the basis of
-    `linalg.nullspace` up to scale. Neither the order of the rows nor
+    `linalg.nullspace` up to scale, made primitive (a vector is positive
+    at its free column, not at its lead). Neither the order of the rows nor
     repeated rows change the vectors."""
     rows, ncols = _rows_of([p.ints for p in points], 2)
-    return tuple(Conic._of(vec) for vec in linalg.kernel(rows, ncols)[1])
+    return tuple(Conic._of(_primitive(vec)) for vec in linalg.kernel(rows, ncols)[1])
 
 
 def on_common_curve(points: Iterable[Point], degree: int) -> bool:
@@ -390,7 +412,7 @@ def _span(line: Sequence[int]) -> tuple[Triple, Triple]:
 
 def two_points_on_line(line: Line) -> tuple[Point, Point]:
     """Two distinct canonical points spanning the line."""
-    return tuple(map(Point._of, _span(line.ints)))
+    return tuple(Point._of(_primitive(v)) for v in _span(line.ints))
 
 
 def _line_conic_meets(line: Sequence[int], conic: Sequence[int]) -> list[tuple[int, ...]]:
@@ -414,7 +436,8 @@ def _line_conic_meets(line: Sequence[int], conic: Sequence[int]) -> list[tuple[i
         root = isqrt(disc) if disc >= 0 else -1
         if root * root != disc:
             raise IrrationalIntersection(
-                f"{Line._of(line)!r} meets {Conic._of(conic)!r} in points with irrational coordinates"
+                f"{Line._of(_primitive(line))!r} meets {Conic._of(_primitive(conic))!r} "
+                "in points with irrational coordinates"
             )
         roots = [(2 * a, -b + root), (2 * a, -b - root)]
     return list(dict.fromkeys(_primitive([s * x + r * y for x, y in zip(u, v)]) for s, r in roots))

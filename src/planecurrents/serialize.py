@@ -5,7 +5,8 @@ lowest terms with positive denominators, so every report round-trips
 bit-exactly and no floating point ever enters the data path. Curve and
 point coefficients parse straight to primitive integer tuples, without a
 `Fraction`, in one loop when well formed; errors are diagnosed in a fixed
-order. Conic coefficients use the fixed monomial order
+order. They are written by `projective._rational_form`, the text that
+`repr` shows too. Conic coefficients use the fixed monomial order
 (x^2, xy, xz, y^2, yz, z^2). Reports are written exactly as
 `json.dumps(document, indent=2, sort_keys=True)` writes them, as bytes
 to a temporary file that is then renamed into place.
@@ -29,13 +30,13 @@ import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import lcm
 from typing import Any, Optional
 
 from .currents import DivisorCurrent, LevelSet
 from .cover import Covered, UncoverableCurve, Verdict
 from .errors import ParseError, PlaneCurrentsError
-from .projective import Conic, Curve, Line, Point, _lead
+from .projective import Conic, Curve, Line, Point, _primitive, _rational_form
 
 
 # The rational grammar: an integer or "p/q" in ASCII digits. Fraction alone
@@ -104,11 +105,12 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
 
 def _parse_tuple(value: Any, size: int, path: str) -> tuple[int, ...]:
     """`size` rationals, not all zero, each written in at most
-    MAX_COEFFICIENT_LENGTH characters, as integers with the same ratios.
-    One loop takes a list of `size` strings of the rational grammar and
-    builds no path or message; anything else falls through to the checks,
-    which raise the first error in this order: the cap on every entry, the
-    shape, the first entry that is not a rational, all zeros."""
+    MAX_COEFFICIENT_LENGTH characters, as the primitive integer tuple
+    with the same ratios, which `_of` stores as given. One loop takes a
+    list of `size` strings of the rational grammar and builds no path or
+    message; anything else falls through to the checks, which raise the
+    first error in this order: the cap on every entry, the shape, the
+    first entry that is not a rational, all zeros."""
     nums, dens = [], []
     if type(value) is list and len(value) == size:
         for v in value:
@@ -129,19 +131,7 @@ def _parse_tuple(value: Any, size: int, path: str) -> tuple[int, ...]:
         if not any(nums):
             raise ParseError("all coefficients are zero", path)
     scale = lcm(*dens)
-    return tuple([num * (scale // den) for num, den in zip(nums, dens)])
-
-
-def _rational_form(ints: tuple[int, ...]) -> list[str]:
-    """The entries of a primitive integer tuple over its lead, in lowest
-    terms: the lead is positive, so x/lead is (x//g)/(lead//g) with g the
-    gcd of the two."""
-    lead = _lead(ints)
-    out = []
-    for x in ints:
-        g = gcd(x, lead)
-        out.append(str(x // g) if g == lead else f"{x // g}/{lead // g}")
-    return out
+    return _primitive([num * (scale // den) for num, den in zip(nums, dens)])
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -175,13 +165,12 @@ def curve_to_json(curve: Curve) -> dict:
 
 
 def current_to_payload(current: DivisorCurrent, alpha: Optional[Fraction] = None) -> dict:
-    """Instance-file payload for a current (lines first, then conics)."""
-    lines = [(w, c) for w, c in current.components if isinstance(c, Line)]
-    conics = [(w, c) for w, c in current.components if isinstance(c, Conic)]
+    """Instance-file payload for a current (lines first, then conics, the
+    order of its components)."""
     payload = {
-        "lines": [line_to_json(c) for _, c in lines],
-        "conics": [conic_to_json(c) for _, c in conics],
-        "weights": [format_rational(w) for w, _ in lines + conics],
+        "lines": [line_to_json(c) for c in current.curves if c.degree == 1],
+        "conics": [conic_to_json(c) for c in current.curves if c.degree == 2],
+        "weights": [format_rational(w) for w, _ in current.components],
     }
     if alpha is not None:
         payload["alpha"] = format_rational(alpha)

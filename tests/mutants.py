@@ -203,6 +203,36 @@ CATALOGUE = (
         'omitted = "1" if verdict.omitted is None else "0"',
         ("tests/test_report_digests.py::test_search_seven_lines[0]",),
     ),
+    # the coordinate contract: `_of` stores a tuple as given, so its
+    # sources make it primitive, and curves sort by degree first
+    Mutant(
+        "parsed-tuple-not-primitive",
+        "serialize.py",
+        "return _primitive([num * (scale // den) for num, den in zip(nums, dens)])",
+        "return tuple([num * (scale // den) for num, den in zip(nums, dens)])",
+        ("tests/test_projective.py::test_every_producer_stores_a_primitive_tuple",),
+    ),
+    Mutant(
+        "conic-space-not-primitive",
+        "projective.py",
+        "return tuple(Conic._of(_primitive(vec)) for vec in linalg.kernel(rows, ncols)[1])",
+        "return tuple(Conic._of(tuple(vec)) for vec in linalg.kernel(rows, ncols)[1])",
+        ("tests/test_projective.py::test_every_producer_stores_a_primitive_tuple",),
+    ),
+    Mutant(
+        "line-span-not-primitive",
+        "projective.py",
+        "return tuple(Point._of(_primitive(v)) for v in _span(line.ints))",
+        "return tuple(Point._of(v) for v in _span(line.ints))",
+        ("tests/test_projective.py::test_every_producer_stores_a_primitive_tuple",),
+    ),
+    Mutant(
+        "conic-sorts-before-line",
+        "projective.py",
+        "return self.degree < other.degree",
+        "return self.degree > other.degree",
+        ("tests/test_projective.py::test_a_line_sorts_before_a_conic_and_a_point_compares_with_neither",),
+    ),
     Mutant(
         "empty-report-path-accepted",
         "serialize.py",

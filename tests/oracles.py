@@ -16,7 +16,10 @@ weights (`weight_of`) and the blend and rescale constructions use only
 the `DivisorCurrent` constructor and its `components`, and
 `bezout_excess` finds the meets on a curve by form evaluation and sums
 over them the density function it is given; `form_gradient` takes a
-conic's gradient by polarization of its form. From `planecurrents` only the
+conic's gradient by polarization of its form. `level_contains` tests
+membership in a level set by the same form evaluation, and `is_primitive`
+checks an integer tuple by its gcd and the sign of its first nonzero
+entry. From `planecurrents` only the
 classes `Point`, `Line`, `Conic`, `DivisorCurrent` and `LevelSet` are
 imported.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from hypothesis import strategies as st
 
@@ -491,6 +494,23 @@ def level_set_oracle(current, threshold, strict):
         and all(_form(c, p.coords) != 0 for c in curves)
     )
     return curves, tuple(isolated)
+
+
+def level_contains(level, point) -> bool:
+    """Membership of a point in a level set as a set of plane points: it is
+    one of the isolated points, or a component curve's form vanishes at it."""
+    return point in level.isolated_points or any(
+        _form(c, point.coords) == 0 for c in level.component_curves
+    )
+
+
+def is_primitive(ints) -> bool:
+    """True iff an integer tuple is the primitive representative of its
+    class: every entry an int, gcd 1, and the first nonzero entry positive."""
+    ints = tuple(ints)
+    if not all(type(x) is int for x in ints):
+        return False
+    return next((x for x in ints if x), 0) > 0 and gcd(*ints) == 1
 
 
 def random_point(rng: random.Random, bound: int = 6) -> Point:

@@ -105,7 +105,7 @@ def exhaustive_sweep(grid: SweepGrid) -> SweepReport:
                 else:
                     level = current.level_set(beta_of(alpha), strict=True)
                     verdict = conic_cover_check(level)
-                if level.is_finite() and level.isolated_points:
+                if not level.component_curves and level.isolated_points:
                     m2s.append(max_on_curve(level.isolated_points, 2))
                 if isinstance(verdict, Covered):
                     report.covered += 1

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from planecurrents import projective
+from planecurrents import harness, projective, serialize
 from planecurrents.errors import (
     EqualLines,
     EqualPoints,
@@ -17,6 +18,7 @@ from planecurrents.errors import (
 from planecurrents.projective import (
     _cross,
     _primitive,
+    _rational_form,
     _sixes_on_a_conic,
     Conic,
     Line,
@@ -49,6 +51,7 @@ from oracles import (
     conic_rank_oracle,
     form_gradient,
     homogeneous_tuples,
+    is_primitive,
     m1_oracle,
     m2_minor_oracle,
     m2_oracle,
@@ -147,6 +150,63 @@ def test_join_is_the_primitive_cross_product(a, b):
     assume(any(cross))
     got = join(a, b)
     assert got == _primitive(cross) and type(got) is tuple
+
+
+@given(homogeneous_tuples(3), homogeneous_tuples(3), homogeneous_tuples(3), st.integers(0, 2**32))
+@example((-1, -1, -2), (0, -2, 4), (-3, 0, 6), 0)  # negative leads and common factors
+def test_every_producer_stores_a_primitive_tuple(a, b, c, seed):
+    # `_of` stores a tuple as given, so each source of tuples must make
+    # them primitive: the constructors, the joins and meets, the product
+    # of two lines, the conic space, the points spanning a line, the
+    # parsed documents and the drawn lines and points of `search`
+    p, q, r = Point(*a), Point(*b), Point(*c)
+    l1, l2, l3 = Line(*a), Line(*b), Line(*c)
+    pair = conic_from_lines(l2, l3)
+    made = [p, q, r, l1, l2, l3, pair, *two_points_on_line(l1), *conic_space([p, q, r])]
+    made += [serialize.parse_point([str(x) for x in a]), serialize.parse_line([str(x) for x in b])]
+    made.append(serialize.parse_conic([str(x) for x in a + c]))
+    if p != q:
+        made += [line_through(p, q), meet(l1, l2)]
+    tuples = []
+    if not line_in_conic(l1, pair):
+        tuples += meets(l1.ints, pair.ints)
+    rng = random.Random(seed)
+    tuples += [harness._random_line(rng, 5), *harness._distinct_points(rng, 5, 3)]
+    for ints in [x.ints for x in made] + tuples:
+        assert is_primitive(ints), ints
+
+
+def test_irrational_meet_message_names_the_primitive_curves():
+    message = "Line(1, 0, 0) meets Conic(1, 0, 0, 1, 0, -3) in points with irrational coordinates"
+    for line, conic in (((1, 0, 0), (1, 0, 0, 1, 0, -3)), ((-2, 0, 0), (-3, 0, 0, -3, 0, 9))):
+        with pytest.raises(IrrationalIntersection, match=f"^{re.escape(message)}$"):
+            meets(line, conic)
+
+
+def test_a_line_sorts_before_a_conic_and_a_point_compares_with_neither():
+    # z^2 has the smaller rational form, but a line sorts first by degree
+    line, conic = Line(1, 0, 0), Conic(0, 0, 0, 0, 0, 1)
+    assert line < conic and not conic < line
+    assert sorted([conic, line]) == [line, conic]
+    for curve in (line, conic):
+        with pytest.raises(TypeError):
+            Point(1, 0, 0) < curve
+        with pytest.raises(TypeError):
+            curve < Point(0, 0, 1)
+    with pytest.raises(TypeError):
+        line < (1, 0, 0)
+
+
+@given(homogeneous_tuples(6, bound=30))
+def test_rational_form_is_the_text_of_the_fractions(v):
+    ints = _primitive(v)
+    lead = next(x for x in ints if x)
+    text = [str(Fraction(x, lead)) for x in ints]
+    assert _rational_form(ints) == text
+    point = Point(*v[:3]) if any(v[:3]) else Point(*v[3:])
+    assert repr(Conic(*v)) == f"Conic({', '.join(text)})"
+    assert repr(point) == f"Point({', '.join(map(str, point.coords))})"
+    assert str(point) == "(%s : %s : %s)" % point.coords
 
 
 def test_incidence_basics():
