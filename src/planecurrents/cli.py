@@ -28,7 +28,7 @@ from typing import Optional
 from . import serialize
 from .cover import Covered, evaluate_cover, verify_verdict
 from .errors import InvalidSpec, ParseError, PlaneCurrentsError
-from .projective import max_on_curve
+from .projective import Point, max_on_curve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,8 +52,9 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read file ({exc})", path) from None
-    except ValueError as exc:
-        # JSONDecodeError, and the int-digits limit on huge integers
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the int-digits limit on huge integers, and arrays
+        # or objects nested deeper than the interpreter's recursion limit
         raise ParseError(f"invalid JSON ({exc})", path) from None
 
 
@@ -97,8 +98,8 @@ def cmd_check(args) -> int:
     document = {
         "command": "check",
         "instance": serialize.current_to_payload(current, alpha),
-        "alpha": serialize.format_rational(alpha),
-        "mass": serialize.format_rational(current.mass),
+        "alpha": str(alpha),
+        "mass": str(current.mass),
     }
     outcome = evaluate_cover(current, alpha)
     if outcome.reason is not None:
@@ -107,16 +108,16 @@ def cmd_check(args) -> int:
         _write_report(args.out, document)
         print(f"precondition failed: {outcome.reason}", file=sys.stderr)
         return EXIT_PRECONDITION
-    document["beta"] = serialize.format_rational(outcome.beta)
+    document["beta"] = str(outcome.beta)
     if outcome.heavy_curves:
         document["heavy_curves"] = [
-            {"curve": serialize.curve_to_json(c), "weight": serialize.format_rational(w)}
+            {"curve": serialize.curve_to_json(c), "weight": str(w)}
             for w, c in outcome.heavy_curves
         ]
     document["heavy_points"] = [
         {
-            "point": serialize.point_to_json(p),
-            "lelong": serialize.format_rational(current.lelong_number(p)),
+            "point": serialize.coordinates_to_json(p),
+            "lelong": str(current.lelong_number(p)),
         }
         for p in outcome.heavy_points
     ]
@@ -140,12 +141,12 @@ def cmd_lelong(args) -> int:
     coords = args.point.split(",")
     if len(coords) != 3:
         raise ParseError('expected "x,y,z"', "--point")
-    point = serialize.parse_point(coords, "--point")
+    point = serialize.parse_coordinates(Point, coords, "--point")
     value = current.lelong_number(point)
     document = {
         "command": "lelong",
-        "point": serialize.point_to_json(point),
-        "lelong": serialize.format_rational(value),
+        "point": serialize.coordinates_to_json(point),
+        "lelong": str(value),
     }
     _write_report(args.out, document, document["lelong"])
     return EXIT_OK
@@ -185,16 +186,16 @@ def cmd_search(args) -> int:
     alphas = tuple(
         serialize.parse_rational(a, "--alpha") for a in (args.alpha or ["1/2"])
     )
-    spec = GenSpec(
-        n_lines=args.lines,
-        n_conics=args.conics,
-        coefficient_bound=args.coeff_bound,
-        weight_scheme=args.weight_scheme,
-        alphas=alphas,
-        seed=args.seed,
-    )
     started = time.perf_counter()
     try:
+        spec = GenSpec(
+            n_lines=args.lines,
+            n_conics=args.conics,
+            coefficient_bound=args.coeff_bound,
+            weight_scheme=args.weight_scheme,
+            alphas=alphas,
+            seed=args.seed,
+        )
         report = run_suite(spec, args.trials)
     except InvalidSpec as exc:
         print(f"search: {exc}", file=sys.stderr)

@@ -14,8 +14,8 @@ concentrates density on purpose:
                 meets the hypothesis, so validity is certain for alpha
                 < 1. The weight is capped at 9/10, or at alpha when
                 alpha > 9/10; at alpha = 1 the other lines get weight
-                0, so the draw is skipped-degenerate. `GenSpec.validate`
-                rejects alpha > 1, which no weight reaches.
+                0, so the draw is skipped-degenerate. `GenSpec` rejects
+                alpha > 1, which no weight reaches, in `__post_init__`.
 * "scatter":    unstructured lines through random point pairs; almost
                 always tagged skipped-precondition, kept as a negative
                 control.
@@ -60,13 +60,7 @@ from .cover import TWO_FIFTHS, Covered, Outcome, evaluate_cover, verify_verdict
 from .currents import DivisorCurrent
 from .errors import InvalidSpec, IrrationalIntersection
 from .projective import Line, Point, Triple, _cross, _primitive, conic_space, is_irreducible, join
-from .serialize import (
-    MAX_CURVES,
-    current_to_payload,
-    format_rational,
-    level_set_to_json,
-    verdict_to_json,
-)
+from .serialize import MAX_CURVES, current_to_payload, level_set_to_json, verdict_to_json
 
 TAG_OK = "ok"
 TAG_PRECONDITION = "skipped-precondition"
@@ -87,7 +81,8 @@ LINE_ATTEMPTS = 60
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Parameters of the deterministic instance stream."""
+    """Parameters of the deterministic instance stream, checked when the
+    spec is made; `alphas` is stored as a tuple of `Fraction`s."""
 
     n_lines: int = 4
     n_conics: int = 0
@@ -96,7 +91,7 @@ class GenSpec:
     alphas: tuple[Fraction, ...] = (Fraction(1, 2),)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_lines < 3:
             raise InvalidSpec("n_lines must be at least 3")
         if self.n_conics not in (0, 1):
@@ -113,14 +108,16 @@ class GenSpec:
             raise InvalidSpec(f"coefficient_bound must be at most 2**31 = {MAX_COEFFICIENT_BOUND}")
         if self.weight_scheme not in ("uniform", "random"):
             raise InvalidSpec(f"unknown weight scheme {self.weight_scheme!r}")
-        if not self.alphas:
+        alphas = tuple(map(Fraction, self.alphas))
+        if not alphas:
             raise InvalidSpec("at least one alpha is required")
-        for a in self.alphas:
-            if Fraction(a) <= TWO_FIFTHS:
+        for a in alphas:
+            if a <= TWO_FIFTHS:
                 raise InvalidSpec(f"alpha must exceed 2/5, got {a}")
-            if Fraction(a) > 1:
+            if a > 1:
                 # a unit-mass current has every weight and density at most 1
                 raise InvalidSpec(f"alpha must be at most 1, got {a}")
+        object.__setattr__(self, "alphas", alphas)
 
     def summary(self) -> dict:
         return {
@@ -129,7 +126,7 @@ class GenSpec:
             "coefficient_bound": self.coefficient_bound,
             "weight_scheme": self.weight_scheme,
             "denominator_bound": DENOMINATOR_BOUND,
-            "alphas": [format_rational(a) for a in self.alphas],
+            "alphas": [str(a) for a in self.alphas],
             "seed": self.seed,
         }
 
@@ -260,7 +257,7 @@ def _conic_pencil(rng, spec: GenSpec) -> Optional[list]:
 
 
 def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstance:
-    alpha = Fraction(spec.alphas[_below(rng, len(spec.alphas))])
+    alpha = spec.alphas[_below(rng, len(spec.alphas))]
     strategies = ["pencils", "scatter"]
     if spec.weight_scheme == "random":
         strategies.append("heavy-line")
@@ -311,7 +308,6 @@ def _build_one(rng: random.Random, spec: GenSpec, index: int) -> GeneratedInstan
 
 def generate(spec: GenSpec) -> Iterator[GeneratedInstance]:
     """Deterministic infinite stream of tagged instances."""
-    spec.validate()
     rng = random.Random(spec.seed)
     index = 0
     while True:
@@ -327,7 +323,6 @@ def run_suite(spec: GenSpec, trials: int) -> dict:
     The expected outcome is zero counterexamples; any counterexample
     payload re-verifies standalone and signals an implementation bug.
     """
-    spec.validate()
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
     valid = covered = 0

@@ -410,9 +410,13 @@ def _span(line: Sequence[int]) -> tuple[Triple, Triple]:
     return ((0, l2, -l1), (-l2, 0, l0)) if l2 else ((0, 0, 1), (l1, -l0, 0))
 
 
-def two_points_on_line(line: Line) -> tuple[Point, Point]:
-    """Two distinct canonical points spanning the line."""
-    return tuple(Point._of(_primitive(v)) for v in _span(line.ints))
+def _restriction(line: Sequence[int], conic: Sequence[int]) -> tuple[int, int, int]:
+    """(a, b, c) with q(u + t*v) = c + b*t + a*t^2: the quadratic form q
+    with coefficients `conic` on the line through the `_span` points u and
+    v of `line`. All three are zero exactly when the line divides q."""
+    u, v = _span(line)
+    a, c = _form(conic, v), _form(conic, u)
+    return a, _form(conic, (u[0] + v[0], u[1] + v[1], u[2] + v[2])) - a - c, c
 
 
 def _line_conic_meets(line: Sequence[int], conic: Sequence[int]) -> list[tuple[int, ...]]:
@@ -422,11 +426,9 @@ def _line_conic_meets(line: Sequence[int], conic: Sequence[int]) -> list[tuple[i
     Raises IrrationalIntersection when the intersection exists only over a
     quadratic extension (or as a complex-conjugate pair).
     """
+    # v itself is t = inf, and a root t = r/s is the point s*u + r*v
+    a, b, c = _restriction(line, conic)
     u, v = _span(line)
-    # q(u + t*v) = c + b*t + a*t^2; v itself is t = inf, and a root t = r/s
-    # is the point s*u + r*v
-    a, c = _form(conic, v), _form(conic, u)
-    b = _form(conic, (u[0] + v[0], u[1] + v[1], u[2] + v[2])) - a - c
     if a == 0:
         if b == c == 0:
             raise ValueError("line is contained in the conic")
@@ -470,10 +472,5 @@ def intersect_curves(c1: Curve, c2: Curve) -> tuple[Point, ...]:
 
 def line_in_conic(line: Line, conic: Conic) -> bool:
     """True iff the line divides the quadratic form."""
-    u, v = two_points_on_line(line)
-    return (
-        _form(conic.ints, u.ints) == 0
-        and _form(conic.ints, v.ints) == 0
-        and _dot(conic_gradient(conic, u), v.ints) == 0
-    )
+    return not any(_restriction(line.ints, conic.ints))
 

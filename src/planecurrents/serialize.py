@@ -1,15 +1,18 @@
 """Exact JSON (de)serialization.
 
-Rationals travel as strings "p/q" (or plain integers) and are emitted in
-lowest terms with positive denominators, so every report round-trips
-bit-exactly and no floating point ever enters the data path. Curve and
-point coefficients parse straight to primitive integer tuples, without a
+Rationals travel as strings "p/q" (or plain integers) and are written as
+`str` writes a `Fraction`: in lowest terms, with a positive denominator,
+and as the integer alone when the denominator is 1. So every report
+round-trips bit-exactly and no floating point ever enters the data path.
+Point, line and conic coordinates have one reader, `parse_coordinates`,
+which parses them straight to primitive integer tuples, without a
 `Fraction`, in one loop when well formed; errors are diagnosed in a fixed
-order. They are written by `projective._rational_form`, the text that
-`repr` shows too. Conic coefficients use the fixed monomial order
-(x^2, xy, xz, y^2, yz, z^2). Reports are written exactly as
-`json.dumps(document, indent=2, sort_keys=True)` writes them, as bytes
-to a temporary file that is then renamed into place.
+order. They have one writer, `coordinates_to_json`, which writes
+`projective._rational_form`, the text that `repr` shows too. Conic
+coefficients use the fixed monomial order (x^2, xy, xz, y^2, yz, z^2).
+Reports are written exactly as `json.dumps(document, indent=2,
+sort_keys=True)` writes them, as bytes to a temporary file that is then
+renamed into place.
 
 Instance documents look like
 
@@ -20,7 +23,10 @@ Instance documents look like
       "alpha": "1/2"                        # optional
     }
 
-Validation failures raise ParseError with the offending field path.
+Every coefficient, coordinate, weight and alpha of a document is capped at
+MAX_COEFFICIENT_LENGTH characters, and the common denominator of the
+weights at MAX_DENOMINATOR_DIGITS digits. Validation failures raise
+ParseError with the offending field path.
 """
 
 from __future__ import annotations
@@ -53,27 +59,38 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 MAX_POINTS = 12
 
 # Most lines plus conics in an instance document, and most characters in a
-# curve coefficient or point coordinate (its JSON string, or an integer's
-# decimal form). The incidence map meets every pair of components, and a
-# level set can return every meet, so the first cap bounds work that grows
-# with the square of the count. Every meet, density and bracket multiplies
-# coefficients or coordinates, so the second bounds the size of each
-# product. The count is checked before any curve is built; the length is
-# checked one coefficient list at a time, as that list is parsed, so the
-# curves listed before an over-long entry are already built.
+# curve coefficient, point coordinate, weight or alpha (its JSON string, or
+# an integer's decimal form). The incidence map meets every pair of
+# components, and a level set can return every meet, so the first cap
+# bounds work that grows with the square of the count. Every meet, density
+# and bracket multiplies coefficients or coordinates, so the second bounds
+# the size of each product. The count is checked before any curve is built;
+# the length is checked one coefficient list at a time, as that list is
+# parsed, so the curves listed before an over-long entry are already built.
 MAX_CURVES = 100
 MAX_COEFFICIENT_LENGTH = 64
 
-
-def format_rational(value: Fraction | int) -> str:
-    num, den = value.numerator, value.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+# Most decimal digits of `den`, the common denominator of a document's
+# weights. 100 weights of 64 characters can have coprime denominators of 62
+# digits, whose lcm has some 6,200. The mass and every density are an
+# integer over `den` below 2 * MAX_CURVES * 10**MAX_COEFFICIENT_LENGTH, so
+# with this cap every rational a report writes has at most 1,067 digits,
+# well under the interpreter's 4,300-digit limit on int-to-text conversion.
+MAX_DENOMINATOR_DIGITS = 1000
+_DENOMINATOR_LIMIT = 10**MAX_DENOMINATOR_DIGITS
 
 
 def _shown(text: str) -> str:
     """A rejected string as an error message shows it: its repr, or its
     length alone when it is longer than MAX_COEFFICIENT_LENGTH."""
     return repr(text) if len(text) <= MAX_COEFFICIENT_LENGTH else f"of {len(text)} characters"
+
+
+def _check_length(value: Any, path: str) -> None:
+    """Reject a string, or an integer by its decimal form, longer than
+    MAX_COEFFICIENT_LENGTH characters."""
+    if isinstance(value, (str, int)) and len(str(value)) > MAX_COEFFICIENT_LENGTH:
+        raise ParseError(f"{len(str(value))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed", path)
 
 
 def _ratio(value: Any, path: str) -> tuple[int, int]:
@@ -103,14 +120,15 @@ def parse_rational(value: Any, path: str = "rational") -> Fraction:
     return Fraction(*_ratio(value, path))
 
 
-def _parse_tuple(value: Any, size: int, path: str) -> tuple[int, ...]:
-    """`size` rationals, not all zero, each written in at most
-    MAX_COEFFICIENT_LENGTH characters, as the primitive integer tuple
-    with the same ratios, which `_of` stores as given. One loop takes a
-    list of `size` strings of the rational grammar and builds no path or
+def parse_coordinates(cls: type, value: Any, path: str) -> Point | Line | Conic:
+    """A `Point`, `Line` or `Conic` from `cls._size` rationals, not all zero,
+    each written in at most MAX_COEFFICIENT_LENGTH characters, stored as the
+    primitive integer tuple with the same ratios. One loop takes a list of
+    `cls._size` strings of the rational grammar and builds no path or
     message; anything else falls through to the checks, which raise the
-    first error in this order: the cap on every entry, the shape, the
-    first entry that is not a rational, all zeros."""
+    first error in this order: the cap on every entry, the shape, the first
+    entry that is not a rational, all zeros."""
+    size = cls._size
     nums, dens = [], []
     if type(value) is list and len(value) == size:
         for v in value:
@@ -122,58 +140,34 @@ def _parse_tuple(value: Any, size: int, path: str) -> tuple[int, ...]:
             dens.append(int(den))
     if len(nums) < size or not any(nums) or not all(dens):
         for i, v in enumerate(value if isinstance(value, (list, tuple)) else ()):
-            if isinstance(v, (str, int)) and len(str(v)) > MAX_COEFFICIENT_LENGTH:
-                message = f"{len(str(v))} characters, at most {MAX_COEFFICIENT_LENGTH} are allowed"
-                raise ParseError(message, f"{path}[{i}]")
+            _check_length(v, f"{path}[{i}]")
         if not isinstance(value, (list, tuple)) or len(value) != size:
             raise ParseError(f"expected a list of {size} rationals", path)
         nums, dens = zip(*[_ratio(v, f"{path}[{i}]") for i, v in enumerate(value)])
         if not any(nums):
             raise ParseError("all coefficients are zero", path)
     scale = lcm(*dens)
-    return _primitive([num * (scale // den) for num, den in zip(nums, dens)])
+    return cls._of(_primitive([num * (scale // den) for num, den in zip(nums, dens)]))
 
 
-def point_to_json(p: Point) -> list[str]:
-    return _rational_form(p.ints)
-
-
-def parse_point(value: Any, path: str = "point") -> Point:
-    return Point._of(_parse_tuple(value, 3, path))
-
-
-def line_to_json(line: Line) -> list[str]:
-    return _rational_form(line.ints)
-
-
-def parse_line(value: Any, path: str = "line") -> Line:
-    return Line._of(_parse_tuple(value, 3, path))
-
-
-def conic_to_json(conic: Conic) -> list[str]:
-    return _rational_form(conic.ints)
-
-
-def parse_conic(value: Any, path: str = "conic") -> Conic:
-    return Conic._of(_parse_tuple(value, 6, path))
+def coordinates_to_json(x: Point | Line | Conic) -> list[str]:
+    return _rational_form(x.ints)
 
 
 def curve_to_json(curve: Curve) -> dict:
-    if isinstance(curve, Line):
-        return {"kind": "line", "coefficients": line_to_json(curve)}
-    return {"kind": "conic", "coefficients": conic_to_json(curve)}
+    return {"kind": ("line", "conic")[curve.degree - 1], "coefficients": coordinates_to_json(curve)}
 
 
 def current_to_payload(current: DivisorCurrent, alpha: Optional[Fraction] = None) -> dict:
     """Instance-file payload for a current (lines first, then conics, the
     order of its components)."""
     payload = {
-        "lines": [line_to_json(c) for c in current.curves if c.degree == 1],
-        "conics": [conic_to_json(c) for c in current.curves if c.degree == 2],
-        "weights": [format_rational(w) for w, _ in current.components],
+        "lines": [coordinates_to_json(c) for c in current.curves if c.degree == 1],
+        "conics": [coordinates_to_json(c) for c in current.curves if c.degree == 2],
+        "weights": [str(w) for w, _ in current.components],
     }
     if alpha is not None:
-        payload["alpha"] = format_rational(alpha)
+        payload["alpha"] = str(alpha)
     return payload
 
 
@@ -182,9 +176,11 @@ def parse_instance(payload: Any) -> tuple[DivisorCurrent, Optional[Fraction]]:
 
     Checks the MAX_CURVES cap before any curve is built, then each
     coefficient list in turn (the MAX_COEFFICIENT_LENGTH cap on its
-    entries, then a nonzero tuple), then nonnegative weights, weight count,
-    irreducibility of conic components, and (when alpha is present) that
-    the mass is exactly 1.
+    entries, then a nonzero tuple), then the weight count, each weight (the
+    same cap, then a nonnegative rational), irreducibility of conic
+    components, the MAX_DENOMINATOR_DIGITS cap on the weights' common
+    denominator, and, when alpha is present, alpha (the same cap, then a
+    rational) and a mass of exactly 1.
     """
     if not isinstance(payload, dict):
         raise ParseError("instance document must be a JSON object", "$")
@@ -198,10 +194,8 @@ def parse_instance(payload: Any) -> tuple[DivisorCurrent, Optional[Fraction]]:
         raise ParseError(
             f"{len(lines_raw) + len(conics_raw)} lines and conics, at most {MAX_CURVES} are allowed", "$"
         )
-    curves: list[Curve] = [
-        parse_line(v, f"lines[{i}]") for i, v in enumerate(lines_raw)
-    ]
-    curves += [parse_conic(v, f"conics[{i}]") for i, v in enumerate(conics_raw)]
+    curves: list[Curve] = [parse_coordinates(Line, v, f"lines[{i}]") for i, v in enumerate(lines_raw)]
+    curves += [parse_coordinates(Conic, v, f"conics[{i}]") for i, v in enumerate(conics_raw)]
     weights_raw = payload.get("weights")
     if not isinstance(weights_raw, list) or len(weights_raw) != len(curves):
         raise ParseError(
@@ -210,22 +204,25 @@ def parse_instance(payload: Any) -> tuple[DivisorCurrent, Optional[Fraction]]:
         )
     pairs = []
     for i, (raw, curve) in enumerate(zip(weights_raw, curves)):
+        _check_length(raw, f"weights[{i}]")
         w = parse_rational(raw, f"weights[{i}]")
         if w.numerator < 0:
-            raise ParseError(f"weight {format_rational(w)} is negative", f"weights[{i}]")
+            raise ParseError(f"weight {w} is negative", f"weights[{i}]")
         pairs.append((w, curve))
     try:
         current = DivisorCurrent(pairs)
     except PlaneCurrentsError as exc:
         raise ParseError(str(exc), "conics") from None
+    if current.den >= _DENOMINATOR_LIMIT:
+        raise ParseError(
+            f"the common denominator of the weights has more than {MAX_DENOMINATOR_DIGITS} digits", "weights"
+        )
     alpha = None
     if "alpha" in payload:
+        _check_length(payload["alpha"], "alpha")
         alpha = parse_rational(payload["alpha"], "alpha")
         if current.mass != 1:
-            raise ParseError(
-                f"mass is {format_rational(current.mass)}, must be exactly 1 when alpha is given",
-                "weights",
-            )
+            raise ParseError(f"mass is {current.mass}, must be exactly 1 when alpha is given", "weights")
     return current, alpha
 
 
@@ -236,17 +233,15 @@ def parse_points_file(payload: Any) -> tuple[Point, ...]:
         raise ParseError(
             f"{len(payload['points'])} points, at most {MAX_POINTS} are allowed", "points"
         )
-    return tuple(
-        parse_point(v, f"points[{i}]") for i, v in enumerate(payload["points"])
-    )
+    return tuple(parse_coordinates(Point, v, f"points[{i}]") for i, v in enumerate(payload["points"]))
 
 
 def level_set_to_json(level: LevelSet) -> dict:
     return {
-        "threshold": format_rational(level.threshold),
+        "threshold": str(level.threshold),
         "strict": level.strict,
         "component_curves": [curve_to_json(c) for c in level.component_curves],
-        "isolated_points": [point_to_json(p) for p in level.isolated_points],
+        "isolated_points": [coordinates_to_json(p) for p in level.isolated_points],
     }
 
 
@@ -255,7 +250,7 @@ def verdict_to_json(verdict: Verdict) -> dict:
         return {
             "kind": "covered",
             "witness": curve_to_json(verdict.witness),
-            "omitted": None if verdict.omitted is None else point_to_json(verdict.omitted),
+            "omitted": None if verdict.omitted is None else coordinates_to_json(verdict.omitted),
         }
     obstruction = verdict.obstruction
     if isinstance(obstruction, UncoverableCurve):
@@ -263,7 +258,7 @@ def verdict_to_json(verdict: Verdict) -> dict:
     else:
         payload = {
             "kind": "points",
-            "points": [point_to_json(p) for p in obstruction.points],
+            "points": [coordinates_to_json(p) for p in obstruction.points],
         }
     return {"kind": "not-coverable", "obstruction": payload}
 

@@ -208,8 +208,8 @@ CATALOGUE = (
     Mutant(
         "parsed-tuple-not-primitive",
         "serialize.py",
-        "return _primitive([num * (scale // den) for num, den in zip(nums, dens)])",
-        "return tuple([num * (scale // den) for num, den in zip(nums, dens)])",
+        "return cls._of(_primitive([num * (scale // den) for num, den in zip(nums, dens)]))",
+        "return cls._of(tuple([num * (scale // den) for num, den in zip(nums, dens)]))",
         ("tests/test_projective.py::test_every_producer_stores_a_primitive_tuple",),
     ),
     Mutant(
@@ -220,18 +220,42 @@ CATALOGUE = (
         ("tests/test_projective.py::test_every_producer_stores_a_primitive_tuple",),
     ),
     Mutant(
-        "line-span-not-primitive",
-        "projective.py",
-        "return tuple(Point._of(_primitive(v)) for v in _span(line.ints))",
-        "return tuple(Point._of(v) for v in _span(line.ints))",
-        ("tests/test_projective.py::test_every_producer_stores_a_primitive_tuple",),
-    ),
-    Mutant(
         "conic-sorts-before-line",
         "projective.py",
         "return self.degree < other.degree",
         "return self.degree > other.degree",
         ("tests/test_projective.py::test_a_line_sorts_before_a_conic_and_a_point_compares_with_neither",),
+    ),
+    # one function per job at the edges: the line-conic restriction behind
+    # both meets and containment, the one curve writer, and the caps on
+    # the weights of a document
+    Mutant(
+        "restriction-polar-term-dropped",
+        "projective.py",
+        "- a - c, c",
+        "- a, c",
+        ("tests/test_projective.py::test_intersect_line_conic_matches_oracle",),
+    ),
+    Mutant(
+        "curve-kind-swapped",
+        "serialize.py",
+        '("line", "conic")',
+        '("conic", "line")',
+        ("tests/test_serialize.py::test_level_set_and_verdict_json",),
+    ),
+    Mutant(
+        "weight-length-uncapped",
+        "serialize.py",
+        '_check_length(raw, f"weights[{i}]")',
+        "pass",
+        ("tests/test_serialize.py::test_weights_and_alpha_are_capped_as_coefficients_are",),
+    ),
+    Mutant(
+        "denominator-cap-one-digit-late",
+        "serialize.py",
+        "if current.den >= _DENOMINATOR_LIMIT:",
+        "if current.den >= 10 * _DENOMINATOR_LIMIT:",
+        ("tests/test_serialize.py::test_common_denominator_of_the_weights_is_capped",),
     ),
     Mutant(
         "empty-report-path-accepted",

@@ -19,7 +19,9 @@ over them the density function it is given; `form_gradient` takes a
 conic's gradient by polarization of its form. `level_contains` tests
 membership in a level set by the same form evaluation, and `is_primitive`
 checks an integer tuple by its gcd and the sign of its first nonzero
-entry. From `planecurrents` only the
+entry. `line_points` gives two points of a line by solving its equation
+at x = 0 and y = 0 (or z = 0), and `holds_line` tests whether a form
+vanishes on a line at three of its points. From `planecurrents` only the
 classes `Point`, `Line`, `Conic`, `DivisorCurrent` and `LevelSet` are
 imported.
 """
@@ -365,6 +367,16 @@ def _line_basis(line) -> tuple[list, list]:
     e1[i], e1[k] = Fraction(1), -line.coeffs[i] / line.coeffs[k]
     e2[j], e2[k] = Fraction(1), -line.coeffs[j] / line.coeffs[k]
     return e1, e2
+
+
+def line_points(line) -> tuple[Point, Point]:
+    """Two distinct points of the line a*x + b*y + c*z = 0: its meets with
+    x = 0 and with y = 0 when c is nonzero, and otherwise (0 : 0 : 1),
+    which it then passes through, and its meet with z = 0."""
+    a, b, c = line.coeffs
+    if c:
+        return Point(0, c, -b), Point(-c, 0, a)
+    return Point(0, 0, 1), Point(b, -a, 0)
 
 
 def holds_line(curve, line) -> bool:

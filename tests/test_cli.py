@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 from fractions import Fraction
 
@@ -296,7 +297,7 @@ def test_mj_command(tmp_path, capsys):
     wide = arr.current.level_set(Fraction(1, 3), strict=False)
     path = tmp_path / "points.json"
     path.write_text(
-        serialize.dumps({"points": [serialize.point_to_json(p) for p in wide.isolated_points]})
+        serialize.dumps({"points": [serialize.coordinates_to_json(p) for p in wide.isolated_points]})
     )
     assert main(["mj", str(path), "--degree", "2"]) == 0
     out = capsys.readouterr().out
@@ -443,8 +444,8 @@ def test_check_at_alpha_one(tmp_path, capsys):
 
 
 def _parse_curve(document):
-    parse = serialize.parse_line if document["kind"] == "line" else serialize.parse_conic
-    return parse(document["coefficients"])
+    cls = Line if document["kind"] == "line" else Conic
+    return serialize.parse_coordinates(cls, document["coefficients"], document["kind"])
 
 
 def _is_component(curve, witness):
@@ -558,6 +559,48 @@ def test_check_caps_instance_documents(tmp_path, count, first, error):
     else:
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("check", ["--alpha", "1/2"]), ("lelong", ["--point", "1,1,1"]), ("levelset", ["--threshold", "1/2"]),
+     ("mj", ["--degree", "2"])],
+    ids=["check", "lelong", "levelset", "mj"],
+)
+def test_deeply_nested_json_is_a_parse_error(tmp_path, command, flags):
+    # json.load raised RecursionError on 200,000 nested arrays, and Python
+    # printed a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    report = tmp_path / "report.json"
+    proc = _run_cli(command, str(path), *flags, "--out", str(report))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"parse error: {path}: invalid JSON (") and proc.stderr.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "digits, error",
+    [
+        (62, "weights: the common denominator of the weights has more than 1000 digits"),
+        (4000, "weights[0]: 4002 characters, at most 64 are allowed"),
+    ],
+    ids=["64-character-weights", "4000-digit-weights"],
+)
+def test_check_caps_weights(tmp_path, capsys, digits, error):
+    # 100 lines k*x = y of weights 1/(10**(digits - 1) + k): the mass in the
+    # report had thousands of digits, past the interpreter's limit on
+    # int-to-text conversion, and the report ended in a traceback
+    lines = [[str(k), "-1", "0"] for k in range(100)]
+    weights = [f"1/{10 ** (digits - 1) + k}" for k in range(100)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"lines": lines, "conics": [], "weights": weights}))
+    report = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(["check", str(path), "--alpha", "1/2", "--out", str(report)]) == 1
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr() == ("", f"parse error: {error}\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

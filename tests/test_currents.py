@@ -27,7 +27,6 @@ from planecurrents.projective import (
     is_irreducible,
     line_through,
     meet,
-    two_points_on_line,
 )
 
 from oracles import (
@@ -39,6 +38,7 @@ from oracles import (
     lelong_oracle,
     level_contains,
     level_set_oracle,
+    line_points,
     mass_oracle,
     pairwise_meets_oracle,
     random_lines,
@@ -168,7 +168,7 @@ def test_level_set_monotonicity():
         t = random_unit_current(rng)
         probes = list(t.support_intersections())
         for line in t.curves:
-            u, v = (p.ints for p in two_points_on_line(line))
+            u, v = (p.ints for p in line_points(line))
             probes.extend(Point(*(a + k * b for a, b in zip(u, v))) for k in (1, 2, 3))
         t1 = Fraction(rng.randint(1, 5), rng.randint(6, 20))
         t2 = t1 + Fraction(1, rng.randint(4, 9))

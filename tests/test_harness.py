@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -26,24 +27,24 @@ from sweep import FRAME_LINES, GridTooLarge, SweepGrid, exhaustive_sweep
 
 def test_spec_validation():
     with pytest.raises(InvalidSpec):
-        GenSpec(n_lines=2).validate()
+        GenSpec(n_lines=2)
     with pytest.raises(InvalidSpec):
-        GenSpec(coefficient_bound=0).validate()
+        GenSpec(coefficient_bound=0)
     with pytest.raises(InvalidSpec, match=f"at most 2\\*\\*31 = {MAX_COEFFICIENT_BOUND}$"):
-        GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND + 1).validate()
-    GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND).validate()
+        GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND + 1)
+    GenSpec(coefficient_bound=MAX_COEFFICIENT_BOUND)
     for n_conics in (-1, 2):
         with pytest.raises(InvalidSpec, match=f"n_conics must be 0 or 1, got {n_conics}$"):
-            GenSpec(n_conics=n_conics).validate()
-    GenSpec(n_conics=1).validate()
-    GenSpec(n_lines=99, n_conics=1).validate()
+            GenSpec(n_conics=n_conics)
+    GenSpec(n_conics=1)
+    GenSpec(n_lines=99, n_conics=1)
     for n_lines, n_conics in ((101, 0), (100, 1)):
         with pytest.raises(InvalidSpec, match="n_lines \\+ n_conics must be at most 100, got 101$"):
-            GenSpec(n_lines=n_lines, n_conics=n_conics).validate()
+            GenSpec(n_lines=n_lines, n_conics=n_conics)
     with pytest.raises(InvalidSpec):
-        GenSpec(weight_scheme="exotic").validate()
+        GenSpec(weight_scheme="exotic")
     with pytest.raises(InvalidSpec):
-        GenSpec(alphas=(Fraction(2, 5),)).validate()
+        GenSpec(alphas=(Fraction(2, 5),))
     with pytest.raises(InvalidSpec):
         run_suite(GenSpec(), 0)
 
@@ -179,14 +180,14 @@ def test_heavy_line_draws_above_nine_tenths(alpha, tag, heaviest):
 def test_heavy_line_draws_above_one_are_invalid():
     # no weight or density of a unit-mass current reaches alpha > 1, so the
     # spec is rejected before any draw
-    spec = GenSpec(n_lines=5, weight_scheme="random", alphas=(Fraction(3, 2),), seed=1)
+    spec = partial(GenSpec, n_lines=5, weight_scheme="random", alphas=(Fraction(3, 2),), seed=1)
     with pytest.raises(InvalidSpec, match="^alpha must be at most 1, got 3/2$"):
-        spec.validate()
+        spec()
     with pytest.raises(InvalidSpec):
-        next(generate(spec))
+        next(generate(spec()))
     with pytest.raises(InvalidSpec):
-        run_suite(spec, 30)
-    GenSpec(alphas=(Fraction(1),)).validate()
+        run_suite(spec(), 30)
+    GenSpec(alphas=(Fraction(1),))
 
 
 @pytest.mark.parametrize("n_conics, scheme", [(0, "uniform"), (0, "random"), (1, "random")])

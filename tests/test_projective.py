@@ -37,7 +37,6 @@ from planecurrents.projective import (
     meets,
     multiplicity,
     on_common_curve,
-    two_points_on_line,
 )
 from planecurrents.serialize import MAX_POINTS
 
@@ -50,8 +49,10 @@ from oracles import (
     _veronese,
     conic_rank_oracle,
     form_gradient,
+    holds_line,
     homogeneous_tuples,
     is_primitive,
+    line_points,
     m1_oracle,
     m2_minor_oracle,
     m2_oracle,
@@ -162,9 +163,10 @@ def test_every_producer_stores_a_primitive_tuple(a, b, c, seed):
     p, q, r = Point(*a), Point(*b), Point(*c)
     l1, l2, l3 = Line(*a), Line(*b), Line(*c)
     pair = conic_from_lines(l2, l3)
-    made = [p, q, r, l1, l2, l3, pair, *two_points_on_line(l1), *conic_space([p, q, r])]
-    made += [serialize.parse_point([str(x) for x in a]), serialize.parse_line([str(x) for x in b])]
-    made.append(serialize.parse_conic([str(x) for x in a + c]))
+    made = [p, q, r, l1, l2, l3, pair, *line_points(l1), *conic_space([p, q, r])]
+    made += [serialize.parse_coordinates(Point, [str(x) for x in a], "point"),
+             serialize.parse_coordinates(Line, [str(x) for x in b], "line")]
+    made.append(serialize.parse_coordinates(Conic, [str(x) for x in a + c], "conic"))
     if p != q:
         made += [line_through(p, q), meet(l1, l2)]
     tuples = []
@@ -538,7 +540,7 @@ def test_two_points_and_samples_lie_on_line():
     rng = random.Random(23)
     for _ in range(50):
         line = line_through(*random_points(rng, 2))
-        u, v = two_points_on_line(line)
+        u, v = line_points(line)
         assert u != v and incident(u, line) and incident(v, line)
 
 
@@ -561,7 +563,7 @@ def test_intersect_line_conic_rational_cases():
 def _meets_match_oracle(line, conic) -> str:
     """Compare with the oracle; name the case: which quadratic coefficient
     is zero, or how many points there are."""
-    u, v = two_points_on_line(line)
+    u, v = line_points(line)
     try:
         expected = tuple(sorted(set(_line_meets(line, conic))))
     except ValueError:
@@ -587,7 +589,7 @@ def test_intersect_line_conic_matches_oracle():
             line = Line(*(scale * rng.randint(-6, 6) for _ in range(2)), rng.randint(1, 6))
             seen.append(_meets_match_oracle(line, conic))
             continue
-        # a conic through a point with y = 0, which two_points_on_line
+        # a conic through a point with y = 0, which line_points
         # gives as v for most lines through it
         p = Point(rng.choice([1, scale]), 0, rng.randint(-6, 6))
         pts = [p, *random_points(rng, 4)]
@@ -663,6 +665,24 @@ def test_line_in_conic():
     assert line_in_conic(other, pair)
     assert not line_in_conic(Line(1, 0, 0), pair)
     assert not line_in_conic(line, Conic(0, 0, 1, -1, 0, 0))
+
+
+@given(homogeneous_tuples(3), homogeneous_tuples(3), homogeneous_tuples(3), homogeneous_tuples(6))
+def test_line_in_conic_is_the_form_vanishing_at_three_points(a, b, c, d):
+    # the oracle evaluates the form at three distinct points of the line.
+    # The product of the line with another holds it; a product of two
+    # other lines through two of its points vanishes there and holds it
+    # only when one of them is the line; a drawn conic seldom holds it
+    line, other = Line(*a), Line(*b)
+    u, v = line_points(line)
+    pairs = [conic_from_lines(line, other), conic_from_lines(other, line), Conic(*d)]
+    w = Point(*c)
+    if w != u and w != v:
+        pairs.append(conic_from_lines(line_through(u, w), line_through(v, w)))
+    if not incident(w, line):
+        pairs.append(conic_from_lines(line_through(u, w), other))
+    for conic in pairs:
+        assert line_in_conic(line, conic) == holds_line(conic, line)
 
 
 def test_oracles_import_only_the_classes():

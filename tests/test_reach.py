@@ -5,7 +5,8 @@ kept on purpose.
 documents that the CI steps feed it: the gallery payloads, the
 hand-written instances, the point files at the caps, the three `search`
 specs (at 40 trials each), and the error documents and flags (over a cap,
-irrational meets, bad flags, unreadable files, an unwritable report). The
+irrational meets, bad flags, unreadable, malformed or too deeply nested
+files, an unwritable report). The
 profile records the code of every Python call. A function defined in a
 module of the package that no call reached fails the test unless `KEPT`
 names it, with a one-line reason; a `KEPT` name that a command reaches, or
@@ -123,6 +124,12 @@ def _documents(root: Path) -> dict[str, str]:
         "weights": ["1/101"] * 101,
         "alpha": "1/2",
     }
+    # 100 weights of 64 characters, whose common denominator is over its cap
+    docs["weights-64"] = {
+        "lines": [[str(k), "-1", "0"] for k in range(100)],
+        "conics": [],
+        "weights": [f"1/{10**61 + k}" for k in range(100)],
+    }
     docs["irrational"] = {
         "lines": [["1", "0", "0"]],
         "conics": [["1", "0", "0", "1", "0", "-3"]],
@@ -141,6 +148,8 @@ def _documents(root: Path) -> dict[str, str]:
         Path(paths[name]).write_text(json.dumps(doc))
     paths["not-json"] = str(root / "not-json.json")
     Path(paths["not-json"]).write_text("{")
+    paths["deep"] = str(root / "deep.json")
+    Path(paths["deep"]).write_text("[" * 200_000 + "]" * 200_000)
     paths["missing"] = str(root / "missing.json")
     return paths
 
@@ -184,6 +193,8 @@ def _runs(docs: dict[str, str], out: str) -> list[tuple[list[str], int]]:
         ["check", docs["two-conics"]],
         ["check", docs["missing"]],
         ["check", docs["not-json"]],
+        ["check", docs["deep"]],
+        ["check", docs["weights-64"], "--alpha", "1/2"],
         ["check", docs["points-12"]],
         ["check", docs["six-lines"], "--out", ""],
         ["check", docs["conic-chords"], "--alpha", "1/2/3"],

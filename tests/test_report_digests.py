@@ -230,8 +230,8 @@ def test_check(name, documents, tmp_path):
 
 def _levelset_argv(path, alpha, at):
     if at == "alpha":
-        return ["levelset", path, "--threshold", serialize.format_rational(alpha)]
-    return ["levelset", path, "--threshold", serialize.format_rational(beta_of(alpha)), "--strict"]
+        return ["levelset", path, "--threshold", str(alpha)]
+    return ["levelset", path, "--threshold", str(beta_of(alpha)), "--strict"]
 
 
 @pytest.mark.parametrize("at", ["alpha", "beta"])

@@ -22,9 +22,9 @@ def test_rational_round_trip():
     for text, value in (("1/2", Fraction(1, 2)), ("-3/9", Fraction(-1, 3)), ("7", 7)):
         parsed = serialize.parse_rational(text)
         assert parsed == Fraction(value)
-        assert serialize.parse_rational(serialize.format_rational(parsed)) == parsed
+        assert serialize.parse_rational(str(parsed)) == parsed
     assert serialize.parse_rational(5) == 5
-    assert serialize.format_rational(Fraction(84, 180)) == "7/15"
+    assert str(Fraction(84, 180)) == "7/15"
 
 
 def test_rational_errors_carry_position():
@@ -115,9 +115,9 @@ _coefficient = st.one_of(
 def test_coefficients_parse_as_the_constructors_do(raw):
     if all(Fraction(v) == 0 for v in raw[:3]):
         raw[0] = "-3/6"
-    for parse, cls, size in ((serialize.parse_point, Point, 3), (serialize.parse_line, Line, 3)):
-        assert parse(raw[:size]) == cls(*(Fraction(v) for v in raw[:size]))
-    assert serialize.parse_conic(raw) == Conic(*(Fraction(v) for v in raw))
+    for cls, size in ((Point, 3), (Line, 3)):
+        assert serialize.parse_coordinates(cls, raw[:size], "coordinates") == cls(*(Fraction(v) for v in raw[:size]))
+    assert serialize.parse_coordinates(Conic, raw, "conic") == Conic(*(Fraction(v) for v in raw))
 
 
 # entries that are not coefficients: over the 64-character cap (a string or
@@ -154,10 +154,7 @@ def _first_error(raw, size):
 @settings(max_examples=300)
 @given(st.data())
 def test_coefficient_lists_fail_at_their_first_error(data):
-    size, parse, cls, path = data.draw(st.sampled_from(
-        [(3, serialize.parse_line, Line, "lines[4]"), (6, serialize.parse_conic, Conic, "conics[0]"),
-         (3, serialize.parse_point, Point, "points[2]")]
-    ))
+    size, cls, path = data.draw(st.sampled_from([(3, Line, "lines[4]"), (6, Conic, "conics[0]"), (3, Point, "points[2]")]))
     raw = data.draw(st.lists(_coefficient, min_size=size, max_size=size))
     if data.draw(st.booleans()):
         raw = [data.draw(st.sampled_from(["0", 0, " -0/7", "+000"])) for _ in raw]
@@ -168,10 +165,10 @@ def test_coefficient_lists_fail_at_their_first_error(data):
            "string": ",".join(map(str, raw))}[shape]
     expected = _first_error(raw, size)
     if expected is None:
-        assert parse(raw, path) == cls(*(Fraction(v) for v in raw))
+        assert serialize.parse_coordinates(cls, raw, path) == cls(*(Fraction(v) for v in raw))
     else:
         with pytest.raises(ParseError) as err:
-            parse(raw, path)
+            serialize.parse_coordinates(cls, raw, path)
         assert str(err.value) == path + expected
 
 
@@ -219,9 +216,7 @@ def test_rational_rejects_exponents():
 
 def test_point_line_conic_json_is_the_rational_form_in_lowest_terms():
     rng = random.Random(61)
-    kinds = ((Point, 3, serialize.point_to_json), (Line, 3, serialize.line_to_json),
-             (Conic, 6, serialize.conic_to_json))
-    for cls, size, to_json in kinds:
+    for cls, size in ((Point, 3), (Line, 3), (Conic, 6)):
         for _ in range(300):
             if rng.random() < 0.7:
                 raw = random_homogeneous(rng, size)
@@ -229,20 +224,20 @@ def test_point_line_conic_json_is_the_rational_form_in_lowest_terms():
                 raw = [rng.choice([0, 1]) * rng.randint(-10**12, 10**12) for _ in range(size)]
                 if not any(raw):
                     raw[-1] = 2**61 - 1
-            assert to_json(cls(*raw)) == [str(f) for f in rational_form(raw)]
+            assert serialize.coordinates_to_json(cls(*raw)) == [str(f) for f in rational_form(raw)]
 
 
 def test_point_line_conic_round_trip():
     p = Point(2, -4, 6)
-    assert serialize.parse_point(serialize.point_to_json(p)) == p
+    assert serialize.parse_coordinates(Point, serialize.coordinates_to_json(p), "point") == p
     line = Line(0, 3, -3)
-    assert serialize.parse_line(serialize.line_to_json(line)) == line
+    assert serialize.parse_coordinates(Line, serialize.coordinates_to_json(line), "line") == line
     conic = Conic(0, 0, 1, -1, 0, 0)
-    assert serialize.parse_conic(serialize.conic_to_json(conic)) == conic
+    assert serialize.parse_coordinates(Conic, serialize.coordinates_to_json(conic), "conic") == conic
     with pytest.raises(ParseError):
-        serialize.parse_point(["0", "0", "0"])
+        serialize.parse_coordinates(Point, ["0", "0", "0"], "point")
     with pytest.raises(ParseError):
-        serialize.parse_line(["1", "2"])
+        serialize.parse_coordinates(Line, ["1", "2"], "line")
 
 
 def test_instance_round_trip_through_payload():
@@ -289,6 +284,52 @@ def test_instance_validation_errors():
     free.pop("alpha")
     current, alpha = serialize.parse_instance(free)
     assert alpha is None and current.mass != 1
+
+
+def test_weights_and_alpha_are_capped_as_coefficients_are():
+    good = serialize.current_to_payload(build("four-lines").current, Fraction(1, 2))
+    cap = serialize.MAX_COEFFICIENT_LENGTH
+    for field, value in (("weights", ["1/" + "4" * (cap - 1)] + good["weights"][1:]), ("alpha", "1/" + "3" * (cap - 1))):
+        path = "weights[0]" if field == "weights" else field
+        with pytest.raises(ParseError) as err:
+            serialize.parse_instance(dict(good, **{field: value}))
+        assert str(err.value) == f"{path}: {cap + 1} characters, at most {cap} are allowed"
+    # at the cap the weight parses, and then the mass is not 1
+    with pytest.raises(ParseError, match="^weights: mass is "):
+        serialize.parse_instance(dict(good, weights=["1/" + "4" * (cap - 2)] + good["weights"][1:]))
+
+
+def _coprime_denominators(digits):
+    """Powers of distinct primes, each of at most 62 digits, so that a
+    weight 1/q has at most 64 characters, whose product, their lcm, has
+    exactly `digits` digits: the odd primes first, each to the largest
+    power that fits below 10**digits, then 2, which brings the product to
+    at least half of 10**digits."""
+    dens = []
+    product = 1
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 2):
+        q = 1
+        while q * p < 10**62 and product * q * p < 10**digits:
+            q *= p
+        if q > 1:
+            dens.append(q)
+            product *= q
+    assert len(str(product)) == digits
+    return dens
+
+
+def test_common_denominator_of_the_weights_is_capped():
+    cap = serialize.MAX_DENOMINATOR_DIGITS
+    for digits in (cap, cap + 1):
+        dens = _coprime_denominators(digits)
+        payload = {"lines": [[str(k), "-1", "0"] for k in range(len(dens))], "weights": [f"1/{q}" for q in dens]}
+        if digits <= cap:
+            current, _ = serialize.parse_instance(payload)
+            assert len(str(current.den)) == digits
+        else:
+            with pytest.raises(ParseError) as err:
+                serialize.parse_instance(payload)
+            assert str(err.value) == f"weights: the common denominator of the weights has more than {cap} digits"
 
 
 def test_level_set_and_verdict_json():
