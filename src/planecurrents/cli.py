@@ -91,7 +91,11 @@ def cmd_verify_examples(args) -> int:
 def cmd_check(args) -> int:
     payload = _load_json(args.path)
     current, file_alpha = serialize.parse_instance(payload)
-    alpha = serialize.parse_rational(args.alpha, "--alpha") if args.alpha is not None else file_alpha
+    alpha = file_alpha
+    if args.alpha is not None:
+        # the cap of a document's alpha: beta's denominator must stay writable as text
+        serialize._check_length(args.alpha, "--alpha")
+        alpha = serialize.parse_rational(args.alpha, "--alpha")
     if alpha is None:
         print("check: no alpha given (use --alpha or an instance-file alpha)", file=sys.stderr)
         return EXIT_ERROR

@@ -111,6 +111,14 @@ CATALOGUE = (
         "ok = ok and True",
         ("tests/test_gallery.py::test_omits_one_fact_fails_on_a_wrong_label",),
     ),
+    # a set order in the output: the order of a set of labels follows their str hashes
+    Mutant(
+        "gallery-labels-in-set-order",
+        "gallery.py",
+        "for label in sorted(arr.points):",
+        "for label in set(arr.points):",
+        ("tests/test_hash_seed.py", "tests/test_report_digests.py::test_verify_examples_stdout"),
+    ),
     # verdicts, thresholds, exact arithmetic and report writing
     Mutant(
         "omission-is-the-last-coloop",
@@ -249,6 +257,13 @@ CATALOGUE = (
         '_check_length(raw, f"weights[{i}]")',
         "pass",
         ("tests/test_serialize.py::test_weights_and_alpha_are_capped_as_coefficients_are",),
+    ),
+    Mutant(
+        "check-alpha-flag-uncapped",
+        "cli.py",
+        'serialize._check_length(args.alpha, "--alpha")',
+        "pass",
+        ("tests/test_cli.py::test_check_alpha_is_capped_as_a_document_alpha",),
     ),
     Mutant(
         "denominator-cap-one-digit-late",

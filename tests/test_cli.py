@@ -18,19 +18,13 @@ from planecurrents.cli import main
 from planecurrents.gallery import build
 from planecurrents.projective import Conic, Line, line_in_conic
 
+import corpus
 from oracles import combine
 
 
 @pytest.fixture(scope="module")
 def instance_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("instances")
-    paths = {}
-    for name in ("four-lines", "three-lines", "seven-lines", "six-lines"):
-        arr = build(name)
-        path = root / f"{name}.json"
-        path.write_text(serialize.dumps(serialize.current_to_payload(arr.current, arr.alpha)))
-        paths[name] = str(path)
-    return paths
+    return corpus.documents(tmp_path_factory.mktemp("instances"))
 
 
 def test_verify_examples(capsys):
@@ -222,6 +216,20 @@ def test_check_empty_alpha_is_a_parse_error(instance_files, tmp_path, capsys):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [f"{5 * 10**4299 - 1}/{10**4300 - 1}", f"{10**34}/{2 * 10**34 + 1}"],
+    ids=["4300-digit-denominator", "71-characters"],
+)
+def test_check_alpha_is_capped_as_a_document_alpha(instance_files, tmp_path, capsys, alpha):
+    # beta's denominator had 4,301 digits, which `str` cannot write, and the
+    # run ended in a traceback; the flag now has the cap of a document's alpha
+    report_path = tmp_path / "report.json"
+    assert main(["check", instance_files["four-lines"], "--alpha", alpha, "--out", str(report_path)]) == 1
+    assert capsys.readouterr() == ("", f"parse error: --alpha: {len(alpha)} characters, at most 64 are allowed\n")
+    assert not report_path.exists()
+
+
 @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "empty"])
 def test_unwritable_report_is_an_error(tmp_path, capsys, monkeypatch, missing):
     # an empty --out names a file that cannot be written, as a missing
@@ -406,15 +414,11 @@ def test_check_instance_with_conic_component(tmp_path):
     assert report["verdict"]["witness"] == conic
 
 
-def test_check_heavy_conic_without_rational_points(tmp_path, capsys):
+def test_check_heavy_conic_without_rational_points(instance_files, tmp_path, capsys):
     # x^2 + y^2 = 3z^2 has no rational point, but its weight reaches alpha,
     # so every point on it is heavy and the instance is valid
-    path = tmp_path / "no-point.json"
-    path.write_text(json.dumps({
-        "lines": [], "conics": [["1", "0", "0", "1", "0", "-3"]], "weights": ["1/2"], "alpha": "9/20",
-    }))
     report_path = tmp_path / "no-point-report.json"
-    assert main(["check", str(path), "--out", str(report_path)]) == 0
+    assert main(["check", instance_files["heavy-conic"], "--out", str(report_path)]) == 0
     assert capsys.readouterr().out == "covered (omitted: none)\n"
     report = json.loads(report_path.read_text())
     assert report["status"] == "covered"
@@ -425,13 +429,11 @@ def test_check_heavy_conic_without_rational_points(tmp_path, capsys):
     assert report["verdict"] == {"kind": "covered", "witness": conic, "omitted": None}
 
 
-def test_check_at_alpha_one(tmp_path, capsys):
+def test_check_at_alpha_one(instance_files, tmp_path, capsys):
     # beta = (2/3)(1 - 1) = 0: the strict level set at 0 is every component
     # curve and no point, so the one line of weight 1 is its own witness
-    path = tmp_path / "alpha-one.json"
-    path.write_text(json.dumps({"lines": [["0", "0", "1"]], "conics": [], "weights": ["1"], "alpha": "1"}))
     report_path = tmp_path / "alpha-one-report.json"
-    assert main(["check", str(path), "--out", str(report_path)]) == 0
+    assert main(["check", instance_files["alpha-one"], "--out", str(report_path)]) == 0
     assert capsys.readouterr().out == "covered (omitted: none)\n"
     report = json.loads(report_path.read_text())
     assert report["beta"] == "0" and report["level_set"]["threshold"] == "0"
@@ -567,11 +569,10 @@ def test_check_caps_instance_documents(tmp_path, count, first, error):
      ("mj", ["--degree", "2"])],
     ids=["check", "lelong", "levelset", "mj"],
 )
-def test_deeply_nested_json_is_a_parse_error(tmp_path, command, flags):
+def test_deeply_nested_json_is_a_parse_error(instance_files, tmp_path, command, flags):
     # json.load raised RecursionError on 200,000 nested arrays, and Python
     # printed a traceback
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 200_000 + "]" * 200_000)
+    path = instance_files["deep"]
     report = tmp_path / "report.json"
     proc = _run_cli(command, str(path), *flags, "--out", str(report))
     assert (proc.returncode, proc.stdout) == (1, "")
@@ -604,22 +605,17 @@ def test_check_caps_weights(tmp_path, capsys, digits, error):
 
 
 @pytest.mark.parametrize(
-    "lines, conics, message",
+    "name, message",
     [
-        ([["1", "0", "0"]], [["1", "0", "0", "1", "0", "-3"]],
-         "Line(1, 0, 0) meets Conic(1, 0, 0, 1, 0, -3) in points with irrational coordinates"),
-        ([], [["0", "0", "1", "-1", "0", "0"], ["1", "0", "0", "1", "0", "-1"]],
-         "intersections of two conic components are not representable over the rationals"),
+        ("irrational", "Line(1, 0, 0) meets Conic(1, 0, 0, 1, 0, -3) in points with irrational coordinates"),
+        ("two-conics", "intersections of two conic components are not representable over the rationals"),
     ],
     ids=["line-conic", "two-conics"],
 )
-def test_check_irrational_meets_is_an_error(tmp_path, lines, conics, message):
+def test_check_irrational_meets_is_an_error(instance_files, tmp_path, name, message):
     # the incidence map raises on the first pair without rational meets:
     # exit 1, one stderr line and no report
-    path = tmp_path / "doc.json"
-    weights = ["1/10", "9/20"] if lines else ["1/4", "1/4"]
-    path.write_text(json.dumps({"lines": lines, "conics": conics, "weights": weights, "alpha": "9/20"}))
-    proc = _run_cli("check", str(path), "--out", str(tmp_path / "report.json"))
+    proc = _run_cli("check", instance_files[name], "--out", str(tmp_path / "report.json"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "report.json").exists()
 

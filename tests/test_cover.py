@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,7 +27,7 @@ from planecurrents.cover import (
 )
 from planecurrents.currents import DivisorCurrent, LevelSet
 from planecurrents.errors import AlphaOutOfRange, IrrationalIntersection, NonpositiveThreshold
-from planecurrents.serialize import MAX_POINTS
+from planecurrents.serialize import MAX_POINTS, parse_points_file
 from planecurrents.projective import (
     Conic,
     Line,
@@ -35,6 +37,7 @@ from planecurrents.projective import (
     max_on_curve,
 )
 
+import corpus
 from oracles import (
     _join,
     _veronese,
@@ -209,7 +212,7 @@ def test_omission_no_coloop():
     _assert_minimal((), verdict, 2)
 
 
-def test_omission_at_the_point_cap():
+def test_omission_at_the_point_cap(tmp_path):
     # nine points on y = 0 and three off it, not on one line: each of the
     # three is a coloop, and the first of them is omitted
     on_line = [Point(t, 0, 1) for t in range(-4, 5)]
@@ -232,6 +235,18 @@ def test_omission_at_the_point_cap():
             pts = set(random_wide_points(rng, MAX_POINTS, kind))
             for budget in (1, 2):
                 _matches_omission_oracle((), pts, budget)
+    # the point files of the command corpus, at 1 and at 64 digits: an
+    # obstruction is the canonical pruning, and without its first point it
+    # does not verify
+    docs = corpus.documents(tmp_path)
+    for name in corpus.POINT_FILES:
+        pts = parse_points_file(json.loads(Path(docs[name]).read_text()))
+        for budget in (1, 2):
+            verdict = _matches_omission_oracle((), pts, budget)
+            if isinstance(verdict, NotCoverable):
+                assert verdict == NotCoverable(UncoveredPoints(minimal_obstruction_oracle((), pts, budget)))
+                dropped = NotCoverable(UncoveredPoints(verdict.obstruction.points[1:]))
+                assert not verify_verdict(finite_level(pts), dropped, budget)
 
 
 def test_omission_with_a_forced_line():
