@@ -8,6 +8,7 @@ Commands:
   mj                largest subset of a point file on a curve of a degree
   search            seeded randomized suite over generated instances
 
+`check` writes `serialize.check_report`, as a `search` counterexample does.
 One rule writes every report: without --out the report alone goes to
 stdout; with --out it goes to the file, and the command's summary line, if
 it has one, to stdout. Failures and the `search` timing go to stderr.
@@ -26,7 +27,7 @@ import time
 from typing import Optional
 
 from . import serialize
-from .cover import Covered, evaluate_cover, verify_verdict
+from .cover import Covered, evaluate_cover
 from .errors import InvalidSpec, ParseError, PlaneCurrentsError
 from .projective import Point, max_on_curve
 
@@ -89,9 +90,7 @@ def cmd_verify_examples(args) -> int:
 
 
 def cmd_check(args) -> int:
-    payload = _load_json(args.path)
-    current, file_alpha = serialize.parse_instance(payload)
-    alpha = file_alpha
+    current, alpha = serialize.parse_instance(_load_json(args.path))
     if args.alpha is not None:
         # the cap of a document's alpha: beta's denominator must stay writable as text
         serialize._check_length(args.alpha, "--alpha")
@@ -99,42 +98,16 @@ def cmd_check(args) -> int:
     if alpha is None:
         print("check: no alpha given (use --alpha or an instance-file alpha)", file=sys.stderr)
         return EXIT_ERROR
-    document = {
-        "command": "check",
-        "instance": serialize.current_to_payload(current, alpha),
-        "alpha": str(alpha),
-        "mass": str(current.mass),
-    }
     outcome = evaluate_cover(current, alpha)
-    if outcome.reason is not None:
-        document["status"] = "precondition-failed"
-        document["reason"] = outcome.reason
-        _write_report(args.out, document)
-        print(f"precondition failed: {outcome.reason}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    document["beta"] = str(outcome.beta)
-    if outcome.heavy_curves:
-        document["heavy_curves"] = [
-            {"curve": serialize.curve_to_json(c), "weight": str(w)}
-            for w, c in outcome.heavy_curves
-        ]
-    document["heavy_points"] = [
-        {
-            "point": serialize.coordinates_to_json(p),
-            "lelong": str(current.lelong_number(p)),
-        }
-        for p in outcome.heavy_points
-    ]
-    level, verdict = outcome.level, outcome.verdict
-    document["level_set"] = serialize.level_set_to_json(level)
-    document["verdict"] = serialize.verdict_to_json(verdict)
-    document["verified"] = verify_verdict(level, verdict)
-    document["status"] = "covered" if isinstance(verdict, Covered) else "counterexample"
-    if isinstance(verdict, Covered):
-        omitted = "none" if verdict.omitted is None else str(verdict.omitted)
-        _write_report(args.out, document, f"covered (omitted: {omitted})")
+    document = serialize.check_report(outcome)
+    if isinstance(outcome.verdict, Covered):
+        omitted = outcome.verdict.omitted
+        _write_report(args.out, document, f"covered (omitted: {'none' if omitted is None else omitted})")
         return EXIT_OK
     _write_report(args.out, document)
+    if outcome.reason is not None:
+        print(f"precondition failed: {outcome.reason}", file=sys.stderr)
+        return EXIT_PRECONDITION
     print("NOT coverable: counterexample recorded", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE
 

@@ -337,24 +337,25 @@ def find_heavy_points(current: DivisorCurrent, alpha) -> tuple[Point, ...]:
 
 
 def evaluate_cover(current: DivisorCurrent, alpha) -> Outcome:
-    """Decide an instance: locate heavy points, check the hypothesis, build
-    the strict level set at beta and decide the conic cover.
+    """Decide an instance: check the mass, then alpha, then locate heavy
+    points and check the hypothesis, build the strict level set at beta
+    and decide the conic cover.
 
     For a valid instance the expected verdict is Covered; NotCoverable is a
-    counterexample report. At alpha <= 2/5 no heavy point is looked for;
-    the mass is checked first, then alpha, then the hypothesis. Weights
-    and mass are tested on the current's numerators over `den`: w = n/den
-    is >= alpha = p/q when n*q >= p*den, and the mass is 1 when the sum of
-    n*deg is den; a Fraction is built only for a reason's text."""
+    counterexample report. Until the mass and alpha pass, no meet is taken
+    and `heavy_points` is (). Weights and mass are tested on the current's
+    numerators over `den`: w = n/den is >= alpha = p/q when n*q >= p*den,
+    and the mass is 1 when the sum of n*deg is den; a Fraction is built
+    only for a reason's text."""
     a = alpha if type(alpha) is Fraction else Fraction(alpha)
-    heavy = find_heavy_points(current, a) if a > TWO_FIFTHS else ()
     q, bound = a.denominator, a.numerator * current.den
     heavy_curves = tuple(wc for n, wc in zip(current.nums, current.components) if n * q >= bound)
+    heavy = ()
     if sum(n * c.degree for n, (_, c) in zip(current.nums, current.components)) != current.den:
         reason = f"current mass is {current.mass}, expected exactly 1"
     elif a <= TWO_FIFTHS:
         reason = f"alpha must exceed 2/5, got {a}"
-    elif len(heavy) < 4 and not heavy_curves:
+    elif len(heavy := find_heavy_points(current, a)) < 4 and not heavy_curves:
         reason = f"needs a component of weight >= {a} or four points of density >= {a}, got {len(heavy)}"
     else:
         level = current.level_set(beta_of(a), strict=True)

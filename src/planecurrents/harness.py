@@ -56,11 +56,11 @@ from functools import partial
 from itertools import combinations, islice
 from typing import Iterator, Optional
 
-from .cover import TWO_FIFTHS, Covered, Outcome, evaluate_cover, verify_verdict
+from .cover import TWO_FIFTHS, Covered, Outcome, evaluate_cover
 from .currents import DivisorCurrent
 from .errors import InvalidSpec, IrrationalIntersection
 from .projective import Line, Point, Triple, _cross, _primitive, conic_space, is_irreducible, join
-from .serialize import MAX_CURVES, current_to_payload, level_set_to_json, verdict_to_json
+from .serialize import MAX_CURVES, check_report
 
 TAG_OK = "ok"
 TAG_PRECONDITION = "skipped-precondition"
@@ -321,7 +321,9 @@ def run_suite(spec: GenSpec, trials: int) -> dict:
     depend on the order in which instances arrive.
 
     The expected outcome is zero counterexamples; any counterexample
-    payload re-verifies standalone and signals an implementation bug.
+    signals an implementation bug. Its payload is its `index` and the
+    `check` report of its instance (`serialize.check_report`), which
+    `check` writes byte for byte from the payload's `instance`.
     """
     if trials < 1:
         raise InvalidSpec("trials must be at least 1")
@@ -334,22 +336,14 @@ def run_suite(spec: GenSpec, trials: int) -> dict:
             skipped[item.tag] = skipped.get(item.tag, 0) + 1
             continue
         valid += 1
-        outcome = item.outcome
-        level, verdict = outcome.level, outcome.verdict
+        verdict = item.outcome.verdict
         if isinstance(verdict, Covered):
             covered += 1
             omitted = "0" if verdict.omitted is None else "1"
             omitted_histogram[omitted] = omitted_histogram.get(omitted, 0) + 1
             continue
-        # a valid instance that is not coverable: keep a standalone,
-        # re-verified counterexample payload
-        counterexamples.append({
-            "index": item.index,
-            "instance": current_to_payload(outcome.current, outcome.alpha),
-            "level_set": level_set_to_json(level),
-            "verdict": verdict_to_json(verdict),
-            "verified": verify_verdict(level, verdict),
-        })
+        # a valid instance that is not coverable: its `check` report
+        counterexamples.append({"index": item.index, **check_report(item.outcome)})
     return {
         "spec": spec.summary(),
         "trials": trials,

@@ -10,9 +10,10 @@ which parses them straight to primitive integer tuples, without a
 order. They have one writer, `coordinates_to_json`, which writes
 `projective._rational_form`, the text that `repr` shows too. Conic
 coefficients use the fixed monomial order (x^2, xy, xz, y^2, yz, z^2).
-Reports are written exactly as `json.dumps(document, indent=2,
-sort_keys=True)` writes them, as bytes to a temporary file that is then
-renamed into place.
+A decided instance has one writer, `check_report`: the `check` report,
+and with an index a `search` counterexample. Reports are written exactly
+as `json.dumps(document, indent=2, sort_keys=True)` writes them, as bytes
+to a temporary file that is then renamed into place.
 
 Instance documents look like
 
@@ -40,7 +41,7 @@ from math import lcm
 from typing import Any, Optional
 
 from .currents import DivisorCurrent, LevelSet
-from .cover import Covered, UncoverableCurve, Verdict
+from .cover import Covered, Outcome, UncoverableCurve, Verdict, verify_verdict
 from .errors import ParseError, PlaneCurrentsError
 from .projective import Conic, Curve, Line, Point, _primitive, _rational_form
 
@@ -261,6 +262,34 @@ def verdict_to_json(verdict: Verdict) -> dict:
             "points": [coordinates_to_json(p) for p in obstruction.points],
         }
     return {"kind": "not-coverable", "obstruction": payload}
+
+
+def check_report(outcome: Outcome) -> dict:
+    """The `check` report of a decided instance, the one writer of an
+    `Outcome`: the instance, alpha and mass, then a failed precondition's
+    `status` and `reason`, or beta, the heavy set, the level set, the
+    verdict, `verified` (its `verify_verdict` re-check) and `status`."""
+    current = outcome.current
+    document = {
+        "command": "check",
+        "instance": current_to_payload(current, outcome.alpha),
+        "alpha": str(outcome.alpha),
+        "mass": str(current.mass),
+    }
+    if outcome.reason is not None:
+        return {**document, "status": "precondition-failed", "reason": outcome.reason}
+    if outcome.heavy_curves:
+        document["heavy_curves"] = [{"curve": curve_to_json(c), "weight": str(w)} for w, c in outcome.heavy_curves]
+    level, verdict = outcome.level, outcome.verdict
+    document["beta"] = str(outcome.beta)
+    document["heavy_points"] = [
+        {"point": coordinates_to_json(p), "lelong": str(current.lelong_number(p))} for p in outcome.heavy_points
+    ]
+    document["level_set"] = level_set_to_json(level)
+    document["verdict"] = verdict_to_json(verdict)
+    document["verified"] = verify_verdict(level, verdict)
+    document["status"] = "covered" if isinstance(verdict, Covered) else "counterexample"
+    return document
 
 
 def _encode(value: Any, indent: str) -> str:

@@ -91,6 +91,12 @@ def documents(root: Path) -> dict[str, str]:
         "weights": ["1/10", "9/20"],
         "alpha": "9/20",
     }
+    # mass 3/4 and the same irrational meets: the mass fails before any meet is taken
+    docs["light-irrational"] = {
+        "lines": [["1", "0", "0"]],
+        "conics": [["1", "0", "0", "1", "0", "-3"]],
+        "weights": ["1/4", "1/4"],
+    }
     docs["two-conics"] = {
         "lines": [],
         "conics": [smooth, ["1", "0", "0", "1", "0", "-1"]],
@@ -118,6 +124,7 @@ def runs(docs: dict[str, str], out: str) -> list[tuple[list[str], int]]:
     runs += [
         (["check", docs["three-lines"], "--out", out], 2),
         (["check", docs["seven-lines"], "--alpha", "2/5"], 2),
+        (["check", docs["light-irrational"], "--alpha", "1/2", "--out", out], 2),
         (["levelset", docs["six-lines"], "--threshold", "1/3", "--out", out], 0),
         (["levelset", docs["six-lines"], "--threshold", "1/3", "--strict"], 0),
         (["lelong", docs["six-lines"], "--point", "1,1,1", "--out", out], 0),
@@ -131,8 +138,11 @@ def runs(docs: dict[str, str], out: str) -> list[tuple[list[str], int]]:
     searches = [
         ["--trials", "200", "--lines", "7", "--weight-scheme", "random",
          "--alpha", "9/20", "--alpha", "1/2", "--alpha", "3/5", "--seed", "5"],
-        # one conic: every draw takes the line-conic branch of the incidence map
-        ["--trials", "200", "--lines", "6", "--conics", "1", "--seed", "5"],
+        # one conic: every draw takes the line-conic branch of the incidence map,
+        # and at alpha 9/20 some are valid (at the default 1/2 none of these 200)
+        ["--trials", "200", "--lines", "6", "--conics", "1", "--alpha", "9/20", "--seed", "5"],
+        # four lines: some covered draws omit a point
+        ["--trials", "200", "--lines", "4", "--alpha", "9/20", "--seed", "1"],
         # alpha above 9/10: the heavy-line draws must reach alpha and be valid
         ["--trials", "60", "--lines", "5", "--alpha", "19/20", "--seed", "1"],
     ]

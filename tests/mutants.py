@@ -151,8 +151,8 @@ CATALOGUE = (
     Mutant(
         "hypothesis-at-three-points",
         "cover.py",
-        "len(heavy) < 4 and",
-        "len(heavy) < 3 and",
+        "find_heavy_points(current, a)) < 4 and",
+        "find_heavy_points(current, a)) < 3 and",
         ("tests/test_cover.py::test_cover_instance_validation",),
     ),
     Mutant(
@@ -271,6 +271,23 @@ CATALOGUE = (
         "if current.den >= _DENOMINATOR_LIMIT:",
         "if current.den >= 10 * _DENOMINATOR_LIMIT:",
         ("tests/test_serialize.py::test_common_denominator_of_the_weights_is_capped",),
+    ),
+    # one writer for a decision: the mass and alpha are checked before the
+    # incidence map is read, and a counterexample payload is the check report
+    Mutant(
+        "heavy-points-before-the-mass-check",
+        "cover.py",
+        "heavy = ()",
+        "heavy = find_heavy_points(current, a)",
+        ("tests/test_cli.py::test_check_mass_fails_before_irrational_meets",
+         "tests/test_cover.py::test_mass_and_alpha_are_checked_before_heavy_points"),
+    ),
+    Mutant(
+        "counterexample-payload-not-the-check-report",
+        "harness.py",
+        '{"index": item.index, **check_report(item.outcome)}',
+        '{"index": item.index, **check_report(item.outcome), "command": "search"}',
+        ("tests/test_harness.py::test_counterexample_payloads_reverify",),
     ),
     Mutant(
         "empty-report-path-accepted",

@@ -8,8 +8,8 @@ canonical lines with integer coefficients within a bound (or an explicit
 pool). Every configuration is decided once per weight vector and alpha.
 Invalid outcomes carry no verdict, so the sweep decides their strict
 level set itself, to profile them too. A valid instance that is not
-coverable keeps the counterexample payload that `run_suite` writes,
-without its `index`.
+coverable keeps its `check` report (`serialize.check_report`), the
+counterexample payload that `run_suite` writes without its `index`.
 """
 
 from __future__ import annotations
@@ -20,17 +20,10 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from planecurrents.cover import (
-    Covered,
-    UncoverableCurve,
-    beta_of,
-    conic_cover_check,
-    evaluate_cover,
-    verify_verdict,
-)
+from planecurrents.cover import Covered, UncoverableCurve, beta_of, conic_cover_check, evaluate_cover
 from planecurrents.currents import DivisorCurrent
 from planecurrents.projective import Line, max_on_curve
-from planecurrents.serialize import current_to_payload, level_set_to_json, verdict_to_json
+from planecurrents.serialize import check_report
 
 FRAME_LINES = (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1), Line(1, 1, 1))
 
@@ -115,12 +108,7 @@ def exhaustive_sweep(grid: SweepGrid) -> SweepReport:
                     kind = "curve" if isinstance(verdict.obstruction, UncoverableCurve) else "points"
                     shape = f"not-coverable/{kind}"
                     if valid:
-                        counterexamples.append({
-                            "instance": current_to_payload(current, alpha),
-                            "level_set": level_set_to_json(level),
-                            "verdict": verdict_to_json(verdict),
-                            "verified": verify_verdict(level, verdict),
-                        })
+                        counterexamples.append(check_report(outcome))
                 profile = f"{'valid' if valid else 'precondition-failed'}/{shape}"
                 report.profile_counts[profile] = report.profile_counts.get(profile, 0) + 1
     report.counterexamples = tuple(counterexamples)

@@ -620,6 +620,17 @@ def test_check_irrational_meets_is_an_error(instance_files, tmp_path, name, mess
     assert not (tmp_path / "report.json").exists()
 
 
+def test_check_mass_fails_before_irrational_meets(instance_files, tmp_path, capsys):
+    # mass 3/4 and irrational meets: the mass fails before the incidence
+    # map looks for heavy points, also at an alpha above 2/5
+    out = tmp_path / "report.json"
+    assert main(["check", instance_files["light-irrational"], "--alpha", "1/2", "--out", str(out)]) == 2
+    reason = "current mass is 3/4, expected exactly 1"
+    assert capsys.readouterr() == ("", f"precondition failed: {reason}\n")
+    report = json.loads(out.read_text())
+    assert (report["status"], report["reason"]) == ("precondition-failed", reason)
+
+
 @pytest.mark.parametrize("lines, code", [("100", 0), ("101", 1)])
 def test_search_caps_lines(tmp_path, lines, code):
     # so that `check` reads every counterexample payload back; from 67 lines

@@ -829,6 +829,20 @@ def test_evaluate_cover_rejects_alpha_at_most_two_fifths(alpha):
     assert evaluate_cover(combine((HALF, quad)), alpha).reason == "current mass is 1/2, expected exactly 1"
 
 
+def test_mass_and_alpha_are_checked_before_heavy_points():
+    # the line meets the conic in irrational points, so the incidence map
+    # raises; no heavy point is looked for when the mass or alpha fails
+    light = DivisorCurrent([(Fraction(1, 4), Line(1, 0, 0)), (Fraction(1, 4), NO_POINT_CONIC)])
+    for alpha in (Fraction(2, 5), HALF):
+        outcome = evaluate_cover(light, alpha)
+        assert outcome.reason == "current mass is 3/4, expected exactly 1" and outcome.heavy_points == ()
+    unit = DivisorCurrent([(Fraction(1, 3), Line(1, 0, 0)), (Fraction(1, 3), NO_POINT_CONIC)])
+    outcome = evaluate_cover(unit, Fraction(2, 5))
+    assert outcome.reason == "alpha must exceed 2/5, got 2/5" and outcome.heavy_points == ()
+    with pytest.raises(IrrationalIntersection):
+        evaluate_cover(unit, HALF)
+
+
 def test_find_heavy_points_on_full_line():
     heavy_line = DivisorCurrent(
         [
@@ -935,7 +949,8 @@ def test_evaluate_cover_decides_as_the_fraction_reference(current, data):
         return
     a, mass = Fraction(alpha), mass_oracle(current)
     heavy_curves = tuple((w, c) for w, c in current.components if w >= a)
-    heavy = find_heavy_points(current, a) if a > Fraction(2, 5) else ()
+    # heavy points are looked for only once the mass and alpha pass
+    heavy = find_heavy_points(current, a) if mass == 1 and a > Fraction(2, 5) else ()
     if mass != 1:
         reason = f"current mass is {mass}, expected exactly 1"
     elif a <= Fraction(2, 5):

@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from planecurrents import cli
 from planecurrents.cover import Covered, NotCoverable, conic_cover_check, evaluate_cover, find_heavy_points
 from planecurrents.errors import InvalidSpec
 from planecurrents.gallery import build
@@ -19,7 +20,7 @@ from planecurrents.harness import (
     run_suite,
 )
 from planecurrents.projective import Line, Point, line_through
-from planecurrents.serialize import level_set_to_json, parse_instance
+from planecurrents.serialize import dumps, level_set_to_json, parse_instance
 
 from oracles import OracleMap, adjugate, matvec, weight_of
 from sweep import FRAME_LINES, GridTooLarge, SweepGrid, exhaustive_sweep
@@ -230,7 +231,7 @@ def test_generated_outcome_is_evaluate_cover(n_conics, scheme):
     assert "ok" in tags and "skipped-precondition" in tags
 
 
-def test_counterexample_payloads_reverify(monkeypatch):
+def test_counterexample_payloads_reverify(monkeypatch, tmp_path):
     # force real counterexamples by shrinking beta: with threshold 1/40 far
     # more points pass, so some valid instances stop being coverable
     import planecurrents.cover as C
@@ -242,6 +243,9 @@ def test_counterexample_payloads_reverify(monkeypatch):
     sweep = exhaustive_sweep(SweepGrid(n_lines=6, coefficient_bound=1))
     assert suite["counterexamples"], "shrunken threshold should produce counterexamples"
     assert sweep.counterexamples, "shrunken threshold should produce counterexamples"
+    indices = [payload["index"] for payload in suite["counterexamples"]]
+    assert indices == sorted(set(indices))
+    path, out = tmp_path / "instance.json", tmp_path / "report.json"
     for payload in suite["counterexamples"] + list(sweep.counterexamples):
         assert payload["verified"] is True
         current, alpha = parse_instance(payload["instance"])
@@ -251,10 +255,11 @@ def test_counterexample_payloads_reverify(monkeypatch):
         level = current.level_set(Fraction(1, 40), strict=True)
         assert payload["level_set"] == level_set_to_json(level)
         assert isinstance(conic_cover_check(level), NotCoverable)
-    indices = [payload["index"] for payload in suite["counterexamples"]]
-    assert indices == sorted(set(indices))
-    for payload in suite["counterexamples"]:
-        assert set(payload) - {"index"} == set(sweep.counterexamples[0])
+        # the payload is, byte for byte, the `check` report of its instance
+        report = {key: value for key, value in payload.items() if key != "index"}
+        path.write_text(dumps(payload["instance"]))
+        assert cli.main(["check", str(path), "--out", str(out)]) == cli.EXIT_COUNTEREXAMPLE
+        assert out.read_text() == dumps(report)
 
 
 def test_sweep_four_lines_all_covered():

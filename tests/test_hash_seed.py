@@ -56,6 +56,10 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # the quadrangle's conic leaves out one of its six level-set points
     assert reports["check", "corpus/quadrangle.json"]["verdict"]["omitted"] is not None
     assert [report["valid"] > 0 for argv, report in reports.items() if "19/20" in argv] == [True]
+    # a search decides draws with a conic component, and one decides draws that omit a point
+    assert [report["valid"] > 0 for argv, report in reports.items() if "--conics" in argv] == [True]
+    four = ("search", "--trials", "200", "--lines", "4")
+    assert [r["omitted_histogram"].get("1", 0) > 0 for argv, r in reports.items() if argv[:5] == four] == [True]
     for name in corpus.POINT_FILES:
         for degree in ("1", "2"):
             mj = reports["mj", f"corpus/{name}.json", "--degree", degree]

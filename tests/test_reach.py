@@ -3,7 +3,7 @@ kept on purpose.
 
 `cli.main` runs under `sys.setprofile` over every command of
 `tests/corpus.py`: the gallery payloads, the hand-written instances, the
-point files at the caps, three `search` specs, and the error documents and
+point files at the caps, four `search` specs, and the error documents and
 flags (over a cap, irrational meets, bad flags, unreadable, malformed or
 too deeply nested files, an unwritable report). The profile records the
 code of every Python call. A function defined in a module of the package
