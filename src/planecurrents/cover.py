@@ -16,32 +16,33 @@ witness having that curve as a component. Hence:
   check; a curve of degree e holds a set of points iff its rows have rank
   below the column count k (3 or 6). `projective.dependencies` eliminates
   the transposed rows, whose columns are the points, once; rank below k
-  means nothing is omitted, and only at rank k are the dependencies among
-  the points read off. Then the rest after omitting point p fits iff p is
-  a coloop of the row matroid (removing it drops the rank), that is iff p
-  is in the support of no dependency: a point in none is in every basis,
-  and a point in the support of one is spanned by the others it uses
-  (Oxley, Matroid Theory, 2011, ch. 2). So the omission is the first
-  coloop in canonical order, the point the plain scan ("omit nothing",
-  then each point in canonical order) would pick. The witness is fitted to
-  the basis points of the rest, the pivots but the omission. Their rows
-  span those of the rest, so they have the same kernel and give the same
-  first conic of `conic_space`, from at most five rows, and any two
-  distinct ones span the same line. With no degree left, only a lone point
-  can be omitted.
+  means nothing is omitted, and only at rank k is the `linalg.tableau` of
+  the points read: k rows over the free points, the standard
+  representation [I | A] of their row matroid (Oxley, Matroid Theory,
+  2011, 2.2). Then the rest after omitting point p fits iff p is a coloop
+  (removing it drops the rank), that is iff p is in the support of no
+  dependency: a point in none is in every basis, and a point in the
+  support of one is spanned by the others it uses. A free point is in its
+  own, so a coloop is a pivot whose row is zero. The omission is the
+  first coloop in canonical order, the point the plain scan ("omit
+  nothing", then each point in canonical order) would pick. The witness
+  is fitted to the basis points of the rest, the pivots but the omission,
+  whose rows span those of the rest: the same kernel, so the same first
+  conic of `conic_space`, from at most five rows, and the same line. With
+  no degree left, only a lone point can be omitted.
 * a set that fails is pruned to an inclusion-minimal obstruction in
   canonical order (with no degree left, pruning leaves the last two
   points). The points left always have full rank and no coloop, so a drop
-  keeps the rank, and it is kept iff it leaves no coloop. The
-  dependencies of the rest are those zero at the point dropped, the span
-  of the other vectors each combined with the first vector nonzero there
-  to cancel it; a drop is kept iff their supports still cover every
-  point left. The columns run from the last point back, so the pivots
-  are the greedy basis taken from the last point, and the early points
-  in canonical order are free columns: only their own vector is nonzero
-  there, and dropping one costs no combination. The points kept, of rank
-  k, number k plus the dependencies held, so once one is held every drop
-  leaves k points and no dependency, and the pruning stops.
+  keeps the rank, and it is kept iff the tableau of the rest has no zero
+  row. Dropping a free point deletes its column; a pivot is first
+  exchanged with the first free column f nonzero in its row, at entry a:
+  row f becomes the pivot's row, and each other row r becomes
+  (a * r - r[f] * pivot row) / d, exactly, each entry being a minor of a
+  basis with one point exchanged (Cramer's rule); a is the next d, as in
+  Bareiss's elimination. The columns run from the last point back, so the
+  early points in canonical order are free and exchange nothing. The
+  points kept, of rank k, number k plus the free points, so once one is
+  left every drop leaves k points and no dependency, and pruning stops.
 
 Verdicts carry re-checkable certificates: a witness plus optional omitted
 point, or an obstruction (an unfittable component curve, or a point set
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 from . import linalg
@@ -176,42 +176,37 @@ def _witness(forced, points, budget: int) -> Union[Line, Conic]:
     return conic_space(points)[0]
 
 
-def _without(deps, i) -> list:
-    """The dependencies of the rest after dropping point i, from those of
-    the points kept before: the others, each one nonzero at i combined
-    with the first vector nonzero there to cancel it, made primitive."""
-    first = next(vec for vec in deps if vec[i])
-    a = first[i]
-    rest = []
-    for vec in deps:
-        if vec is first:
-            continue
-        b = vec[i]
-        if b:
-            vec = [a * x - b * y for x, y in zip(vec, first)]
-            g = gcd(*vec)
-            vec = [x // g for x in vec]
-        rest.append(vec)
-    return rest
+def _dropped(d, free, rows, i) -> tuple:
+    """The tableau of the rest after dropping column i: a free column is
+    deleted, and a pivot is first exchanged with the first free column
+    nonzero in its row (see the module docstring)."""
+    if i in rows:
+        pivot_row = rows[i]
+        k, a = next((k, x) for k, x in enumerate(pivot_row) if x)
+        rows = {c: [(a * x - row[k] * y) // d for x, y in zip(row, pivot_row)] for c, row in rows.items() if c != i}
+        rows[free[k]] = pivot_row
+        d = a
+    else:
+        k = free.index(i)
+    return d, free[:k] + free[k + 1 :], {c: row[:k] + row[k + 1 :] for c, row in rows.items()}
 
 
-def _minimal_obstruction(deps, n) -> list[int]:
-    """Columns of an inclusion-minimal obstruction among n columns (the
-    points, the last one first) of full rank and no coloop, given their
-    dependencies, pruned in canonical order, from the last column down: a
-    drop is kept iff the dependencies of the rest still cover every
-    column left (see the module docstring)."""
-    keep = list(range(n))
-    for i in reversed(range(n)):
-        if len(deps) == 1:
+def _minimal_obstruction(d, free, rows) -> list[int]:
+    """Columns of an inclusion-minimal obstruction among the columns (the
+    points, the last one first), of full rank and no coloop, of the
+    tableau (d, free, rows), pruned in canonical order from the last
+    column down: a drop is kept iff no row of the rest is zero. With no
+    zero entry and the pivots first, each drop down to the first free
+    column deletes a column and is kept, and that column is the one left."""
+    if max(rows) < free[0] and all(map(all, rows.values())):
+        return sorted(rows) + free[:1]
+    for i in reversed(range(len(free) + len(rows))):
+        if len(free) == 1:
             break  # every later drop leaves ncols columns and no dependency
-        rest = _without(deps, i)
-        # every vector is zero off the columns kept, so the rest is covered
-        # iff as many columns as it has are nonzero in some vector
-        if sum(map(any, zip(*rest))) == len(keep) - 1:
-            deps = rest
-            keep.remove(i)
-    return keep
+        rest = _dropped(d, free, rows, i)
+        if all(map(any, rest[2].values())):
+            d, free, rows = rest
+    return sorted([*free, *rows])
 
 
 def _cover_check(level: LevelSet, budget: int) -> Verdict:
@@ -229,13 +224,13 @@ def _cover_check(level: LevelSet, budget: int) -> Verdict:
         return Covered(_witness(curves, (), budget), points[0] if points else None)
     # one column per point, from the last point back
     back = points[::-1]
-    basis, deps = dependencies([p.ints for p in back], degree_left)
+    basis, tab = dependencies([p.ints for p in back], degree_left)
     omitted = None
-    if deps is not None:
-        # only a coloop can be omitted, and every coloop is a pivot
-        found = [j for j in basis if not any(vec[j] for vec in deps)]
+    if tab is not None:
+        # only a coloop can be omitted: a pivot whose tableau row is zero
+        found = [j for j in basis if not any(tab[2][j])]
         if not found:
-            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(deps, len(back))))
+            return NotCoverable(UncoveredPoints(back[j] for j in _minimal_obstruction(*tab)))
         omitted = found[-1]  # the first coloop in canonical order
         basis.remove(omitted)
     witness = _witness(curves, [back[j] for j in basis], budget)

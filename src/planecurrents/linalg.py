@@ -29,21 +29,19 @@ of the columns. No stored row changes, so a prefix of the state can be
 continued with other rows, as `cover.verify_verdict` does for each
 omission. The elimination stops once every column is a pivot.
 
-`eliminate` builds the state once. `rank` counts its rows, `kernel`
-reads its pivots, and `read_off` an integer basis of the right nullspace by
-back-substitution: each stored row is zero on the pivots of the rows
-stored before it, so the rows on the pivot columns, in the order stored,
-are triangular. Set a free column f to D, the last pivot entry, and every
-other free column to 0, and solve the pivot entries from the last stored
-row back. D is, up to sign, the minor of the basis rows on the pivot
-columns, so by Cramer's rule every entry of the solution is a minor too:
-each division is exact, and the vector is primitive after one gcd.
-`nullspace` scales the same vectors to 1 at their free column, the basis
-the reduced row echelon form gives. `projective.conic_space` takes the
-`kernel` of Veronese rows. `projective.dependencies`, the one reader of
-`cover` and `projective.max_on_curve`, eliminates the transposed
-incidence rows of a point set, whose columns are the points, and reads
-its vectors, the dependencies among the points, only at full rank.
+`eliminate` builds the state once, and `rank` counts its rows. `tableau`
+solves it back: each stored row is zero on the pivots of the rows stored
+before it, so the rows on the pivot columns, in the order stored, are
+triangular, and from the last one back they give each pivot's row of the
+reduced row echelon form on the free columns, times D, the last pivot
+entry. D is, up to sign, the minor of the basis rows on the pivot
+columns, so by Cramer's rule every entry is a minor and each division is
+exact. Pivots first, the reduced form is the standard representation
+[I | A] (Oxley, Matroid Theory, 2011, 2.2): the columns of [-A; I] span
+its nullspace, and [-A^T | I] represents its dual matroid. `kernel` builds
+those vectors from the r rows of D*A, each primitive after one gcd, and
+`nullspace` scales them to 1 at their free column. `projective` takes the
+`kernel` of Veronese rows and the tableau of a point set's dependencies.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 Row = Sequence[Fraction | int]
@@ -119,31 +116,40 @@ def rank(rows: Sequence[Row]) -> int:
     return len(eliminate(rows, len(rows[0]) if rows else 0))
 
 
-def read_off(echelon: list[tuple[int, Sequence[int]]], ncols: int) -> list[list[int]]:
-    """A basis of the right nullspace of the rows that gave the state: one
-    primitive integer vector per free column, ascending, positive there
-    and zero at the other free columns (see the module docstring)."""
+def tableau(echelon: list[tuple[int, Sequence[int]]], ncols: int) -> tuple[int, list[int], dict[int, list[int]]]:
+    """(D, free, rows) of the rows that gave the state: D, the last pivot
+    entry (1 for no rows), the free columns, ascending, and for each pivot
+    D times its row of the reduced row echelon form on the free columns,
+    by back-substitution with exact divisions (see the module docstring)."""
     pivots = {c for c, _ in echelon}
+    free = [c for c in range(ncols) if c not in pivots]
     d = echelon[-1][1][echelon[-1][0]] if echelon else 1
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[f] = d
-        for c, row in reversed(echelon):
-            # vec is zero at every pivot not yet solved
-            vec[c] = -sum(map(mul, row, vec)) // row[c]
-        g = gcd(*vec) if d > 0 else -gcd(*vec)
-        basis.append([x // g for x in vec])
-    return basis
+    rows: dict[int, list[int]] = {}
+    for c, row in reversed(echelon):
+        # a stored row is row[c] * (row c) + row[p] * (row p) at later pivots p
+        acc = [d * row[f] for f in free]
+        for p, solved in rows.items():
+            if b := row[p]:
+                acc = [x - b * y for x, y in zip(acc, solved)]
+        a = row[c]
+        rows[c] = [x // a for x in acc]
+    return d, free, rows
 
 
 def kernel(rows: Sequence[Row], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """The pivot columns of the reduced row echelon form, ascending, and
-    the `read_off` basis of the nullspace. Column c is a pivot iff it is
-    not in the span of the columns before it, so the pivots are the greedy
-    basis of the columns taken in order."""
-    echelon = eliminate(rows, ncols)
-    return sorted(c for c, _ in echelon), read_off(echelon, ncols)
+    """The pivot columns, ascending, the greedy basis of the columns taken
+    in order, and the nullspace from the `tableau`: one primitive integer
+    vector per free column, ascending, positive there, 0 at the others."""
+    d, free, solved = tableau(eliminate(rows, ncols), ncols)
+    basis = []
+    for k, f in enumerate(free):
+        vec = [0] * ncols
+        vec[f] = d
+        for c, row in solved.items():
+            vec[c] = -row[k]
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append([x // g for x in vec])
+    return sorted(solved), basis
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> list[tuple[Fraction, ...]]:

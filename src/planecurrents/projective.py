@@ -338,21 +338,20 @@ def _sixes_on_a_conic(coords: Sequence[Triple]) -> Iterator[tuple[int, ...]]:
                                 yield a, b, c, d, e, f
 
 
-def dependencies(coords: list[Triple], degree: int) -> tuple[list[int], list[list[int]] | None]:
+def dependencies(coords: list[Triple], degree: int) -> tuple[list[int], tuple | None]:
     """One elimination of the transposed incidence rows of the points
     (degree 1: their coordinates, degree 2: their Veronese rows), whose
     columns are the points, in the order given. Returns the pivots,
     ascending, the greedy basis of the points taken in that order, and,
-    at full rank (3 or 6), the `linalg.read_off` vectors, an integer basis
-    of the dependencies among the points. Below full rank one curve of
-    the degree holds every point, and the vectors are not read: None."""
+    at full rank (3 or 6), the `linalg.tableau` of the dependencies among
+    the points; below it, where one curve of the degree holds them, None."""
     rows, ncols = _rows_of(coords, degree)
-    n = len(coords)
-    echelon = linalg.eliminate(list(zip(*rows)), n)
-    basis = sorted(c for c, _ in echelon)
+    echelon: list = []
+    linalg.extend_echelon(echelon, list(zip(*rows)), len(coords))
+    pivots = sorted(c for c, _ in echelon)
     if len(echelon) < ncols:
-        return basis, None
-    return basis, linalg.read_off(echelon, n)
+        return pivots, None
+    return pivots, linalg.tableau(echelon, len(coords))
 
 
 def max_on_curve(points: Iterable[Point], degree: int) -> int:
@@ -366,33 +365,33 @@ def max_on_curve(points: Iterable[Point], degree: int) -> int:
 
     Degree 2 reads the `dependencies` of the points. Below full rank all
     n points lie on a conic. Otherwise the points on a conic are the sets
-    of rank 5, and the kernel's columns, one per point, represent the
-    dual matroid (Oxley, Matroid Theory, 2011, ch. 2): k points are off a
-    largest conic iff they form a smallest circuit of the dual, which has
-    rank n - 6, so such a circuit has at most n - 5 points. A zero
-    column, a coloop, a point in the support of no dependency, is a
-    circuit of one: n - 1 on a conic. Two proportional columns, equal
-    once each is primitive with a positive lead, are a circuit of two:
-    n - 2. With neither, at most n - 3 lie on a conic, and n = 8 gives 5
-    (at n = 7 the dual has rank 1, so one of the two stages has
-    returned). Only from 9 points on with neither does it test each six
-    points by brackets, O(n^6) integer products: a largest set on one
-    conic is then the closure of five independent points (distinct, no
-    four collinear), the five and every point that makes six on a conic
-    with them."""
+    of rank 5, and the dual matroid (Oxley, Matroid Theory, 2011, 2.2) is
+    represented by a unit vector per free point and the tableau row of
+    each pivot. k points are off a largest conic iff they form a smallest
+    circuit of the dual, which has rank n - 6, so such a circuit has at
+    most n - 5 points. A zero row, a coloop, a point in no dependency, is
+    a circuit of one: n - 1 on a conic. A row with one nonzero entry, or
+    two proportional rows, equal once each is primitive with a positive
+    lead, are a circuit of two: n - 2. With neither, at most n - 3 lie on
+    a conic, and n = 8 gives 5 (at n = 7 the dual has rank 1, so one of
+    the two stages has returned). Only from 9 points on with neither
+    does it test each six points by brackets, O(n^6) integer products: a
+    largest set on one conic is then the closure of five independent
+    points (distinct, no four collinear), the five and every point that
+    makes six on a conic with them."""
     coords = list({p.ints for p in points})
     n = len(coords)
     if degree == 1:
         pairs = Counter(starmap(join, combinations(coords, 2)))
         return (1 + isqrt(1 + 8 * max(pairs.values()))) // 2 if pairs else n
-    deps = dependencies(coords, degree)[1]
-    if deps is None:
+    tab = dependencies(coords, degree)[1]
+    if tab is None:
         return n
-    columns = list(zip(*deps))  # empty when there is no dependency
-    if sum(map(any, columns)) < n:  # a column in no dependency
+    rows = tab[2].values()  # empty lists when there is no dependency
+    if not all(map(any, rows)):  # a point in no dependency
         return n - 1
-    if len(set(map(_primitive, columns))) < n:  # two proportional columns
-        return n - 2
+    if any(sum(map(bool, row)) == 1 for row in rows) or len(set(map(_primitive, rows))) < len(rows):
+        return n - 2  # a row proportional to a free point's unit column, or two proportional rows
     if n <= 8:
         return 5
     closures = Counter(five for six in _sixes_on_a_conic(coords) for five in combinations(six, 5))

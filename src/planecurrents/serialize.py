@@ -266,15 +266,15 @@ def verdict_to_json(verdict: Verdict) -> dict:
 
 def check_report(outcome: Outcome) -> dict:
     """The `check` report of a decided instance, the one writer of an
-    `Outcome`: the instance, alpha and mass, then a failed precondition's
-    `status` and `reason`, or beta, the heavy set, the level set, the
-    verdict, `verified` (its `verify_verdict` re-check) and `status`."""
-    current = outcome.current
+    `Outcome`: the instance (with alpha at mass 1 only, where `check` reads
+    it), alpha, mass, then a failed precondition's `status` and `reason`, or
+    beta, heavy set, level set, verdict, `verified` (by `verify_verdict`), `status`."""
+    current, mass = outcome.current, outcome.current.mass
     document = {
         "command": "check",
-        "instance": current_to_payload(current, outcome.alpha),
+        "instance": current_to_payload(current, outcome.alpha if mass == 1 else None),
         "alpha": str(outcome.alpha),
-        "mass": str(current.mass),
+        "mass": str(mass),
     }
     if outcome.reason is not None:
         return {**document, "status": "precondition-failed", "reason": outcome.reason}

@@ -14,9 +14,10 @@ Run from anywhere, optionally with entry names to run a subset:
     python tests/mutants.py [name ...]
 
 Equivalent mutants are left out, each with the reason:
-- `>=` in place of `==` in `cover._minimal_obstruction`'s covering test:
-  the vectors left are zero at the column dropped and at every column
-  dropped before, so at most `len(keep) - 1` columns are nonzero in them.
+- the last free column nonzero in a pivot's row, in place of the first, as
+  the column `cover._dropped` exchanges the pivot with: any nonzero entry
+  gives a basis of the rest, and the drop is decided by which rows are
+  zero, the coloops of the rest, which are in every basis.
 """
 
 from __future__ import annotations
@@ -46,9 +47,37 @@ CATALOGUE = (
     Mutant(
         "pruning-stops-at-two-dependencies",
         "cover.py",
-        "if len(deps) == 1:",
-        "if len(deps) == 2:",
+        "if len(free) == 1:",
+        "if len(free) == 2:",
         ("tests/test_cover.py::test_pruning_keeps_the_dependencies_exact",),
+    ),
+    Mutant(
+        "pruning-shortcut-despite-a-zero-entry",
+        "cover.py",
+        "if max(rows) < free[0] and all(map(all, rows.values())):",
+        "if max(rows) < free[0]:",
+        ("tests/test_cover.py::test_pruning_keeps_the_dependencies_exact",),
+    ),
+    Mutant(
+        "pruning-shortcut-keeps-two-free-points",
+        "cover.py",
+        "return sorted(rows) + free[:1]",
+        "return sorted(rows) + free[:2]",
+        ("tests/test_cover.py::test_obstructions_are_the_canonical_pruning",),
+    ),
+    Mutant(
+        "exchange-cross-term-dropped",
+        "cover.py",
+        "(a * x - row[k] * y) // d",
+        "a * x // d",
+        ("tests/test_cover.py::test_pruning_keeps_the_dependencies_exact",),
+    ),
+    Mutant(
+        "max-on-curve-unit-row-test-dropped",
+        "projective.py",
+        "sum(map(bool, row)) == 1",
+        "sum(map(bool, row)) == 0",
+        ("tests/test_projective.py::test_max_on_curve_reads_two_off_without_brackets",),
     ),
     Mutant(
         "omission-continued-one-pivot-too-far",
@@ -60,8 +89,8 @@ CATALOGUE = (
     Mutant(
         "read-off-skipped-at-full-rank",
         "projective.py",
-        "return basis, linalg.read_off(echelon, n)",
-        "return basis, []",
+        "return pivots, linalg.tableau(echelon, len(coords))",
+        "return pivots, (1, [], dict.fromkeys(pivots, []))",
         (
             "tests/test_cover.py::test_omission_single_coloop_not_first",
             "tests/test_projective.py::test_max_on_curve_matches_oracles_up_to_the_cap",
@@ -179,8 +208,8 @@ CATALOGUE = (
     Mutant(
         "pruning-from-the-first-column",
         "cover.py",
-        "for i in reversed(range(n)):",
-        "for i in range(n):",
+        "for i in reversed(range(len(free) + len(rows))):",
+        "for i in range(len(free) + len(rows)):",
         ("tests/test_cover.py::test_obstructions_are_the_canonical_pruning",),
     ),
     Mutant(
@@ -288,6 +317,13 @@ CATALOGUE = (
         '{"index": item.index, **check_report(item.outcome)}',
         '{"index": item.index, **check_report(item.outcome), "command": "search"}',
         ("tests/test_harness.py::test_counterexample_payloads_reverify",),
+    ),
+    Mutant(
+        "instance-alpha-at-every-mass",
+        "serialize.py",
+        "outcome.alpha if mass == 1 else None",
+        "outcome.alpha",
+        ("tests/test_cli.py::test_check_report_instance_at_mass_not_one_reads_back",),
     ),
     Mutant(
         "empty-report-path-accepted",

@@ -160,6 +160,22 @@ def reference_nullspace(rows, ncols) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def tableau_vectors(tab, ncols) -> list[list[int]]:
+    """The nullspace vectors that a tableau (d, free, rows) of
+    `linalg.tableau` stands for, as they are, not made primitive: for each
+    free column f, d at f, 0 at the other free columns, and minus each
+    pivot's row at f at that pivot."""
+    d, free, rows = tab
+    vectors = []
+    for k, f in enumerate(free):
+        vec = [0] * ncols
+        vec[f] = d
+        for c, row in rows.items():
+            vec[c] = -row[k]
+        vectors.append(vec)
+    return vectors
+
+
 def _cross(u, v) -> tuple:
     (a, b, c), (d, e, f) = u, v
     return (b * f - c * e, c * d - a * f, a * e - b * d)
@@ -258,9 +274,17 @@ def integer_coords(p) -> list[int]:
 
 
 def coverable_oracle(points) -> bool:
-    """True iff some conic contains all but at most one of the points."""
+    """True iff some conic contains all but at most one of the points: the
+    `reference_rank` of the Veronese rows of the whole set, or of the set
+    less one point, is below 6. Up to 8 points the enumeration of
+    `m2_oracle`, a second method, must agree."""
     pts = sorted(set(points))
-    return m2_oracle(pts) >= len(pts) - 1
+    rows = [_veronese(p.coords) for p in pts]
+    # i = n omits nothing
+    coverable = any(reference_rank(rows[:i] + rows[i + 1 :]) < 6 for i in range(len(rows) + 1))
+    if len(pts) <= 8:
+        assert coverable == (m2_oracle(pts) >= len(pts) - 1), pts
+    return coverable
 
 
 def _veronese(coords) -> tuple:

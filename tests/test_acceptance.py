@@ -29,6 +29,7 @@ from planecurrents.projective import (
     max_on_curve,
     multiplicity,
 )
+from planecurrents.serialize import MAX_POINTS
 
 from oracles import (
     blend_current,
@@ -37,6 +38,7 @@ from oracles import (
     m2_oracle,
     random_line,
     random_point,
+    random_points,
     random_projective_map,
     random_structured_points,
     random_unit_current,
@@ -179,6 +181,18 @@ def test_criterion_7_oracle_equivalence():
             level = LevelSet(Fraction(1, 2), True, (), tuple(pts))
             verdict = conic_cover_check(level)
             assert isinstance(verdict, Covered) == coverable_oracle(pts)
+        # only some 10 of the 100 above are not coverable; past the 8
+        # points where the oracle also enumerates conics, its ranks are
+        # fast enough to decide sets up to the cap until 150 are not
+        rng = random.Random(7003)
+        uncoverable = 0
+        while uncoverable < 150:
+            draw = rng.choice((random_points, random_structured_points))
+            pts = draw(rng, rng.randint(9, MAX_POINTS))
+            level = LevelSet(Fraction(1, 2), True, (), tuple(pts))
+            covered = isinstance(conic_cover_check(level), Covered)
+            assert covered == coverable_oracle(pts)
+            uncoverable += not covered
 
 
 def test_criterion_8_invariance_suites():

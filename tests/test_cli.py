@@ -631,6 +631,21 @@ def test_check_mass_fails_before_irrational_meets(instance_files, tmp_path, caps
     assert (report["status"], report["reason"]) == ("precondition-failed", reason)
 
 
+def test_check_report_instance_at_mass_not_one_reads_back(instance_files, tmp_path, capsys):
+    # the instance of a report holds alpha only at mass 1, where `check`
+    # reads it: at mass 3/4 it is the document as given, and checked again
+    # at the same alpha it gives the same report, byte for byte
+    out, again = tmp_path / "report.json", tmp_path / "again.json"
+    assert main(["check", instance_files["light-irrational"], "--alpha", "1/2", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["mass"] == "3/4" and "alpha" not in report["instance"]
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(report["instance"]))
+    assert main(["check", str(instance), "--alpha", "1/2", "--out", str(again)]) == 2
+    assert again.read_bytes() == out.read_bytes()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("lines, code", [("100", 0), ("101", 1)])
 def test_search_caps_lines(tmp_path, lines, code):
     # so that `check` reads every counterexample payload back; from 67 lines

@@ -55,8 +55,10 @@ from oracles import (
     random_unit_current,
     random_wide_points,
     reference_conic_space,
+    reference_det,
     reference_nullspace,
     reference_rank,
+    tableau_vectors,
 )
 
 HALF = Fraction(1, 2)
@@ -339,35 +341,43 @@ def test_obstructions_are_the_canonical_pruning():
     assert min(seen[0], seen[1], seen[2]) >= 10, seen
 
 
-def _spans_the_reference_dependencies(vectors, columns, kept):
-    """The vectors are primitive integer vectors, zero off the kept columns
-    (points), and a basis of the reference nullspace of the kept columns."""
-    rows = [[row[j] for j in kept] for row in columns]
-    expected = reference_nullspace(rows, len(kept))
+def _implies_the_reference_dependencies(tab, columns, kept):
+    """The tableau (d, free, rows) has its free and pivot columns among the
+    kept columns (points), d is, up to sign, the minor of the pivot
+    columns, and the vectors it implies, integers zero off the kept
+    columns, are a basis of the reference nullspace of the kept columns."""
+    d, free, rows = tab
+    vectors = tableau_vectors(tab, len(columns[0]))
+    matrix = [[row[j] for j in kept] for row in columns]
+    expected = reference_nullspace(matrix, len(kept))
     on_kept = [[vec[j] for j in kept] for vec in vectors]
+    assert sorted([*free, *rows]) == kept
+    assert abs(d) == abs(reference_det([[row[c] for c in sorted(rows)] for row in columns]))
     assert all(type(x) is int for vec in vectors for x in vec)
-    assert all(gcd(*vec) == 1 for vec in vectors)
     assert all(not vec[j] for vec in vectors for j in range(len(vec)) if j not in kept)
-    assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in rows for vec in on_kept)
+    assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in matrix for vec in on_kept)
     assert len(vectors) == len(expected) == reference_rank(on_kept)
 
 
 def test_pruning_keeps_the_dependencies_exact(monkeypatch):
-    # after every step of the pruning, the vectors held span exactly the
-    # dependencies among the points kept, and a drop is kept iff they
-    # still cover every point kept. With the points from the last one back
-    # the pivots are visited last and a step rarely combines vectors, so
-    # the same vectors are also pruned in the reverse column order, where
-    # the pivots come first
+    # the pruning is replayed here with the unpatched `_dropped`: every
+    # tableau tried stands for exactly the dependencies among the points it
+    # keeps, at the scale of the minor of its basis, a drop is kept iff
+    # those still cover every point kept, and the steps end once one
+    # dependency is held. The code tries the same drops, or, when no entry
+    # is zero and the pivots come first, none. With the points from the
+    # last one back the pivots are visited last and a step rarely
+    # exchanges one, so the same tableau is also pruned in the reverse
+    # column order, where the pivots come first
     steps = []
 
-    def recording(deps, i):
-        rest = without(deps, i)
-        steps.append((deps, i, rest))
+    def recording(d, free, rows, i):
+        rest = dropped(d, free, rows, i)
+        steps.append(((d, free, rows), i, rest))
         return rest
 
-    without = cover._without
-    monkeypatch.setattr(cover, "_without", recording)
+    dropped = cover._dropped
+    monkeypatch.setattr(cover, "_dropped", recording)
     rng = random.Random(97)
     seen = Counter()
     for _ in range(150):
@@ -375,30 +385,38 @@ def test_pruning_keeps_the_dependencies_exact(monkeypatch):
         n = len(points)
         for degree in (1, 2):
             columns = list(zip(*_rows_of([p.ints for p in points[::-1]], degree)[0]))
-            basis, deps = linalg.kernel(columns, n)
-            if len(basis) < len(columns) or not all(any(vec[j] for vec in deps) for j in range(n)):
+            tab = linalg.tableau(linalg.eliminate(columns, n), n)
+            if len(tab[2]) < len(columns) or not all(map(any, tab[2].values())):
                 continue
-            reversed_order = ([row[::-1] for row in columns], [vec[::-1] for vec in deps])
-            for columns, deps in ((columns, deps), reversed_order):
+            d, free, rows = tab
+            flipped = (d, [n - 1 - f for f in reversed(free)], {n - 1 - c: row[::-1] for c, row in rows.items()})
+            for columns, tab in ((columns, tab), ([row[::-1] for row in columns], flipped)):
                 steps.clear()
-                result = _minimal_obstruction(deps, n)
-                held, kept = deps, list(range(n))
-                _spans_the_reference_dependencies(held, columns, kept)
-                held_counts = [len(held)]
-                for before, i, rest in steps:
-                    assert before is held
+                result = _minimal_obstruction(*tab)
+                held, kept, trials = tab, list(range(n)), []
+                _implies_the_reference_dependencies(held, columns, kept)
+                for i in reversed(range(n)):
+                    if len(held[1]) == 1:
+                        break
+                    rest = dropped(*held, i)
+                    trials.append((held, i, rest))
                     trial = [j for j in kept if j != i]
-                    _spans_the_reference_dependencies(rest, columns, trial)
-                    seen["combined"] += sum(bool(vec[i]) for vec in before) > 1
-                    if all(any(vec[j] for vec in rest) for j in trial):
+                    _implies_the_reference_dependencies(rest, columns, trial)
+                    if i in held[2]:
+                        k = next(k for k, x in enumerate(held[2][i]) if x)
+                        seen["exchanged"] += any(row[k] for c, row in held[2].items() if c != i)
+                    vectors = tableau_vectors(rest, n)
+                    if all(any(vec[j] for vec in vectors) for j in trial):
                         held, kept = rest, trial
                     else:
                         seen["refused"] += 1
-                    held_counts.append(len(held))
-                # the steps end at the first column where one dependency is
-                # held, every later drop being refused, or after all n
-                assert result == kept and len(steps) == (held_counts.index(1) if 1 in held_counts else n)
-                seen["sets"] += 1
+                assert result == kept
+                if steps or not trials:
+                    assert steps == trials
+                    seen["stepped"] += bool(trials)
+                else:
+                    assert max(tab[2]) < tab[1][0] and all(map(all, tab[2].values()))
+                    seen["shortcut"] += 1
     assert min(seen.values()) >= 30, seen
 
 

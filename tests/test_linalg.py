@@ -12,6 +12,7 @@ from oracles import (
     reference_det,
     reference_nullspace,
     reference_rank,
+    tableau_vectors,
 )
 
 fractions_st = st.builds(
@@ -188,12 +189,19 @@ def test_extend_echelon_continues_any_prefix_state():
     assert continued > 1500
 
 
+def _primitive_at(vec, f):
+    """The vector divided by its gcd, signed positive at column f."""
+    g = gcd(*vec) if vec[f] > 0 else -gcd(*vec)
+    return [x // g for x in vec]
+
+
 def test_kernel_is_the_primitive_reference_nullspace():
     # one integer vector per free column, primitive and positive there,
     # proportional to the reference vector (1 there, 0 at the other free
     # columns), on the package's shapes and their transposes, whose
     # columns are points, with the greedy column basis as pivots; the same
-    # vectors are read off a state built in two `extend_echelon` calls
+    # vectors are read from the tableau of a state built in two
+    # `extend_echelon` calls
     rng = random.Random(43)
     cases = _kernel_cases(rng, 150)
     cases += [(list(zip(*rows)), len(rows)) for rows, _ in cases]
@@ -213,7 +221,9 @@ def test_kernel_is_the_primitive_reference_nullspace():
         j = rng.randint(0, len(m))
         linalg.extend_echelon(state, m[:j], ncols)
         linalg.extend_echelon(state, m[j:], ncols)
-        assert linalg.read_off(state, ncols) == basis
+        tab = linalg.tableau(state, ncols)
+        assert tab[1] == [c for c in range(ncols) if c not in pivots]
+        assert [_primitive_at(vec, f) for f, vec in zip(tab[1], tableau_vectors(tab, ncols))] == basis
         expected = reference_nullspace(rows, ncols)
         assert len(basis) == len(expected) == ncols - len(pivots)
         free = [c for c in range(ncols) if c not in pivots]
@@ -227,3 +237,22 @@ def test_kernel_is_the_primitive_reference_nullspace():
         units = [[int(c == f) for c in range(ncols)] for f in range(ncols)]
         assert linalg.kernel([], ncols) == ([], units)
         assert linalg.kernel([[0] * ncols] * 2, ncols) == ([], units)
+
+
+def test_tableau_entries_are_minors():
+    # D is the minor of the basis rows on the pivot columns in the order
+    # stored, and the entry of pivot c at free column f is that minor with
+    # column c replaced by f (Cramer's rule), so each division is exact
+    rng = random.Random(47)
+    for rows, ncols in _kernel_cases(rng, 150):
+        echelon = []
+        taken = linalg.extend_echelon(echelon, rows, ncols)
+        d, free, solved = linalg.tableau(echelon, ncols)
+        stored = [c for c, _ in echelon]
+        basis = [rows[i] for i in taken]
+        assert free == [c for c in range(ncols) if c not in stored] and sorted(solved) == sorted(stored)
+        assert d == reference_det([[row[c] for c in stored] for row in basis])
+        for c, entries in solved.items():
+            assert len(entries) == len(free)
+            for f, x in zip(free, entries):
+                assert x == reference_det([[row[f if p == c else p] for p in stored] for row in basis])

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planecurrents import harness, projective, serialize
@@ -65,7 +65,9 @@ from oracles import (
     rational_form,
     reference_conic_space,
     reference_det,
+    reference_nullspace,
     reference_rank,
+    tableau_vectors,
 )
 
 
@@ -458,6 +460,57 @@ def test_max_on_curve_reads_two_off_without_brackets(monkeypatch):
         for order in (pts, pts[::-1], rng.sample(pts, len(pts))):
             assert max_on_curve(order, 2) == m2
     assert {2, 3} <= counts
+
+
+_SMALL = st.integers(-5, 5)
+
+
+@st.composite
+def _point_sets(draw):
+    """Up to 12 distinct points as primitive integer triples, in the order
+    drawn, from runs of three kinds: random points, points s*p + t*q on
+    the line through two random points p and q, and points
+    M(s^2, s*t, t^2) of the conic x*z = y^2 moved by an integer matrix M
+    (a line pair or a double line when M is singular)."""
+    coords: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("random", "line", "conic")))
+        params = draw(st.lists(st.tuples(_SMALL, _SMALL), min_size=1, max_size=7))
+        if kind == "random":
+            vectors = [(s, t, draw(_SMALL)) for s, t in params]
+        elif kind == "line":
+            p, q = draw(st.lists(st.tuples(_SMALL, _SMALL, _SMALL), min_size=2, max_size=2))
+            vectors = [tuple(s * x + t * y for x, y in zip(p, q)) for s, t in params]
+        else:
+            m = draw(st.lists(st.tuples(_SMALL, _SMALL, _SMALL), min_size=3, max_size=3))
+            vectors = [tuple(a * s * s + b * s * t + c * t * t for a, b, c in m) for s, t in params]
+        for v in vectors:
+            if any(v) and Point(*v).ints not in coords:
+                coords.append(Point(*v).ints)
+    return coords[:12]
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+@settings(max_examples=150)
+@given(coords=_point_sets())
+def test_dependencies_tableau_is_the_reference_nullspace(coords, degree):
+    # the tableau is read at full rank only; the vectors it implies, scaled
+    # to 1 at their free column, are the reference basis of the
+    # dependencies among the points, and its zero rows are the coloops,
+    # the points whose omission drops the reference rank
+    rows = [list(p) if degree == 1 else list(_veronese(p)) for p in coords]
+    n, k = len(coords), 3 * degree
+    pivots, tab = projective.dependencies(coords, degree)
+    full = reference_rank(rows)
+    assert len(pivots) == full and (tab is None) == (full < k)
+    if tab is None:
+        return
+    d, free, solved = tab
+    assert sorted(solved) == pivots and free == [j for j in range(n) if j not in pivots]
+    implied = [tuple(Fraction(x, d) for x in vec) for vec in tableau_vectors(tab, n)]
+    assert implied == reference_nullspace(list(zip(*rows)), n)
+    coloops = {j for j in range(n) if reference_rank(rows[:j] + rows[j + 1 :]) < full}
+    assert {c for c, row in solved.items() if not any(row)} == coloops
 
 
 def test_max_on_curve_reads_its_points_once():
